@@ -19,6 +19,7 @@ from .ensemble import (
     vote_entropy,
 )
 from .errors import (
+    ConvergenceError,
     CorruptPointError,
     Error,
     FormatError,

@@ -338,7 +338,7 @@ def _project_one(scan_path: Path, label_path, cfg: RunConfig):
     return cloud, image, grid
 
 
-def cmd_project(cfg: RunConfig, jobs: int = 1) -> int:
+def cmd_project(cfg: RunConfig) -> int:
     scan_dir = _require_dir(cfg.paths.scan_dir, "scan_dir")
     label_dir = Path(cfg.paths.label_dir) if cfg.paths.label_dir else None
     out = Path(cfg.paths.out_dir)
@@ -486,6 +486,11 @@ def cmd_score(cfg: RunConfig, jobs: int = 1) -> int:
         (out / sub).mkdir(parents=True, exist_ok=True)
     model = gmm.load_classifier(cfg.model_path())
     bank = nig.load_bank(cfg.bank_path())
+    model_shape = model.means.shape
+    if bank.mu.shape != model_shape:
+        raise ShapeError(
+            f"model (C, K, D) = {model_shape} does not match bank (C, K, D) = {bank.mu.shape}"
+        )
     members = nig.sample_ensemble(bank, cfg.ensemble.n_samples, cfg.ensemble.seed)
 
     files = sorted(feature_dir.glob("*.fmap"))
@@ -503,14 +508,14 @@ def cmd_score(cfg: RunConfig, jobs: int = 1) -> int:
                 try:
                     stem, umap = future.result()
                     results[stem] = umap
-                except Error as exc:
+                except (Error, OSError) as exc:
                     errors[path.stem] = str(exc)
     else:
         for path in files:
             try:
                 stem, umap = process(path)
                 results[stem] = umap
-            except Error as exc:
+            except (Error, OSError) as exc:
                 errors[path.stem] = str(exc)
 
     manifest_files = []
@@ -582,7 +587,7 @@ def cmd_score(cfg: RunConfig, jobs: int = 1) -> int:
 # eval
 
 
-def cmd_eval(cfg: RunConfig, jobs: int = 1) -> int:
+def cmd_eval(cfg: RunConfig) -> int:
     score_dir = Path(cfg.paths.score_dir or cfg.paths.out_dir)
     label_dir = _require_dir(cfg.paths.label_dir, "label_dir")
     out = Path(cfg.paths.out_dir)
@@ -772,13 +777,13 @@ def main(argv=None) -> int:
         cfg = load_run_config(args.config)
         cfg = _apply_overrides(cfg, args)
         if args.command == "project":
-            return cmd_project(cfg, jobs=args.jobs)
+            return cmd_project(cfg)
         if args.command == "fit":
             return cmd_fit(cfg)
         if args.command == "score":
             return cmd_score(cfg, jobs=args.jobs)
         if args.command == "eval":
-            return cmd_eval(cfg, jobs=args.jobs)
+            return cmd_eval(cfg)
         if args.command == "synth":
             return cmd_synth(cfg)
         raise Error(f"unknown command {args.command}")

@@ -15,7 +15,7 @@ from scipy.special import logsumexp, xlogy
 
 from .errors import ShapeError
 from .formats import FeatureMap
-from .gmm import GMMClassifier, class_log_densities, component_log_densities
+from .gmm import GMMClassifier, class_log_densities
 from .nig import GMMParameterSample
 
 
@@ -98,37 +98,43 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
     return -xlogy(p, p).sum(axis=-1)
 
 
-def sample_log_densities(z: np.ndarray, sample: GMMParameterSample) -> np.ndarray:
-    """log p(z | c) under one sampled parameter set, shape (N, C)."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if z.shape[1] != sample.feature_dim:
-        raise ShapeError(
-            f"feature dimension {z.shape[1]} does not match sample "
-            f"dimension {sample.feature_dim}"
-        )
-    c = sample.num_classes
-    out = np.empty((z.shape[0], c))
-    with np.errstate(divide="ignore"):
-        log_w = np.where(
-            sample.weights > 0, np.log(np.maximum(sample.weights, 1e-300)), -np.inf
-        )
-    for ci in range(c):
-        comp = component_log_densities(z, sample.means[ci], sample.variances[ci])
-        out[:, ci] = logsumexp(comp + log_w[ci], axis=1)
-    return out
+def _posterior(ld: np.ndarray) -> np.ndarray:
+    """Class posterior rows under a uniform prior from (N, C) log densities."""
+    return np.exp(ld - logsumexp(ld, axis=1, keepdims=True))
+
+
+def _reduce_members(z: np.ndarray, ensemble: list[GMMParameterSample]):
+    """(N, C) vote counts and the (N,) predictive entropy, aleatoric part
+    and mutual information of an (N, D) batch (see ``decompose_uncertainty``)."""
+    if not ensemble:
+        raise ValueError("ensemble must be non-empty")
+    n, c = z.shape[0], ensemble[0].num_classes
+    counts = np.zeros((n, c), dtype=np.int64)
+    mean_post = np.zeros((n, c))
+    mean_ent = np.zeros(n)
+    rows = np.arange(n)
+    for sample in ensemble:
+        ld = class_log_densities(z, sample)
+        post = _posterior(ld)
+        counts[rows, np.argmax(ld, axis=1)] += 1
+        mean_post += post
+        mean_ent += _entropy_rows(post)
+    mean_post /= len(ensemble)
+    mean_ent /= len(ensemble)
+    predictive = _entropy_rows(mean_post)
+    return counts, predictive, mean_ent, np.maximum(predictive - mean_ent, 0.0)
+
+
+def _single(z, what: str) -> np.ndarray:
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 1:
+        raise ShapeError(f"{what}() takes a single feature vector")
+    return z[None, :]
 
 
 def vote(z, ensemble: list[GMMParameterSample]) -> VoteRecord:
     """Classify z under every member and tally the votes."""
-    if not ensemble:
-        raise ValueError("ensemble must be non-empty")
-    if np.asarray(z).ndim != 1:
-        raise ShapeError("vote() takes a single feature vector")
-    counts = np.zeros(ensemble[0].num_classes, dtype=np.int64)
-    for sample in ensemble:
-        ld = sample_log_densities(z, sample)[0]
-        counts[int(np.argmax(ld))] += 1
-    return VoteRecord(counts)
+    return VoteRecord(_reduce_members(_single(z, "vote"), ensemble)[0][0])
 
 
 def majority_class(record: VoteRecord) -> int:
@@ -153,21 +159,8 @@ def decompose_uncertainty(
     and the mutual information is their difference, clamped to zero
     against negative floating-point residue.
     """
-    if not ensemble:
-        raise ValueError("ensemble must be non-empty")
-    if np.asarray(z).ndim != 1:
-        raise ShapeError("decompose_uncertainty() takes a single feature vector")
-    mean_post = np.zeros(ensemble[0].num_classes)
-    mean_ent = 0.0
-    for sample in ensemble:
-        ld = sample_log_densities(z, sample)
-        post = np.exp(ld - logsumexp(ld, axis=1, keepdims=True))[0]
-        mean_post += post
-        mean_ent += float(_entropy_rows(post))
-    mean_post /= len(ensemble)
-    mean_ent /= len(ensemble)
-    predictive = float(_entropy_rows(mean_post))
-    return UncertaintyDecomposition(predictive, mean_ent, max(predictive - mean_ent, 0.0))
+    _, *parts = _reduce_members(_single(z, "decompose_uncertainty"), ensemble)
+    return UncertaintyDecomposition(*(float(p[0]) for p in parts))
 
 
 @dataclass
@@ -188,40 +181,15 @@ def score_samples(
     z, model: GMMClassifier, ensemble: list[GMMParameterSample]
 ) -> SampleScores:
     """Vectorized scoring of an (N, D) batch under model + ensemble."""
-    if not ensemble:
-        raise ValueError("ensemble must be non-empty")
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if z.shape[1] != model.feature_dim:
-        raise ShapeError(
-            f"feature dimension {z.shape[1]} does not match model "
-            f"dimension {model.feature_dim}"
-        )
-    n, c = z.shape[0], model.num_classes
-    counts = np.zeros((n, c), dtype=np.int64)
-    mean_post = np.zeros((n, c))
-    mean_ent = np.zeros(n)
-    rows = np.arange(n)
-    for sample in ensemble:
-        ld = sample_log_densities(z, sample)
-        post = np.exp(ld - logsumexp(ld, axis=1, keepdims=True))
-        counts[rows, np.argmax(ld, axis=1)] += 1
-        mean_post += post
-        mean_ent += _entropy_rows(post)
-    m = len(ensemble)
-    mean_post /= m
-    mean_ent /= m
-    predictive = _entropy_rows(mean_post)
-    mi = np.maximum(predictive - mean_ent, 0.0)
-    epistemic = _entropy_rows(counts / m)
-
-    ld0 = np.atleast_2d(class_log_densities(z, model))
-    post0 = np.exp(ld0 - logsumexp(ld0, axis=1, keepdims=True))
+    counts, predictive, aleatoric, mi = _reduce_members(z, ensemble)
+    post0 = _posterior(class_log_densities(z, model))
     return SampleScores(
         predicted_class=model.class_ids[np.argmax(counts, axis=1)],
         vote_counts=counts,
-        epistemic=epistemic,
+        epistemic=_entropy_rows(counts / len(ensemble)),
         predictive_entropy=predictive,
-        aleatoric=mean_ent,
+        aleatoric=aleatoric,
         mutual_information=mi,
         deterministic_entropy=_entropy_rows(post0),
         max_posterior=post0.max(axis=1),

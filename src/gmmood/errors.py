@@ -25,6 +25,10 @@ class InsufficientDataError(Error):
     """Too few samples to fit the requested number of components."""
 
 
+class ConvergenceError(Error):
+    """EM data log-likelihood decreased across an ordinary iteration."""
+
+
 class InvalidStatisticsError(Error):
     """Sufficient statistics violate their nonnegativity constraints."""
 

@@ -1,9 +1,14 @@
-"""Binary container for dense feature grids (FMAP files).
+"""Binary containers: the shared header codec and the FMAP feature grid.
 
-Layout, all little-endian: magic ``b"FMAP"``, version (uint16), then
-H, W, D (uint32 each); payload of H*W*D float32 values, row-major with
-the feature dimension fastest; H*W validity bytes (0 or 1) appended
-after the payload.  Declared sizes must match the byte length exactly.
+Every container (FMAP here, GMMC in ``gmm``, NIGB in ``nig``) starts
+with the same little-endian header: a 4-byte magic, a uint16 version and
+three uint32 dimensions.  ``container_to_bytes`` writes it and
+``container_dims`` checks the magic, the version and that the byte
+length equals exactly the header plus the payload the dimensions
+declare.
+
+FMAP payload: H*W*D float32 values, row-major with the feature
+dimension fastest, then H*W validity bytes (0 or 1).
 """
 
 import struct
@@ -18,6 +23,31 @@ FMAP_MAGIC = b"FMAP"
 FMAP_VERSION = 1
 
 _HEADER = struct.Struct("<4sHIII")
+HEADER_SIZE = _HEADER.size
+
+
+def container_to_bytes(magic: bytes, version: int, dims, *arrays) -> bytes:
+    """Header for ``dims`` followed by the raw bytes of each array in order."""
+    return b"".join([_HEADER.pack(magic, version, *dims), *(a.tobytes() for a in arrays)])
+
+
+def container_dims(data: bytes, magic: bytes, version: int, payload_size) -> tuple:
+    """Validate a container header and return its three dimensions.
+
+    ``payload_size(*dims)`` gives the byte count the payload must have.
+    """
+    name = magic.decode()
+    if len(data) < HEADER_SIZE:
+        raise FormatError(f"truncated {name} container: {len(data)} bytes")
+    got_magic, got_version, *dims = _HEADER.unpack_from(data)
+    if got_magic != magic:
+        raise FormatError(f"bad magic {got_magic!r}, expected {magic!r}")
+    if got_version != version:
+        raise FormatError(f"unsupported {name} version {got_version}")
+    expected = HEADER_SIZE + payload_size(*dims)
+    if len(data) != expected:
+        raise FormatError(f"{name} size mismatch: declared {expected} bytes, got {len(data)}")
+    return tuple(dims)
 
 
 @dataclass
@@ -66,28 +96,22 @@ class FeatureMap:
 
 
 def feature_map_to_bytes(fmap: FeatureMap) -> bytes:
-    header = _HEADER.pack(FMAP_MAGIC, FMAP_VERSION, fmap.height, fmap.width, fmap.dim)
-    payload = np.ascontiguousarray(fmap.values, dtype="<f4").tobytes()
-    validity = fmap.valid.astype(np.uint8).tobytes()
-    return header + payload + validity
+    return container_to_bytes(
+        FMAP_MAGIC,
+        FMAP_VERSION,
+        fmap.values.shape,
+        fmap.values.astype("<f4", copy=False),
+        fmap.valid.astype(np.uint8),
+    )
 
 
 def feature_map_from_bytes(data: bytes) -> FeatureMap:
-    if len(data) < _HEADER.size:
-        raise FormatError(f"truncated FMAP container: {len(data)} bytes")
-    magic, version, h, w, d = _HEADER.unpack_from(data)
-    if magic != FMAP_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {FMAP_MAGIC!r}")
-    if version != FMAP_VERSION:
-        raise FormatError(f"unsupported FMAP version {version}")
-    expected = _HEADER.size + 4 * h * w * d + h * w
-    if len(data) != expected:
-        raise FormatError(f"FMAP size mismatch: declared {expected} bytes, got {len(data)}")
-    off = _HEADER.size
-    values = np.frombuffer(data, dtype="<f4", count=h * w * d, offset=off)
-    values = values.reshape(h, w, d).copy()
-    valid = np.frombuffer(data, dtype=np.uint8, count=h * w, offset=off + 4 * h * w * d)
-    return FeatureMap(values, valid.reshape(h, w) != 0)
+    h, w, d = container_dims(
+        data, FMAP_MAGIC, FMAP_VERSION, lambda h, w, d: 4 * h * w * d + h * w
+    )
+    values = np.frombuffer(data, dtype="<f4", count=h * w * d, offset=HEADER_SIZE)
+    valid = np.frombuffer(data, dtype=np.uint8, count=h * w, offset=HEADER_SIZE + 4 * h * w * d)
+    return FeatureMap(values.reshape(h, w, d).copy(), valid.reshape(h, w) != 0)
 
 
 def write_feature_map(fmap: FeatureMap, path) -> None:

@@ -6,23 +6,27 @@ density evaluation in log space, the class posterior under a uniform
 class prior, maximum-density prediction, and EM fitting that also emits
 the responsibility-weighted sufficient statistics consumed by the
 Bayesian layer.
+
+``class_log_densities`` is the one per-class mixture density: it takes
+anything with (C, K) ``weights`` and (C, K, D) ``means``/``variances``,
+so it serves both the point-estimate ``GMMClassifier`` and every
+sampled ensemble member (``nig.GMMParameterSample``).
 """
 
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import FormatError, InsufficientDataError, ShapeError
+from .errors import ConvergenceError, InsufficientDataError, ShapeError
+from .formats import HEADER_SIZE, container_dims, container_to_bytes
 
 VARIANCE_FLOOR = 1e-6
 COLLAPSE_THRESHOLD = 1e-6
 
 GMMC_MAGIC = b"GMMC"
 GMMC_VERSION = 1
-_GMMC_HEADER = struct.Struct("<4sHIII")
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -48,6 +52,8 @@ class ClassGMM:
                 f"inconsistent mixture shapes: weights {self.weights.shape}, "
                 f"means {self.means.shape}, variances {self.variances.shape}"
             )
+        if not all(np.isfinite(a).all() for a in (self.weights, self.means, self.variances)):
+            raise ValueError("mixture parameters must be finite")
         if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("mixture weights must be nonnegative and sum to 1")
         if np.any(self.variances < VARIANCE_FLOOR * (1 - 1e-12)):
@@ -64,20 +70,27 @@ class ClassGMM:
 
 @dataclass
 class GMMClassifier:
-    """All per-class mixtures sharing one K and D, ordered by class id."""
+    """All per-class mixtures sharing one K and D, ordered by class id.
+
+    ``weights`` (C, K), ``means`` and ``variances`` (C, K, D) stack the
+    class parameters once at construction for ``class_log_densities``.
+    """
 
     classes: list[ClassGMM]
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    means: np.ndarray = field(init=False, repr=False, compare=False)
+    variances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.classes:
             raise ValueError("classifier needs at least one class")
-        k, d = self.classes[0].n_components, self.classes[0].dim
-        for gmm in self.classes:
-            if gmm.n_components != k or gmm.dim != d:
-                raise ShapeError("all class mixtures must share K and D")
+        if len({gmm.means.shape for gmm in self.classes}) != 1:
+            raise ShapeError("all class mixtures must share K and D")
         ids = [gmm.class_id for gmm in self.classes]
         if ids != sorted(set(ids)):
             raise ValueError("class ids must be strictly increasing")
+        for name in ("weights", "means", "variances"):
+            setattr(self, name, np.stack([getattr(gmm, name) for gmm in self.classes]))
 
     @property
     def num_classes(self) -> int:
@@ -134,6 +147,35 @@ def component_log_densities(z: np.ndarray, means: np.ndarray, variances: np.ndar
     return out
 
 
+def _log_weights(weights: np.ndarray) -> np.ndarray:
+    """log of mixture weights, with exactly -inf for zero weights."""
+    with np.errstate(divide="ignore"):
+        return np.where(weights > 0, np.log(np.maximum(weights, 1e-300)), -np.inf)
+
+
+def _mixture_log_density(z, log_w, means, variances) -> tuple[np.ndarray, np.ndarray]:
+    """Joint log densities log w_k + log N(z | k), (N, K), of one mixture
+    and their log-sum-exp, the mixture log density, (N,)."""
+    joint = component_log_densities(z, means, variances) + log_w
+    return joint, logsumexp(joint, axis=1)
+
+
+def _e_step(z, log_w, means, variances) -> tuple[np.ndarray, np.ndarray]:
+    """Responsibilities (N, K) and mixture log densities (N,) of one mixture."""
+    joint, log_p = _mixture_log_density(z, log_w, means, variances)
+    return np.exp(joint - log_p[:, None]), log_p
+
+
+def _weighted_sq_devs(x: np.ndarray, resp: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Responsibility-weighted sums of squared deviations around each
+    component's center, shape (K, D)."""
+    out = np.empty_like(centers)
+    for m in range(centers.shape[0]):
+        diff = x - centers[m]
+        out[m] = (resp[:, m, None] * diff * diff).sum(axis=0)
+    return out
+
+
 def _check_features(z, dim: int) -> tuple[np.ndarray, bool]:
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
@@ -151,24 +193,26 @@ def log_density(z, gmm: ClassGMM):
     variances are floored.
     """
     z2, single = _check_features(z, gmm.dim)
-    comp = component_log_densities(z2, gmm.means, gmm.variances)
-    with np.errstate(divide="ignore"):
-        log_w = np.where(gmm.weights > 0, np.log(np.maximum(gmm.weights, 1e-300)), -np.inf)
-    out = logsumexp(comp + log_w, axis=1)
+    out = _mixture_log_density(z2, _log_weights(gmm.weights), gmm.means, gmm.variances)[1]
     return float(out[0]) if single else out
 
 
-def class_log_densities(z, model: GMMClassifier):
-    """log p(z | c) for every class, shape (N, C)."""
-    z2, single = _check_features(z, model.feature_dim)
-    out = np.column_stack([log_density(z2, gmm) for gmm in model.classes])
+def class_log_densities(z, params):
+    """log p(z | c) for every class, shape (N, C) (or (C,) for one vector).
+
+    ``params`` is a ``GMMClassifier`` or a sampled ``GMMParameterSample``.
+    """
+    z2, single = _check_features(z, params.means.shape[2])
+    log_w = _log_weights(params.weights)
+    out = np.empty((z2.shape[0], log_w.shape[0]))
+    for c in range(log_w.shape[0]):
+        out[:, c] = _mixture_log_density(z2, log_w[c], params.means[c], params.variances[c])[1]
     return out[0] if single else out
 
 
 def class_posterior(z, model: GMMClassifier):
     """p(c | z) under a uniform class prior: p(z|c) / sum_c' p(z|c')."""
-    ld = class_log_densities(z, model)
-    ld = np.atleast_2d(ld)
+    ld = np.atleast_2d(class_log_densities(z, model))
     post = np.exp(ld - logsumexp(ld, axis=1, keepdims=True))
     return post[0] if np.asarray(z).ndim == 1 else post
 
@@ -233,102 +277,63 @@ def em_fit(
 
     ll_history: list[float] = []
     reseeds = 0
-    resp = None
     prev_ll = -np.inf
     check_monotone = True
     for _ in range(max_iters):
-        # E-step
-        comp = component_log_densities(x, means, variances)
-        with np.errstate(divide="ignore"):
-            joint = comp + np.where(weights > 0, np.log(np.maximum(weights, 1e-300)), -np.inf)
-        norm = logsumexp(joint, axis=1, keepdims=True)
-        ll = float(norm.sum())
-        if check_monotone and ll_history:
-            assert ll >= prev_ll - 1e-8 * max(1.0, abs(prev_ll)), (
-                f"EM log-likelihood decreased: {prev_ll} -> {ll}"
-            )
+        resp, log_p = _e_step(x, _log_weights(weights), means, variances)
+        ll = float(log_p.sum())
+        if check_monotone and ll_history and not ll >= prev_ll - 1e-8 * max(1.0, abs(prev_ll)):
+            raise ConvergenceError(f"EM log-likelihood decreased: {prev_ll} -> {ll}")
         ll_history.append(ll)
-        resp = np.exp(joint - norm)
 
         if ll_history[:-1] and abs(ll - prev_ll) < tol * max(1.0, abs(prev_ll)):
-            prev_ll = ll
             break
         prev_ll = ll
 
         # M-step
         nk = resp.sum(axis=0)
         collapsed = nk < COLLAPSE_THRESHOLD
-        alive = ~collapsed
-        weights = np.where(alive, nk / n, 1.0 / n)
+        weights = np.where(collapsed, 1.0 / n, nk / n)
         weights = weights / weights.sum()
-        safe_nk = np.maximum(nk, COLLAPSE_THRESHOLD)
-        means = (resp.T @ x) / safe_nk[:, None]
-        for m in range(k):
-            if collapsed[m]:
-                means[m] = x[rng.integers(n)]
-                variances[m] = global_var
-                reseeds += 1
-            else:
-                diff = x - means[m]
-                variances[m] = np.maximum(
-                    (resp[:, m, None] * diff * diff).sum(axis=0) / nk[m], VARIANCE_FLOOR
-                )
+        safe_nk = np.maximum(nk, COLLAPSE_THRESHOLD)[:, None]
+        means = (resp.T @ x) / safe_nk
+        variances = np.maximum(_weighted_sq_devs(x, resp, means) / safe_nk, VARIANCE_FLOOR)
+        for m in np.flatnonzero(collapsed):
+            means[m] = x[rng.integers(n)]
+            variances[m] = global_var
+            reseeds += 1
         check_monotone = not collapsed.any()
 
     gmm = ClassGMM(class_id, weights, means, variances)
 
     # final E-step under the returned parameters feeds the Bayesian updates
-    comp = component_log_densities(x, means, variances)
-    with np.errstate(divide="ignore"):
-        joint = comp + np.where(weights > 0, np.log(np.maximum(weights, 1e-300)), -np.inf)
-    resp = np.exp(joint - logsumexp(joint, axis=1, keepdims=True))
+    resp, _ = _e_step(x, _log_weights(weights), means, variances)
     nk = resp.sum(axis=0)
-    xbar = np.where(
-        nk[:, None] > 0, (resp.T @ x) / np.maximum(nk, 1e-300)[:, None], means
-    )
-    sq = np.empty_like(xbar)
-    for m in range(k):
-        diff = x - xbar[m]
-        sq[m] = (resp[:, m, None] * diff * diff).sum(axis=0)
-    stats = SufficientStats(nk, xbar, sq, np.asarray(ll_history), reseeds)
-    return gmm, stats
+    xbar = np.where(nk[:, None] > 0, (resp.T @ x) / np.maximum(nk, 1e-300)[:, None], means)
+    sq = _weighted_sq_devs(x, resp, xbar)
+    return gmm, SufficientStats(nk, xbar, sq, np.asarray(ll_history), reseeds)
 
 
 def classifier_to_bytes(model: GMMClassifier) -> bytes:
     """Serialize to the GMMC container (classes are stored positionally)."""
-    c = model.num_classes
-    k = model.components_per_class
-    d = model.feature_dim
-    parts = [_GMMC_HEADER.pack(GMMC_MAGIC, GMMC_VERSION, c, k, d)]
-    for gmm in model.classes:
-        parts.append(np.ascontiguousarray(gmm.weights, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(gmm.means, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(gmm.variances, dtype="<f8").tobytes())
-    return b"".join(parts)
+    body = np.concatenate(
+        [model.weights, model.means.reshape(model.num_classes, -1),
+         model.variances.reshape(model.num_classes, -1)], axis=1
+    )
+    return container_to_bytes(GMMC_MAGIC, GMMC_VERSION, model.means.shape, body.astype("<f8"))
 
 
 def classifier_from_bytes(data: bytes) -> GMMClassifier:
     """Parse a GMMC container; class ids are assigned 0..C-1 in file order."""
-    if len(data) < _GMMC_HEADER.size:
-        raise FormatError(f"truncated GMMC container: {len(data)} bytes")
-    magic, version, c, k, d = _GMMC_HEADER.unpack_from(data)
-    if magic != GMMC_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {GMMC_MAGIC!r}")
-    if version != GMMC_VERSION:
-        raise FormatError(f"unsupported GMMC version {version}")
-    per_class = k + 2 * k * d
-    expected = _GMMC_HEADER.size + 8 * c * per_class
-    if len(data) != expected:
-        raise FormatError(f"GMMC size mismatch: declared {expected} bytes, got {len(data)}")
-    body = np.frombuffer(data, dtype="<f8", offset=_GMMC_HEADER.size)
-    classes = []
-    for i in range(c):
-        block = body[i * per_class : (i + 1) * per_class]
-        weights = block[:k]
-        means = block[k : k + k * d].reshape(k, d)
-        variances = block[k + k * d :].reshape(k, d)
-        classes.append(ClassGMM(i, weights.copy(), means.copy(), variances.copy()))
-    return GMMClassifier(classes)
+    c, k, d = container_dims(
+        data, GMMC_MAGIC, GMMC_VERSION, lambda c, k, d: 8 * c * (k + 2 * k * d)
+    )
+    body = np.frombuffer(data, dtype="<f8", offset=HEADER_SIZE).reshape(c, k + 2 * k * d)
+    means = body[:, k : k + k * d].reshape(c, k, d)
+    variances = body[:, k + k * d :].reshape(c, k, d)
+    return GMMClassifier(
+        [ClassGMM(i, body[i, :k].copy(), means[i].copy(), variances[i].copy()) for i in range(c)]
+    )
 
 
 def save_classifier(model: GMMClassifier, path) -> None:

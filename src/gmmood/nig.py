@@ -8,19 +8,18 @@ their EM point estimates.  Sampling a full parameter set from the bank
 yields one ensemble member.
 """
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import stats as sstats
 
-from .errors import FormatError, InvalidStatisticsError, ShapeError
+from .errors import InvalidStatisticsError, ShapeError
+from .formats import HEADER_SIZE, container_dims, container_to_bytes
 from .gmm import GMMClassifier, SufficientStats
 
 NIGB_MAGIC = b"NIGB"
 NIGB_VERSION = 1
-_NIGB_HEADER = struct.Struct("<4sHIII")
 
 
 @dataclass(frozen=True)
@@ -77,6 +76,9 @@ class NIGPosteriorBank:
             raise ShapeError(
                 f"weights must be (C, K) = {self.mu.shape[:2]}, got {self.weights.shape}"
             )
+        params = (self.mu, self.kappa, self.alpha, self.beta, self.weights)
+        if not all(np.isfinite(a).all() for a in params):
+            raise ValueError("bank parameters must be finite")
         if np.any(self.kappa <= 0) or np.any(self.alpha <= 0) or np.any(self.beta <= 0):
             raise ValueError("kappa, alpha, beta must be positive in every cell")
 
@@ -129,8 +131,8 @@ class GMMParameterSample:
         return self.means.shape[2]
 
 
-def update_posterior(prior: NIGParams, n: float, xbar: float, S: float) -> NIGParams:
-    """Conjugate NIG update from weighted observation statistics.
+def _conjugate_update(prior: NIGParams, n, xbar, S) -> tuple:
+    """Elementwise conjugate NIG update; returns (mu, kappa, alpha, beta).
 
     With effective count ``n``, weighted mean ``xbar`` and weighted sum of
     squared deviations ``S``::
@@ -140,13 +142,18 @@ def update_posterior(prior: NIGParams, n: float, xbar: float, S: float) -> NIGPa
         alpha_n = alpha0 + n / 2
         beta_n  = beta0 + S / 2 + kappa0 * n * (xbar - mu0)^2 / (2 * kappa_n)
     """
-    if n < 0 or S < 0:
-        raise InvalidStatisticsError(f"n and S must be nonnegative, got n={n}, S={S}")
+    if np.any(n < 0) or np.any(S < 0):
+        raise InvalidStatisticsError("effective counts and squared deviations must be nonnegative")
     kappa_n = prior.kappa + n
     mu_n = (prior.kappa * prior.mu + n * xbar) / kappa_n
     alpha_n = prior.alpha + 0.5 * n
     beta_n = prior.beta + 0.5 * S + prior.kappa * n * (xbar - prior.mu) ** 2 / (2.0 * kappa_n)
-    return NIGParams(mu_n, kappa_n, alpha_n, beta_n)
+    return mu_n, kappa_n, alpha_n, beta_n
+
+
+def update_posterior(prior: NIGParams, n: float, xbar: float, S: float) -> NIGParams:
+    """Conjugate NIG update of one cell from weighted observation statistics."""
+    return NIGParams(*_conjugate_update(prior, n, xbar, S))
 
 
 def build_bank(
@@ -155,35 +162,16 @@ def build_bank(
     prior: NIGParams = DEFAULT_PRIOR,
 ) -> NIGPosteriorBank:
     """Apply the conjugate update independently to every cell of the model."""
-    c = model.num_classes
-    k = model.components_per_class
-    d = model.feature_dim
-    if len(stats) != c:
-        raise ShapeError(f"{len(stats)} statistics blocks for {c} classes")
-    mu = np.empty((c, k, d))
-    kappa = np.empty((c, k, d))
-    alpha = np.empty((c, k, d))
-    beta = np.empty((c, k, d))
-    weights = np.empty((c, k))
-    for ci, (gmm, st) in enumerate(zip(model.classes, stats)):
-        if st.means.shape != (k, d):
-            raise ShapeError(
-                f"class {gmm.class_id}: statistics shape {st.means.shape} != ({k}, {d})"
-            )
-        if np.any(st.counts < 0) or np.any(st.sq_devs < 0):
-            raise InvalidStatisticsError(f"class {gmm.class_id}: negative statistics")
-        n = st.counts[:, None]
-        kap = prior.kappa + n
-        kappa[ci] = np.broadcast_to(kap, (k, d))
-        mu[ci] = (prior.kappa * prior.mu + n * st.means) / kap
-        alpha[ci] = np.broadcast_to(prior.alpha + 0.5 * n, (k, d))
-        beta[ci] = (
-            prior.beta
-            + 0.5 * st.sq_devs
-            + prior.kappa * n * (st.means - prior.mu) ** 2 / (2.0 * kap)
-        )
-        weights[ci] = gmm.weights
-    return NIGPosteriorBank(mu, kappa, alpha, beta, weights)
+    shape = model.means.shape
+    if len(stats) != shape[0]:
+        raise ShapeError(f"{len(stats)} statistics blocks for {shape[0]} classes")
+    bad = [gmm.class_id for gmm, st in zip(model.classes, stats) if st.means.shape != shape[1:]]
+    if bad:
+        raise ShapeError(f"classes {bad}: statistics shape is not {shape[1:]}")
+    xbar = np.stack([st.means for st in stats])
+    n = np.broadcast_to(np.stack([st.counts for st in stats])[:, :, None], shape)
+    sq = np.stack([st.sq_devs for st in stats])
+    return NIGPosteriorBank(*_conjugate_update(prior, n, xbar, sq), model.weights.copy())
 
 
 def sample_parameters(bank: NIGPosteriorBank, rng_seed) -> GMMParameterSample:
@@ -228,38 +216,20 @@ def posterior_predictive_logpdf(cell: NIGParams, x):
 def bank_to_bytes(bank: NIGPosteriorBank) -> bytes:
     """Serialize to the NIGB container: header, per-cell (mu, kappa,
     alpha, beta) quadruples, then per-(class, component) weights."""
-    c, k, d = bank.num_classes, bank.components_per_class, bank.feature_dim
     cells = np.stack([bank.mu, bank.kappa, bank.alpha, bank.beta], axis=-1)
-    return (
-        _NIGB_HEADER.pack(NIGB_MAGIC, NIGB_VERSION, c, k, d)
-        + np.ascontiguousarray(cells, dtype="<f8").tobytes()
-        + np.ascontiguousarray(bank.weights, dtype="<f8").tobytes()
+    return container_to_bytes(
+        NIGB_MAGIC, NIGB_VERSION, bank.mu.shape, cells.astype("<f8"), bank.weights.astype("<f8")
     )
 
 
 def bank_from_bytes(data: bytes) -> NIGPosteriorBank:
-    if len(data) < _NIGB_HEADER.size:
-        raise FormatError(f"truncated NIGB container: {len(data)} bytes")
-    magic, version, c, k, d = _NIGB_HEADER.unpack_from(data)
-    if magic != NIGB_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {NIGB_MAGIC!r}")
-    if version != NIGB_VERSION:
-        raise FormatError(f"unsupported NIGB version {version}")
-    expected = _NIGB_HEADER.size + 8 * (4 * c * k * d + c * k)
-    if len(data) != expected:
-        raise FormatError(f"NIGB size mismatch: declared {expected} bytes, got {len(data)}")
-    cells = np.frombuffer(data, dtype="<f8", count=4 * c * k * d, offset=_NIGB_HEADER.size)
-    cells = cells.reshape(c, k, d, 4)
-    weights = np.frombuffer(
-        data, dtype="<f8", count=c * k, offset=_NIGB_HEADER.size + 8 * 4 * c * k * d
-    ).reshape(c, k)
-    return NIGPosteriorBank(
-        cells[..., 0].copy(),
-        cells[..., 1].copy(),
-        cells[..., 2].copy(),
-        cells[..., 3].copy(),
-        weights.copy(),
+    c, k, d = container_dims(
+        data, NIGB_MAGIC, NIGB_VERSION, lambda c, k, d: 8 * (4 * c * k * d + c * k)
     )
+    body = np.frombuffer(data, dtype="<f8", offset=HEADER_SIZE)
+    cells = body[: 4 * c * k * d].reshape(c, k, d, 4)
+    weights = body[4 * c * k * d :].reshape(c, k)
+    return NIGPosteriorBank(*(cells[..., i].copy() for i in range(4)), weights.copy())
 
 
 def save_bank(bank: NIGPosteriorBank, path) -> None:

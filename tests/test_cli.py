@@ -256,6 +256,41 @@ class TestScoreCommand:
         errored = [f for f in manifest["files"] if "error" in f]
         assert len(errored) == 1 and "bad_dim" in errored[0]["file"]
 
+    def test_unreadable_feature_file_is_partial_failure(self, fitted):
+        cfg, out, _ = fitted
+        (out / "range" / "bad.fmap").mkdir()
+        assert main(["score", "--config", str(cfg)]) == EXIT_PARTIAL
+        manifest = json.loads((out / "score_manifest.json").read_text())
+        errored = [f for f in manifest["files"] if "error" in f]
+        assert [f["file"] for f in errored] == ["bad"]
+        assert len(manifest["files"]) == 3
+
+    @pytest.mark.parametrize("model_classes, bank_classes", [(3, 5), (5, 3)])
+    def test_model_bank_mismatch_is_config_error(
+        self, fitted, capsys, model_classes, bank_classes
+    ):
+        from gmmood.gmm import ClassGMM, GMMClassifier, save_classifier
+        from gmmood.nig import NIGPosteriorBank, save_bank
+
+        cfg, out, root = fitted
+        k, d = 2, 5
+        model = GMMClassifier(
+            [ClassGMM(c, np.full(k, 1 / k), np.full((k, d), float(c)), np.ones((k, d)))
+             for c in range(model_classes)]
+        )
+        shape = (bank_classes, k, d)
+        bank = NIGPosteriorBank(
+            np.zeros(shape), np.ones(shape), np.full(shape, 2.0), np.ones(shape),
+            np.full(shape[:2], 1 / k),
+        )
+        save_classifier(model, root / "mixed.gmmc")
+        save_bank(bank, root / "mixed.nigb")
+        assert main(["score", "--config", str(cfg), "--out", str(root / "mixed"),
+                     "--model-path", str(root / "mixed.gmmc"),
+                     "--bank-path", str(root / "mixed.nigb")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str((model_classes, k, d)) in err and str(shape) in err
+
     def test_jobs_do_not_change_outputs(self, fitted):
         cfg, out, root = fitted
         out1 = root / "score1"

@@ -14,7 +14,7 @@ from gmmood.ensemble import (
 )
 from gmmood.errors import ShapeError
 from gmmood.formats import FeatureMap
-from gmmood.gmm import GMMClassifier, class_posterior, em_fit
+from gmmood.gmm import GMMClassifier, class_log_densities, class_posterior, em_fit
 from gmmood.nig import DEFAULT_PRIOR, GMMParameterSample, build_bank, sample_ensemble
 
 
@@ -58,14 +58,12 @@ class TestVote:
     def test_tallies_match_member_reclassification(self):
         model, members = fitted_setup(seed=3)
         rng = np.random.default_rng(4)
-        from gmmood.ensemble import sample_log_densities
-
         for _ in range(10):
             z = rng.normal(loc=1.5, scale=2.0, size=2)
             record = vote(z, members)
             recount = np.zeros(model.num_classes, dtype=int)
             for m in members:
-                recount[int(np.argmax(sample_log_densities(z, m)[0]))] += 1
+                recount[int(np.argmax(class_log_densities(z, m)))] += 1
             assert record.counts.tolist() == recount.tolist()
 
     def test_dimension_mismatch(self):

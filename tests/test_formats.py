@@ -1,8 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmmood.errors import FormatError, ShapeError
 from gmmood.formats import (
+    HEADER_SIZE,
     FeatureMap,
     feature_map_from_bytes,
     feature_map_to_bytes,
@@ -122,3 +127,69 @@ class TestNIGB:
             bank_from_bytes(data + b"\x00" * 8)
         with pytest.raises(FormatError):
             bank_from_bytes(b"QQQQ" + data[4:])
+
+
+def small_bank():
+    shape = (2, 2, 3)
+    return NIGPosteriorBank(
+        np.zeros(shape), np.ones(shape), np.full(shape, 2.0), np.ones(shape), np.full((2, 2), 0.5)
+    )
+
+
+def test_nan_mixture_parameters_rejected():
+    data = bytearray(classifier_to_bytes(random_classifier(np.random.default_rng(10))))
+    data[HEADER_SIZE : HEADER_SIZE + 8] = struct.pack("<d", float("nan"))  # a weight
+    with pytest.raises(ValueError, match="finite"):
+        classifier_from_bytes(bytes(data))
+
+
+# parser, valid container, float width of its payload, parameter arrays
+CONTAINERS = {
+    "FMAP": (
+        feature_map_from_bytes,
+        feature_map_to_bytes(random_feature_map(np.random.default_rng(11), h=2, w=3, d=2)),
+        4,
+        lambda fmap: [],
+    ),
+    "GMMC": (
+        classifier_from_bytes,
+        classifier_to_bytes(random_classifier(np.random.default_rng(12), c=2, k=2, d=2)),
+        8,
+        lambda m: [m.weights, m.means, m.variances],
+    ),
+    "NIGB": (
+        bank_from_bytes,
+        bank_to_bytes(small_bank()),
+        8,
+        lambda b: [b.mu, b.kappa, b.alpha, b.beta, b.weights],
+    ),
+}
+SPECIAL = [float("nan"), float("inf"), -float("inf"), -1.0, 0.0, 1e30]
+
+
+@st.composite
+def container_bytes(draw, kind):
+    _, valid, width, _ = CONTAINERS[kind]
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=2 * len(valid)))
+    data = bytearray(valid)
+    slots = (len(valid) - HEADER_SIZE) // width
+    for _ in range(draw(st.integers(0, 3))):
+        slot = HEADER_SIZE + width * draw(st.integers(0, slots - 1))
+        value = draw(st.sampled_from(SPECIAL))
+        data[slot : slot + width] = struct.pack("<d" if width == 8 else "<f", value)
+    for _ in range(draw(st.integers(0, 3))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    cut = draw(st.integers(0, len(data)))
+    return bytes(data[:cut] + draw(st.binary(max_size=8))) if draw(st.booleans()) else bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(CONTAINERS)), data=st.data())
+def test_parsers_reject_or_yield_finite_parameters(kind, data):
+    parse, _, _, params = CONTAINERS[kind]
+    try:
+        parsed = parse(data.draw(container_bytes(kind)))
+    except (FormatError, ValueError):
+        return
+    assert all(np.isfinite(a).all() for a in params(parsed))

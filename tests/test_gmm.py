@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +190,40 @@ class TestEMFit:
             ll = stats.log_likelihoods
             slack = 1e-8 * np.maximum(1.0, np.abs(ll[:-1]))
             assert np.all(np.diff(ll) >= -slack)
+
+    def test_log_likelihood_decrease_raises_under_optimize(self):
+        """The monotonicity check is an explicit raise, so it also holds
+        under ``python -O``, which strips ``assert`` statements."""
+        import gmmood
+
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from gmmood import gmm
+            from gmmood.errors import ConvergenceError
+
+            real_e_step = gmm._e_step
+            calls = []
+
+            def shrinking_e_step(*args):
+                resp, log_p = real_e_step(*args)
+                calls.append(None)
+                return resp, log_p - len(calls)
+
+            gmm._e_step = shrinking_e_step
+            x = np.random.default_rng(0).normal(size=(200, 2))
+            try:
+                gmm.em_fit(x, 2, max_iters=10, tol=0.0)
+            except ConvergenceError as exc:
+                print("raised:", exc)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(gmmood.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert "raised: EM log-likelihood decreased" in done.stdout
 
     def test_stats_shapes_and_mass(self):
         rng = np.random.default_rng(7)
