@@ -1,13 +1,15 @@
 """Command-line pipeline: project, fit, score, eval, synth.
 
 Runs are driven by an INI config file whose sections mirror RunConfig;
-every key can be overridden by a same-named command-line flag (flags
-win).  Exit codes: 0 success, 1 partial per-file failures, 2
-configuration or precondition error.
+every key can be overridden by a command-line flag (flags win); both
+are derived from the section dataclass fields by ``config_keys``.
+Exit codes: 0 success, 1 partial per-file failures, 2 configuration or
+precondition error.
 """
 
 import argparse
 import configparser
+import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -149,160 +151,96 @@ class RunConfig:
 def _parse_overlap_pairs(text: str) -> tuple:
     pairs = []
     for chunk in text.replace(" ", "").split(","):
-        if not chunk:
-            continue
-        a, _, b = chunk.partition("-")
-        pairs.append((int(a), int(b)))
+        if chunk:
+            a, _, b = chunk.partition("-")
+            pairs.append((int(a), int(b)))
     return tuple(pairs)
 
 
-def load_run_config(path=None) -> RunConfig:
-    """Build a RunConfig from an INI file (all sections optional)."""
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"Not a boolean: {text}")
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+# Every config key is a field of a RunConfig section.  Its INI key is the
+# field name and its flag is the INI key behind the section's flag prefix;
+# these tables hold the only exceptions.
+_INI_KEYS = {("prior", f): f + "0" for f in ("mu", "kappa", "alpha", "beta")}
+_FLAG_PREFIXES = {"em": "em_", "synth": "synth_"}
+_FLAG_DESTS = {
+    ("paths", "out_dir"): "out", ("threshold", "per_scan"): "per_scan_threshold",
+    ("synth", "feature_dim"): "synth_dim", ("synth", "n_classes"): "synth_classes",
+    ("synth", "samples_per_class"): "synth_samples",
+    ("synth", "class_separation"): "synth_separation",
+    ("synth", "within_class_std"): "synth_std",
+}
+# a key's parser follows the type of its default value; str otherwise
+_PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_overlap_pairs}
+
+
+def config_keys() -> list:
+    """(section, field, INI key, flag dest, parser) for each field of each
+    RunConfig section; [class_map] is a raw-id table with its own parser."""
+    defaults = RunConfig()
+    keys = []
+    for sec in (f.name for f in dataclasses.fields(RunConfig) if f.name != "class_map"):
+        section = getattr(defaults, sec)
+        for f in dataclasses.fields(section):
+            ini_key = _INI_KEYS.get((sec, f.name), f.name)
+            dest = _FLAG_DESTS.get((sec, f.name), _FLAG_PREFIXES.get(sec, "") + ini_key)
+            parse = _PARSERS.get(type(getattr(section, f.name)), str)
+            keys.append((sec, f.name, ini_key, dest, parse))
+    return keys
+
+
+def _parse_class_map(items) -> ClassMap:
+    train_ids, special = {}, {"outlier": set(), "ignore": set()}
+    for key, value in items:
+        value = value.strip().lower()
+        if value in special:
+            special[value].add(int(key))
+        else:
+            train_ids[int(key)] = int(value)
+    return ClassMap(train_ids, frozenset(special["outlier"]), frozenset(special["ignore"]))
+
+
+def _replace_sections(cfg: RunConfig, values: dict) -> None:
+    """Apply {section: {field: value}}; each section re-runs its validation."""
+    for sec, fields in values.items():
+        setattr(cfg, sec, dataclasses.replace(getattr(cfg, sec), **fields))
+
+
+def load_run_config(path=None, args=None) -> RunConfig:
+    """Build a RunConfig from an INI file (all sections optional), then from
+    the flags set in ``args`` (flags win)."""
     cfg = RunConfig()
-    if path is None:
-        return cfg
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    ini = configparser.ConfigParser()
+    if path is not None and not ini.read(path):
         raise Error(f"cannot read config file {path}")
-
-    if parser.has_section("paths"):
-        sec = parser["paths"]
-        cfg.paths = PathsConfig(
-            scan_dir=sec.get("scan_dir"),
-            label_dir=sec.get("label_dir"),
-            feature_dir=sec.get("feature_dir"),
-            score_dir=sec.get("score_dir"),
-            out_dir=sec.get("out_dir", "out"),
-            model_path=sec.get("model_path"),
-            bank_path=sec.get("bank_path"),
-        )
-    if parser.has_section("projection"):
-        sec = parser["projection"]
-        cfg.projection = rangeview.ProjectionConfig(
-            height=sec.getint("height", 64),
-            width=sec.getint("width", 1024),
-            fov_up=sec.getfloat("fov_up", 3.0),
-            fov_down=sec.getfloat("fov_down", -25.0),
-        )
-    if parser.has_section("model"):
-        sec = parser["model"]
-        cfg.model = ModelConfig(
-            classes=sec.getint("classes", 19),
-            components=sec.getint("components", 2),
-            feature_dim=sec.getint("feature_dim", 32),
-        )
-    if parser.has_section("prior"):
-        sec = parser["prior"]
-        cfg.prior = nig.NIGParams(
-            mu=sec.getfloat("mu0", 0.0),
-            kappa=sec.getfloat("kappa0", 1.0),
-            alpha=sec.getfloat("alpha0", 2.0),
-            beta=sec.getfloat("beta0", 1.0),
-        )
-    if parser.has_section("em"):
-        sec = parser["em"]
-        cfg.em = EMConfig(
-            max_iters=sec.getint("max_iters", 100), tol=sec.getfloat("tol", 1e-5)
-        )
-    if parser.has_section("ensemble"):
-        sec = parser["ensemble"]
-        cfg.ensemble = EnsembleConfig(
-            n_samples=sec.getint("n_samples", 20), seed=sec.getint("seed", 0)
-        )
-    if parser.has_section("threshold"):
-        sec = parser["threshold"]
-        cfg.threshold = ThresholdConfig(
-            top_fraction=sec.getfloat("top_fraction", 0.05),
-            per_scan=sec.getboolean("per_scan", False),
-        )
-    if parser.has_section("class_map"):
-        train_ids = {}
-        outliers = set()
-        ignores = set()
-        for key, value in parser["class_map"].items():
-            raw = int(key)
-            value = value.strip().lower()
-            if value == "outlier":
-                outliers.add(raw)
-            elif value == "ignore":
-                ignores.add(raw)
-            else:
-                train_ids[raw] = int(value)
-        cfg.class_map = ClassMap(train_ids, frozenset(outliers), frozenset(ignores))
-    if parser.has_section("synth"):
-        sec = parser["synth"]
-        cfg.synth = synthmod.SynthConfig(
-            feature_dim=sec.getint("feature_dim", 8),
-            n_classes=sec.getint("n_classes", 6),
-            samples_per_class=sec.getint("samples_per_class", 2000),
-            class_separation=sec.getfloat("class_separation", 4.0),
-            overlap_pairs=_parse_overlap_pairs(sec.get("overlap_pairs", "0-1,2-3")),
-            ood_count=sec.getint("ood_count", 600),
-            ood_offset=sec.getfloat("ood_offset", 12.0),
-            within_class_std=sec.getfloat("within_class_std", 0.5),
-            seed=sec.getint("seed", 0),
-        )
-    return cfg
-
-
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    """Command-line flags beat config-file values."""
-    p = cfg.paths
-    for name in ("scan_dir", "label_dir", "feature_dir", "score_dir", "model_path", "bank_path"):
-        if getattr(args, name, None) is not None:
-            setattr(p, name, getattr(args, name))
-    if args.out is not None:
-        p.out_dir = args.out
-
-    proj = {f: getattr(cfg.projection, f) for f in ("height", "width", "fov_up", "fov_down")}
-    for name in proj:
-        if getattr(args, name, None) is not None:
-            proj[name] = getattr(args, name)
-    cfg.projection = rangeview.ProjectionConfig(**proj)
-
-    for name in ("classes", "components", "feature_dim"):
-        if getattr(args, name, None) is not None:
-            setattr(cfg.model, name, getattr(args, name))
-
-    prior = {"mu": cfg.prior.mu, "kappa": cfg.prior.kappa,
-             "alpha": cfg.prior.alpha, "beta": cfg.prior.beta}
-    for flag, key in (("mu0", "mu"), ("kappa0", "kappa"), ("alpha0", "alpha"), ("beta0", "beta")):
-        if getattr(args, flag, None) is not None:
-            prior[key] = getattr(args, flag)
-    cfg.prior = nig.NIGParams(**prior)
-
-    if getattr(args, "em_max_iters", None) is not None:
-        cfg.em.max_iters = args.em_max_iters
-    if getattr(args, "em_tol", None) is not None:
-        cfg.em.tol = args.em_tol
-    if getattr(args, "n_samples", None) is not None:
-        cfg.ensemble.n_samples = args.n_samples
-    if args.seed is not None:
-        cfg.ensemble.seed = args.seed
-    if getattr(args, "top_fraction", None) is not None:
-        cfg.threshold.top_fraction = args.top_fraction
-    if getattr(args, "per_scan_threshold", None) is not None:
-        cfg.threshold.per_scan = args.per_scan_threshold
-
-    sy = {f: getattr(cfg.synth, f) for f in (
-        "feature_dim", "n_classes", "samples_per_class", "class_separation",
-        "overlap_pairs", "ood_count", "ood_offset", "within_class_std", "seed",
-    )}
-    if args.seed is not None:
-        # the shared --seed flag is the run seed: dataset and pipeline alike
-        sy["seed"] = args.seed
-    for flag, key in (
-        ("synth_dim", "feature_dim"), ("synth_classes", "n_classes"),
-        ("synth_samples", "samples_per_class"), ("synth_separation", "class_separation"),
-        ("synth_ood_count", "ood_count"), ("synth_ood_offset", "ood_offset"),
-        ("synth_std", "within_class_std"), ("synth_seed", "seed"),
-    ):
-        if getattr(args, flag, None) is not None:
-            sy[key] = getattr(args, flag)
-    if getattr(args, "synth_overlap_pairs", None) is not None:
-        sy["overlap_pairs"] = _parse_overlap_pairs(args.synth_overlap_pairs)
-    cfg.synth = synthmod.SynthConfig(**sy)
+    known = {(sec, key): (name, parse) for sec, name, key, _, parse in config_keys()}
+    values = {}
+    for sec in ini.sections():
+        if sec == "class_map":
+            cfg.class_map = _parse_class_map(ini[sec].items())
+            continue
+        if sec not in {known_sec for known_sec, _ in known}:
+            raise Error(f"{path}: unknown section [{sec}]")
+        for ini_key, text in ini[sec].items():
+            if (sec, ini_key) in known:
+                name, parse = known[sec, ini_key]
+                values.setdefault(sec, {})[name] = parse(text)
+            elif ini_key not in ini.defaults():  # [DEFAULT] may hold interpolation-only keys
+                raise Error(f"{path}: unknown key '{ini_key}' in [{sec}]")
+    _replace_sections(cfg, values)
+    if args is not None:
+        values = {}
+        for sec, name, _, dest, _ in config_keys():
+            if getattr(args, dest, None) is not None:
+                values.setdefault(sec, {})[name] = getattr(args, dest)
+        if args.seed is not None:  # the run seed: dataset and pipeline alike
+            values.setdefault("synth", {}).setdefault("seed", args.seed)
+        _replace_sections(cfg, values)
     return cfg
 
 
@@ -431,7 +369,14 @@ def cmd_fit(cfg: RunConfig) -> int:
                 f"class {c} has {feats.shape[0]} samples; needs at least "
                 f"{cfg.model.components}"
             )
-        cgmm, st = em_fit_with(cfg, feats, c, seeds[c])
+        cgmm, st = gmm.em_fit(
+            feats,
+            cfg.model.components,
+            max_iters=cfg.em.max_iters,
+            tol=cfg.em.tol,
+            seed=seeds[c],
+            class_id=c,
+        )
         classes.append(cgmm)
         stats.append(st)
         report[str(c)] = {
@@ -447,17 +392,6 @@ def cmd_fit(cfg: RunConfig) -> int:
     nig.save_bank(bank, cfg.bank_path())
     _write_json(out / "fit_report.json", {"classes": report})
     return EXIT_OK
-
-
-def em_fit_with(cfg: RunConfig, feats: np.ndarray, class_id: int, seed):
-    return gmm.em_fit(
-        feats,
-        cfg.model.components,
-        max_iters=cfg.em.max_iters,
-        tol=cfg.em.tol,
-        seed=seed,
-        class_id=class_id,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -496,52 +430,35 @@ def cmd_score(cfg: RunConfig, jobs: int = 1) -> int:
     files = sorted(feature_dir.glob("*.fmap"))
 
     def process(path: Path):
-        fmap = read_feature_map(path)
-        return path.stem, ens.score_feature_map(fmap, model, members)
+        """(stem, UncertaintyMap) or, for a bad file, (stem, error message)."""
+        try:
+            return path.stem, ens.score_feature_map(read_feature_map(path), model, members)
+        except (Error, OSError) as exc:
+            return path.stem, str(exc)
 
-    results = {}
-    errors = {}
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(process, path): path for path in files}
-            for future, path in futures.items():
-                try:
-                    stem, umap = future.result()
-                    results[stem] = umap
-                except (Error, OSError) as exc:
-                    errors[path.stem] = str(exc)
+            outcomes = list(pool.map(process, files))
     else:
-        for path in files:
-            try:
-                stem, umap = process(path)
-                results[stem] = umap
-            except (Error, OSError) as exc:
-                errors[path.stem] = str(exc)
+        outcomes = list(map(process, files))
+    results = {stem: r for stem, r in outcomes if not isinstance(r, str)}
+    errors = {stem: r for stem, r in outcomes if isinstance(r, str)}
 
     manifest_files = []
     warnings = []
     stems = sorted(results)
-    pooled = [results[stem].epistemic[results[stem].valid] for stem in stems]
+    scores = {stem: results[stem].epistemic[results[stem].valid] for stem in stems}
 
-    thresholds = {}
+    def threshold_of(values):
+        if not values.size:
+            return None
+        return metrics.percentile_threshold(values, cfg.threshold.top_fraction)[0]
+
     if cfg.threshold.per_scan:
-        for stem in stems:
-            vals = results[stem].epistemic[results[stem].valid]
-            if vals.size:
-                thresholds[stem], _ = metrics.percentile_threshold(
-                    vals, cfg.threshold.top_fraction
-                )
+        thresholds = {stem: threshold_of(values) for stem, values in scores.items()}
     else:
-        all_scores = (
-            np.concatenate(pooled) if pooled else np.empty(0)
-        )
-        if all_scores.size:
-            global_threshold, _ = metrics.percentile_threshold(
-                all_scores, cfg.threshold.top_fraction
-            )
-        else:
-            global_threshold = None
-        thresholds = {stem: global_threshold for stem in stems}
+        pooled = np.concatenate(list(scores.values())) if scores else np.empty(0)
+        thresholds = dict.fromkeys(stems, threshold_of(pooled))
 
     for stem in stems:
         umap = results[stem]
@@ -735,47 +652,20 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=str, default=None)
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--out", type=str, default=None)
         cmd.add_argument("--jobs", type=int, default=1)
-        for flag in ("scan-dir", "label-dir", "feature-dir", "score-dir",
-                     "model-path", "bank-path"):
-            cmd.add_argument(f"--{flag}", type=str, default=None)
-        cmd.add_argument("--height", type=int, default=None)
-        cmd.add_argument("--width", type=int, default=None)
-        cmd.add_argument("--fov-up", type=float, default=None)
-        cmd.add_argument("--fov-down", type=float, default=None)
-        cmd.add_argument("--classes", type=int, default=None)
-        cmd.add_argument("--components", type=int, default=None)
-        cmd.add_argument("--feature-dim", type=int, default=None)
-        cmd.add_argument("--mu0", type=float, default=None)
-        cmd.add_argument("--kappa0", type=float, default=None)
-        cmd.add_argument("--alpha0", type=float, default=None)
-        cmd.add_argument("--beta0", type=float, default=None)
-        cmd.add_argument("--em-max-iters", type=int, default=None)
-        cmd.add_argument("--em-tol", type=float, default=None)
-        cmd.add_argument("--n-samples", type=int, default=None)
-        cmd.add_argument("--top-fraction", type=float, default=None)
-        cmd.add_argument(
-            "--per-scan-threshold", action=argparse.BooleanOptionalAction, default=None
-        )
-        cmd.add_argument("--synth-dim", type=int, default=None)
-        cmd.add_argument("--synth-classes", type=int, default=None)
-        cmd.add_argument("--synth-samples", type=int, default=None)
-        cmd.add_argument("--synth-separation", type=float, default=None)
-        cmd.add_argument("--synth-overlap-pairs", type=str, default=None)
-        cmd.add_argument("--synth-ood-count", type=int, default=None)
-        cmd.add_argument("--synth-ood-offset", type=float, default=None)
-        cmd.add_argument("--synth-std", type=float, default=None)
-        cmd.add_argument("--synth-seed", type=int, default=None)
+        for _, _, _, dest, parse in config_keys():
+            flag = "--" + dest.replace("_", "-")
+            if parse is _parse_bool:
+                cmd.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
+            else:
+                cmd.add_argument(flag, type=parse, default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_run_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        cfg = load_run_config(args.config, args)
         if args.command == "project":
             return cmd_project(cfg)
         if args.command == "fit":
@@ -787,7 +677,7 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return cmd_synth(cfg)
         raise Error(f"unknown command {args.command}")
-    except (Error, ValueError) as exc:
+    except (Error, ValueError, configparser.Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,10 +1,12 @@
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gmmood import cli
 from gmmood.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -400,6 +402,104 @@ class TestSynthCommand:
         assert a != b
 
 
+# (section, field, INI line, INI value, flag argv, flag value): every key of
+# the run-config table with two non-default values, one per source.
+CONFIG_TABLE = [
+    ("paths", "scan_dir", "scan_dir = s1", "s1", ["--scan-dir", "s2"], "s2"),
+    ("paths", "label_dir", "label_dir = l1", "l1", ["--label-dir", "l2"], "l2"),
+    ("paths", "feature_dir", "feature_dir = f1", "f1", ["--feature-dir", "f2"], "f2"),
+    ("paths", "score_dir", "score_dir = d1", "d1", ["--score-dir", "d2"], "d2"),
+    ("paths", "out_dir", "out_dir = o1", "o1", ["--out", "o2"], "o2"),
+    ("paths", "model_path", "model_path = m1", "m1", ["--model-path", "m2"], "m2"),
+    ("paths", "bank_path", "bank_path = b1", "b1", ["--bank-path", "b2"], "b2"),
+    ("projection", "height", "height = 16", 16, ["--height", "48"], 48),
+    ("projection", "width", "width = 128", 128, ["--width", "256"], 256),
+    ("projection", "fov_up", "fov_up = 2.5", 2.5, ["--fov-up", "4.0"], 4.0),
+    ("projection", "fov_down", "fov_down = -20", -20.0, ["--fov-down", "-30.5"], -30.5),
+    ("model", "classes", "classes = 3", 3, ["--classes", "7"], 7),
+    ("model", "components", "components = 3", 3, ["--components", "4"], 4),
+    ("model", "feature_dim", "feature_dim = 5", 5, ["--feature-dim", "7"], 7),
+    ("prior", "mu", "mu0 = 0.5", 0.5, ["--mu0", "-1.5"], -1.5),
+    ("prior", "kappa", "kappa0 = 2", 2.0, ["--kappa0", "3.5"], 3.5),
+    ("prior", "alpha", "alpha0 = 3", 3.0, ["--alpha0", "4.5"], 4.5),
+    ("prior", "beta", "beta0 = 0.5", 0.5, ["--beta0", "2.5"], 2.5),
+    ("em", "max_iters", "max_iters = 7", 7, ["--em-max-iters", "9"], 9),
+    ("em", "tol", "tol = 1e-3", 1e-3, ["--em-tol", "1e-4"], 1e-4),
+    ("ensemble", "n_samples", "n_samples = 8", 8, ["--n-samples", "12"], 12),
+    ("ensemble", "seed", "seed = 3", 3, ["--seed", "11"], 11),
+    ("threshold", "top_fraction", "top_fraction = 0.1", 0.1, ["--top-fraction", "0.2"], 0.2),
+    ("threshold", "per_scan", "per_scan = yes", True, ["--no-per-scan-threshold"], False),
+    ("synth", "feature_dim", "feature_dim = 3", 3, ["--synth-dim", "4"], 4),
+    ("synth", "n_classes", "n_classes = 5", 5, ["--synth-classes", "9"], 9),
+    ("synth", "samples_per_class", "samples_per_class = 30", 30,
+     ["--synth-samples", "40"], 40),
+    ("synth", "class_separation", "class_separation = 2", 2.0,
+     ["--synth-separation", "3.5"], 3.5),
+    ("synth", "overlap_pairs", "overlap_pairs = 1-2", ((1, 2),),
+     ["--synth-overlap-pairs", "0-3, 2-1"], ((0, 3), (2, 1))),
+    ("synth", "ood_count", "ood_count = 10", 10, ["--synth-ood-count", "20"], 20),
+    ("synth", "ood_offset", "ood_offset = 6", 6.0, ["--synth-ood-offset", "9.5"], 9.5),
+    ("synth", "within_class_std", "within_class_std = 0.25", 0.25,
+     ["--synth-std", "0.75"], 0.75),
+    ("synth", "seed", "seed = 4", 4, ["--synth-seed", "5"], 5),
+]
+
+
+def resolved_config(monkeypatch, tmp_path, ini_text, flags=()):
+    """The RunConfig that ``main`` hands to a command for this INI + flags."""
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        return EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_synth", capture)
+    argv = ["synth", *flags]
+    if ini_text is not None:
+        path = tmp_path / "run.ini"
+        path.write_text(ini_text)
+        argv += ["--config", str(path)]
+    assert main(argv) == EXIT_OK
+    return seen[0]
+
+
+class TestConfigPrecedence:
+    @pytest.mark.parametrize("source", ["ini", "flag", "both"])
+    @pytest.mark.parametrize(
+        "section, field, ini_line, ini_value, flag_argv, flag_value",
+        CONFIG_TABLE,
+        ids=[f"{row[0]}.{row[1]}" for row in CONFIG_TABLE],
+    )
+    def test_key_sources(self, monkeypatch, tmp_path, source, section, field,
+                         ini_line, ini_value, flag_argv, flag_value):
+        default = getattr(getattr(load_run_config(None), section), field)
+        assert ini_value not in (default, flag_value)
+        ini = f"[{section}]\n{ini_line}\n" if source != "flag" else None
+        flags = flag_argv if source != "ini" else []
+        cfg = resolved_config(monkeypatch, tmp_path, ini, flags)
+        expected = ini_value if source == "ini" else flag_value
+        assert getattr(getattr(cfg, section), field) == expected
+
+    def test_seed_flag_seeds_ensemble_and_synth(self, monkeypatch, tmp_path):
+        ini = "[ensemble]\nseed = 1\n[synth]\nseed = 2\n"
+        cfg = resolved_config(monkeypatch, tmp_path, ini, ["--seed", "7"])
+        assert (cfg.ensemble.seed, cfg.synth.seed) == (7, 7)
+
+    def test_synth_seed_flag_beats_seed_flag(self, monkeypatch, tmp_path):
+        ini = "[synth]\nseed = 2\n"
+        flags = ["--synth-seed", "9", "--seed", "7"]
+        cfg = resolved_config(monkeypatch, tmp_path, ini, flags)
+        assert (cfg.ensemble.seed, cfg.synth.seed) == (7, 9)
+
+    def test_no_per_scan_flag_beats_config(self, monkeypatch, tmp_path):
+        ini = "[threshold]\nper_scan = yes\n"
+        assert resolved_config(monkeypatch, tmp_path, ini).threshold.per_scan is True
+        cfg = resolved_config(monkeypatch, tmp_path, ini, ["--no-per-scan-threshold"])
+        assert cfg.threshold.per_scan is False
+        cfg = resolved_config(monkeypatch, tmp_path, None, ["--per-scan-threshold"])
+        assert cfg.threshold.per_scan is True
+
+
 class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "none.ini")]) == EXIT_CONFIG
@@ -412,6 +512,49 @@ class TestConfigHandling:
         assert cfg.threshold.top_fraction == 0.1
         assert cfg.class_map.train_ids[10] == 0
         assert 1 in cfg.class_map.outlier_ids
+
+    @pytest.mark.parametrize(
+        "ini, message",
+        [
+            ("[ensemble]\nn_sample = 50\n", "unknown key 'n_sample' in [ensemble]"),
+            ("[ensembel]\nn_samples = 50\n", "unknown section [ensembel]"),
+            ("[prior]\nmu = 1.0\n", "unknown key 'mu' in [prior]"),
+        ],
+        ids=["key", "section", "field-name-for-aliased-key"],
+    )
+    def test_unknown_ini_names_are_config_errors(self, tmp_path, capsys, ini, message):
+        path = tmp_path / "typo.ini"
+        path.write_text(ini)
+        assert main(["synth", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and str(path) in err
+
+    def test_default_section_keys_serve_interpolation(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[DEFAULT]\nroot = data\n[paths]\nscan_dir = %(root)s/scans\n")
+        assert load_run_config(path).paths.scan_dir == "data/scans"
+
+    def test_missing_section_header_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bare.ini"
+        path.write_text("n_samples = 50\n")
+        assert main(["synth", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_output_under_a_regular_file_is_config_error(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["synth", "--out", str(afile / "x")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "run.ini"
+        path.write_text(example)
+        cfg = load_run_config(path)
+        assert cfg.paths.scan_dir == "data/scans"
+        assert cfg.paths.label_dir == "data/labels"
+        assert cfg.model.feature_dim == 5
 
     def test_builtin_defaults(self):
         cfg = load_run_config(None)
