@@ -21,7 +21,7 @@ import numpy as np
 from . import ensemble as ens
 from . import gmm, metrics, nig, rangeview
 from . import synth as synthmod
-from .errors import Error, InsufficientDataError, ShapeError, UndefinedMetricError
+from .errors import Error, ShapeError, UndefinedMetricError
 from .formats import FeatureMap, read_feature_map, write_feature_map
 
 EXIT_OK = 0
@@ -354,39 +354,27 @@ def cmd_fit(cfg: RunConfig) -> int:
             if sel.any():
                 pooled[c].append(feats[sel])
 
-    seeds = np.random.SeedSequence(cfg.ensemble.seed).spawn(n_classes)
-    classes = []
-    stats = []
-    report = {}
-    for c in range(n_classes):
-        feats = (
-            np.concatenate(pooled[c], axis=0)
-            if pooled[c]
-            else np.empty((0, cfg.model.feature_dim))
-        )
-        if feats.shape[0] < cfg.model.components:
-            raise InsufficientDataError(
-                f"class {c} has {feats.shape[0]} samples; needs at least "
-                f"{cfg.model.components}"
-            )
-        cgmm, st = gmm.em_fit(
-            feats,
-            cfg.model.components,
-            max_iters=cfg.em.max_iters,
-            tol=cfg.em.tol,
-            seed=seeds[c],
-            class_id=c,
-        )
-        classes.append(cgmm)
-        stats.append(st)
-        report[str(c)] = {
-            "samples": int(feats.shape[0]),
+    # concatenated one class at a time, so only one pooled copy is alive
+    per_class = (
+        np.concatenate(parts) if parts else np.empty((0, cfg.model.feature_dim))
+        for parts in pooled
+    )
+    model, stats = gmm.fit_classifier(
+        per_class,
+        cfg.model.components,
+        max_iters=cfg.em.max_iters,
+        tol=cfg.em.tol,
+        seed=cfg.ensemble.seed,
+    )
+    report = {
+        str(c): {
+            "samples": sum(map(len, parts)),
             "em_iterations": int(st.log_likelihoods.size),
             "final_log_likelihood": float(st.log_likelihoods[-1]),
             "reseeds": int(st.reseeds),
         }
-
-    model = gmm.GMMClassifier(classes)
+        for c, (parts, st) in enumerate(zip(pooled, stats))
+    }
     bank = nig.build_bank(model, stats, cfg.prior)
     gmm.save_classifier(model, cfg.model_path())
     nig.save_bank(bank, cfg.bank_path())

@@ -6,9 +6,14 @@ the epistemic score; the classical decomposition (predictive entropy =
 aleatoric + mutual information) over the member posteriors provides the
 comparison baselines, together with the point-estimate model's posterior
 entropy and maximum posterior.  All entropies are in nats.
+
+Scoring stacks the point model as member 0 in front of the members and
+takes all their class densities for a block of pixels from one call of
+the ``gmm`` kernel; the block size bounds memory for any scan size.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import logsumexp, xlogy
@@ -17,6 +22,10 @@ from .errors import ShapeError
 from .formats import FeatureMap
 from .gmm import GMMClassifier, class_log_densities
 from .nig import GMMParameterSample
+
+# float64 deviations (z - mu) per scoring block, 4 MB: blocks of 2**15-2**17
+# lose 20-40% to per-block overhead at D = 32; 2**18-2**20 do not at D = 5 or 32
+_BLOCK_VALUES = 1 << 19
 
 
 @dataclass
@@ -82,15 +91,8 @@ class UncertaintyMap:
     def at(self, row: int, col: int) -> PixelScores:
         if not self.valid[row, col]:
             raise ValueError(f"pixel ({row}, {col}) is invalid")
-        return PixelScores(
-            int(self.predicted_class[row, col]),
-            float(self.epistemic[row, col]),
-            float(self.predictive_entropy[row, col]),
-            float(self.aleatoric[row, col]),
-            float(self.mutual_information[row, col]),
-            float(self.deterministic_entropy[row, col]),
-            float(self.max_posterior[row, col]),
-        )
+        scores = (float(getattr(self, name)[row, col]) for name in self.SCORE_CHANNELS)
+        return PixelScores(int(self.predicted_class[row, col]), *scores)
 
 
 def _entropy_rows(p: np.ndarray) -> np.ndarray:
@@ -99,42 +101,52 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
 
 
 def _posterior(ld: np.ndarray) -> np.ndarray:
-    """Class posterior rows under a uniform prior from (N, C) log densities."""
-    return np.exp(ld - logsumexp(ld, axis=1, keepdims=True))
+    """Class posteriors under a uniform prior from (..., C) log densities."""
+    return np.exp(ld - logsumexp(ld, axis=-1, keepdims=True))
 
 
-def _reduce_members(z: np.ndarray, ensemble: list[GMMParameterSample]):
-    """(N, C) vote counts and the (N,) predictive entropy, aleatoric part
-    and mutual information of an (N, D) batch (see ``decompose_uncertainty``)."""
+def _stack(ensemble: list[GMMParameterSample], *front):
+    """(M, C, K) ``weights`` and (M, C, K, D) ``means``/``variances`` of the
+    ``front`` parameter sets followed by the ensemble members."""
     if not ensemble:
         raise ValueError("ensemble must be non-empty")
-    n, c = z.shape[0], ensemble[0].num_classes
-    counts = np.zeros((n, c), dtype=np.int64)
+    models = [*front, *ensemble]
+    names = ("weights", "means", "variances")
+    return SimpleNamespace(**{k: np.stack([getattr(m, k) for m in models]) for k in names})
+
+
+def _reduce_members(ld: np.ndarray):
+    """(N, C) vote counts and the (N,) predictive entropy, aleatoric part
+    and mutual information (see ``decompose_uncertainty``) from (N, M, C)
+    member log densities.  The member means are running totals from zero
+    in member order: a sum over the member axis rounds differently, and a
+    total started from member 0 keeps -0.0 where every member is certain."""
+    n, m, c = ld.shape
+    post = _posterior(ld)
+    ent = _entropy_rows(post)
+    counts = (np.argmax(ld, axis=2)[:, :, None] == np.arange(c)).sum(axis=1)
     mean_post = np.zeros((n, c))
     mean_ent = np.zeros(n)
-    rows = np.arange(n)
-    for sample in ensemble:
-        ld = class_log_densities(z, sample)
-        post = _posterior(ld)
-        counts[rows, np.argmax(ld, axis=1)] += 1
-        mean_post += post
-        mean_ent += _entropy_rows(post)
-    mean_post /= len(ensemble)
-    mean_ent /= len(ensemble)
+    for i in range(m):
+        mean_post += post[:, i]
+        mean_ent += ent[:, i]
+    mean_post /= m
+    mean_ent /= m
     predictive = _entropy_rows(mean_post)
     return counts, predictive, mean_ent, np.maximum(predictive - mean_ent, 0.0)
 
 
-def _single(z, what: str) -> np.ndarray:
+def _reduce_one(z, ensemble: list[GMMParameterSample], what: str):
+    """``_reduce_members`` for a single feature vector, as N = 1 rows."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
         raise ShapeError(f"{what}() takes a single feature vector")
-    return z[None, :]
+    return _reduce_members(class_log_densities(z[None, :], _stack(ensemble)))
 
 
 def vote(z, ensemble: list[GMMParameterSample]) -> VoteRecord:
     """Classify z under every member and tally the votes."""
-    return VoteRecord(_reduce_members(_single(z, "vote"), ensemble)[0][0])
+    return VoteRecord(_reduce_one(z, ensemble, "vote")[0][0])
 
 
 def majority_class(record: VoteRecord) -> int:
@@ -159,7 +171,7 @@ def decompose_uncertainty(
     and the mutual information is their difference, clamped to zero
     against negative floating-point residue.
     """
-    _, *parts = _reduce_members(_single(z, "decompose_uncertainty"), ensemble)
+    _, *parts = _reduce_one(z, ensemble, "decompose_uncertainty")
     return UncertaintyDecomposition(*(float(p[0]) for p in parts))
 
 
@@ -180,10 +192,18 @@ class SampleScores:
 def score_samples(
     z, model: GMMClassifier, ensemble: list[GMMParameterSample]
 ) -> SampleScores:
-    """Vectorized scoring of an (N, D) batch under model + ensemble."""
+    """Vectorized scoring of an (N, D) batch under model + ensemble.
+
+    The point model is stacked as member 0 in front of the ensemble, and
+    each block of about ``_BLOCK_VALUES`` deviations is one density call."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    counts, predictive, aleatoric, mi = _reduce_members(z, ensemble)
-    post0 = _posterior(class_log_densities(z, model))
+    stack = _stack(ensemble, model)
+    step = max(1, _BLOCK_VALUES // stack.means.size)
+    blocks = []
+    for i in range(0, max(len(z), 1), step):  # no rows: one empty block
+        ld = class_log_densities(z[i : i + step], stack)
+        blocks.append((*_reduce_members(ld[:, 1:]), _posterior(ld[:, 0])))
+    counts, predictive, aleatoric, mi, post0 = map(np.concatenate, zip(*blocks))
     return SampleScores(
         predicted_class=model.class_ids[np.argmax(counts, axis=1)],
         vote_counts=counts,
@@ -211,9 +231,8 @@ def score_feature_map(
         name: np.full((h, w), np.nan) for name in UncertaintyMap.SCORE_CHANNELS
     }
     predicted = np.full((h, w), -1, dtype=np.int32)
-    if valid.any():
-        scores = score_samples(features.values[valid].astype(np.float64), model, ensemble)
-        predicted[valid] = scores.predicted_class
-        for name in UncertaintyMap.SCORE_CHANNELS:
-            grids[name][valid] = getattr(scores, name)
+    scores = score_samples(features.values[valid].astype(np.float64), model, ensemble)
+    predicted[valid] = scores.predicted_class
+    for name in UncertaintyMap.SCORE_CHANNELS:
+        grids[name][valid] = getattr(scores, name)
     return UncertaintyMap(predicted_class=predicted, valid=valid.copy(), **grids)

@@ -8,7 +8,8 @@ length equals exactly the header plus the payload the dimensions
 declare.
 
 FMAP payload: H*W*D float32 values, row-major with the feature
-dimension fastest, then H*W validity bytes (0 or 1).
+dimension fastest, then H*W validity bytes (0 or 1).  Every value of a
+valid pixel must be finite.
 """
 
 import struct
@@ -111,7 +112,10 @@ def feature_map_from_bytes(data: bytes) -> FeatureMap:
     )
     values = np.frombuffer(data, dtype="<f4", count=h * w * d, offset=HEADER_SIZE)
     valid = np.frombuffer(data, dtype=np.uint8, count=h * w, offset=HEADER_SIZE + 4 * h * w * d)
-    return FeatureMap(values.reshape(h, w, d).copy(), valid.reshape(h, w) != 0)
+    fmap = FeatureMap(values.reshape(h, w, d).copy(), valid.reshape(h, w) != 0)
+    if not np.isfinite(fmap.values[fmap.valid]).all():
+        raise FormatError("non-finite feature value at a valid pixel")
+    return fmap
 
 
 def write_feature_map(fmap: FeatureMap, path) -> None:

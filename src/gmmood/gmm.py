@@ -7,10 +7,11 @@ class prior, maximum-density prediction, and EM fitting that also emits
 the responsibility-weighted sufficient statistics consumed by the
 Bayesian layer.
 
-``class_log_densities`` is the one per-class mixture density: it takes
-anything with (C, K) ``weights`` and (C, K, D) ``means``/``variances``,
-so it serves both the point-estimate ``GMMClassifier`` and every
-sampled ensemble member (``nig.GMMParameterSample``).
+One broadcast kernel, ``_joint_log_densities``, computes every Gaussian
+log density: EM's E-step calls it on one (K, D) mixture, and
+``class_log_densities`` reduces it over K for the point-estimate
+``GMMClassifier``, a sampled member (``nig.GMMParameterSample``) or a
+whole ensemble stacked along leading member axes.
 """
 
 from dataclasses import dataclass, field
@@ -135,54 +136,42 @@ class SufficientStats:
             raise ValueError("effective counts and squared deviations must be nonnegative")
 
 
-def component_log_densities(z: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """Per-component diagonal-Gaussian log densities, shape (N, K)."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    k = means.shape[0]
-    out = np.empty((z.shape[0], k))
-    log_norm = np.sum(np.log(variances), axis=1) + means.shape[1] * _LOG_2PI
-    for m in range(k):
-        diff = z - means[m]
-        out[:, m] = -0.5 * (np.sum(diff * diff / variances[m], axis=1) + log_norm[m])
-    return out
-
-
 def _log_weights(weights: np.ndarray) -> np.ndarray:
     """log of mixture weights, with exactly -inf for zero weights."""
     with np.errstate(divide="ignore"):
         return np.where(weights > 0, np.log(np.maximum(weights, 1e-300)), -np.inf)
 
 
-def _mixture_log_density(z, log_w, means, variances) -> tuple[np.ndarray, np.ndarray]:
-    """Joint log densities log w_k + log N(z | k), (N, K), of one mixture
-    and their log-sum-exp, the mixture log density, (N,)."""
-    joint = component_log_densities(z, means, variances) + log_w
-    return joint, logsumexp(joint, axis=1)
+def _joint_log_densities(z, log_w, means, variances) -> np.ndarray:
+    """log w_k + log N(z | k), shape (N, ..., K), of (N, D) features under
+    (..., K) log weights and (..., K, D) diagonal Gaussians.  Works in
+    place on one temporary, in the per-component loop's operation order,
+    so the bytes do not depend on the leading axes or the batch size."""
+    q = z.reshape(z.shape[:1] + (1,) * (means.ndim - 1) + z.shape[1:]) - means
+    q *= q
+    q /= variances
+    out = q.sum(axis=-1)
+    out += np.sum(np.log(variances), axis=-1) + means.shape[-1] * _LOG_2PI
+    out *= -0.5
+    out += log_w
+    return out
 
 
 def _e_step(z, log_w, means, variances) -> tuple[np.ndarray, np.ndarray]:
     """Responsibilities (N, K) and mixture log densities (N,) of one mixture."""
-    joint, log_p = _mixture_log_density(z, log_w, means, variances)
+    joint = _joint_log_densities(z, log_w, means, variances)
+    log_p = logsumexp(joint, axis=1)
     return np.exp(joint - log_p[:, None]), log_p
 
 
 def _weighted_sq_devs(x: np.ndarray, resp: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Responsibility-weighted sums of squared deviations around each
-    component's center, shape (K, D)."""
-    out = np.empty_like(centers)
-    for m in range(centers.shape[0]):
-        diff = x - centers[m]
-        out[m] = (resp[:, m, None] * diff * diff).sum(axis=0)
-    return out
-
-
-def _check_features(z, dim: int) -> tuple[np.ndarray, bool]:
-    z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    z2 = np.atleast_2d(z)
-    if z2.ndim != 2 or z2.shape[1] != dim:
-        raise ShapeError(f"expected feature vectors of dimension {dim}, got shape {z.shape}")
-    return z2, single
+    component's center, shape (K, D); components lead the temporary so the
+    sums over samples round as per component (pairwise only at D = 1)."""
+    diff = x - centers[:, None, :]
+    out = resp.T[:, :, None] * diff
+    out *= diff
+    return out.sum(axis=1)
 
 
 def log_density(z, gmm: ClassGMM):
@@ -192,37 +181,33 @@ def log_density(z, gmm: ClassGMM):
     (returns an (N,) array).  Finite for any finite input because the
     variances are floored.
     """
-    z2, single = _check_features(z, gmm.dim)
-    out = _mixture_log_density(z2, _log_weights(gmm.weights), gmm.means, gmm.variances)[1]
-    return float(out[0]) if single else out
+    return class_log_densities(z, gmm)
 
 
 def class_log_densities(z, params):
-    """log p(z | c) for every class, shape (N, C) (or (C,) for one vector).
-
-    ``params`` is a ``GMMClassifier`` or a sampled ``GMMParameterSample``.
-    """
-    z2, single = _check_features(z, params.means.shape[2])
-    log_w = _log_weights(params.weights)
-    out = np.empty((z2.shape[0], log_w.shape[0]))
-    for c in range(log_w.shape[0]):
-        out[:, c] = _mixture_log_density(z2, log_w[c], params.means[c], params.variances[c])[1]
-    return out[0] if single else out
+    """log p(z | c), shape (N, ..., C) (or (..., C) for one vector), for
+    (..., C, K) ``weights`` and (..., C, K, D) ``means``/``variances``:
+    a ``GMMClassifier``, a ``GMMParameterSample`` or a stack of them (or
+    one ``ClassGMM``, with no class axis)."""
+    z = np.asarray(z, dtype=np.float64)
+    z2, dim = np.atleast_2d(z), params.means.shape[-1]
+    if z2.ndim != 2 or z2.shape[1] != dim:
+        raise ShapeError(f"expected feature vectors of dimension {dim}, got shape {z.shape}")
+    joint = _joint_log_densities(z2, _log_weights(params.weights), params.means, params.variances)
+    out = logsumexp(joint, axis=-1)
+    return out[0] if z.ndim == 1 else out
 
 
 def class_posterior(z, model: GMMClassifier):
     """p(c | z) under a uniform class prior: p(z|c) / sum_c' p(z|c')."""
-    ld = np.atleast_2d(class_log_densities(z, model))
-    post = np.exp(ld - logsumexp(ld, axis=1, keepdims=True))
-    return post[0] if np.asarray(z).ndim == 1 else post
+    ld = class_log_densities(z, model)
+    return np.exp(ld - logsumexp(ld, axis=-1, keepdims=True))
 
 
 def predict(z, model: GMMClassifier):
     """Class id with the highest density; ties go to the lowest id."""
-    ld = class_log_densities(z, model)
-    idx = np.argmax(np.atleast_2d(ld), axis=1)
-    ids = model.class_ids[idx]
-    return int(ids[0]) if np.asarray(z).ndim == 1 else ids
+    ids = model.class_ids[np.argmax(class_log_densities(z, model), axis=-1)]
+    return int(ids) if np.ndim(z) == 1 else ids
 
 
 def _kmeanspp_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -267,7 +252,7 @@ def em_fit(
     n, d = x.shape
     k = int(n_components)
     if n < k:
-        raise InsufficientDataError(f"{n} samples cannot support {k} components")
+        raise InsufficientDataError(f"class {class_id} has {n} samples; needs at least {k}")
 
     rng = np.random.default_rng(seed)
     means = _kmeanspp_centers(x, k, rng)
@@ -298,10 +283,9 @@ def em_fit(
         safe_nk = np.maximum(nk, COLLAPSE_THRESHOLD)[:, None]
         means = (resp.T @ x) / safe_nk
         variances = np.maximum(_weighted_sq_devs(x, resp, means) / safe_nk, VARIANCE_FLOOR)
-        for m in np.flatnonzero(collapsed):
-            means[m] = x[rng.integers(n)]
-            variances[m] = global_var
-            reseeds += 1
+        means[collapsed] = x[rng.integers(n, size=collapsed.sum())]
+        variances[collapsed] = global_var
+        reseeds += int(collapsed.sum())
         check_monotone = not collapsed.any()
 
     gmm = ClassGMM(class_id, weights, means, variances)
@@ -312,6 +296,20 @@ def em_fit(
     xbar = np.where(nk[:, None] > 0, (resp.T @ x) / np.maximum(nk, 1e-300)[:, None], means)
     sq = _weighted_sq_devs(x, resp, xbar)
     return gmm, SufficientStats(nk, xbar, sq, np.asarray(ll_history), reseeds)
+
+
+def fit_classifier(
+    per_class, n_components: int, *, max_iters: int = 100, tol: float = 1e-5, seed=0
+) -> tuple[GMMClassifier, list[SufficientStats]]:
+    """``em_fit`` class c to the c-th (N_c, D) array of ``per_class`` (any
+    iterable) with seed child c of ``seed``, an int or a ``SeedSequence``
+    whose next child stays free; returns the classifier and the stats."""
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    fits = [
+        em_fit(x, n_components, max_iters=max_iters, tol=tol, seed=root.spawn(1)[0], class_id=c)
+        for c, x in enumerate(per_class)
+    ]
+    return GMMClassifier([gmm for gmm, _ in fits]), [st for _, st in fits]
 
 
 def classifier_to_bytes(model: GMMClassifier) -> bytes:

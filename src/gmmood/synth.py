@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import score_samples
-from .gmm import GMMClassifier, em_fit, predict
+from .gmm import fit_classifier, predict
 from .metrics import EvalReport, ScoredPixels, auprc, auroc, fpr_at_tpr, miou
 from .nig import DEFAULT_PRIOR, NIGParams, build_bank, sample_ensemble
 
@@ -175,23 +175,12 @@ def run_benchmark(
     mIoU fields are identical in both.
     """
     n_classes = len(dataset.train_features)
-    seeds = np.random.SeedSequence(seed).spawn(n_classes + 1)
-    classes = []
-    stats = []
-    for ci, feats in enumerate(dataset.train_features):
-        gmm, st = em_fit(
-            feats,
-            n_components,
-            max_iters=em_max_iters,
-            tol=em_tol,
-            seed=seeds[ci],
-            class_id=ci,
-        )
-        classes.append(gmm)
-        stats.append(st)
-    model = GMMClassifier(classes)
+    root = np.random.SeedSequence(seed)
+    model, stats = fit_classifier(
+        dataset.train_features, n_components, max_iters=em_max_iters, tol=em_tol, seed=root
+    )
     bank = build_bank(model, stats, prior)
-    members = sample_ensemble(bank, n_samples, seeds[-1])
+    members = sample_ensemble(bank, n_samples, root.spawn(1)[0])
 
     scores = score_samples(dataset.eval_features, model, members)
     is_ood = dataset.eval_is_ood

@@ -176,7 +176,7 @@ class TestFitCommand:
             n_excluded += ((raw == 0) | (raw == 1)).sum()
         assert total_train == n_labeled - n_excluded
 
-    def test_missing_class_is_insufficient_data(self, projected):
+    def test_missing_class_is_insufficient_data(self, projected, capsys):
         cfg, out, _ = projected
         fit_cfg = write_config(
             out.parent / "fit.ini",
@@ -189,6 +189,16 @@ class TestFitCommand:
         assert (
             main(["fit", "--config", str(fit_cfg), "--classes", "4"]) == EXIT_CONFIG
         )
+        assert "class 3 has 0 samples; needs at least 2" in capsys.readouterr().err
+
+    def test_non_finite_feature_is_config_error(self, projected, capsys):
+        cfg, out, _ = projected
+        fit_cfg = write_config(
+            out.parent / "fit.ini", out, label_dir=out / "labels", feature_dir=out / "range"
+        )
+        write_nan_pixel(out / "range" / "001.fmap", out / "range" / "001.fmap")
+        assert main(["fit", "--config", str(fit_cfg)]) == EXIT_CONFIG
+        assert "non-finite" in capsys.readouterr().err
 
     def test_refit_is_byte_identical(self, projected):
         cfg, out, root = projected
@@ -201,6 +211,17 @@ class TestFitCommand:
         assert main(["fit", "--config", str(fit_cfg)]) == EXIT_OK
         assert (out / "model.gmmc").read_bytes() == first_model
         assert (out / "bank.nigb").read_bytes() == first_bank
+
+
+def write_nan_pixel(src, dst):
+    """Copy a feature map with one value of its first valid pixel set to NaN."""
+    from gmmood.formats import FeatureMap, write_feature_map
+
+    fmap = read_feature_map(src)
+    values = fmap.values.copy()
+    row, col = np.argwhere(fmap.valid)[0]
+    values[row, col, 0] = np.nan
+    write_feature_map(FeatureMap(values, fmap.valid), dst)
 
 
 @pytest.fixture
@@ -266,6 +287,18 @@ class TestScoreCommand:
         errored = [f for f in manifest["files"] if "error" in f]
         assert [f["file"] for f in errored] == ["bad"]
         assert len(manifest["files"]) == 3
+
+    def test_non_finite_feature_file_is_partial_failure(self, fitted):
+        cfg, out, _ = fitted
+        write_nan_pixel(out / "range" / "000.fmap", out / "range" / "nan.fmap")
+        assert main(["score", "--config", str(cfg)]) == EXIT_PARTIAL
+        manifest = json.loads((out / "score_manifest.json").read_text())
+        errored = [f for f in manifest["files"] if "error" in f]
+        assert [f["file"] for f in errored] == ["nan"]
+        assert "non-finite" in errored[0]["error"]
+        scored = sorted(f["file"] for f in manifest["files"] if "error" not in f)
+        assert scored == ["000", "001"]
+        assert not (out / "scores" / "nan_epistemic.fmap").exists()
 
     @pytest.mark.parametrize("model_classes, bank_classes", [(3, 5), (5, 3)])
     def test_model_bank_mismatch_is_config_error(

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp, xlogy
 
+from gmmood import ensemble as ens
+from gmmood import gmm as gmm_mod
 from gmmood.ensemble import (
     VoteRecord,
     decompose_uncertainty,
@@ -14,8 +17,20 @@ from gmmood.ensemble import (
 )
 from gmmood.errors import ShapeError
 from gmmood.formats import FeatureMap
-from gmmood.gmm import GMMClassifier, class_log_densities, class_posterior, em_fit
-from gmmood.nig import DEFAULT_PRIOR, GMMParameterSample, build_bank, sample_ensemble
+from gmmood.gmm import (
+    GMMClassifier,
+    class_log_densities,
+    class_posterior,
+    em_fit,
+    fit_classifier,
+)
+from gmmood.nig import (
+    DEFAULT_PRIOR,
+    GMMParameterSample,
+    NIGParams,
+    build_bank,
+    sample_ensemble,
+)
 
 
 def member(means, variances=None, weights=None):
@@ -253,3 +268,160 @@ class TestScoreFeatureMap:
             assert scores.predicted_class[i] == majority_class(
                 VoteRecord(scores.vote_counts[i])
             )
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernel against the per-member / per-class / per-component loops
+
+
+def loop_log_weights(weights):
+    with np.errstate(divide="ignore"):
+        return np.where(weights > 0, np.log(np.maximum(weights, 1e-300)), -np.inf)
+
+
+def loop_component_log_densities(z, means, variances):
+    """(N, K) diagonal-Gaussian log densities, one component at a time."""
+    out = np.empty((z.shape[0], means.shape[0]))
+    log_norm = np.sum(np.log(variances), axis=1) + means.shape[1] * math.log(2.0 * math.pi)
+    for m in range(means.shape[0]):
+        diff = z - means[m]
+        out[:, m] = -0.5 * (np.sum(diff * diff / variances[m], axis=1) + log_norm[m])
+    return out
+
+
+def loop_class_log_densities(z, params):
+    log_w = loop_log_weights(params.weights)
+    out = np.empty((z.shape[0], log_w.shape[0]))
+    for c in range(log_w.shape[0]):
+        joint = loop_component_log_densities(z, params.means[c], params.variances[c])
+        out[:, c] = logsumexp(joint + log_w[c], axis=1)
+    return out
+
+
+def loop_posterior(ld):
+    return np.exp(ld - logsumexp(ld, axis=1, keepdims=True))
+
+
+def loop_entropy(p):
+    return -xlogy(p, p).sum(axis=-1)
+
+
+def loop_score_samples(z, model, ensemble):
+    """Scores with one class_log_densities pass per member, then the point model."""
+    n, c = z.shape[0], model.num_classes
+    counts = np.zeros((n, c), dtype=np.int64)
+    mean_post = np.zeros((n, c))
+    mean_ent = np.zeros(n)
+    for sample in ensemble:
+        ld = loop_class_log_densities(z, sample)
+        post = loop_posterior(ld)
+        counts[np.arange(n), np.argmax(ld, axis=1)] += 1
+        mean_post += post
+        mean_ent += loop_entropy(post)
+    mean_post /= len(ensemble)
+    mean_ent /= len(ensemble)
+    predictive = loop_entropy(mean_post)
+    post0 = loop_posterior(loop_class_log_densities(z, model))
+    return {
+        "predicted_class": model.class_ids[np.argmax(counts, axis=1)],
+        "vote_counts": counts,
+        "epistemic": loop_entropy(counts / len(ensemble)),
+        "predictive_entropy": predictive,
+        "aleatoric": mean_ent,
+        "mutual_information": np.maximum(predictive - mean_ent, 0.0),
+        "deterministic_entropy": loop_entropy(post0),
+        "max_posterior": post0.max(axis=1),
+    }
+
+
+def assert_same_bytes(got, want):
+    """Equal dtype, shape and bytes: unlike array_equal, -0.0 differs from 0.0."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+N_MEMBERS = 12  # more than 8, so a pairwise member sum would round differently
+
+
+@pytest.fixture(scope="module", params=[1, 5, 32], ids=lambda d: f"D{d}")
+def kernel_case(request):
+    """Three classes, an ensemble, the block step, and 2 * step + 1 rows
+    cycling through far-OOD (every member certain), near-center,
+    between-center (members split) and random rows."""
+    d = request.param
+    rng = np.random.default_rng(d)
+    per_class = [rng.normal(10.0 * c, 1.0, size=(80, d)) for c in range(3)]
+    model, stats = fit_classifier(per_class, 2, seed=d)
+    # a vague prior on the mean keeps member sigmas near the data's 1.0
+    prior = NIGParams(mu=0.0, kappa=1e-6, alpha=2.0, beta=1.0)
+    members = sample_ensemble(build_bank(model, stats, prior), N_MEMBERS, rng_seed=d)
+    step = max(1, ens._BLOCK_VALUES // ((N_MEMBERS + 1) * model.means.size))
+    n = 2 * step + 1
+    cls = rng.integers(3, size=(n, 1))
+    centers = np.mean([m.means.mean(axis=1) for m in members], axis=0)  # (C, D)
+    candidates = [
+        rng.choice([-1.0, 1.0], size=(n, d)) * rng.uniform(1e4, 1e5, size=(n, d)),
+        10.0 * cls + rng.normal(0.0, 0.1, size=(n, d)),
+        0.5 * (centers[cls % 2] + centers[cls % 2 + 1])[:, 0] + rng.normal(0.0, 0.01, (n, d)),
+        rng.uniform(-5.0, 25.0, size=(n, d)),
+    ]
+    kind = np.arange(n) % len(candidates)
+    rows = np.choose(kind[:, None], candidates)
+    return model, members, step, rows
+
+
+@pytest.mark.parametrize(
+    "n_rows",
+    [
+        lambda step: 0,
+        lambda step: 1,
+        lambda step: step - 1,
+        lambda step: step,
+        lambda step: step + 1,
+        lambda step: 2 * step + 1,
+    ],
+    ids=["0", "1", "step-1", "step", "step+1", "2step+1"],
+)
+def test_score_samples_bytes_match_loop_reference(kernel_case, n_rows):
+    model, members, step, rows = kernel_case
+    z = rows[: n_rows(step)]
+    got = score_samples(z, model, members)
+    want = loop_score_samples(z, model, members)
+    for name, value in want.items():
+        assert_same_bytes(getattr(got, name), value)
+
+
+def test_reference_rows_reach_certain_split_and_far_ood_cases(kernel_case):
+    """The pool holds pixels where every member is certain (aleatoric
+    exactly +0.0), pixels where the members split, and pixels over 1e3
+    member standard deviations from every class."""
+    model, members, step, rows = kernel_case
+    want = loop_score_samples(rows, model, members)
+    certain = want["aleatoric"] == 0.0
+    assert certain[0] and not np.signbit(want["aleatoric"][certain]).any()
+    assert (want["epistemic"] > 0).any()
+    sigma = max(np.sqrt(m.variances).max() for m in members)
+    assert (np.abs(rows).min(axis=1) >= 1e3 * sigma).any()
+
+
+@pytest.mark.parametrize("n", [1, 9, 300])
+@pytest.mark.parametrize("d", [1, 5, 32])
+def test_em_helpers_bytes_match_per_component_loops(d, n):
+    rng = np.random.default_rng(100 * n + d)
+    near = rng.normal(0.0, 3.0, (n, d))
+    k = 3
+    means = rng.normal(0.0, 2.0, (k, d))
+    variances = rng.uniform(0.5, 2.0, (k, d))
+    log_w = loop_log_weights(np.array([0.5, 0.5, 0.0]))
+    # far-OOD rows dominate every sum they enter, so check without them too
+    for x in (near, np.concatenate([near, rng.normal(1e3, 1.0, (n, d))])):
+        resp, log_p = gmm_mod._e_step(x, log_w, means, variances)
+        joint = loop_component_log_densities(x, means, variances) + log_w
+        want_log_p = logsumexp(joint, axis=1)
+        assert_same_bytes(log_p, want_log_p)
+        assert_same_bytes(resp, np.exp(joint - want_log_p[:, None]))
+        want_sq = np.empty((k, d))
+        for m in range(k):
+            diff = x - means[m]
+            want_sq[m] = (resp[:, m, None] * diff * diff).sum(axis=0)
+        assert_same_bytes(gmm_mod._weighted_sq_devs(x, resp, means), want_sq)

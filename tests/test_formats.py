@@ -149,7 +149,7 @@ CONTAINERS = {
         feature_map_from_bytes,
         feature_map_to_bytes(random_feature_map(np.random.default_rng(11), h=2, w=3, d=2)),
         4,
-        lambda fmap: [],
+        lambda f: [f.values[f.valid]],
     ),
     "GMMC": (
         classifier_from_bytes,
