@@ -9,23 +9,24 @@ entropy and maximum posterior.  All entropies are in nats.
 
 Scoring stacks the point model as member 0 in front of the members and
 takes all their class densities for a block of pixels from one call of
-the ``gmm`` kernel; the block size bounds memory for any scan size.
+the ``gmm`` kernel.  A block holds ``_BLOCK_VALUES`` component log
+densities, (M + 1) * C * K per pixel (the kernel's GEMM outputs), so its
+memory is bounded for any scan size and feature dimension.
 """
 
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
 
 from .errors import ShapeError
 from .formats import FeatureMap
-from .gmm import GMMClassifier, class_log_densities
+from .gmm import GMMClassifier, class_log_densities, logsumexp
 from .nig import GMMParameterSample
 
-# float64 deviations (z - mu) per scoring block, 4 MB: blocks of 2**15-2**17
-# lose 20-40% to per-block overhead at D = 32; 2**18-2**20 do not at D = 5 or 32
-_BLOCK_VALUES = 1 << 19
+# float64 log densities (GEMM outputs) per scoring block, 1 MB: on the
+# paper-shape scans, 2**17-2**19 score fastest at D = 32, 2**15-2**17 at D = 5
+_BLOCK_VALUES = 1 << 17
 
 
 @dataclass
@@ -97,7 +98,9 @@ class UncertaintyMap:
 
 def _entropy_rows(p: np.ndarray) -> np.ndarray:
     """Shannon entropy of each row, with 0 * log 0 = 0."""
-    return -xlogy(p, p).sum(axis=-1)
+    log_p = np.log(p, out=np.zeros(p.shape), where=p > 0)
+    log_p *= p
+    return -log_p.sum(axis=-1)
 
 
 def _posterior(ld: np.ndarray) -> np.ndarray:
@@ -118,22 +121,13 @@ def _stack(ensemble: list[GMMParameterSample], *front):
 def _reduce_members(ld: np.ndarray):
     """(N, C) vote counts and the (N,) predictive entropy, aleatoric part
     and mutual information (see ``decompose_uncertainty``) from (N, M, C)
-    member log densities.  The member means are running totals from zero
-    in member order: a sum over the member axis rounds differently, and a
-    total started from member 0 keeps -0.0 where every member is certain."""
-    n, m, c = ld.shape
+    member log densities."""
+    c = ld.shape[2]
     post = _posterior(ld)
-    ent = _entropy_rows(post)
     counts = (np.argmax(ld, axis=2)[:, :, None] == np.arange(c)).sum(axis=1)
-    mean_post = np.zeros((n, c))
-    mean_ent = np.zeros(n)
-    for i in range(m):
-        mean_post += post[:, i]
-        mean_ent += ent[:, i]
-    mean_post /= m
-    mean_ent /= m
-    predictive = _entropy_rows(mean_post)
-    return counts, predictive, mean_ent, np.maximum(predictive - mean_ent, 0.0)
+    predictive = _entropy_rows(post.mean(axis=1))
+    aleatoric = _entropy_rows(post).mean(axis=1)
+    return counts, predictive, aleatoric, np.maximum(predictive - aleatoric, 0.0)
 
 
 def _reduce_one(z, ensemble: list[GMMParameterSample], what: str):
@@ -195,10 +189,11 @@ def score_samples(
     """Vectorized scoring of an (N, D) batch under model + ensemble.
 
     The point model is stacked as member 0 in front of the ensemble, and
-    each block of about ``_BLOCK_VALUES`` deviations is one density call."""
+    each block of about ``_BLOCK_VALUES`` log densities, (M + 1) * C * K
+    per row, is one density call."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     stack = _stack(ensemble, model)
-    step = max(1, _BLOCK_VALUES // stack.means.size)
+    step = max(1, _BLOCK_VALUES // stack.weights.size)
     blocks = []
     for i in range(0, max(len(z), 1), step):  # no rows: one empty block
         ld = class_log_densities(z[i : i + step], stack)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ShapeError, UndefinedMetricError
 
@@ -54,7 +53,10 @@ def _require_both_classes(data: ScoredPixels, metric: str) -> None:
 def auroc(data: ScoredPixels) -> float:
     """P(random OOD score > random ID score), ties counting 1/2."""
     _require_both_classes(data, "auroc")
-    ranks = rankdata(data.scores)
+    # average rank of each distinct score: midpoint of its 1-based run
+    _, inverse, counts = np.unique(data.scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (0.5 * (ends + ends - counts + 1))[inverse]
     n_ood, n_id = data.n_ood, data.n_id
     rank_sum = ranks[data.is_ood].sum()
     return float((rank_sum - n_ood * (n_ood + 1) / 2.0) / (n_ood * n_id))

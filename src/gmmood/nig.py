@@ -8,11 +8,11 @@ their EM point estimates.  Sampling a full parameter set from the bank
 yields one ensemble member.
 """
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as sstats
 
 from .errors import InvalidStatisticsError, ShapeError
 from .formats import HEADER_SIZE, container_dims, container_to_bytes
@@ -208,8 +208,14 @@ def posterior_predictive_logpdf(cell: NIGParams, x):
     Degrees of freedom 2*alpha, location mu, scale
     sqrt(beta * (kappa + 1) / (alpha * kappa)).
     """
-    scale = np.sqrt(cell.beta * (cell.kappa + 1.0) / (cell.alpha * cell.kappa))
-    out = sstats.t.logpdf(x, df=2.0 * cell.alpha, loc=cell.mu, scale=scale)
+    df = 2.0 * cell.alpha
+    scale = math.sqrt(cell.beta * (cell.kappa + 1.0) / (cell.alpha * cell.kappa))
+    norm = (
+        math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df)
+        - 0.5 * math.log(df * math.pi) - math.log(scale)
+    )
+    t = (np.asarray(x, dtype=np.float64) - cell.mu) / scale
+    out = norm - 0.5 * (df + 1.0) * np.log1p(t * t / df)
     return float(out) if np.isscalar(x) else out
 
 

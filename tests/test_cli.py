@@ -1,6 +1,8 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -619,3 +621,13 @@ class TestConfigHandling:
         )
         assert proc.returncode == 0
         assert "auroc" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy alone; scipy is a test dependency."""
+    script = "import sys, gmmood.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -340,25 +340,45 @@ def assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-N_MEMBERS = 12  # more than 8, so a pairwise member sum would round differently
+# The GEMM kernel rounds differently from the loops; its error is a few
+# hundred eps at worst on these cases (the centred expansion keeps it there
+# even far from the origin), so the bound is fixed at 2**10 eps.
+REL_TOL = 2.0**10 * np.finfo(np.float64).eps
 
 
-@pytest.fixture(scope="module", params=[1, 5, 32], ids=lambda d: f"D{d}")
+def assert_close(got, want):
+    """Same dtype and shape, and within REL_TOL * max(1, |want|)."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite) and np.array_equal(got[~finite], want[~finite])
+    err = np.abs(got[finite] - want[finite]) / np.maximum(1.0, np.abs(want[finite]))
+    assert err.max(initial=0.0) <= REL_TOL, f"{err.max() / np.finfo(np.float64).eps:.0f} eps"
+
+
+N_MEMBERS = 12
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(1, 0.0), (5, 0.0), (32, 0.0), (32, 1e4)],
+    ids=["D1", "D5", "D32", "D32+1e4"],
+)
 def kernel_case(request):
     """Three classes, an ensemble, the block step, and 2 * step + 1 rows
     cycling through far-OOD (every member certain), near-center,
-    between-center (members split) and random rows."""
-    d = request.param
+    between-center (members split) and random rows; the last case is the
+    D = 32 one translated by 1e4, data, prior and rows alike."""
+    d, shift = request.param
     rng = np.random.default_rng(d)
-    per_class = [rng.normal(10.0 * c, 1.0, size=(80, d)) for c in range(3)]
+    per_class = [rng.normal(10.0 * c, 1.0, size=(80, d)) + shift for c in range(3)]
     model, stats = fit_classifier(per_class, 2, seed=d)
     # a vague prior on the mean keeps member sigmas near the data's 1.0
-    prior = NIGParams(mu=0.0, kappa=1e-6, alpha=2.0, beta=1.0)
+    prior = NIGParams(mu=shift, kappa=1e-6, alpha=2.0, beta=1.0)
     members = sample_ensemble(build_bank(model, stats, prior), N_MEMBERS, rng_seed=d)
-    step = max(1, ens._BLOCK_VALUES // ((N_MEMBERS + 1) * model.means.size))
+    step = max(1, ens._BLOCK_VALUES // ((N_MEMBERS + 1) * model.weights.size))
     n = 2 * step + 1
     cls = rng.integers(3, size=(n, 1))
-    centers = np.mean([m.means.mean(axis=1) for m in members], axis=0)  # (C, D)
+    centers = np.mean([m.means.mean(axis=1) for m in members], axis=0) - shift  # (C, D)
     candidates = [
         rng.choice([-1.0, 1.0], size=(n, d)) * rng.uniform(1e4, 1e5, size=(n, d)),
         10.0 * cls + rng.normal(0.0, 0.1, size=(n, d)),
@@ -366,11 +386,25 @@ def kernel_case(request):
         rng.uniform(-5.0, 25.0, size=(n, d)),
     ]
     kind = np.arange(n) % len(candidates)
-    rows = np.choose(kind[:, None], candidates)
+    rows = np.choose(kind[:, None], candidates) + shift
     return model, members, step, rows
 
 
-@pytest.mark.parametrize(
+@pytest.fixture(scope="module")
+def loop_reference(kernel_case):
+    """``loop_score_samples`` of the case's first n rows, computed once per n."""
+    model, members, _, rows = kernel_case
+    memo = {}
+
+    def reference(n):
+        if n not in memo:
+            memo[n] = loop_score_samples(rows[:n], model, members)
+        return memo[n]
+
+    return reference
+
+
+N_ROWS = pytest.mark.parametrize(
     "n_rows",
     [
         lambda step: 0,
@@ -382,46 +416,86 @@ def kernel_case(request):
     ],
     ids=["0", "1", "step-1", "step", "step+1", "2step+1"],
 )
-def test_score_samples_bytes_match_loop_reference(kernel_case, n_rows):
+
+
+INT_FIELDS = ("vote_counts", "predicted_class")
+
+
+@N_ROWS
+def test_score_samples_match_loop_reference(kernel_case, loop_reference, n_rows):
+    """Every float field within the tolerance fixed above."""
     model, members, step, rows = kernel_case
-    z = rows[: n_rows(step)]
-    got = score_samples(z, model, members)
-    want = loop_score_samples(z, model, members)
-    for name, value in want.items():
-        assert_same_bytes(getattr(got, name), value)
+    n = n_rows(step)
+    got = score_samples(rows[:n], model, members)
+    for name, value in loop_reference(n).items():
+        if name not in INT_FIELDS:
+            assert_close(getattr(got, name), value)
 
 
-def test_reference_rows_reach_certain_split_and_far_ood_cases(kernel_case):
+@N_ROWS
+def test_score_samples_bytes_match_loop_reference(kernel_case, loop_reference, n_rows):
+    """Votes and predicted classes survive the kernel's rounding bit for bit."""
+    model, members, step, rows = kernel_case
+    n = n_rows(step)
+    got = score_samples(rows[:n], model, members)
+    for name in INT_FIELDS:
+        assert_same_bytes(getattr(got, name), loop_reference(n)[name])
+
+
+def test_reference_rows_reach_certain_split_and_far_ood_cases(kernel_case, loop_reference):
     """The pool holds pixels where every member is certain (aleatoric
     exactly +0.0), pixels where the members split, and pixels over 1e3
     member standard deviations from every class."""
     model, members, step, rows = kernel_case
-    want = loop_score_samples(rows, model, members)
+    want = loop_reference(len(rows))
     certain = want["aleatoric"] == 0.0
     assert certain[0] and not np.signbit(want["aleatoric"][certain]).any()
     assert (want["epistemic"] > 0).any()
     sigma = max(np.sqrt(m.variances).max() for m in members)
-    assert (np.abs(rows).min(axis=1) >= 1e3 * sigma).any()
+    dist = np.abs(rows[:, None, :] - model.means.reshape(-1, rows.shape[1])).min(axis=(1, 2))
+    assert (dist >= 1e3 * sigma).any()
+
+
+def em_case(d, n):
+    """Three components (one of zero weight) and n near rows, then the same
+    with n far-OOD rows appended: far rows dominate every sum they enter."""
+    rng = np.random.default_rng(100 * n + d)
+    near = rng.normal(0.0, 3.0, (n, d))
+    means = rng.normal(0.0, 2.0, (3, d))
+    variances = rng.uniform(0.5, 2.0, (3, d))
+    log_w = loop_log_weights(np.array([0.5, 0.5, 0.0]))
+    far = np.concatenate([near, rng.normal(1e3, 1.0, (n, d))])
+    return log_w, means, variances, (near, far)
+
+
+def loop_e_step(x, log_w, means, variances):
+    joint = loop_component_log_densities(x, means, variances) + log_w
+    log_p = logsumexp(joint, axis=1)
+    return np.exp(joint - log_p[:, None]), log_p
+
+
+@pytest.mark.parametrize("n", [1, 9, 300])
+@pytest.mark.parametrize("d", [1, 5, 32])
+def test_em_helpers_match_loop_reference(d, n):
+    """``_e_step`` against the per-component loop, also with the mixture
+    and the rows translated by 1e4."""
+    log_w, means, variances, rows = em_case(d, n)
+    for x, mu in [(x, means) for x in rows] + [(rows[0] + 1e4, means + 1e4)]:
+        resp, log_p = gmm_mod._e_step(x, log_w, mu, variances)
+        want_resp, want_log_p = loop_e_step(x, log_w, mu, variances)
+        assert_close(log_p, want_log_p)
+        assert_close(resp, want_resp)
 
 
 @pytest.mark.parametrize("n", [1, 9, 300])
 @pytest.mark.parametrize("d", [1, 5, 32])
 def test_em_helpers_bytes_match_per_component_loops(d, n):
-    rng = np.random.default_rng(100 * n + d)
-    near = rng.normal(0.0, 3.0, (n, d))
-    k = 3
-    means = rng.normal(0.0, 2.0, (k, d))
-    variances = rng.uniform(0.5, 2.0, (k, d))
-    log_w = loop_log_weights(np.array([0.5, 0.5, 0.0]))
-    # far-OOD rows dominate every sum they enter, so check without them too
-    for x in (near, np.concatenate([near, rng.normal(1e3, 1.0, (n, d))])):
-        resp, log_p = gmm_mod._e_step(x, log_w, means, variances)
-        joint = loop_component_log_densities(x, means, variances) + log_w
-        want_log_p = logsumexp(joint, axis=1)
-        assert_same_bytes(log_p, want_log_p)
-        assert_same_bytes(resp, np.exp(joint - want_log_p[:, None]))
-        want_sq = np.empty((k, d))
-        for m in range(k):
+    """``_weighted_sq_devs`` keeps the per-component loop's arithmetic."""
+    log_w, means, variances, rows = em_case(d, n)
+    for x in rows:
+        resp, _ = loop_e_step(x, log_w, means, variances)
+        want_sq = np.empty((3, d))
+        for m in range(3):
             diff = x - means[m]
             want_sq[m] = (resp[:, m, None] * diff * diff).sum(axis=0)
         assert_same_bytes(gmm_mod._weighted_sq_devs(x, resp, means), want_sq)

@@ -16,6 +16,7 @@ from gmmood.gmm import (
     class_posterior,
     em_fit,
     log_density,
+    logsumexp,
     predict,
 )
 
@@ -33,6 +34,27 @@ def naive_log_density(z, gmm):
 
 def std_normal_1d(class_id=0, mean=0.0, var=1.0):
     return ClassGMM(class_id, [1.0], [[mean]], [[var]])
+
+
+class TestLogSumExp:
+    def test_matches_scipy_on_wide_ranges(self):
+        from scipy.special import logsumexp as ref
+
+        rng = np.random.default_rng(0)
+        a = rng.normal(0.0, 1.0, (50, 3, 7)) * 10.0 ** rng.integers(-2, 12, (50, 1, 1))
+        a[0, 1, 2] = -np.inf
+        for axis in (0, 1, -1):
+            for keepdims in (False, True):
+                np.testing.assert_allclose(
+                    logsumexp(a, axis=axis, keepdims=keepdims),
+                    ref(a, axis=axis, keepdims=keepdims),
+                    rtol=1e-14,
+                )
+
+    def test_all_minus_inf_slice_is_minus_inf(self):
+        a = np.array([[-np.inf, -np.inf], [0.0, -np.inf]])
+        with np.errstate(all="raise"):
+            assert logsumexp(a, axis=1).tolist() == [-np.inf, 0.0]
 
 
 class TestLogDensity:
