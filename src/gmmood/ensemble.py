@@ -8,10 +8,18 @@ comparison baselines, together with the point-estimate model's posterior
 entropy and maximum posterior.  All entropies are in nats.
 
 Scoring stacks the point model as member 0 in front of the members and
-takes all their class densities for a block of pixels from one call of
-the ``gmm`` kernel.  A block holds ``_BLOCK_VALUES`` component log
-densities, (M + 1) * C * K per pixel (the kernel's GEMM outputs), so its
-memory is bounded for any scan size and feature dimension.
+builds their GEMM coefficients once per call; each block of pixels then
+takes all their class densities from one call of the ``gmm`` kernel.  A
+block holds ``_BLOCK_VALUES`` component log densities, (M + 1) * C * K
+per pixel (the kernel's GEMM outputs), so its memory is bounded for any
+scan size and feature dimension.
+
+A block is reduced on its (M + 1, C, N) class log densities, pixels
+innermost: sh = ld - max over C; one exp, p = exp(sh) / s with s the sum
+over C; -log p = log s - sh, so the member entropies -sum p log p take no
+second log; each member's vote is the lowest class id holding its
+maximum, tallied by one ``np.bincount``.  The point model's entropy and
+maximum posterior come from member 0 of the same arrays.
 """
 
 from dataclasses import dataclass
@@ -21,11 +29,13 @@ import numpy as np
 
 from .errors import ShapeError
 from .formats import FeatureMap
-from .gmm import GMMClassifier, class_log_densities, logsumexp
+from .gmm import GMMClassifier, _coefficients, _log_weights, _posteriors, class_log_densities
+from .gmm import logsumexp  # noqa: F401  unused here; perfbench traces ensemble.logsumexp
 from .nig import GMMParameterSample
 
 # float64 log densities (GEMM outputs) per scoring block, 1 MB: on the
-# paper-shape scans, 2**17-2**19 score fastest at D = 32, 2**15-2**17 at D = 5
+# paper-shape scans, 2**16-2**17 score fastest at D = 32 and at D = 5,
+# with one or two BLAS threads
 _BLOCK_VALUES = 1 << 17
 
 
@@ -96,38 +106,52 @@ class UncertaintyMap:
         return PixelScores(int(self.predicted_class[row, col]), *scores)
 
 
-def _entropy_rows(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy of each row, with 0 * log 0 = 0."""
+def _entropy_rows(p: np.ndarray, axis=-1) -> np.ndarray:
+    """Shannon entropy along ``axis``, with 0 * log 0 = 0."""
     log_p = np.log(p, out=np.zeros(p.shape), where=p > 0)
     log_p *= p
-    return -log_p.sum(axis=-1)
-
-
-def _posterior(ld: np.ndarray) -> np.ndarray:
-    """Class posteriors under a uniform prior from (..., C) log densities."""
-    return np.exp(ld - logsumexp(ld, axis=-1, keepdims=True))
+    return -log_p.sum(axis=axis)
 
 
 def _stack(ensemble: list[GMMParameterSample], *front):
-    """(M, C, K) ``weights`` and (M, C, K, D) ``means``/``variances`` of the
-    ``front`` parameter sets followed by the ensemble members."""
+    """(M, C, K) ``weights``, (M, C, K, D) ``means``/``variances`` and
+    their GEMM ``coefficients`` of the ``front`` parameter sets followed
+    by the ensemble members."""
     if not ensemble:
         raise ValueError("ensemble must be non-empty")
     models = [*front, *ensemble]
     names = ("weights", "means", "variances")
-    return SimpleNamespace(**{k: np.stack([getattr(m, k) for m in models]) for k in names})
+    stack = SimpleNamespace(**{k: np.stack([getattr(m, k) for m in models]) for k in names})
+    stack.coefficients = _coefficients(_log_weights(stack.weights), stack.means, stack.variances)
+    return stack
 
 
-def _reduce_members(ld: np.ndarray):
-    """(N, C) vote counts and the (N,) predictive entropy, aleatoric part
-    and mutual information (see ``decompose_uncertainty``) from (N, M, C)
-    member log densities."""
-    c = ld.shape[2]
-    post = _posterior(ld)
-    counts = (np.argmax(ld, axis=2)[:, :, None] == np.arange(c)).sum(axis=1)
-    predictive = _entropy_rows(post.mean(axis=1))
-    aleatoric = _entropy_rows(post).mean(axis=1)
-    return counts, predictive, aleatoric, np.maximum(predictive - aleatoric, 0.0)
+def _log_densities(z, stack) -> np.ndarray:
+    """(M, C, N) class log densities of (N, D) rows under a ``_stack``."""
+    return np.moveaxis(class_log_densities(z, stack), 0, -1)
+
+
+def _reduce_members(ld: np.ndarray, front: int = 0):
+    """Scores from (F + M, C, N) log densities whose first ``front`` = F
+    sets are not ensemble members: the members' (N, C) vote counts and
+    (N,) predictive entropy, aleatoric part and mutual information (see
+    ``decompose_uncertainty``), then every set's (F + M, C, N) class
+    posteriors and (F + M, N) posterior entropies."""
+    c, n = ld.shape[1:]
+    post, neg_log_post = _posteriors(ld, axis=1)
+    neg_log_post *= post
+    entropy = neg_log_post.sum(axis=1)
+    # each member's vote is the lowest class id holding its maximum: the
+    # hit with the largest weight c - k, k the class id
+    members = ld[front:]
+    hit = members == members.max(axis=1, keepdims=True)
+    hit = np.multiply(hit, np.arange(c, 0, -1, dtype=np.min_scalar_type(c))[:, None])
+    best = c - hit.max(axis=1) + c * np.arange(n)
+    counts = np.bincount(best.ravel(), minlength=n * c).reshape(n, c)
+    predictive = _entropy_rows(post[front:].mean(axis=0), axis=0)
+    aleatoric = entropy[front:].mean(axis=0)
+    mi = np.maximum(predictive - aleatoric, 0.0)
+    return counts, predictive, aleatoric, mi, post, entropy
 
 
 def _reduce_one(z, ensemble: list[GMMParameterSample], what: str):
@@ -135,7 +159,7 @@ def _reduce_one(z, ensemble: list[GMMParameterSample], what: str):
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
         raise ShapeError(f"{what}() takes a single feature vector")
-    return _reduce_members(class_log_densities(z[None, :], _stack(ensemble)))
+    return _reduce_members(_log_densities(z[None, :], _stack(ensemble)))
 
 
 def vote(z, ensemble: list[GMMParameterSample]) -> VoteRecord:
@@ -165,7 +189,7 @@ def decompose_uncertainty(
     and the mutual information is their difference, clamped to zero
     against negative floating-point residue.
     """
-    _, *parts = _reduce_one(z, ensemble, "decompose_uncertainty")
+    parts = _reduce_one(z, ensemble, "decompose_uncertainty")[1:4]
     return UncertaintyDecomposition(*(float(p[0]) for p in parts))
 
 
@@ -196,9 +220,9 @@ def score_samples(
     step = max(1, _BLOCK_VALUES // stack.weights.size)
     blocks = []
     for i in range(0, max(len(z), 1), step):  # no rows: one empty block
-        ld = class_log_densities(z[i : i + step], stack)
-        blocks.append((*_reduce_members(ld[:, 1:]), _posterior(ld[:, 0])))
-    counts, predictive, aleatoric, mi, post0 = map(np.concatenate, zip(*blocks))
+        *scores, post, entropy = _reduce_members(_log_densities(z[i : i + step], stack), 1)
+        blocks.append((*scores, entropy[0], post[0].max(axis=0)))
+    counts, predictive, aleatoric, mi, point_entropy, point_max = map(np.concatenate, zip(*blocks))
     return SampleScores(
         predicted_class=model.class_ids[np.argmax(counts, axis=1)],
         vote_counts=counts,
@@ -206,8 +230,8 @@ def score_samples(
         predictive_entropy=predictive,
         aleatoric=aleatoric,
         mutual_information=mi,
-        deterministic_entropy=_entropy_rows(post0),
-        max_posterior=post0.max(axis=1),
+        deterministic_entropy=point_entropy,
+        max_posterior=point_max,
     )
 
 

@@ -16,18 +16,27 @@ whole ensemble stacked along leading member axes.
 The kernel expands the quadratic form into one float64 GEMM.  With
 P = 1/sigma^2 and c the mean of all the component means passed in,
 
-    sum_d P (z - mu)^2 = [(z - c)^2, z - c] @ [P; -2 (mu - c) P]
-                         + sum_d (mu - c)^2 P,
+    log N(z | mu, sigma^2) = [-P/2, (mu - c) P, -const/2] @ [(z - c)^2, z - c, 1],
+    const = sum_d ((mu - c)^2 P + log sigma^2) + D log 2 pi,
 
-an (N, 2D) by (2D, J) product for all J components at once.  Expanding
-around c rather than the origin keeps the cancelling terms at the scale
-of the data's spread, not of its offset: against the per-component
-``(z - mu)^2`` loop the log densities and everything derived from them
-agree to a few hundred eps relative to max(1, |value|), where an
-uncentred expansion of features at 1e4 is off by ~5e7 eps.  The J columns
-are ordered with the component axis K first, so the K-way log-sum-exp
-(``logsumexp``, the package's one max-shift log-sum-exp) reduces over
-contiguous slices rather than a short trailing axis.
+a (J, 2D + 1) by (2D + 1, N) product for all J components at once.
+``_coefficients`` builds the left factor once per parameter set, so a
+caller scoring many blocks (``ensemble.score_samples``) pays for it once.
+Expanding around c rather than the origin keeps the cancelling terms at
+the scale of the data's spread, not of its offset: against the
+per-component ``(z - mu)^2`` loop the log densities and everything
+derived from them agree to a few hundred eps relative to max(1, |value|),
+where an uncentred expansion of features at 1e4 is off by ~5e7 eps.
+
+The output is (K, ..., N): components first and the rows innermost, so
+the K-way log-sum-exp (``logsumexp``, the package's one max-shift
+log-sum-exp) and every later reduction over classes or members add up
+contiguous slabs of N values rather than short trailing axes.  The
+finite constant rides in the GEMM against the feature 1.  The log
+weights are added after it: a zero weight's log is -inf, and folded into
+the GEMM it makes some BLAS kernels set the invalid-operation flag (seen
+at row counts off the kernel's tile width), which numpy reports as a
+warning from the product.
 """
 
 from dataclasses import dataclass, field
@@ -45,6 +54,9 @@ GMMC_MAGIC = b"GMMC"
 GMMC_VERSION = 1
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# exp(-700) ~ 1e-304; numpy's vectorised exp leaves its fast path (~20x
+# slower per value) for arguments below -708, where results are subnormal
+_EXP_FLOOR = -700.0
 
 
 @dataclass
@@ -162,20 +174,24 @@ def logsumexp(a, axis=-1, keepdims=False):
     slice that is all -inf gives -inf, not NaN."""
     a = np.asarray(a, dtype=np.float64)
     top = a.max(axis=axis, keepdims=True)
-    top[np.isneginf(top)] = 0.0
+    empty = top == -np.inf
+    top[empty] = 0.0
+    # the max term is 1, so flooring the others cannot move the sum
     shifted = a - top
+    np.maximum(shifted, _EXP_FLOOR, out=shifted)
     out = np.exp(shifted, out=shifted).sum(axis=axis, keepdims=True)
-    with np.errstate(divide="ignore"):
-        np.log(out, out=out)
+    np.log(out, out=out)
     out += top
+    out[empty] = -np.inf
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
-def _joint_log_densities(z, log_w, means, variances) -> np.ndarray:
-    """log w_k + log N(z | k), shape (N, K, ...), of (N, D) features under
-    (..., K) log weights and (..., K, D) diagonal Gaussians (see the
-    module docstring for the expansion)."""
-    n, d = z.shape
+def _coefficients(log_w, means, variances):
+    """GEMM coefficients of (..., K) log weights and (..., K, D) diagonal
+    Gaussians (see the module docstring): the centre c (D,), the K-first
+    (J, 2D + 1) rows ``[-P/2, (mu - c) P, -const/2]``, the (J,) log
+    weights and the (K, ...) shape the J rows reshape to."""
+    d = means.shape[-1]
     mu = np.moveaxis(means, -2, 0)
     center = mu.reshape(-1, d).mean(axis=0)
     mu = mu - center
@@ -183,23 +199,32 @@ def _joint_log_densities(z, log_w, means, variances) -> np.ndarray:
     prec = 1.0 / var
     const = np.sum(mu * mu * prec + np.log(var), axis=-1)
     const += d * _LOG_2PI
-    coef = np.concatenate([prec, -2.0 * mu * prec], axis=-1).reshape(-1, 2 * d)
-    feats = np.empty((n, 2 * d))
-    np.subtract(z, center, out=feats[:, d:])
-    np.multiply(feats[:, d:], feats[:, d:], out=feats[:, :d])
-    out = feats @ coef.T
-    out += const.reshape(-1)
-    out *= -0.5
-    out += np.moveaxis(log_w, -1, 0).reshape(-1)
-    return out.reshape((n,) + const.shape)
+    coef = np.concatenate([-0.5 * prec, mu * prec, -0.5 * const[..., None]], axis=-1)
+    return center, coef.reshape(-1, 2 * d + 1), np.moveaxis(log_w, -1, 0).ravel(), const.shape
+
+
+def _joint_log_densities(z, coefficients) -> np.ndarray:
+    """log w_k + log N(z | k), shape (K, ..., N), of (N, D) features under
+    the ``_coefficients`` of (..., K) mixtures: one (J, 2D + 1) by
+    (2D + 1, N) GEMM, rows innermost."""
+    center, coef, log_w, shape = coefficients
+    n, d = z.shape
+    feats = np.empty((2 * d + 1, n))
+    np.subtract(z.T, center[:, None], out=feats[d : 2 * d])
+    np.multiply(feats[d : 2 * d], feats[d : 2 * d], out=feats[:d])
+    feats[2 * d] = 1.0
+    out = coef @ feats
+    out += log_w[:, None]
+    return out.reshape(shape + (n,))
 
 
 def _e_step(z, log_w, means, variances) -> tuple[np.ndarray, np.ndarray]:
-    """Responsibilities (N, K) and mixture log densities (N,) of one mixture."""
-    joint = _joint_log_densities(z, log_w, means, variances)
-    log_p = logsumexp(joint, axis=1)
-    joint -= log_p[:, None]
-    return np.exp(joint, out=joint), log_p
+    """Responsibilities (N, K), a transposed view, and mixture log
+    densities (N,) of one mixture."""
+    joint = _joint_log_densities(z, _coefficients(log_w, means, variances))
+    log_p = logsumexp(joint, axis=0)
+    joint -= log_p
+    return np.exp(joint, out=joint).T, log_p
 
 
 def _weighted_sq_devs(x: np.ndarray, resp: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -226,20 +251,37 @@ def class_log_densities(z, params):
     """log p(z | c), shape (N, ..., C) (or (..., C) for one vector), for
     (..., C, K) ``weights`` and (..., C, K, D) ``means``/``variances``:
     a ``GMMClassifier``, a ``GMMParameterSample`` or a stack of them (or
-    one ``ClassGMM``, with no class axis)."""
+    one ``ClassGMM``, with no class axis).  A stack that carries its
+    ``_coefficients`` as ``coefficients`` skips rebuilding them.  The
+    result is a view of a rows-innermost (..., C, N) array."""
     z = np.asarray(z, dtype=np.float64)
     z2, dim = np.atleast_2d(z), params.means.shape[-1]
     if z2.ndim != 2 or z2.shape[1] != dim:
         raise ShapeError(f"expected feature vectors of dimension {dim}, got shape {z.shape}")
-    joint = _joint_log_densities(z2, _log_weights(params.weights), params.means, params.variances)
-    out = logsumexp(joint, axis=1)
+    coefficients = getattr(params, "coefficients", None)
+    if coefficients is None:
+        coefficients = _coefficients(_log_weights(params.weights), params.means, params.variances)
+    out = np.moveaxis(logsumexp(_joint_log_densities(z2, coefficients), axis=0), -1, 0)
     return out[0] if z.ndim == 1 else out
+
+
+def _posteriors(ld, axis=-1):
+    """Class posteriors p and -log p from log densities ``ld`` with the
+    classes on ``axis``, by one exp of the max-shifted densities sh:
+    p = exp(sh) / s and -log p = log s - sh, with s the sum of exp(sh).
+    exp is taken of max(sh, _EXP_FLOOR) and zeroed below the floor."""
+    sh = ld - ld.max(axis=axis, keepdims=True)
+    p = np.maximum(sh, _EXP_FLOOR)
+    np.exp(p, out=p)
+    p *= sh >= _EXP_FLOOR
+    s = p.sum(axis=axis, keepdims=True)
+    p /= s
+    return p, np.subtract(np.log(s), sh, out=sh)
 
 
 def class_posterior(z, model: GMMClassifier):
     """p(c | z) under a uniform class prior: p(z|c) / sum_c' p(z|c')."""
-    ld = class_log_densities(z, model)
-    return np.exp(ld - logsumexp(ld, axis=-1, keepdims=True))
+    return _posteriors(class_log_densities(z, model))[0]
 
 
 def predict(z, model: GMMClassifier):

@@ -18,6 +18,7 @@ from gmmood.ensemble import (
 from gmmood.errors import ShapeError
 from gmmood.formats import FeatureMap
 from gmmood.gmm import (
+    ClassGMM,
     GMMClassifier,
     class_log_densities,
     class_posterior,
@@ -84,6 +85,22 @@ class TestVote:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             vote(np.zeros(3), [member([0.0, 4.0])])
+
+    def test_identical_classes_vote_for_the_lower_id(self):
+        """Classes 0 and 1 share their parameters in the point model and
+        in every member, so every vote goes to class 0 in the batched and
+        the single-vector paths, and so does the predicted class."""
+        rng = np.random.default_rng(18)
+        members = [member([m, m, 6.0]) for m in rng.normal(0.0, 0.5, size=9)]
+        model = GMMClassifier(
+            [ClassGMM(c, [1.0], [[mu]], [[1.0]]) for c, mu in enumerate([0.0, 0.0, 6.0])]
+        )
+        z = rng.uniform(-1.0, 1.0, size=(40, 1))
+        scores = score_samples(z, model, members)
+        assert (scores.vote_counts == [len(members), 0, 0]).all()
+        assert (scores.predicted_class == 0).all()
+        for row in z:
+            assert vote(row, members).counts.tolist() == [len(members), 0, 0]
 
 
 class TestMajorityClass:
@@ -299,7 +316,10 @@ def loop_class_log_densities(z, params):
 
 
 def loop_posterior(ld):
-    return np.exp(ld - logsumexp(ld, axis=1, keepdims=True))
+    """Max-shifted and normalised: exp(ld - logsumexp(ld)) would lose about
+    |ld| * eps to cancellation in the subtraction."""
+    p = np.exp(ld - ld.max(axis=1, keepdims=True))
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def loop_entropy(p):
@@ -358,6 +378,41 @@ def assert_close(got, want):
 N_MEMBERS = 12
 
 
+def top_two(ld):
+    """The largest of each row of class log densities and its gap to the
+    second largest."""
+    ordered = np.sort(ld, axis=1)
+    return ordered[:, -1], ordered[:, -1] - ordered[:, -2]
+
+
+def far_near_tie_rows(model, rng, rays=64, reach=2000):
+    """Rows where the point model's best class log density is below -1e4
+    and its top two classes are 5 to 30 nats apart: on random rays from
+    the class 0/1 midpoint, the loop reference bisects the top-two gap to
+    15 between unit steps that cross it."""
+    d = model.means.shape[2]
+    start = 0.5 * np.einsum("ck,ckd->cd", model.weights[:2], model.means[:2]).sum(axis=0)
+    v = rng.normal(size=(rays, d))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+
+    def excess_gap(t, ray):
+        return top_two(loop_class_log_densities(start + t[:, None] * v[ray], model))[1] - 15.0
+
+    t = np.tile(np.arange(float(reach)), rays)
+    ray = np.repeat(np.arange(rays), reach)
+    g = excess_gap(t, ray).reshape(rays, reach)
+    ray, i = np.nonzero(np.signbit(g[:, :-1]) != np.signbit(g[:, 1:]))
+    lo, hi, g_lo = i.astype(float), i + 1.0, g[ray, i]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        g_mid = excess_gap(mid, ray)
+        same = np.signbit(g_mid) == np.signbit(g_lo)
+        lo, hi, g_lo = np.where(same, mid, lo), np.where(same, hi, mid), np.where(same, g_mid, g_lo)
+    rows = start + lo[:, None] * v[ray]
+    top, gap = top_two(loop_class_log_densities(rows, model))
+    return rows[(top <= -1e4) & (gap >= 5.0) & (gap <= 30.0)]
+
+
 @pytest.fixture(
     scope="module",
     params=[(1, 0.0), (5, 0.0), (32, 0.0), (32, 1e4)],
@@ -366,8 +421,9 @@ N_MEMBERS = 12
 def kernel_case(request):
     """Three classes, an ensemble, the block step, and 2 * step + 1 rows
     cycling through far-OOD (every member certain), near-center,
-    between-center (members split) and random rows; the last case is the
-    D = 32 one translated by 1e4, data, prior and rows alike."""
+    between-center (members split), random, and far near-tie rows (see
+    ``far_near_tie_rows``); the last case is the D = 32 one translated by
+    1e4, data, prior and rows alike."""
     d, shift = request.param
     rng = np.random.default_rng(d)
     per_class = [rng.normal(10.0 * c, 1.0, size=(80, d)) + shift for c in range(3)]
@@ -385,6 +441,7 @@ def kernel_case(request):
         0.5 * (centers[cls % 2] + centers[cls % 2 + 1])[:, 0] + rng.normal(0.0, 0.01, (n, d)),
         rng.uniform(-5.0, 25.0, size=(n, d)),
     ]
+    candidates.append(np.resize(far_near_tie_rows(model, rng) - shift, (n, d)))
     kind = np.arange(n) % len(candidates)
     rows = np.choose(kind[:, None], candidates) + shift
     return model, members, step, rows
@@ -444,8 +501,10 @@ def test_score_samples_bytes_match_loop_reference(kernel_case, loop_reference, n
 
 def test_reference_rows_reach_certain_split_and_far_ood_cases(kernel_case, loop_reference):
     """The pool holds pixels where every member is certain (aleatoric
-    exactly +0.0), pixels where the members split, and pixels over 1e3
-    member standard deviations from every class."""
+    exactly +0.0), pixels where the members split, pixels over 1e3
+    member standard deviations from every class, and pixels where the
+    point model's best class log density is below -1e4 with its top two
+    classes 5 to 30 nats apart."""
     model, members, step, rows = kernel_case
     want = loop_reference(len(rows))
     certain = want["aleatoric"] == 0.0
@@ -454,6 +513,8 @@ def test_reference_rows_reach_certain_split_and_far_ood_cases(kernel_case, loop_
     sigma = max(np.sqrt(m.variances).max() for m in members)
     dist = np.abs(rows[:, None, :] - model.means.reshape(-1, rows.shape[1])).min(axis=(1, 2))
     assert (dist >= 1e3 * sigma).any()
+    top, gap = top_two(loop_class_log_densities(rows, model))
+    assert ((top <= -1e4) & (gap >= 5.0) & (gap <= 30.0)).any()
 
 
 def em_case(d, n):
@@ -499,3 +560,26 @@ def test_em_helpers_bytes_match_per_component_loops(d, n):
             diff = x - means[m]
             want_sq[m] = (resp[:, m, None] * diff * diff).sum(axis=0)
         assert_same_bytes(gmm_mod._weighted_sq_devs(x, resp, means), want_sq)
+
+
+@pytest.mark.parametrize("d", [1, 5, 32])
+def test_zero_weight_component_raises_no_floating_point_error(d):
+    """A zero-weight component's log weight is -inf and stays out of the
+    matrix product, so scoring and the E-step take no invalid operation,
+    far-OOD rows included."""
+    model, members = fitted_setup(seed=19, d=d)
+    one_hot = np.tile([1.0, 0.0], (model.num_classes, 1))
+    model = GMMClassifier(
+        [ClassGMM(g.class_id, [1.0, 0.0], g.means, g.variances) for g in model.classes]
+    )
+    members = [GMMParameterSample(m.means, m.variances, one_hot) for m in members]
+    rng = np.random.default_rng(20)
+    # row counts off the multiples of 8 that BLAS kernels tile without padding
+    z = np.concatenate([rng.normal(3.0, 3.0, (30, d)), rng.normal(0.0, 1e5, (9, d))])
+    log_w, means, variances, (near, _) = em_case(d, 30)
+    with np.errstate(all="raise", under="ignore"):
+        scores = score_samples(z, model, members)
+        resp, log_p = gmm_mod._e_step(near, log_w, means, variances)
+    for name in ens.UncertaintyMap.SCORE_CHANNELS:
+        assert np.isfinite(getattr(scores, name)).all()
+    assert np.isfinite(log_p).all() and (resp[:, 2] == 0.0).all()
