@@ -128,6 +128,10 @@ class ThresholdConfig:
     top_fraction: float = 0.05
     per_scan: bool = False
 
+    def __post_init__(self):
+        if not 0.0 < self.top_fraction < 1.0:
+            raise ValueError(f"top_fraction must be in (0, 1), got {self.top_fraction}")
+
 
 @dataclass
 class RunConfig:
@@ -249,6 +253,30 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _write_grid(out: Path, name: str, values, valid) -> str:
+    """Write an (H, W) or (H, W, D) array as the FMAP file ``out / name``
+    and return ``name``."""
+    values = np.asarray(values, dtype=np.float32)
+    fmap = FeatureMap(values, valid) if values.ndim == 3 else FeatureMap.from_grid(values, valid)
+    write_feature_map(fmap, out / name)
+    return name
+
+
+def _write_report(out: Path, name: str, report: metrics.EvalReport) -> None:
+    (out / f"eval_{name}.json").write_text(report.to_json())
+    (out / f"eval_{name}.csv").write_text(report.to_csv())
+
+
+def _read_labels(path: Path, shape, class_map: ClassMap) -> tuple:
+    """(train ids, outlier, ignore) of the label grid at ``path``, whose
+    H x W must be ``shape``; pixels the grid marks invalid are ignored."""
+    lmap = read_feature_map(path)
+    if lmap.values.shape[:2] != shape:
+        raise ShapeError(f"{path.name}: label grid {lmap.values.shape[:2]} does not match {shape}")
+    train, outlier, ignore = class_map.map_array(np.round(lmap.grid()).astype(np.int64))
+    return train, outlier, ignore | ~lmap.valid
+
+
 def _require_dir(path, what: str) -> Path:
     if path is None:
         raise Error(f"{what} is not configured")
@@ -258,22 +286,26 @@ def _require_dir(path, what: str) -> Path:
     return p
 
 
+def _each_file(paths, work, jobs: int = 1) -> list:
+    """Run ``work(path)`` for every path on ``jobs`` threads.
+
+    Returns, in path order, ``(path, result, None)``, or ``(path, None,
+    message)`` for a file whose work raised a library, value or OS error;
+    a bad file never stops the others.
+    """
+
+    def attempt(path):
+        try:
+            return path, work(path), None
+        except (Error, ValueError, OSError) as exc:
+            return path, None, str(exc)
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(attempt, paths))
+
+
 # ---------------------------------------------------------------------------
 # project
-
-
-def _project_one(scan_path: Path, label_path, cfg: RunConfig):
-    cloud = rangeview.parse_point_cloud(scan_path.read_bytes())
-    labels = None
-    if label_path is not None:
-        outlier_id = min(cfg.class_map.outlier_ids) if cfg.class_map.outlier_ids else 1
-        labels = rangeview.parse_labels(label_path.read_bytes(), len(cloud), outlier_id)
-    if labels is None:
-        image = rangeview.project_spherical(cloud, None, cfg.projection)
-        grid = None
-    else:
-        image, grid = rangeview.project_spherical(cloud, labels, cfg.projection)
-    return cloud, image, grid
 
 
 def cmd_project(cfg: RunConfig) -> int:
@@ -282,36 +314,34 @@ def cmd_project(cfg: RunConfig) -> int:
     out = Path(cfg.paths.out_dir)
     (out / "range").mkdir(parents=True, exist_ok=True)
     (out / "labels").mkdir(parents=True, exist_ok=True)
+    outlier_id = min(cfg.class_map.outlier_ids) if cfg.class_map.outlier_ids else 1
 
-    scans = sorted(scan_dir.glob("*.bin"))
-    entries = []
-    failed = 0
-    for scan_path in scans:
-        label_path = None
-        if label_dir is not None:
-            candidate = label_dir / (scan_path.stem + ".label")
-            label_path = candidate if candidate.exists() else None
-        entry = {"scan": scan_path.name}
-        try:
-            cloud, image, grid = _project_one(scan_path, label_path, cfg)
-            range_file = out / "range" / (scan_path.stem + ".fmap")
-            write_feature_map(FeatureMap(image.channels, image.valid), range_file)
-            entry.update(
-                points=len(cloud),
-                dropped_points=image.dropped_points,
-                range_image=str(range_file.relative_to(out)),
+    def project_one(scan_path: Path) -> dict:
+        cloud = rangeview.parse_point_cloud(scan_path.read_bytes())
+        label_path = label_dir / (scan_path.stem + ".label") if label_dir else None
+        if label_path is None or not label_path.exists():
+            image = rangeview.project_spherical(cloud, None, cfg.projection)
+            grid = None
+        else:
+            labels = rangeview.parse_labels(label_path.read_bytes(), len(cloud), outlier_id)
+            image, grid = rangeview.project_spherical(cloud, labels, cfg.projection)
+        entry = {
+            "scan": scan_path.name,
+            "points": len(cloud),
+            "dropped_points": image.dropped_points,
+            "range_image": _write_grid(
+                out, f"range/{scan_path.stem}.fmap", image.channels, image.valid
+            ),
+        }
+        if grid is not None:
+            entry["label_grid"] = _write_grid(
+                out, f"labels/{scan_path.stem}.fmap", grid, image.valid
             )
-            if grid is not None:
-                label_file = out / "labels" / (scan_path.stem + ".fmap")
-                write_feature_map(
-                    FeatureMap.from_grid(grid.astype(np.float32), image.valid), label_file
-                )
-                entry["label_grid"] = str(label_file.relative_to(out))
-        except (Error, ValueError, OSError) as exc:
-            entry["error"] = str(exc)
-            failed += 1
-        entries.append(entry)
+        return entry
 
+    done = _each_file(sorted(scan_dir.glob("*.bin")), project_one)
+    entries = [entry or {"scan": path.name, "error": error} for path, entry, error in done]
+    failed = sum(error is not None for _, _, error in done)
     _write_json(out / "project_manifest.json", {"files": entries, "failed": failed})
     return EXIT_PARTIAL if failed else EXIT_OK
 
@@ -332,21 +362,16 @@ def cmd_fit(cfg: RunConfig) -> int:
     if not feature_files:
         raise Error(f"no feature files in {feature_dir}")
     for fpath in feature_files:
-        lpath = label_dir / fpath.name
-        if not lpath.exists():
-            raise Error(f"missing label grid for {fpath.name}")
         fmap = read_feature_map(fpath)
-        lmap = read_feature_map(lpath)
         if fmap.dim != cfg.model.feature_dim:
             raise ShapeError(
                 f"{fpath.name}: feature dimension {fmap.dim} != configured "
                 f"{cfg.model.feature_dim}"
             )
-        if lmap.values.shape[:2] != fmap.values.shape[:2]:
-            raise ShapeError(f"{fpath.name}: label grid shape mismatch")
-        raw = np.round(lmap.grid()).astype(np.int64)
-        train, outlier, ignore = cfg.class_map.map_array(raw)
-        usable = fmap.valid & lmap.valid & ~outlier & ~ignore & (train >= 0)
+        train, outlier, ignore = _read_labels(
+            label_dir / fpath.name, fmap.valid.shape, cfg.class_map
+        )
+        usable = fmap.valid & ~outlier & ~ignore
         feats = fmap.values[usable].astype(np.float64)
         ids = train[usable]
         for c in range(n_classes):
@@ -386,21 +411,6 @@ def cmd_fit(cfg: RunConfig) -> int:
 # score
 
 
-def _score_grid_files(umap: ens.UncertaintyMap, stem: str, out: Path) -> dict:
-    written = {}
-    for channel in SCORE_CHANNELS:
-        values = getattr(umap, channel)
-        grid = np.where(umap.valid, values, 0.0).astype(np.float32)
-        path = out / "scores" / f"{stem}_{channel}.fmap"
-        write_feature_map(FeatureMap.from_grid(grid, umap.valid), path)
-        written[channel] = str(path.relative_to(out))
-    pred_path = out / "predictions" / f"{stem}.fmap"
-    pred = np.where(umap.valid, umap.predicted_class, -1).astype(np.float32)
-    write_feature_map(FeatureMap.from_grid(pred, umap.valid), pred_path)
-    written["predictions"] = str(pred_path.relative_to(out))
-    return written
-
-
 def cmd_score(cfg: RunConfig, jobs: int = 1) -> int:
     feature_dir = _require_dir(cfg.paths.feature_dir, "feature_dir")
     out = Path(cfg.paths.out_dir)
@@ -415,27 +425,25 @@ def cmd_score(cfg: RunConfig, jobs: int = 1) -> int:
         )
     members = nig.sample_ensemble(bank, cfg.ensemble.n_samples, cfg.ensemble.seed)
 
-    files = sorted(feature_dir.glob("*.fmap"))
+    def score_one(path: Path):
+        """Score one feature map and write its score grids and predictions
+        at once; return only what its OOD mask needs, and the names."""
+        umap = ens.score_feature_map(read_feature_map(path), model, members)
+        valid, stem = umap.valid, path.stem
+        written = {
+            channel: _write_grid(
+                out, f"scores/{stem}_{channel}.fmap",
+                np.where(valid, getattr(umap, channel), 0.0), valid,
+            )
+            for channel in SCORE_CHANNELS
+        }
+        written["predictions"] = _write_grid(
+            out, f"predictions/{stem}.fmap", np.where(valid, umap.predicted_class, -1), valid
+        )
+        return valid, umap.epistemic[valid], written
 
-    def process(path: Path):
-        """(stem, UncertaintyMap) or, for a bad file, (stem, error message)."""
-        try:
-            return path.stem, ens.score_feature_map(read_feature_map(path), model, members)
-        except (Error, OSError) as exc:
-            return path.stem, str(exc)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(process, files))
-    else:
-        outcomes = list(map(process, files))
-    results = {stem: r for stem, r in outcomes if not isinstance(r, str)}
-    errors = {stem: r for stem, r in outcomes if isinstance(r, str)}
-
-    manifest_files = []
-    warnings = []
-    stems = sorted(results)
-    scores = {stem: results[stem].epistemic[results[stem].valid] for stem in stems}
+    done = _each_file(sorted(feature_dir.glob("*.fmap"), key=lambda p: p.stem), score_one, jobs)
+    scored = [(path.stem, *result) for path, result, _ in done if result is not None]
 
     def threshold_of(values):
         if not values.size:
@@ -443,37 +451,32 @@ def cmd_score(cfg: RunConfig, jobs: int = 1) -> int:
         return metrics.percentile_threshold(values, cfg.threshold.top_fraction)[0]
 
     if cfg.threshold.per_scan:
-        thresholds = {stem: threshold_of(values) for stem, values in scores.items()}
+        thresholds = [threshold_of(values) for _, _, values, _ in scored]
     else:
-        pooled = np.concatenate(list(scores.values())) if scores else np.empty(0)
-        thresholds = dict.fromkeys(stems, threshold_of(pooled))
+        pooled = [values for _, _, values, _ in scored]
+        thresholds = [threshold_of(np.concatenate(pooled or [np.empty(0)]))] * len(scored)
 
-    for stem in stems:
-        umap = results[stem]
-        written = _score_grid_files(umap, stem, out)
-        threshold = thresholds.get(stem)
-        if not umap.valid.any():
+    manifest_files = []
+    warnings = []
+    for (stem, valid, values, written), threshold in zip(scored, thresholds):
+        if not valid.any():
             warnings.append(f"{stem}: no valid pixels")
-        if threshold is None:
-            mask = np.zeros_like(umap.valid)
-        else:
-            mask = umap.valid & (umap.epistemic > threshold)
-        mask_path = out / "ood_masks" / f"{stem}.fmap"
-        write_feature_map(
-            FeatureMap.from_grid(mask.astype(np.float32), umap.valid), mask_path
-        )
-        written["ood_mask"] = str(mask_path.relative_to(out))
+        mask = np.zeros_like(valid)
+        if threshold is not None:
+            mask[valid] = values > threshold
+        written["ood_mask"] = _write_grid(out, f"ood_masks/{stem}.fmap", mask, valid)
         manifest_files.append(
             {
                 "file": stem,
-                "n_valid": int(umap.valid.sum()),
+                "n_valid": int(valid.sum()),
                 "flagged": int(mask.sum()),
                 "threshold": threshold,
                 "outputs": written,
             }
         )
-    for stem, message in sorted(errors.items()):
-        manifest_files.append({"file": stem, "error": message})
+    manifest_files += [
+        {"file": p.stem, "error": error} for p, _, error in done if error is not None
+    ]
 
     _write_json(
         out / "score_manifest.json",
@@ -485,7 +488,7 @@ def cmd_score(cfg: RunConfig, jobs: int = 1) -> int:
             "per_scan": cfg.threshold.per_scan,
         },
     )
-    return EXIT_PARTIAL if errors else EXIT_OK
+    return EXIT_PARTIAL if len(scored) < len(done) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -505,68 +508,51 @@ def cmd_eval(cfg: RunConfig) -> int:
     if not pred_files:
         raise Error(f"no prediction grids in {pred_dir}")
 
-    channel_scores = {name: [] for name in SCORE_CHANNELS}
-    ood_flags = []
-    miou_pred = []
-    miou_gt = []
-    for ppath in pred_files:
+    def eval_one(ppath: Path):
+        """(OOD flags, {channel: float32 scores}, predicted ids, true ids)
+        of one scan's ranked pixels; the ids cover its in-distribution ones."""
         stem = ppath.stem
-        gt_path = label_dir / f"{stem}.fmap"
-        if not gt_path.exists():
-            raise Error(f"missing ground-truth label grid for {stem}")
         pred_map = read_feature_map(ppath)
-        gt_map = read_feature_map(gt_path)
-        if gt_map.values.shape[:2] != pred_map.values.shape[:2]:
-            raise ShapeError(f"{stem}: ground-truth shape mismatch")
-        score_maps = {}
+        train, outlier, ignore = _read_labels(
+            label_dir / f"{stem}.fmap", pred_map.valid.shape, cfg.class_map
+        )
+        ranked = pred_map.valid & ~ignore
+        scores = {}
         for channel in SCORE_CHANNELS:
-            spath = score_dir / "scores" / f"{stem}_{channel}.fmap"
-            if not spath.exists():
-                raise Error(f"missing score map {spath.name}")
-            score_maps[channel] = read_feature_map(spath)
-
-        valid = pred_map.valid & gt_map.valid
-        raw = np.round(gt_map.grid()).astype(np.int64)
-        train, outlier, ignore = cfg.class_map.map_array(raw)
-        ranked = valid & ~ignore
-        ood_flags.append(outlier[ranked])
-        for channel in SCORE_CHANNELS:
-            values = score_maps[channel].grid().astype(np.float64)[ranked]
-            if channel == "max_posterior":
-                values = -values
-            channel_scores[channel].append(values)
-
+            grid = read_feature_map(score_dir / "scores" / f"{stem}_{channel}.fmap").grid()
+            if grid.shape != ranked.shape:
+                raise ShapeError(f"{stem}_{channel}.fmap: grid {grid.shape} != {ranked.shape}")
+            scores[channel] = -grid[ranked] if channel == "max_posterior" else grid[ranked]
         id_pixels = ranked & ~outlier
-        miou_pred.append(np.round(pred_map.grid()).astype(np.int64)[id_pixels])
-        miou_gt.append(train[id_pixels])
+        pred = np.round(pred_map.grid()).astype(np.int64)
+        return outlier[ranked], scores, pred[id_pixels], train[id_pixels]
 
+    done = _each_file(pred_files, eval_one)
+    for path, _, error in done:
+        if error is not None:
+            print(f"error: {path.stem}: {error}", file=sys.stderr)
+    results = [result for _, result, _ in done if result is not None]
+    if not results:
+        raise Error(f"no scan in {pred_dir} could be evaluated")
+    ood_flags, channel_scores, pred_ids, true_ids = zip(*results)
     is_ood = np.concatenate(ood_flags)
     if not is_ood.any():
         raise UndefinedMetricError(
             "auroc, auprc, fpr95 undefined: ground truth contains no OOD pixels"
         )
     mean_iou, per_class = metrics.miou(
-        np.concatenate(miou_pred), np.concatenate(miou_gt), cfg.model.classes
+        np.concatenate(pred_ids), np.concatenate(true_ids), cfg.model.classes
     )
 
     for channel, report_name in zip(SCORE_CHANNELS, REPORT_CHANNELS):
-        data = metrics.ScoredPixels(np.concatenate(channel_scores[channel]), is_ood)
-        report = metrics.EvalReport(
-            auroc=metrics.auroc(data),
-            auprc=metrics.auprc(data),
-            fpr95=metrics.fpr_at_tpr(data),
-            miou=mean_iou,
-            per_class_iou=per_class,
-            n_id=data.n_id,
-            n_ood=data.n_ood,
-        )
-        (out / f"eval_{report_name}.json").write_text(report.to_json())
-        (out / f"eval_{report_name}.csv").write_text(report.to_csv())
+        values = np.concatenate([scores[channel] for scores in channel_scores])
+        report = metrics.EvalReport.of(metrics.ScoredPixels(values, is_ood), mean_iou, per_class)
+        _write_report(out, report_name, report)
         print(
             f"{report_name}: auroc={report.auroc:.4f} auprc={report.auprc:.4f} "
             f"fpr95={report.fpr95:.4f} miou={report.miou:.4f}"
         )
-    return EXIT_OK
+    return EXIT_PARTIAL if len(results) < len(done) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -580,21 +566,11 @@ def cmd_synth(cfg: RunConfig) -> int:
 
     ds = synthmod.generate(cfg.synth)
     for ci, feats in enumerate(ds.train_features):
-        fmap = FeatureMap(feats[None, :, :].astype(np.float32), np.ones((1, feats.shape[0]), bool))
-        write_feature_map(fmap, dataset_dir / f"train_class{ci}.fmap")
-    n_eval = ds.eval_features.shape[0]
-    write_feature_map(
-        FeatureMap(ds.eval_features[None].astype(np.float32), np.ones((1, n_eval), bool)),
-        dataset_dir / "eval_features.fmap",
-    )
-    write_feature_map(
-        FeatureMap.from_grid(ds.eval_labels[None].astype(np.float32), np.ones((1, n_eval), bool)),
-        dataset_dir / "eval_labels.fmap",
-    )
-    write_feature_map(
-        FeatureMap.from_grid(ds.eval_is_ood[None].astype(np.float32), np.ones((1, n_eval), bool)),
-        dataset_dir / "eval_is_ood.fmap",
-    )
+        _write_grid(dataset_dir, f"train_class{ci}.fmap", feats[None], np.ones((1, len(feats)), bool))
+    everywhere = np.ones((1, len(ds.eval_labels)), bool)
+    _write_grid(dataset_dir, "eval_features.fmap", ds.eval_features[None], everywhere)
+    _write_grid(dataset_dir, "eval_labels.fmap", ds.eval_labels[None], everywhere)
+    _write_grid(dataset_dir, "eval_is_ood.fmap", ds.eval_is_ood[None], everywhere)
     _write_json(dataset_dir / "generating_params.json", ds.generating_params)
 
     result = synthmod.run_benchmark(
@@ -606,12 +582,10 @@ def cmd_synth(cfg: RunConfig) -> int:
         em_max_iters=cfg.em.max_iters,
         em_tol=cfg.em.tol,
     )
-    (out / "eval_epistemic.json").write_text(result.epistemic.to_json())
-    (out / "eval_epistemic.csv").write_text(result.epistemic.to_csv())
-    (out / "eval_predictive.json").write_text(result.predictive.to_json())
-    (out / "eval_predictive.csv").write_text(result.predictive.to_csv())
-    _write_json(out / "delta_summary.json", result.delta_summary())
+    _write_report(out, "epistemic", result.epistemic)
+    _write_report(out, "predictive", result.predictive)
     summary = result.delta_summary()
+    _write_json(out / "delta_summary.json", summary)
     print(
         f"epistemic auroc={result.epistemic.auroc:.4f} "
         f"predictive auroc={result.predictive.auroc:.4f} "
@@ -623,6 +597,13 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -640,7 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=str, default=None)
-        cmd.add_argument("--jobs", type=int, default=1)
+        if name == "score":
+            cmd.add_argument("--jobs", type=_positive_int, default=1)
         for _, _, _, dest, parse in config_keys():
             flag = "--" + dest.replace("_", "-")
             if parse is _parse_bool:

@@ -163,6 +163,19 @@ class EvalReport:
     def __post_init__(self):
         self.per_class_iou = np.asarray(self.per_class_iou, dtype=np.float64)
 
+    @classmethod
+    def of(cls, data: ScoredPixels, miou: float, per_class_iou) -> "EvalReport":
+        """The detection metrics of ``data`` next to the given mIoU."""
+        return cls(
+            auroc=auroc(data),
+            auprc=auprc(data),
+            fpr95=fpr_at_tpr(data),
+            miou=miou,
+            per_class_iou=per_class_iou,
+            n_id=data.n_id,
+            n_ood=data.n_ood,
+        )
+
     def to_json_dict(self) -> dict:
         return {
             "auroc": self.auroc,

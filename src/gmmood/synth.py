@@ -19,7 +19,7 @@ import numpy as np
 
 from .ensemble import score_samples
 from .gmm import fit_classifier, predict
-from .metrics import EvalReport, ScoredPixels, auprc, auroc, fpr_at_tpr, miou
+from .metrics import EvalReport, ScoredPixels, miou
 from .nig import DEFAULT_PRIOR, NIGParams, build_bank, sample_ensemble
 
 
@@ -194,16 +194,7 @@ def run_benchmark(
     point_accuracy = float(np.mean(point_pred == gt[id_mask]))
 
     def report(score_values: np.ndarray) -> EvalReport:
-        data = ScoredPixels(score_values, is_ood)
-        return EvalReport(
-            auroc=auroc(data),
-            auprc=auprc(data),
-            fpr95=fpr_at_tpr(data),
-            miou=mean_iou,
-            per_class_iou=per_class,
-            n_id=int(id_mask.sum()),
-            n_ood=int(is_ood.sum()),
-        )
+        return EvalReport.of(ScoredPixels(score_values, is_ood), mean_iou, per_class)
 
     return BenchmarkResult(
         epistemic=report(scores.epistemic),

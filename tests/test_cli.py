@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -330,19 +331,55 @@ class TestScoreCommand:
 
     def test_jobs_do_not_change_outputs(self, fitted):
         cfg, out, root = fitted
+        (out / "range" / "bad.fmap").mkdir()  # unreadable: an error entry in both manifests
         out1 = root / "score1"
         out8 = root / "score8"
         assert main(["score", "--config", str(cfg), "--out", str(out1),
                      "--model-path", str(out / "model.gmmc"),
-                     "--bank-path", str(out / "bank.nigb"), "--jobs", "1"]) == EXIT_OK
+                     "--bank-path", str(out / "bank.nigb"), "--jobs", "1"]) == EXIT_PARTIAL
         assert main(["score", "--config", str(cfg), "--out", str(out8),
                      "--model-path", str(out / "model.gmmc"),
-                     "--bank-path", str(out / "bank.nigb"), "--jobs", "8"]) == EXIT_OK
-        files1 = sorted(p.relative_to(out1) for p in out1.rglob("*.fmap"))
-        files8 = sorted(p.relative_to(out8) for p in out8.rglob("*.fmap"))
-        assert files1 == files8 and files1
+                     "--bank-path", str(out / "bank.nigb"), "--jobs", "8"]) == EXIT_PARTIAL
+        files1 = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
+        files8 = sorted(p.relative_to(out8) for p in out8.rglob("*") if p.is_file())
+        assert files1 == files8 and Path("score_manifest.json") in files1
         for rel in files1:
             assert (out1 / rel).read_bytes() == (out8 / rel).read_bytes()
+        manifest = json.loads((out1 / "score_manifest.json").read_text())
+        assert [f["file"] for f in manifest["files"] if "error" in f] == ["bad"]
+
+    def test_memory_per_extra_scan_is_bounded(self, fitted):
+        """Only the valid mask and the epistemic values of a scored scan
+        outlive its scoring: 9 B per pixel, against 53 B for a kept
+        UncertaintyMap.  At these sizes the peak is still one scan's
+        scoring; the pooled threshold's two 8 B copies take over from
+        about a hundred scans."""
+        from gmmood.formats import FeatureMap, write_feature_map
+
+        _, out, root = fitted
+        rng = np.random.default_rng(5)
+        shape = (32, 256)
+
+        def traced_peak(n_scans):
+            features = root / f"features{n_scans}"
+            features.mkdir()
+            for i in range(n_scans):
+                fmap = FeatureMap(rng.normal(0.0, 10.0, (*shape, 5)), np.ones(shape, bool))
+                write_feature_map(fmap, features / f"{i:03d}.fmap")
+            argv = ["score", "--feature-dir", str(features), "--out", str(root / f"s{n_scans}"),
+                    "--model-path", str(out / "model.gmmc"), "--bank-path", str(out / "bank.nigb"),
+                    "--classes", "3", "--feature-dim", "5", "--n-samples", "8"]
+            assert main(argv) == EXIT_OK  # warm-up: lazy imports and caches
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = traced_peak(4), traced_peak(16)
+        per_pixel = (large - small) / (12 * shape[0] * shape[1])
+        assert per_pixel < 16, f"{per_pixel:.1f} B per pixel per extra scan"
 
 
 class TestEvalCommand:
@@ -375,6 +412,35 @@ class TestEvalCommand:
             assert report.to_json() == text
             assert (out / "eval" / f"eval_{name}.csv").exists()
         assert "epistemic" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage", ["deleted", "reshaped"])
+    def test_bad_scan_does_not_stop_the_others(self, fitted, capsys, damage):
+        from gmmood.formats import FeatureMap, write_feature_map
+
+        cfg, out, root = fitted
+        assert main(["score", "--config", str(cfg)]) == EXIT_OK
+        alone = root / "alone"
+        for sub, pattern in (("predictions", "000.fmap"), ("scores", "000_*.fmap")):
+            (alone / sub).mkdir(parents=True)
+            for path in (out / sub).glob(pattern):
+                shutil.copy(path, alone / sub / path.name)
+        damaged = out / "scores" / "001_aleatoric.fmap"
+        damaged.unlink()
+        if damage == "reshaped":
+            write_feature_map(FeatureMap(np.zeros((4, 4, 1)), np.ones((4, 4), bool)), damaged)
+        labels = ["--label-dir", str(out / "labels")]
+        assert main(["eval", "--config", str(cfg), *labels, "--score-dir", str(out),
+                     "--out", str(root / "eval_both")]) == EXIT_PARTIAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: 001: ")
+        assert main(["eval", "--config", str(cfg), *labels, "--score-dir", str(alone),
+                     "--out", str(root / "eval_alone")]) == EXIT_OK
+        reports = sorted(p.name for p in (root / "eval_alone").iterdir())
+        assert len(reports) == 12
+        for name in reports:
+            assert (root / "eval_both" / name).read_bytes() == (
+                root / "eval_alone" / name
+            ).read_bytes()
 
     def test_zero_ood_is_undefined_metric(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -536,6 +602,26 @@ class TestConfigPrecedence:
 
 
 class TestConfigHandling:
+    def test_top_fraction_outside_unit_interval_is_config_error(self, tmp_path):
+        args = cli.build_parser().parse_args(["score", "--top-fraction", "1.5"])
+        with pytest.raises(ValueError, match="top_fraction must be in"):
+            load_run_config(None, args)
+        path = tmp_path / "run.ini"
+        path.write_text("[threshold]\ntop_fraction = 0\n")
+        assert main(["score", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--jobs", "2"], ["project", "--jobs", "1"], ["score", "--jobs", "0"],
+         ["score", "--jobs", "-3"]],
+    )
+    def test_jobs_is_a_positive_score_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "--jobs" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "none.ini")]) == EXIT_CONFIG
 
