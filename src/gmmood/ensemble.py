@@ -9,27 +9,30 @@ entropy and maximum posterior.  All entropies are in nats.
 
 Scoring stacks the point model as member 0 in front of the members and
 builds their GEMM coefficients once per call; each block of pixels then
-takes all their class densities from one call of the ``gmm`` kernel.  A
-block holds ``_BLOCK_VALUES`` component log densities, (M + 1) * C * K
+takes all their joint log densities from one call of the ``gmm`` kernel.
+A block holds ``_BLOCK_VALUES`` component log densities, (M + 1) * C * K
 per pixel (the kernel's GEMM outputs), so its memory is bounded for any
 scan size and feature dimension.
 
-A block is reduced on its (M + 1, C, N) class log densities, pixels
-innermost: sh = ld - max over C; one exp, p = exp(sh) / s with s the sum
-over C; -log p = log s - sh, so the member entropies -sum p log p take no
-second log; each member's vote is the lowest class id holding its
-maximum, tallied by one ``np.bincount``.  The point model's entropy and
-maximum posterior come from member 0 of the same arrays.
+A block is reduced on its (M + 1, C, N) class sums s (``gmm._class_sums``,
+one exp per component density, pixels innermost): p = s / S with S the
+sum over C; each posterior entropy is sum_c p (log S - log s), whose
+terms are each >= 0 because s <= S, so an entropy far below log S is not
+rounded away; each member's vote is the lowest class id holding the
+largest s, tallied by one ``np.bincount``.  The floor of
+``_class_sums`` keeps every s > 0, so no log needs a mask and no class
+log density, second exp or second normaliser is taken.  The point
+model's entropy and maximum posterior come from member 0 of the same
+arrays.
 """
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ShapeError
 from .formats import FeatureMap
-from .gmm import GMMClassifier, _coefficients, _log_weights, _posteriors, class_log_densities
+from .gmm import GMMClassifier, _class_sums, _coefficients, _joint_log_densities, _log_weights
 from .gmm import logsumexp  # noqa: F401  unused here; perfbench traces ensemble.logsumexp
 from .nig import GMMParameterSample
 
@@ -114,40 +117,40 @@ def _entropy_rows(p: np.ndarray, axis=-1) -> np.ndarray:
 
 
 def _stack(ensemble: list[GMMParameterSample], *front):
-    """(M, C, K) ``weights``, (M, C, K, D) ``means``/``variances`` and
-    their GEMM ``coefficients`` of the ``front`` parameter sets followed
-    by the ensemble members."""
+    """GEMM coefficients (``gmm._coefficients``) of the ``front``
+    parameter sets followed by the ensemble members, stacked along a
+    leading set axis."""
     if not ensemble:
         raise ValueError("ensemble must be non-empty")
     models = [*front, *ensemble]
-    names = ("weights", "means", "variances")
-    stack = SimpleNamespace(**{k: np.stack([getattr(m, k) for m in models]) for k in names})
-    stack.coefficients = _coefficients(_log_weights(stack.weights), stack.means, stack.variances)
-    return stack
+    weights, means, variances = (
+        np.stack([getattr(m, k) for m in models]) for k in ("weights", "means", "variances")
+    )
+    return _coefficients(_log_weights(weights), means, variances)
 
 
-def _log_densities(z, stack) -> np.ndarray:
-    """(M, C, N) class log densities of (N, D) rows under a ``_stack``."""
-    return np.moveaxis(class_log_densities(z, stack), 0, -1)
-
-
-def _reduce_members(ld: np.ndarray, front: int = 0):
-    """Scores from (F + M, C, N) log densities whose first ``front`` = F
-    sets are not ensemble members: the members' (N, C) vote counts and
-    (N,) predictive entropy, aleatoric part and mutual information (see
-    ``decompose_uncertainty``), then every set's (F + M, C, N) class
-    posteriors and (F + M, N) posterior entropies."""
-    c, n = ld.shape[1:]
-    post, neg_log_post = _posteriors(ld, axis=1)
-    neg_log_post *= post
-    entropy = neg_log_post.sum(axis=1)
+def _reduce_members(joint: np.ndarray, front: int = 0):
+    """Scores from (K, F + M, C, N) joint log densities (overwritten)
+    whose first ``front`` = F sets are not ensemble members: the members'
+    (N, C) vote counts and (N,) predictive entropy, aleatoric part and
+    mutual information (see ``decompose_uncertainty``), then every set's
+    (F + M, C, N) class posteriors and (F + M, N) posterior entropies."""
+    s = _class_sums(joint)
+    c, n = s.shape[1:]
     # each member's vote is the lowest class id holding its maximum: the
     # hit with the largest weight c - k, k the class id
-    members = ld[front:]
+    members = s[front:]
     hit = members == members.max(axis=1, keepdims=True)
     hit = np.multiply(hit, np.arange(c, 0, -1, dtype=np.min_scalar_type(c))[:, None])
     best = c - hit.max(axis=1) + c * np.arange(n)
     counts = np.bincount(best.ravel(), minlength=n * c).reshape(n, c)
+    total = s.sum(axis=1, keepdims=True)
+    post = s / total
+    # -log p = log total - log s >= 0 term by term, so entropies small
+    # next to log total are not absorbed; the floor keeps every s > 0
+    neg_log_post = np.subtract(np.log(total), np.log(s, out=s), out=s)
+    neg_log_post *= post
+    entropy = neg_log_post.sum(axis=1)
     predictive = _entropy_rows(post[front:].mean(axis=0), axis=0)
     aleatoric = entropy[front:].mean(axis=0)
     mi = np.maximum(predictive - aleatoric, 0.0)
@@ -159,7 +162,7 @@ def _reduce_one(z, ensemble: list[GMMParameterSample], what: str):
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
         raise ShapeError(f"{what}() takes a single feature vector")
-    return _reduce_members(_log_densities(z[None, :], _stack(ensemble)))
+    return _reduce_members(_joint_log_densities(z[None, :], _stack(ensemble)))
 
 
 def vote(z, ensemble: list[GMMParameterSample]) -> VoteRecord:
@@ -214,13 +217,14 @@ def score_samples(
 
     The point model is stacked as member 0 in front of the ensemble, and
     each block of about ``_BLOCK_VALUES`` log densities, (M + 1) * C * K
-    per row, is one density call."""
+    per row, is one kernel call and one reduction."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    stack = _stack(ensemble, model)
-    step = max(1, _BLOCK_VALUES // stack.weights.size)
+    coefficients = _stack(ensemble, model)
+    step = max(1, _BLOCK_VALUES // len(coefficients[1]))
     blocks = []
     for i in range(0, max(len(z), 1), step):  # no rows: one empty block
-        *scores, post, entropy = _reduce_members(_log_densities(z[i : i + step], stack), 1)
+        joint = _joint_log_densities(z[i : i + step], coefficients)
+        *scores, post, entropy = _reduce_members(joint, 1)
         blocks.append((*scores, entropy[0], post[0].max(axis=0)))
     counts, predictive, aleatoric, mi, point_entropy, point_max = map(np.concatenate, zip(*blocks))
     return SampleScores(

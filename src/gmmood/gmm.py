@@ -8,10 +8,11 @@ the responsibility-weighted sufficient statistics consumed by the
 Bayesian layer.
 
 One kernel, ``_joint_log_densities``, computes every Gaussian log
-density: EM's E-step calls it on one (K, D) mixture, and
-``class_log_densities`` reduces it over K for the point-estimate
-``GMMClassifier``, a sampled member (``nig.GMMParameterSample``) or a
-whole ensemble stacked along leading member axes.
+density: EM's E-step calls it on one (K, D) mixture, and the class
+reductions call it on the point-estimate ``GMMClassifier``, a sampled
+member (``nig.GMMParameterSample``) or a whole ensemble stacked along
+leading member axes.  It is also the one place that checks the rows'
+feature dimension, before its matrix product.
 
 The kernel expands the quadratic form into one float64 GEMM.  With
 P = 1/sigma^2 and c the mean of all the component means passed in,
@@ -29,14 +30,27 @@ derived from them agree to a few hundred eps relative to max(1, |value|),
 where an uncentred expansion of features at 1e4 is off by ~5e7 eps.
 
 The output is (K, ..., N): components first and the rows innermost, so
-the K-way log-sum-exp (``logsumexp``, the package's one max-shift
-log-sum-exp) and every later reduction over classes or members add up
+every later reduction over components, classes or members adds up
 contiguous slabs of N values rather than short trailing axes.  The
 finite constant rides in the GEMM against the feature 1.  The log
 weights are added after it: a zero weight's log is -inf, and folded into
 the GEMM it makes some BLAS kernels set the invalid-operation flag (seen
 at row counts off the kernel's tile width), which numpy reports as a
 warning from the product.
+
+Class posteriors take one normaliser.  ``_class_sums`` subtracts from
+the joint log densities j their max T over components and classes (per
+parameter set and row), takes one exp of max(j - T, -700) and sums it
+over components: s_c = p(z | c) exp(-T) up to the floor, so
+p(c | z) = s_c / sum_c' s_c' with no class log density, second max-shift
+or second exp in between.  The floor keeps exp on numpy's fast path and
+every s_c >= e^-700 > 0, so logs of s need no mask; each floored term
+adds at most e^-700 ~ 1e-304 to a total whose largest term is exactly 1.
+``class_log_densities`` (log-sum-exp over K, with ``logsumexp``, the
+package's one max-shift log-sum-exp) remains for the mixture densities
+themselves and ``predict``.  EM's E-step keeps ``logsumexp`` too: its
+responsibilities must be exactly 0 for a zero-weight component, which
+the floor would lift to e^-700.
 """
 
 from dataclasses import dataclass, field
@@ -206,8 +220,11 @@ def _coefficients(log_w, means, variances):
 def _joint_log_densities(z, coefficients) -> np.ndarray:
     """log w_k + log N(z | k), shape (K, ..., N), of (N, D) features under
     the ``_coefficients`` of (..., K) mixtures: one (J, 2D + 1) by
-    (2D + 1, N) GEMM, rows innermost."""
+    (2D + 1, N) GEMM, rows innermost.  Rows of any other shape raise
+    ``ShapeError`` before the product."""
     center, coef, log_w, shape = coefficients
+    if z.ndim != 2 or z.shape[1] != center.size:
+        raise ShapeError(f"expected rows of dimension {center.size}, got shape {z.shape}")
     n, d = z.shape
     feats = np.empty((2 * d + 1, n))
     np.subtract(z.T, center[:, None], out=feats[d : 2 * d])
@@ -247,41 +264,44 @@ def log_density(z, gmm: ClassGMM):
     return class_log_densities(z, gmm)
 
 
+def _class_sums(joint: np.ndarray) -> np.ndarray:
+    """Class sums s = sum_k exp(max(j - T, _EXP_FLOOR)), shape (..., C, N),
+    of (K, ..., C, N) joint log densities j (overwritten), T their max over
+    K and C per parameter set and row: p(c | z) = s_c / sum_c' s_c'."""
+    joint -= joint.max(axis=(0, -2), keepdims=True)
+    np.maximum(joint, _EXP_FLOOR, out=joint)
+    return np.exp(joint, out=joint).sum(axis=0)
+
+
+def _per_class(z, params, reduce):
+    """``reduce`` of the (K, ..., C, N) joint log densities of one D-vector
+    or (N, D) rows under ``params``, with the rows moved first (one vector
+    drops the row axis)."""
+    z = np.asarray(z, dtype=np.float64)
+    coefficients = _coefficients(_log_weights(params.weights), params.means, params.variances)
+    out = np.moveaxis(reduce(_joint_log_densities(np.atleast_2d(z), coefficients)), -1, 0)
+    return out[0] if z.ndim == 1 else out
+
+
 def class_log_densities(z, params):
     """log p(z | c), shape (N, ..., C) (or (..., C) for one vector), for
     (..., C, K) ``weights`` and (..., C, K, D) ``means``/``variances``:
     a ``GMMClassifier``, a ``GMMParameterSample`` or a stack of them (or
-    one ``ClassGMM``, with no class axis).  A stack that carries its
-    ``_coefficients`` as ``coefficients`` skips rebuilding them.  The
-    result is a view of a rows-innermost (..., C, N) array."""
-    z = np.asarray(z, dtype=np.float64)
-    z2, dim = np.atleast_2d(z), params.means.shape[-1]
-    if z2.ndim != 2 or z2.shape[1] != dim:
-        raise ShapeError(f"expected feature vectors of dimension {dim}, got shape {z.shape}")
-    coefficients = getattr(params, "coefficients", None)
-    if coefficients is None:
-        coefficients = _coefficients(_log_weights(params.weights), params.means, params.variances)
-    out = np.moveaxis(logsumexp(_joint_log_densities(z2, coefficients), axis=0), -1, 0)
-    return out[0] if z.ndim == 1 else out
+    one ``ClassGMM``, with no class axis).  The result is a view of a
+    rows-innermost (..., C, N) array."""
+    return _per_class(z, params, lambda joint: logsumexp(joint, axis=0))
 
 
-def _posteriors(ld, axis=-1):
-    """Class posteriors p and -log p from log densities ``ld`` with the
-    classes on ``axis``, by one exp of the max-shifted densities sh:
-    p = exp(sh) / s and -log p = log s - sh, with s the sum of exp(sh).
-    exp is taken of max(sh, _EXP_FLOOR) and zeroed below the floor."""
-    sh = ld - ld.max(axis=axis, keepdims=True)
-    p = np.maximum(sh, _EXP_FLOOR)
-    np.exp(p, out=p)
-    p *= sh >= _EXP_FLOOR
-    s = p.sum(axis=axis, keepdims=True)
-    p /= s
-    return p, np.subtract(np.log(s), sh, out=sh)
+def _normalised_class_sums(joint):
+    """Class posteriors s / sum_c s from joint log densities."""
+    s = _class_sums(joint)
+    s /= s.sum(axis=-2, keepdims=True)
+    return s
 
 
 def class_posterior(z, model: GMMClassifier):
     """p(c | z) under a uniform class prior: p(z|c) / sum_c' p(z|c')."""
-    return _posteriors(class_log_densities(z, model))[0]
+    return _per_class(z, model, _normalised_class_sums)
 
 
 def predict(z, model: GMMClassifier):

@@ -6,7 +6,8 @@ likely out-of-distribution.  AUROC uses the Mann-Whitney formulation
 (ties count one half), AUPRC is the average precision with stable input
 order breaking score ties, and FPR95 is the smallest false-positive rate
 among thresholds whose true-positive rate reaches the target under the
-rule ``flag score >= t``.
+rule ``flag score >= t``.  All three read one stable descending sort of
+the scores, which ``ScoredPixels`` takes on first use and keeps.
 """
 
 import csv
@@ -14,6 +15,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +43,15 @@ class ScoredPixels:
     def n_id(self) -> int:
         return int((~self.is_ood).sum())
 
+    @cached_property
+    def ranking(self) -> tuple[np.ndarray, np.ndarray]:
+        """``is_ood`` in the stable descending order of the scores, and
+        the end of each block of equal scores in that order."""
+        order = np.argsort(-self.scores, kind="stable")
+        ranked = self.scores[order]
+        ends = np.append(np.nonzero(ranked[1:] != ranked[:-1])[0] + 1, ranked.size)
+        return self.is_ood[order], ends
+
 
 def _require_both_classes(data: ScoredPixels, metric: str) -> None:
     if data.n_ood == 0 or data.n_id == 0:
@@ -53,12 +64,14 @@ def _require_both_classes(data: ScoredPixels, metric: str) -> None:
 def auroc(data: ScoredPixels) -> float:
     """P(random OOD score > random ID score), ties counting 1/2."""
     _require_both_classes(data, "auroc")
-    # average rank of each distinct score: midpoint of its 1-based run
-    _, inverse, counts = np.unique(data.scores, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    ranks = (0.5 * (ends + ends - counts + 1))[inverse]
+    flags, ends = data.ranking
+    # the descending block [a, b) holds the ascending 1-based ranks
+    # n - b + 1 .. n - a, average n - (a + b - 1) / 2: half-integers, so
+    # the rank sum is exact
+    starts = np.append(0, ends[:-1])
+    ood = np.diff(np.cumsum(flags)[ends - 1], prepend=0)
+    rank_sum = (ood * (flags.size - 0.5 * (starts + ends - 1))).sum()
     n_ood, n_id = data.n_ood, data.n_id
-    rank_sum = ranks[data.is_ood].sum()
     return float((rank_sum - n_ood * (n_ood + 1) / 2.0) / (n_ood * n_id))
 
 
@@ -68,8 +81,7 @@ def auprc(data: ScoredPixels) -> float:
     Ties are broken by stable input order.
     """
     _require_both_classes(data, "auprc")
-    order = np.argsort(-data.scores, kind="stable")
-    flags = data.is_ood[order]
+    flags, _ = data.ranking
     tp = np.cumsum(flags)
     ranks = np.arange(1, flags.size + 1)
     precision_at_pos = tp[flags] / ranks[flags]
@@ -81,14 +93,11 @@ def fpr_at_tpr(data: ScoredPixels, target_tpr: float = 0.95) -> float:
     _require_both_classes(data, "fpr_at_tpr")
     if not 0.0 < target_tpr <= 1.0:
         raise ValueError(f"target_tpr must be in (0, 1], got {target_tpr}")
-    order = np.argsort(-data.scores, kind="stable")
-    scores = data.scores[order]
-    flags = data.is_ood[order]
+    flags, ends = data.ranking
     tp = np.cumsum(flags)
     fp = np.cumsum(~flags)
     # thresholds can only sit at the end of a group of equal scores
-    boundary = np.nonzero(np.diff(scores) != 0)[0]
-    cut = np.append(boundary, scores.size - 1)
+    cut = ends - 1
     tpr = tp[cut] / data.n_ood
     fpr = fp[cut] / data.n_id
     feasible = np.nonzero(tpr >= target_tpr)[0]

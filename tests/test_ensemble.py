@@ -276,6 +276,15 @@ class TestScoreFeatureMap:
         with pytest.raises(ShapeError):
             score_feature_map(fmap, model, members)
 
+    def test_rows_of_another_dimension_raise_shape_error(self):
+        """Rows one feature too wide are refused before the matrix product,
+        by the batched and the single-vector paths alike."""
+        model, members = fitted_setup(seed=15, d=2)
+        with pytest.raises(ShapeError):
+            score_samples(np.zeros((4, 3)), model, members)
+        with pytest.raises(ShapeError):
+            decompose_uncertainty(np.zeros(3), members)
+
     def test_majority_matches_mode_of_votes(self):
         model, members = fitted_setup(seed=16)
         rng = np.random.default_rng(17)
@@ -583,3 +592,40 @@ def test_zero_weight_component_raises_no_floating_point_error(d):
     for name in ens.UncertaintyMap.SCORE_CHANNELS:
         assert np.isfinite(getattr(scores, name)).all()
     assert np.isfinite(log_p).all() and (resp[:, 2] == 0.0).all()
+
+
+def test_rows_far_from_all_classes_but_one_stay_finite_and_certain():
+    """Rows over 700 nats from every class but one under the point model
+    and every member, near the classes and far from all of them: every
+    other component density is floored at exp(-700), and with a
+    zero-weight component in each mixture no floating-point flag is
+    raised.  The nearest class takes every vote and the whole posterior,
+    and each entropy is left at no more than a few floored terms."""
+    rng = np.random.default_rng(21)
+    centers = np.array([0.0, 1e3, 2e3])
+
+    def mixture_params(shift):
+        means = np.stack([centers + shift, centers + shift + 5.0], axis=1)[..., None]
+        return means, np.ones_like(means), np.tile([1.0, 0.0], (3, 1))
+
+    means, variances, weights = mixture_params(0.0)
+    model = GMMClassifier(
+        [ClassGMM(c, weights[c], means[c], variances[c]) for c in range(3)]
+    )
+    members = [GMMParameterSample(*mixture_params(s)) for s in rng.normal(0.0, 0.5, 8)]
+    near = centers[rng.integers(3, size=30)] + rng.uniform(-2.0, 2.0, 30)
+    far = np.array([-1e4, -3e5, 1e4, 3e5])
+    z = np.concatenate([near, far])[:, None]
+    nearest = np.abs(z - centers).argmin(axis=1)
+    with np.errstate(all="raise"):
+        scores = score_samples(z, model, members)
+    for name in ens.UncertaintyMap.SCORE_CHANNELS:
+        assert np.isfinite(getattr(scores, name)).all()
+    assert (scores.max_posterior == 1.0).all()
+    for name in ("predictive_entropy", "aleatoric", "deterministic_entropy"):
+        value = getattr(scores, name)
+        assert (value >= 0.0).all() and (value < 1e-300).all()
+    want = np.zeros((len(z), 3), dtype=np.int64)
+    want[np.arange(len(z)), nearest] = len(members)
+    np.testing.assert_array_equal(scores.vote_counts, want)
+    np.testing.assert_array_equal(scores.predicted_class, nearest)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -176,6 +177,66 @@ class TestFprAtTpr:
         targets = [0.99, 0.95, 0.9, 0.5, 0.1]
         values = [fpr_at_tpr(data, t) for t in targets]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+def unique_rank_auroc(data):
+    """Mann-Whitney AUROC from ``np.unique`` average ranks."""
+    _, inverse, counts = np.unique(data.scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (0.5 * (ends + ends - counts + 1))[inverse]
+    n_ood, n_id = data.n_ood, data.n_id
+    rank_sum = ranks[data.is_ood].sum()
+    return float((rank_sum - n_ood * (n_ood + 1) / 2.0) / (n_ood * n_id))
+
+
+def argsort_auprc(data):
+    order = np.argsort(-data.scores, kind="stable")
+    flags = data.is_ood[order]
+    tp = np.cumsum(flags)
+    ranks = np.arange(1, flags.size + 1)
+    return float((tp[flags] / ranks[flags]).sum() / data.n_ood)
+
+
+def argsort_fpr_at_tpr(data, target_tpr=0.95):
+    order = np.argsort(-data.scores, kind="stable")
+    scores = data.scores[order]
+    flags = data.is_ood[order]
+    tp = np.cumsum(flags)
+    fp = np.cumsum(~flags)
+    cut = np.append(np.nonzero(np.diff(scores) != 0)[0], scores.size - 1)
+    tpr = tp[cut] / data.n_ood
+    fpr = fp[cut] / data.n_id
+    return float(fpr[np.nonzero(tpr >= target_tpr)[0][0]])
+
+
+@pytest.mark.parametrize("decimals", [1, 3, None], ids=["heavy-ties", "ties", "no-ties"])
+def test_shared_sort_matches_separate_sorts_bit_for_bit(decimals):
+    """``auroc``, ``auprc`` and ``fpr_at_tpr`` read one cached descending
+    sort and equal, bit for bit, a sort of their own, whichever of them
+    fills the cache first."""
+    rng = np.random.default_rng(6)
+    for n in (2, 37, 5000):
+        raw = rng.normal(size=n)
+        scores = raw if decimals is None else np.round(raw, decimals)
+        is_ood = rng.random(n) < 0.2
+        is_ood[:2] = [True, False]
+        ref = ScoredPixels(scores, is_ood)
+        want = {
+            "auroc": unique_rank_auroc(ref),
+            "auprc": argsort_auprc(ref),
+            "fpr_at_tpr": argsort_fpr_at_tpr(ref),
+            "fpr_at_tpr_0.5": argsort_fpr_at_tpr(ref, 0.5),
+        }
+        calls = {
+            "auroc": auroc,
+            "auprc": auprc,
+            "fpr_at_tpr": fpr_at_tpr,
+            "fpr_at_tpr_0.5": lambda d: fpr_at_tpr(d, 0.5),
+        }
+        for names in itertools.permutations(calls):
+            data = ScoredPixels(scores, is_ood)
+            for name in names:
+                assert calls[name](data).hex() == want[name].hex(), (n, names, name)
 
 
 class TestMiou:
