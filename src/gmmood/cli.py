@@ -22,7 +22,7 @@ from . import ensemble as ens
 from . import gmm, metrics, nig, rangeview
 from . import synth as synthmod
 from .errors import Error, ShapeError, UndefinedMetricError
-from .formats import FeatureMap, read_feature_map, write_feature_map
+from .formats import FeatureMap, read_feature_map, write_atomic, write_feature_map
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -250,7 +250,7 @@ def load_run_config(path=None, args=None) -> RunConfig:
 
 def _write_json(path: Path, doc) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_atomic(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
 
 
 def _write_grid(out: Path, name: str, values, valid) -> str:
@@ -263,8 +263,8 @@ def _write_grid(out: Path, name: str, values, valid) -> str:
 
 
 def _write_report(out: Path, name: str, report: metrics.EvalReport) -> None:
-    (out / f"eval_{name}.json").write_text(report.to_json())
-    (out / f"eval_{name}.csv").write_text(report.to_csv())
+    write_atomic(out / f"eval_{name}.json", report.to_json().encode())
+    write_atomic(out / f"eval_{name}.csv", report.to_csv().encode())
 
 
 def _read_labels(path: Path, shape, class_map: ClassMap) -> tuple:

@@ -24,22 +24,58 @@ largest s, tallied by one ``np.bincount``.  The floor of
 log density, second exp or second normaliser is taken.  The point
 model's entropy and maximum posterior come from member 0 of the same
 arrays.
+
+The blocks of a call run on one process-wide thread pool, one thread
+per usable CPU, which every concurrent call shares (``score --jobs N``
+scores N scans on the same threads, so they do not oversubscribe the
+cores).  They run there only inside ``_blas.single_thread()``, which
+holds OpenBLAS at one thread, since its own threads would fight the
+pool's; where no OpenBLAS is found the blocks run one after another on
+the calling thread.  Each block runs in a copy of the caller's context,
+so a caller's ``np.errstate`` holds in it, and reduces its own
+contiguous kernel output, so the scores are bit-identical to the serial
+path.  Never call ``score_samples`` from a pool thread: it would wait on
+blocks queued behind the one it runs in.
 """
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .errors import ShapeError
 from .formats import FeatureMap
 from .gmm import GMMClassifier, _class_sums, _coefficients, _joint_log_densities, _log_weights
 from .gmm import logsumexp  # noqa: F401  unused here; perfbench traces ensemble.logsumexp
 from .nig import GMMParameterSample
 
-# float64 log densities (GEMM outputs) per scoring block, 1 MB: on the
-# paper-shape scans, 2**16-2**17 score fastest at D = 32 and at D = 5,
-# with one or two BLAS threads
+# float64 log densities (GEMM outputs) per scoring block, 1 MB.  With
+# the blocks on the pool, one 46.7k-pixel paper-shape scan took (median
+# ms of 30, 2 vCPUs, one | two BLAS threads) 275 | 287 at 2**17 and
+# 251 | 255 at 2**18 for D = 32, 241 | 222 and 216 | 207 for D = 5;
+# 2**16 and 2**15 were 1.2-2x slower.  The gain of 2**18 is inside the
+# quartile spread of 2**17's runs and costs score-d32 ~5 MB of peak RSS.
 _BLOCK_VALUES = 1 << 17
+
+
+def _start_pool():
+    """One pool for every scan, so concurrent scans share the cores rather
+    than oversubscribe them; its threads start on first use.  A forked
+    child starts its own: the parent's threads do not survive the fork,
+    and blocks queued on the parent's pool would never run."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+        thread_name_prefix="gmmood-score",
+    )
+
+
+_start_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_pool)
 
 
 @dataclass
@@ -210,6 +246,24 @@ class SampleScores:
     max_posterior: np.ndarray
 
 
+def _map_blocks(work, starts) -> list:
+    """``[work(i) for i in starts]``, on the shared pool while OpenBLAS is
+    held at one thread, or serially where no OpenBLAS is found.  Returns
+    only once no item is running, also when one raised."""
+    with _blas.single_thread() as held:
+        if not held:
+            return list(map(work, starts))
+        # each block runs in a copy of the caller's context, so that its
+        # numpy errstate (a context variable) holds on the pool threads
+        futures = [_POOL.submit(contextvars.copy_context().run, work, i) for i in starts]
+        try:
+            return [f.result() for f in futures]
+        finally:
+            for f in futures:
+                f.cancel()
+            wait(futures)
+
+
 def score_samples(
     z, model: GMMClassifier, ensemble: list[GMMParameterSample]
 ) -> SampleScores:
@@ -221,11 +275,13 @@ def score_samples(
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     coefficients = _stack(ensemble, model)
     step = max(1, _BLOCK_VALUES // len(coefficients[1]))
-    blocks = []
-    for i in range(0, max(len(z), 1), step):  # no rows: one empty block
+
+    def block(i):
         joint = _joint_log_densities(z[i : i + step], coefficients)
         *scores, post, entropy = _reduce_members(joint, 1)
-        blocks.append((*scores, entropy[0], post[0].max(axis=0)))
+        return (*scores, entropy[0], post[0].max(axis=0))
+
+    blocks = _map_blocks(block, range(0, max(len(z), 1), step))  # no rows: one empty block
     counts, predictive, aleatoric, mi, point_entropy, point_max = map(np.concatenate, zip(*blocks))
     return SampleScores(
         predicted_class=model.class_ids[np.argmax(counts, axis=1)],

@@ -10,9 +10,13 @@ declare.
 FMAP payload: H*W*D float32 values, row-major with the feature
 dimension fastest, then H*W validity bytes (0 or 1).  Every value of a
 valid pixel must be finite.
+
+Every file the package writes goes through ``write_atomic``.
 """
 
+import os
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,8 +122,27 @@ def feature_map_from_bytes(data: bytes) -> FeatureMap:
     return fmap
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it into
+    place: a reader sees the old file or the new one, never part of one,
+    and a write that fails leaves the old file and no temp file."""
+    path = Path(path)
+    # unique among live writers: one thread writes one file at a time
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            # the error names the file asked for, as a direct write's would
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise
+
+
 def write_feature_map(fmap: FeatureMap, path) -> None:
-    Path(path).write_bytes(feature_map_to_bytes(fmap))
+    write_atomic(path, feature_map_to_bytes(fmap))
 
 
 def read_feature_map(path) -> FeatureMap:

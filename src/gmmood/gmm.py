@@ -59,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConvergenceError, InsufficientDataError, ShapeError
-from .formats import HEADER_SIZE, container_dims, container_to_bytes
+from .formats import HEADER_SIZE, container_dims, container_to_bytes, write_atomic
 
 VARIANCE_FLOOR = 1e-6
 COLLAPSE_THRESHOLD = 1e-6
@@ -435,7 +435,7 @@ def classifier_from_bytes(data: bytes) -> GMMClassifier:
 
 
 def save_classifier(model: GMMClassifier, path) -> None:
-    Path(path).write_bytes(classifier_to_bytes(model))
+    write_atomic(path, classifier_to_bytes(model))
 
 
 def load_classifier(path) -> GMMClassifier:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidStatisticsError, ShapeError
-from .formats import HEADER_SIZE, container_dims, container_to_bytes
+from .formats import HEADER_SIZE, container_dims, container_to_bytes, write_atomic
 from .gmm import GMMClassifier, SufficientStats
 
 NIGB_MAGIC = b"NIGB"
@@ -239,7 +239,7 @@ def bank_from_bytes(data: bytes) -> NIGPosteriorBank:
 
 
 def save_bank(bank: NIGPosteriorBank, path) -> None:
-    Path(path).write_bytes(bank_to_bytes(bank))
+    write_atomic(path, bank_to_bytes(bank))
 
 
 def load_bank(path) -> NIGPosteriorBank:

@@ -1,9 +1,16 @@
 import math
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp, xlogy
 
+from gmmood import _blas
 from gmmood import ensemble as ens
 from gmmood import gmm as gmm_mod
 from gmmood.ensemble import (
@@ -629,3 +636,180 @@ def test_rows_far_from_all_classes_but_one_stay_finite_and_certain():
     want[np.arange(len(z)), nearest] = len(members)
     np.testing.assert_array_equal(scores.vote_counts, want)
     np.testing.assert_array_equal(scores.predicted_class, nearest)
+
+
+# ---------------------------------------------------------------------------
+# blocks on the shared pool under the OpenBLAS hold
+
+SCORE_FIELDS = ("predicted_class", "vote_counts", *ens.UncertaintyMap.SCORE_CHANNELS)
+
+
+def blas_threads() -> tuple:
+    """The thread count of each OpenBLAS found."""
+    return tuple(get() for get, _ in _blas._libraries())
+
+
+@pytest.fixture
+def blas_at_two():
+    """Every OpenBLAS found set to two threads, so that a count left at
+    one shows, and reset afterwards; skips where none is found."""
+    libraries = _blas._libraries()
+    if not libraries:
+        pytest.skip("no OpenBLAS found")
+    before = blas_threads()
+    for _, put in libraries:
+        put(2)
+    yield blas_threads()
+    for (_, put), count in zip(libraries, before):
+        put(count)
+
+
+@pytest.fixture
+def block_log(monkeypatch):
+    """(thread name, OpenBLAS thread counts) recorded by every block."""
+    log = []
+    reduce_members = ens._reduce_members
+
+    def recording(*args):
+        log.append((threading.current_thread().name, blas_threads()))
+        return reduce_members(*args)
+
+    monkeypatch.setattr(ens, "_reduce_members", recording)
+    return log
+
+
+@pytest.mark.parametrize(
+    "n_rows", [lambda step: 1, lambda step: 2 * step + 1, lambda step: 8 * step + 3],
+    ids=["1", "2step+1", "8step+3"],
+)
+def test_pooled_scores_equal_serial_bit_for_bit(kernel_case, monkeypatch, n_rows):
+    """The rows cycle through every kind of ``kernel_case``, far-OOD
+    included; the serial path is the one taken when no OpenBLAS is found."""
+    model, members, step, rows = kernel_case
+    z = np.resize(rows, (n_rows(step), rows.shape[1]))
+    pooled = score_samples(z, model, members)
+    monkeypatch.setattr(_blas, "_found", [])
+    serial = score_samples(z, model, members)
+    for name in SCORE_FIELDS:
+        assert_same_bytes(getattr(pooled, name), getattr(serial, name))
+
+
+def test_blocks_run_on_the_pool_with_one_blas_thread(blas_at_two, block_log):
+    model, members = fitted_setup()
+    step = ens._BLOCK_VALUES // ((len(members) + 1) * model.weights.size)
+    score_samples(np.random.default_rng(0).normal(size=(5 * step, 2)), model, members)
+    assert len(block_log) == 5
+    assert all(name.startswith("gmmood-score") for name, _ in block_log)
+    assert {counts for _, counts in block_log} == {(1,) * len(blas_at_two)}
+    assert blas_threads() == blas_at_two
+
+
+def test_callers_errstate_holds_in_pooled_blocks(monkeypatch):
+    """numpy's errstate is per thread and context; a block on the pool
+    runs in the caller's, so a check made under ``np.errstate`` covers it."""
+
+    def divide_by_zero(*args):
+        return np.log(np.zeros(1))
+
+    monkeypatch.setattr(ens, "_reduce_members", divide_by_zero)
+    model, members = fitted_setup()
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        score_samples(np.zeros((4, 2)), model, members)
+
+
+def test_serial_blocks_run_on_the_calling_thread(monkeypatch, block_log):
+    monkeypatch.setattr(_blas, "_found", [])
+    model, members = fitted_setup()
+    step = ens._BLOCK_VALUES // ((len(members) + 1) * model.weights.size)
+    score_samples(np.zeros((3 * step, 2)), model, members)
+    assert [name for name, _ in block_log] == [threading.current_thread().name] * 3
+
+
+def test_blas_threads_restored_after_a_block_raises(blas_at_two, block_log):
+    model, members = fitted_setup()
+    with pytest.raises(ShapeError):
+        score_samples(np.zeros((4, 3)), model, members)  # the kernel checks D
+    assert blas_threads() == blas_at_two
+    assert _blas._holders == 0
+
+
+def test_overlapping_scans_share_the_pool_and_restore_blas_threads(blas_at_two):
+    model, members = fitted_setup()
+    step = ens._BLOCK_VALUES // ((len(members) + 1) * model.weights.size)
+    z = np.random.default_rng(1).normal(1.5, 3.0, size=(20 * step, 2))
+    want = score_samples(z, model, members)
+    start = threading.Barrier(2, timeout=30)
+    got = [None, None]
+
+    def scan(i):
+        start.wait()
+        got[i] = score_samples(z, model, members)
+
+    workers = [threading.Thread(target=scan, args=(i,)) for i in range(2)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=60)
+    assert not any(w.is_alive() for w in workers)
+    for result in got:
+        for name in SCORE_FIELDS:
+            assert_same_bytes(getattr(result, name), getattr(want, name))
+    assert blas_threads() == blas_at_two
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_scores_on_its_own_pool():
+    """The parent's pool threads exist when it forks; a child that scores
+    must not queue its blocks on that pool, whose threads it lacks."""
+    model, members = fitted_setup()
+    step = ens._BLOCK_VALUES // ((len(members) + 1) * model.weights.size)
+    z = np.random.default_rng(2).normal(1.5, 3.0, size=(5 * step, 2))
+    want = score_samples(z, model, members)
+    with warnings.catch_warnings():  # newer Pythons warn on fork with threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            got = score_samples(z, model, members)
+            same = all(np.array_equal(getattr(got, f), getattr(want, f)) for f in SCORE_FIELDS)
+            code = 0 if same else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish scoring within 60 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_hold_counts_overlapping_holders(blas_at_two):
+    """More holders than cores entering and leaving with a short switch
+    interval: a lost update of the holder count would leave OpenBLAS at
+    one thread, or restore it while a holder is still inside."""
+    seen = set()
+    lock = threading.Lock()
+
+    def hold(rounds=300):
+        for _ in range(rounds):
+            with _blas.single_thread() as held:
+                counts = blas_threads()
+            with lock:
+                seen.add((held, counts))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hold) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert seen == {(True, (1,) * len(blas_at_two))}
+    assert _blas._holders == 0 and blas_threads() == blas_at_two

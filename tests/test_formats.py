@@ -1,3 +1,5 @@
+import errno
+import os
 import struct
 
 import numpy as np
@@ -5,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmmood import cli
+from gmmood import formats as formats_mod
 from gmmood.errors import FormatError, ShapeError
 from gmmood.formats import (
     HEADER_SIZE,
@@ -14,8 +18,14 @@ from gmmood.formats import (
     read_feature_map,
     write_feature_map,
 )
-from gmmood.gmm import ClassGMM, GMMClassifier, classifier_from_bytes, classifier_to_bytes
-from gmmood.nig import NIGPosteriorBank, bank_from_bytes, bank_to_bytes
+from gmmood.gmm import (
+    ClassGMM,
+    GMMClassifier,
+    classifier_from_bytes,
+    classifier_to_bytes,
+    save_classifier,
+)
+from gmmood.nig import NIGPosteriorBank, bank_from_bytes, bank_to_bytes, save_bank
 
 
 def random_feature_map(rng, h=4, w=6, d=3):
@@ -193,3 +203,72 @@ def test_parsers_reject_or_yield_finite_parameters(kind, data):
     except (FormatError, ValueError):
         return
     assert all(np.isfinite(a).all() for a in params(parsed))
+
+
+# every writer of the package's output files: FMAP, GMMC, NIGB and JSON
+WRITERS = {
+    "fmap": lambda path: write_feature_map(random_feature_map(np.random.default_rng(11)), path),
+    "gmmc": lambda path: save_classifier(random_classifier(np.random.default_rng(12)), path),
+    "nigb": lambda path: save_bank(small_bank(), path),
+    "json": lambda path: cli._write_json(path, {"files": [], "failed": 0}),
+}
+
+
+def half_then_disk_full(path, mode):
+    """``open`` whose file takes the first half of a write, then fails
+    as a full disk would."""
+    fh = open(path, mode)
+
+    class Half:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            fh.close()
+
+        def write(self, data):
+            fh.write(data[: len(data) // 2])
+            fh.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    return Half()
+
+
+def failing_replace(src, dst):
+    raise OSError(errno.EIO, os.strerror(errno.EIO), src, dst)
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_writes_replace_the_previous_file_whole(tmp_path, writer):
+    path = tmp_path / "out"
+    path.write_bytes(b"previous")
+    WRITERS[writer](path)
+    fresh = tmp_path / "fresh"
+    WRITERS[writer](fresh)
+    assert path.read_bytes() == fresh.read_bytes() != b"previous"
+    assert sorted(os.listdir(tmp_path)) == ["fresh", "out"]
+
+
+@pytest.mark.parametrize("failure", ["midway", "at-rename"])
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_write_keeps_the_previous_file_and_no_temp_file(
+    tmp_path, monkeypatch, writer, failure
+):
+    path = tmp_path / "out"
+    path.write_bytes(b"previous")
+    if failure == "midway":
+        monkeypatch.setattr(formats_mod, "open", half_then_disk_full, raising=False)
+    else:
+        monkeypatch.setattr(formats_mod.os, "replace", failing_replace)
+    with pytest.raises(OSError) as info:
+        WRITERS[writer](path)
+    assert info.value.filename == str(path)
+    assert path.read_bytes() == b"previous"
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_write_error_names_the_file_asked_for(tmp_path):
+    path = tmp_path / "missing" / "x.fmap"
+    with pytest.raises(FileNotFoundError) as info:
+        WRITERS["fmap"](path)
+    assert str(info.value) == f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{path}'"
