@@ -12,7 +12,6 @@ import configparser
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -104,11 +103,20 @@ class PathsConfig:
     bank_path: str | None = None
 
 
+def _require_positive(section, *names) -> None:
+    for name in names:
+        if getattr(section, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(section, name)}")
+
+
 @dataclass
 class ModelConfig:
     classes: int = 19
     components: int = 2
     feature_dim: int = 32
+
+    def __post_init__(self):
+        _require_positive(self, "classes", "components", "feature_dim")
 
 
 @dataclass
@@ -116,11 +124,17 @@ class EMConfig:
     max_iters: int = 100
     tol: float = 1e-5
 
+    def __post_init__(self):
+        _require_positive(self, "max_iters")
+
 
 @dataclass
 class EnsembleConfig:
     n_samples: int = 20
     seed: int = 0
+
+    def __post_init__(self):
+        _require_positive(self, "n_samples")
 
 
 @dataclass
@@ -286,8 +300,9 @@ def _require_dir(path, what: str) -> Path:
     return p
 
 
-def _each_file(paths, work, jobs: int = 1) -> list:
-    """Run ``work(path)`` for every path on ``jobs`` threads.
+def _each_file(paths, work) -> list:
+    """Run ``work(path)`` for each path in turn, on the calling thread;
+    scoring spreads each scan over every core itself (``ensemble``).
 
     Returns, in path order, ``(path, result, None)``, or ``(path, None,
     message)`` for a file whose work raised a library, value or OS error;
@@ -300,8 +315,7 @@ def _each_file(paths, work, jobs: int = 1) -> list:
         except (Error, ValueError, OSError) as exc:
             return path, None, str(exc)
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(attempt, paths))
+    return [attempt(path) for path in paths]
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +425,7 @@ def cmd_fit(cfg: RunConfig) -> int:
 # score
 
 
-def cmd_score(cfg: RunConfig, jobs: int = 1) -> int:
+def cmd_score(cfg: RunConfig) -> int:
     feature_dir = _require_dir(cfg.paths.feature_dir, "feature_dir")
     out = Path(cfg.paths.out_dir)
     for sub in ("scores", "predictions", "ood_masks"):
@@ -442,7 +456,7 @@ def cmd_score(cfg: RunConfig, jobs: int = 1) -> int:
         )
         return valid, umap.epistemic[valid], written
 
-    done = _each_file(sorted(feature_dir.glob("*.fmap"), key=lambda p: p.stem), score_one, jobs)
+    done = _each_file(sorted(feature_dir.glob("*.fmap"), key=lambda p: p.stem), score_one)
     scored = [(path.stem, *result) for path, result, _ in done if result is not None]
 
     def threshold_of(values):
@@ -622,7 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=str, default=None)
         if name == "score":
-            cmd.add_argument("--jobs", type=_positive_int, default=1)
+            cmd.add_argument("--jobs", type=_positive_int, default=1,
+                             help="has no effect: scans are scored one after another")
         for _, _, _, dest, parse in config_keys():
             flag = "--" + dest.replace("_", "-")
             if parse is _parse_bool:
@@ -641,7 +656,7 @@ def main(argv=None) -> int:
         if args.command == "fit":
             return cmd_fit(cfg)
         if args.command == "score":
-            return cmd_score(cfg, jobs=args.jobs)
+            return cmd_score(cfg)
         if args.command == "eval":
             return cmd_eval(cfg)
         if args.command == "synth":

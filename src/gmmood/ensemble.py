@@ -25,22 +25,21 @@ log density, second exp or second normaliser is taken.  The point
 model's entropy and maximum posterior come from member 0 of the same
 arrays.
 
-The blocks of a call run on one process-wide thread pool, one thread
-per usable CPU, which every concurrent call shares (``score --jobs N``
-scores N scans on the same threads, so they do not oversubscribe the
-cores).  They run there only inside ``_blas.single_thread()``, which
+The blocks of a call run on a thread pool of its own, one thread per
+usable CPU, opened and closed inside ``_blas.single_thread()``, which
 holds OpenBLAS at one thread, since its own threads would fight the
-pool's; where no OpenBLAS is found the blocks run one after another on
-the calling thread.  Each block runs in a copy of the caller's context,
-so a caller's ``np.errstate`` holds in it, and reduces its own
-contiguous kernel output, so the scores are bit-identical to the serial
-path.  Never call ``score_samples`` from a pool thread: it would wait on
-blocks queued behind the one it runs in.
+pool's; so no block outlives the hold.  Where no OpenBLAS is found the
+blocks run one after another on the calling thread.  Each block runs in
+a copy of the caller's context, so a caller's ``np.errstate`` holds in
+it, and reduces its own contiguous kernel output, so the scores are
+bit-identical to the serial path.  Overlapping calls each get their own
+pool; the hold is reference-counted, so OpenBLAS stays at one thread
+until the last of them returns.
 """
 
 import contextvars
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,23 +58,6 @@ from .nig import GMMParameterSample
 # 2**16 and 2**15 were 1.2-2x slower.  The gain of 2**18 is inside the
 # quartile spread of 2**17's runs and costs score-d32 ~5 MB of peak RSS.
 _BLOCK_VALUES = 1 << 17
-
-
-def _start_pool():
-    """One pool for every scan, so concurrent scans share the cores rather
-    than oversubscribe them; its threads start on first use.  A forked
-    child starts its own: the parent's threads do not survive the fork,
-    and blocks queued on the parent's pool would never run."""
-    global _POOL
-    _POOL = ThreadPoolExecutor(
-        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
-        thread_name_prefix="gmmood-score",
-    )
-
-
-_start_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_start_pool)
 
 
 @dataclass
@@ -247,21 +229,22 @@ class SampleScores:
 
 
 def _map_blocks(work, starts) -> list:
-    """``[work(i) for i in starts]``, on the shared pool while OpenBLAS is
-    held at one thread, or serially where no OpenBLAS is found.  Returns
-    only once no item is running, also when one raised."""
+    """``[work(i) for i in starts]``, on a pool that lives only for the
+    call while OpenBLAS is held at one thread, or serially where no
+    OpenBLAS is found.  Returns only once no item is running, also when
+    one raised."""
     with _blas.single_thread() as held:
         if not held:
             return list(map(work, starts))
-        # each block runs in a copy of the caller's context, so that its
-        # numpy errstate (a context variable) holds on the pool threads
-        futures = [_POOL.submit(contextvars.copy_context().run, work, i) for i in starts]
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        pool = ThreadPoolExecutor(cpus or 1, thread_name_prefix="gmmood-score")
         try:
+            # each block runs in a copy of the caller's context, so that its
+            # numpy errstate (a context variable) holds on the pool threads
+            futures = [pool.submit(contextvars.copy_context().run, work, i) for i in starts]
             return [f.result() for f in futures]
         finally:
-            for f in futures:
-                f.cancel()
-            wait(futures)
+            pool.shutdown(cancel_futures=True)
 
 
 def score_samples(

@@ -351,6 +351,8 @@ def em_fit(
         raise ShapeError(f"features must be (N, D), got {x.shape}")
     n, d = x.shape
     k = int(n_components)
+    if k < 1 or max_iters < 1:
+        raise ValueError(f"n_components and max_iters must be at least 1, got {k} and {max_iters}")
     if n < k:
         raise InsufficientDataError(f"class {class_id} has {n} samples; needs at least {k}")
 

@@ -147,13 +147,18 @@ class BenchmarkResult:
     point_accuracy: float
 
     def delta_summary(self) -> dict:
-        """Signed epistemic-minus-predictive differences per metric."""
+        """Signed epistemic-minus-predictive differences per metric, next
+        to each score's own value of the metric."""
         return {
             "auroc_delta": self.epistemic.auroc - self.predictive.auroc,
             "auprc_delta": self.epistemic.auprc - self.predictive.auprc,
             "fpr95_delta": self.epistemic.fpr95 - self.predictive.fpr95,
             "epistemic_auroc": self.epistemic.auroc,
             "predictive_auroc": self.predictive.auroc,
+            "epistemic_auprc": self.epistemic.auprc,
+            "predictive_auprc": self.predictive.auprc,
+            "epistemic_fpr95": self.epistemic.fpr95,
+            "predictive_fpr95": self.predictive.fpr95,
             "point_accuracy": self.point_accuracy,
         }
 

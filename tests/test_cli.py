@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -348,6 +349,28 @@ class TestScoreCommand:
         manifest = json.loads((out1 / "score_manifest.json").read_text())
         assert [f["file"] for f in manifest["files"] if "error" in f] == ["bad"]
 
+    def test_scans_are_scored_one_at_a_time_on_the_calling_thread(self, fitted, monkeypatch):
+        cfg, out, root = fitted
+        shutil.copy(out / "range" / "000.fmap", out / "range" / "002.fmap")
+        score_feature_map = cli.ens.score_feature_map
+        calls, in_flight, lock = [], [0], threading.Lock()
+
+        def recording(*args):
+            with lock:
+                in_flight[0] += 1
+                calls.append((threading.current_thread(), in_flight[0]))
+            try:
+                return score_feature_map(*args)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        monkeypatch.setattr(cli.ens, "score_feature_map", recording)
+        assert main(["score", "--config", str(cfg), "--out", str(root / "s8"),
+                     "--model-path", str(out / "model.gmmc"),
+                     "--bank-path", str(out / "bank.nigb"), "--jobs", "8"]) == EXIT_OK
+        assert calls == [(threading.current_thread(), 1)] * 3
+
     def test_memory_per_extra_scan_is_bounded(self, fitted):
         """Only the valid mask and the epistemic values of a scored scan
         outlive its scoring: 9 B per pixel, against 53 B for a kept
@@ -621,6 +644,29 @@ class TestConfigHandling:
             main(argv)
         assert exc.value.code == EXIT_CONFIG
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--components", "0"], "components must be at least 1, got 0"),
+            (["synth", "--components", "0"], "components must be at least 1, got 0"),
+            (["fit", "--em-max-iters", "0"], "max_iters must be at least 1, got 0"),
+            (["fit", "--classes", "0"], "classes must be at least 1, got 0"),
+            (["fit", "--feature-dim", "-1"], "feature_dim must be at least 1, got -1"),
+            (["score", "--n-samples", "0"], "n_samples must be at least 1, got 0"),
+        ],
+        ids=["fit-components", "synth-components", "fit-em-max-iters", "fit-classes",
+             "fit-feature-dim", "score-n-samples"],
+    )
+    def test_counts_below_one_are_config_errors(self, tmp_path, capsys, argv, message):
+        """Rejected at config load, before any directory is made; the
+        data directories exist, so only the count can stop the run."""
+        data = tmp_path / "data"
+        data.mkdir()
+        dirs = ["--feature-dir", str(data), "--label-dir", str(data)]
+        assert main([*argv, *dirs, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "none.ini")]) == EXIT_CONFIG

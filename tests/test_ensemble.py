@@ -639,7 +639,7 @@ def test_rows_far_from_all_classes_but_one_stay_finite_and_certain():
 
 
 # ---------------------------------------------------------------------------
-# blocks on the shared pool under the OpenBLAS hold
+# blocks on a pool of their own under the OpenBLAS hold
 
 SCORE_FIELDS = ("predicted_class", "vote_counts", *ens.UncertaintyMap.SCORE_CHANNELS)
 
@@ -702,6 +702,13 @@ def test_blocks_run_on_the_pool_with_one_blas_thread(blas_at_two, block_log):
     assert all(name.startswith("gmmood-score") for name, _ in block_log)
     assert {counts for _, counts in block_log} == {(1,) * len(blas_at_two)}
     assert blas_threads() == blas_at_two
+
+
+def test_no_pool_thread_outlives_the_call(blas_at_two):
+    model, members = fitted_setup()
+    step = ens._BLOCK_VALUES // ((len(members) + 1) * model.weights.size)
+    score_samples(np.zeros((3 * step, 2)), model, members)
+    assert [t.name for t in threading.enumerate() if t.name.startswith("gmmood-score")] == []
 
 
 def test_callers_errstate_holds_in_pooled_blocks(monkeypatch):

@@ -204,6 +204,11 @@ class TestEMFit:
         with pytest.raises(InsufficientDataError):
             em_fit(np.zeros((1, 2)), 2)
 
+    @pytest.mark.parametrize("k, max_iters", [(0, 100), (2, 0)])
+    def test_counts_below_one_raise_value_error(self, k, max_iters):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            em_fit(np.zeros((10, 2)), k, max_iters=max_iters)
+
     def test_monotone_log_likelihood(self):
         rng = np.random.default_rng(6)
         for seed in range(5):

@@ -146,6 +146,18 @@ class TestRunBenchmark:
         assert a.predictive.to_json() == b.predictive.to_json()
         assert a.delta_summary() == b.delta_summary()
 
+    def test_delta_summary_reports_both_scores_and_their_differences(self):
+        cfg = small_config(samples_per_class=200, n_classes=3)
+        res = run_benchmark(generate(cfg), n_samples=8, seed=9)
+        summary = res.delta_summary()
+        for metric in ("auroc", "auprc", "fpr95"):
+            ours, theirs = getattr(res.epistemic, metric), getattr(res.predictive, metric)
+            assert summary[f"epistemic_{metric}"] == ours
+            assert summary[f"predictive_{metric}"] == theirs
+            assert summary[f"{metric}_delta"] == ours - theirs
+        assert summary["point_accuracy"] == res.point_accuracy
+        assert len(summary) == 10
+
     def test_miou_fields_match_across_reports(self):
         cfg = small_config(samples_per_class=200)
         res = run_benchmark(generate(cfg), n_samples=8, seed=2)
