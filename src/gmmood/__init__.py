@@ -8,11 +8,9 @@ pixels.
 """
 
 from .ensemble import (
-    PixelScores,
     UncertaintyMap,
     VoteRecord,
     decompose_uncertainty,
-    majority_class,
     score_feature_map,
     score_samples,
     vote,
@@ -35,10 +33,10 @@ from .gmm import (
     ClassGMM,
     GMMClassifier,
     SufficientStats,
+    class_log_densities,
     class_posterior,
     em_fit,
     load_classifier,
-    log_density,
     predict,
     save_classifier,
 )

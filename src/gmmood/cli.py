@@ -11,6 +11,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,10 +49,6 @@ class ClassMap:
         )
         if overlap or (self.outlier_ids & self.ignore_ids):
             raise ValueError("a raw id may appear in only one of train/outlier/ignore")
-
-    @property
-    def num_train_classes(self) -> int:
-        return max(self.train_ids.values()) + 1 if self.train_ids else 0
 
     def map_array(self, raw: np.ndarray):
         """Vectorized mapping: (train ids with -1 elsewhere, outlier, ignore).
@@ -224,8 +221,13 @@ def _parse_class_map(items) -> ClassMap:
 
 
 def _replace_sections(cfg: RunConfig, values: dict) -> None:
-    """Apply {section: {field: value}}; each section re-runs its validation."""
+    """Apply {section: {field: value}}; each section re-runs its validation,
+    after a float that is not finite is refused by its INI key."""
     for sec, fields in values.items():
+        for name, value in fields.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                key = _INI_KEYS.get((sec, name), name)
+                raise ValueError(f"'{key}' in [{sec}] must be finite, got {value}")
         setattr(cfg, sec, dataclasses.replace(getattr(cfg, sec), **fields))
 
 
@@ -328,7 +330,6 @@ def cmd_project(cfg: RunConfig) -> int:
     out = Path(cfg.paths.out_dir)
     (out / "range").mkdir(parents=True, exist_ok=True)
     (out / "labels").mkdir(parents=True, exist_ok=True)
-    outlier_id = min(cfg.class_map.outlier_ids) if cfg.class_map.outlier_ids else 1
 
     def project_one(scan_path: Path) -> dict:
         cloud = rangeview.parse_point_cloud(scan_path.read_bytes())
@@ -337,7 +338,7 @@ def cmd_project(cfg: RunConfig) -> int:
             image = rangeview.project_spherical(cloud, None, cfg.projection)
             grid = None
         else:
-            labels = rangeview.parse_labels(label_path.read_bytes(), len(cloud), outlier_id)
+            labels = rangeview.parse_labels(label_path.read_bytes(), len(cloud))
             image, grid = rangeview.project_spherical(cloud, labels, cfg.projection)
         entry = {
             "scan": scan_path.name,

@@ -85,19 +85,6 @@ class UncertaintyDecomposition:
     mutual_information: float
 
 
-@dataclass(frozen=True)
-class PixelScores:
-    """All scores for one pixel."""
-
-    predicted_class: int
-    epistemic: float
-    predictive_entropy: float
-    aleatoric: float
-    mutual_information: float
-    deterministic_entropy: float
-    max_posterior: float
-
-
 @dataclass
 class UncertaintyMap:
     """Per-pixel score grids; values are only defined where ``valid``."""
@@ -119,12 +106,6 @@ class UncertaintyMap:
         "deterministic_entropy",
         "max_posterior",
     )
-
-    def at(self, row: int, col: int) -> PixelScores:
-        if not self.valid[row, col]:
-            raise ValueError(f"pixel ({row}, {col}) is invalid")
-        scores = (float(getattr(self, name)[row, col]) for name in self.SCORE_CHANNELS)
-        return PixelScores(int(self.predicted_class[row, col]), *scores)
 
 
 def _entropy_rows(p: np.ndarray, axis=-1) -> np.ndarray:
@@ -186,11 +167,6 @@ def _reduce_one(z, ensemble: list[GMMParameterSample], what: str):
 def vote(z, ensemble: list[GMMParameterSample]) -> VoteRecord:
     """Classify z under every member and tally the votes."""
     return VoteRecord(_reduce_one(z, ensemble, "vote")[0][0])
-
-
-def majority_class(record: VoteRecord) -> int:
-    """Most-voted class; ties go to the lowest class id."""
-    return int(np.argmax(record.counts))
 
 
 def vote_entropy(record: VoteRecord) -> float:
@@ -267,7 +243,7 @@ def score_samples(
     blocks = _map_blocks(block, range(0, max(len(z), 1), step))  # no rows: one empty block
     counts, predictive, aleatoric, mi, point_entropy, point_max = map(np.concatenate, zip(*blocks))
     return SampleScores(
-        predicted_class=model.class_ids[np.argmax(counts, axis=1)],
+        predicted_class=np.argmax(counts, axis=1),
         vote_counts=counts,
         epistemic=_entropy_rows(counts / len(ensemble)),
         predictive_entropy=predictive,

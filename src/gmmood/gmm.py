@@ -102,17 +102,13 @@ class ClassGMM:
             raise ValueError(f"variances must be floored at {VARIANCE_FLOOR}")
 
     @property
-    def n_components(self) -> int:
-        return self.means.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.means.shape[1]
 
 
 @dataclass
 class GMMClassifier:
-    """All per-class mixtures sharing one K and D, ordered by class id.
+    """All per-class mixtures sharing one K and D; class c has id c.
 
     ``weights`` (C, K), ``means`` and ``variances`` (C, K, D) stack the
     class parameters once at construction for ``class_log_densities``.
@@ -129,8 +125,11 @@ class GMMClassifier:
         if len({gmm.means.shape for gmm in self.classes}) != 1:
             raise ShapeError("all class mixtures must share K and D")
         ids = [gmm.class_id for gmm in self.classes]
-        if ids != sorted(set(ids)):
-            raise ValueError("class ids must be strictly increasing")
+        if ids != list(range(len(ids))):
+            raise ValueError(
+                f"class ids must be 0..{len(ids) - 1} in order, got {ids}: GMMC files "
+                "store classes by position, not by id"
+            )
         for name in ("weights", "means", "variances"):
             setattr(self, name, np.stack([getattr(gmm, name) for gmm in self.classes]))
 
@@ -141,14 +140,6 @@ class GMMClassifier:
     @property
     def feature_dim(self) -> int:
         return self.classes[0].dim
-
-    @property
-    def components_per_class(self) -> int:
-        return self.classes[0].n_components
-
-    @property
-    def class_ids(self) -> np.ndarray:
-        return np.array([gmm.class_id for gmm in self.classes], dtype=np.int64)
 
 
 @dataclass
@@ -254,16 +245,6 @@ def _weighted_sq_devs(x: np.ndarray, resp: np.ndarray, centers: np.ndarray) -> n
     return out.sum(axis=1)
 
 
-def log_density(z, gmm: ClassGMM):
-    """Mixture log density log p(z | c), numerically via log-sum-exp.
-
-    Accepts a single D-vector (returns a float) or an (N, D) batch
-    (returns an (N,) array).  Finite for any finite input because the
-    variances are floored.
-    """
-    return class_log_densities(z, gmm)
-
-
 def _class_sums(joint: np.ndarray) -> np.ndarray:
     """Class sums s = sum_k exp(max(j - T, _EXP_FLOOR)), shape (..., C, N),
     of (K, ..., C, N) joint log densities j (overwritten), T their max over
@@ -288,7 +269,8 @@ def class_log_densities(z, params):
     (..., C, K) ``weights`` and (..., C, K, D) ``means``/``variances``:
     a ``GMMClassifier``, a ``GMMParameterSample`` or a stack of them (or
     one ``ClassGMM``, with no class axis).  The result is a view of a
-    rows-innermost (..., C, N) array."""
+    rows-innermost (..., C, N) array; it is finite for finite z, since
+    the variances are floored."""
     return _per_class(z, params, lambda joint: logsumexp(joint, axis=0))
 
 
@@ -306,7 +288,7 @@ def class_posterior(z, model: GMMClassifier):
 
 def predict(z, model: GMMClassifier):
     """Class id with the highest density; ties go to the lowest id."""
-    ids = model.class_ids[np.argmax(class_log_densities(z, model), axis=-1)]
+    ids = np.argmax(class_log_densities(z, model), axis=-1)
     return int(ids) if np.ndim(z) == 1 else ids
 
 

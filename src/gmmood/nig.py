@@ -82,26 +82,6 @@ class NIGPosteriorBank:
         if np.any(self.kappa <= 0) or np.any(self.alpha <= 0) or np.any(self.beta <= 0):
             raise ValueError("kappa, alpha, beta must be positive in every cell")
 
-    @property
-    def num_classes(self) -> int:
-        return self.mu.shape[0]
-
-    @property
-    def components_per_class(self) -> int:
-        return self.mu.shape[1]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.mu.shape[2]
-
-    def cell(self, c: int, k: int, d: int) -> NIGParams:
-        return NIGParams(
-            float(self.mu[c, k, d]),
-            float(self.kappa[c, k, d]),
-            float(self.alpha[c, k, d]),
-            float(self.beta[c, k, d]),
-        )
-
 
 @dataclass
 class GMMParameterSample:
@@ -121,14 +101,6 @@ class GMMParameterSample:
             raise ShapeError("sample weights must be (C, K)")
         if np.any(self.variances <= 0):
             raise ValueError("sampled variances must be strictly positive")
-
-    @property
-    def num_classes(self) -> int:
-        return self.means.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.means.shape[2]
 
 
 def _conjugate_update(prior: NIGParams, n, xbar, S) -> tuple:

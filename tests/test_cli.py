@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmmood import cli
+from gmmood import _blas, cli
 from gmmood.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -155,7 +155,7 @@ class TestFitCommand:
         model = load_classifier(out / "model.gmmc")
         bank = load_bank(out / "bank.nigb")
         assert model.num_classes == 3 and model.feature_dim == 5
-        assert bank.num_classes == 3 and bank.feature_dim == 5
+        assert bank.mu.shape == model.means.shape
         np.testing.assert_allclose(
             bank.weights, [g.weights for g in model.classes], rtol=1e-12
         )
@@ -371,14 +371,16 @@ class TestScoreCommand:
                      "--bank-path", str(out / "bank.nigb"), "--jobs", "8"]) == EXIT_OK
         assert calls == [(threading.current_thread(), 1)] * 3
 
-    def test_memory_per_extra_scan_is_bounded(self, fitted):
+    def test_memory_per_extra_scan_is_bounded(self, fitted, monkeypatch):
         """Only the valid mask and the epistemic values of a scored scan
         outlive its scoring: 9 B per pixel, against 53 B for a kept
         UncertaintyMap.  At these sizes the peak is still one scan's
         scoring; the pooled threshold's two 8 B copies take over from
-        about a hundred scans."""
+        about a hundred scans.  Blocks run serially, so that neither
+        peak depends on how many pooled blocks are in flight at once."""
         from gmmood.formats import FeatureMap, write_feature_map
 
+        monkeypatch.setattr(_blas, "_found", [])
         _, out, root = fitted
         rng = np.random.default_rng(5)
         shape = (32, 256)
@@ -668,6 +670,31 @@ class TestConfigHandling:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "section, key, flag",
+        [(sec, key, dest.replace("_", "-"))
+         for sec, _, key, dest, parse in cli.config_keys() if parse is float],
+    )
+    def test_non_finite_floats_are_config_errors(self, tmp_path, capsys, section, key, flag,
+                                                 value):
+        """Rejected at config load by INI key, before any directory is
+        made, like the counts above."""
+        data = tmp_path / "data"
+        data.mkdir()
+        dirs = ["--feature-dir", str(data), "--label-dir", str(data)]
+        argv = ["fit", f"--{flag}={value}", *dirs, "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        assert f"'{key}' in [{section}] must be finite, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_float_in_config_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[synth]\nwithin_class_std = nan\n")
+        assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "'within_class_std' in [synth] must be finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "none.ini")]) == EXIT_CONFIG
 
@@ -735,7 +762,7 @@ class TestConfigHandling:
         assert cfg.projection.height == 64 and cfg.projection.width == 1024
 
     def test_default_class_map_is_semantic_kitti_like(self):
-        assert DEFAULT_CLASS_MAP.num_train_classes == 19
+        assert sorted(set(DEFAULT_CLASS_MAP.train_ids.values())) == list(range(19))
         assert 1 in DEFAULT_CLASS_MAP.outlier_ids
         assert 0 in DEFAULT_CLASS_MAP.ignore_ids
 

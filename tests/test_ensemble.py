@@ -16,7 +16,6 @@ from gmmood import gmm as gmm_mod
 from gmmood.ensemble import (
     VoteRecord,
     decompose_uncertainty,
-    majority_class,
     score_feature_map,
     score_samples,
     vote,
@@ -108,17 +107,6 @@ class TestVote:
         assert (scores.predicted_class == 0).all()
         for row in z:
             assert vote(row, members).counts.tolist() == [len(members), 0, 0]
-
-
-class TestMajorityClass:
-    def test_plain_majority(self):
-        assert majority_class(VoteRecord([3, 17])) == 1
-
-    def test_tie_breaks_low(self):
-        assert majority_class(VoteRecord([10, 10])) == 0
-
-    def test_tie_among_maxima(self):
-        assert majority_class(VoteRecord([7, 6, 7])) == 0
 
 
 class TestVoteEntropy:
@@ -245,15 +233,14 @@ class TestScoreFeatureMap:
         z = np.array([0.4, 1.1], np.float32)
         fmap = FeatureMap(z.reshape(1, 1, 2), np.ones((1, 1), bool))
         umap = score_feature_map(fmap, model, members)
-        px = umap.at(0, 0)
         record = vote(z.astype(float), members)
         dec = decompose_uncertainty(z.astype(float), members)
-        assert px.predicted_class == majority_class(record)
-        assert px.epistemic == pytest.approx(vote_entropy(record), rel=1e-12)
-        assert px.predictive_entropy == pytest.approx(dec.predictive_entropy, rel=1e-12)
-        assert px.aleatoric == pytest.approx(dec.aleatoric, rel=1e-12)
+        assert umap.predicted_class[0, 0] == np.argmax(record.counts)
+        assert umap.epistemic[0, 0] == pytest.approx(vote_entropy(record), rel=1e-12)
+        assert umap.predictive_entropy[0, 0] == pytest.approx(dec.predictive_entropy, rel=1e-12)
+        assert umap.aleatoric[0, 0] == pytest.approx(dec.aleatoric, rel=1e-12)
         post = class_posterior(z.astype(float), model)
-        assert px.max_posterior == pytest.approx(post.max(), rel=1e-12)
+        assert umap.max_posterior[0, 0] == pytest.approx(post.max(), rel=1e-12)
 
     def test_grid_matches_per_pixel_ops(self):
         model, members = fitted_setup(seed=13)
@@ -269,7 +256,7 @@ class TestScoreFeatureMap:
                 z = values[r, c].astype(float)
                 record = vote(z, members)
                 dec = decompose_uncertainty(z, members)
-                assert umap.predicted_class[r, c] == majority_class(record)
+                assert umap.predicted_class[r, c] == np.argmax(record.counts)
                 assert umap.epistemic[r, c] == pytest.approx(
                     vote_entropy(record), rel=1e-10
                 )
@@ -298,9 +285,7 @@ class TestScoreFeatureMap:
         z = rng.normal(loc=3.0, scale=3.0, size=(40, 2))
         scores = score_samples(z, model, members)
         for i in range(z.shape[0]):
-            assert scores.predicted_class[i] == majority_class(
-                VoteRecord(scores.vote_counts[i])
-            )
+            assert scores.predicted_class[i] == np.argmax(scores.vote_counts[i])
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +344,7 @@ def loop_score_samples(z, model, ensemble):
     predictive = loop_entropy(mean_post)
     post0 = loop_posterior(loop_class_log_densities(z, model))
     return {
-        "predicted_class": model.class_ids[np.argmax(counts, axis=1)],
+        "predicted_class": np.argmax(counts, axis=1),
         "vote_counts": counts,
         "epistemic": loop_entropy(counts / len(ensemble)),
         "predictive_entropy": predictive,

@@ -13,11 +13,14 @@ from gmmood.gmm import (
     VARIANCE_FLOOR,
     ClassGMM,
     GMMClassifier,
+    class_log_densities,
     class_posterior,
     em_fit,
-    log_density,
+    fit_classifier,
+    load_classifier,
     logsumexp,
     predict,
+    save_classifier,
 )
 
 
@@ -59,12 +62,12 @@ class TestLogSumExp:
 
 class TestLogDensity:
     def test_standard_normal_at_zero(self):
-        got = log_density(np.array([0.0]), std_normal_1d())
+        got = class_log_densities(np.array([0.0]), std_normal_1d())
         assert got == pytest.approx(-0.9189385332046727, abs=1e-12)
 
     def test_mixture_of_identical_components(self):
         gmm = ClassGMM(0, [0.5, 0.5], [[0.0], [0.0]], [[1.0], [1.0]])
-        got = log_density(np.array([0.0]), gmm)
+        got = class_log_densities(np.array([0.0]), gmm)
         assert got == pytest.approx(-0.9189385332046727, abs=1e-12)
 
     def test_matches_naive_summation(self):
@@ -76,24 +79,24 @@ class TestLogDensity:
             w[-1] = 1.0 - w[:-1].sum()
             gmm = ClassGMM(0, w, rng.normal(size=(k, d)), rng.random((k, d)) + 0.2)
             z = rng.normal(size=d)
-            assert log_density(z, gmm) == pytest.approx(
+            assert class_log_densities(z, gmm) == pytest.approx(
                 naive_log_density(z, gmm), rel=1e-10
             )
 
     def test_finite_for_extreme_inputs(self):
         gmm = std_normal_1d(var=VARIANCE_FLOOR)
-        assert math.isfinite(log_density(np.array([1e6]), gmm))
+        assert math.isfinite(class_log_densities(np.array([1e6]), gmm))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            log_density(np.zeros(3), std_normal_1d())
+            class_log_densities(np.zeros(3), std_normal_1d())
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(1)
         gmm = ClassGMM(0, [1.0], rng.normal(size=(1, 2)), rng.random((1, 2)) + 0.5)
         z = rng.normal(size=(7, 2))
-        batch = log_density(z, gmm)
-        singles = [log_density(zi, gmm) for zi in z]
+        batch = class_log_densities(z, gmm)
+        singles = [class_log_densities(zi, gmm) for zi in z]
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
 
@@ -166,6 +169,21 @@ class TestPredict:
 
     def test_near_other_mean(self):
         assert predict(np.array([3.9]), self.model) == 1
+
+    def test_class_ids_are_positions(self, tmp_path):
+        """GMMC stores classes by position, so ids other than 0..C-1 are
+        refused, and a saved model predicts the ids it did before."""
+        with pytest.raises(ValueError, match="GMMC"):
+            GMMClassifier([std_normal_1d(0), std_normal_1d(5, mean=4.0)])
+        with pytest.raises(ValueError, match="GMMC"):
+            GMMClassifier([std_normal_1d(1), std_normal_1d(0, mean=4.0)])
+        rng = np.random.default_rng(6)
+        model, _ = fit_classifier([rng.normal(4.0 * c, 1.0, (50, 2)) for c in range(3)], 1)
+        save_classifier(model, tmp_path / "model.gmmc")
+        z = rng.normal(4.0, 4.0, (40, 2))
+        before = predict(z, model)
+        assert set(before) == {0, 1, 2}
+        np.testing.assert_array_equal(predict(z, load_classifier(tmp_path / "model.gmmc")), before)
 
 
 class TestEMFit:

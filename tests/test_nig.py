@@ -101,11 +101,8 @@ class TestBuildBank:
             xbar=float(stats.means[0, 0]),
             S=float(stats.sq_devs[0, 0]),
         )
-        got = bank.cell(0, 0, 0)
-        assert got.mu == pytest.approx(cell.mu, rel=1e-12)
-        assert got.kappa == pytest.approx(cell.kappa, rel=1e-12)
-        assert got.alpha == pytest.approx(cell.alpha, rel=1e-12)
-        assert got.beta == pytest.approx(cell.beta, rel=1e-12)
+        for name in ("mu", "kappa", "alpha", "beta"):
+            assert getattr(bank, name)[0, 0, 0] == pytest.approx(getattr(cell, name), rel=1e-12)
 
     def test_two_cluster_posterior_means(self):
         rng = np.random.default_rng(4)
