@@ -1,4 +1,4 @@
-"""Hold OpenBLAS at one thread while the caller runs threads of its own.
+"""Hold OpenBLAS at one thread while the package runs threads of its own.
 
 OpenBLAS fans each matrix product out over every core, and its threads
 spin while they wait for work; several threads of ours each calling it
@@ -13,12 +13,29 @@ nothing and yields False.
 The libraries are the OpenBLAS builds the process has mapped
 (``/proc/self/maps``), looked up once, on first use, so importing this
 module costs nothing.
+
+``map_on_cores(work, items)`` is the one thread pool of the package:
+scoring maps it over a scan's blocks of pixels and fitting over the
+classes.  The items of a call run on a pool of its own, one thread per
+usable CPU, opened and closed inside ``single_thread()``, since
+OpenBLAS's own threads would fight the pool's; so no item outlives the
+hold.  Where no OpenBLAS is found the items run one after another on
+the calling thread.  Each item runs in a copy of the caller's context,
+so a caller's ``np.errstate`` holds in it, and returns its own result,
+so what the caller assembles is bit-identical to the serial path.  The
+results come back in item order; an error is raised from the first item
+that failed, once no item is running.  Overlapping calls each get their
+own pool; the hold is reference-counted, so OpenBLAS stays at one thread
+until the last of them returns.
 """
 
 import contextlib
+import contextvars
 import ctypes
+import os
 import re
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 # (prefix, suffix) of the thread-count symbols in the builds numpy and
 # scipy ship: 64-bit-integer scipy-openblas, 32-bit, and plain OpenBLAS
@@ -82,3 +99,22 @@ def single_thread():
             if _holders == 0:
                 for (_, put), count in zip(libraries, _saved):
                     put(count)
+
+
+def map_on_cores(work, items) -> list:
+    """``[work(i) for i in items]``, on a pool that lives only for the
+    call while OpenBLAS is held at one thread, or serially where no
+    OpenBLAS is found.  Returns only once no item is running, also when
+    one raised."""
+    with single_thread() as held:
+        if not held:
+            return list(map(work, items))
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        pool = ThreadPoolExecutor(cpus or 1, thread_name_prefix="gmmood-score")
+        try:
+            # each item runs in a copy of the caller's context, so that its
+            # numpy errstate (a context variable) holds on the pool threads
+            futures = [pool.submit(contextvars.copy_context().run, work, i) for i in items]
+            return [f.result() for f in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)

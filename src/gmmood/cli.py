@@ -387,18 +387,21 @@ def cmd_fit(cfg: RunConfig) -> int:
             label_dir / fpath.name, fmap.valid.shape, cfg.class_map
         )
         usable = fmap.valid & ~outlier & ~ignore
-        feats = fmap.values[usable].astype(np.float64)
+        feats = fmap.values[usable]
         ids = train[usable]
         for c in range(n_classes):
             sel = ids == c
             if sel.any():
                 pooled[c].append(feats[sel])
 
-    # concatenated one class at a time, so only one pooled copy is alive
-    per_class = (
-        np.concatenate(parts) if parts else np.empty((0, cfg.model.feature_dim))
-        for parts in pooled
-    )
+    # float32 as read, each class's parts dropped as it is concatenated;
+    # em_fit widens a class to float64 (exactly) only while it is fitted
+    per_class = []
+    while pooled:
+        parts = pooled.pop(0)
+        per_class.append(
+            np.concatenate(parts) if parts else np.empty((0, cfg.model.feature_dim), np.float32)
+        )
     model, stats = gmm.fit_classifier(
         per_class,
         cfg.model.components,
@@ -408,12 +411,12 @@ def cmd_fit(cfg: RunConfig) -> int:
     )
     report = {
         str(c): {
-            "samples": sum(map(len, parts)),
+            "samples": len(x),
             "em_iterations": int(st.log_likelihoods.size),
             "final_log_likelihood": float(st.log_likelihoods[-1]),
             "reseeds": int(st.reseeds),
         }
-        for c, (parts, st) in enumerate(zip(pooled, stats))
+        for c, (x, st) in enumerate(zip(per_class, stats))
     }
     bank = nig.build_bank(model, stats, cfg.prior)
     gmm.save_classifier(model, cfg.model_path())

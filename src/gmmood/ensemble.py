@@ -25,21 +25,12 @@ log density, second exp or second normaliser is taken.  The point
 model's entropy and maximum posterior come from member 0 of the same
 arrays.
 
-The blocks of a call run on a thread pool of its own, one thread per
-usable CPU, opened and closed inside ``_blas.single_thread()``, which
-holds OpenBLAS at one thread, since its own threads would fight the
-pool's; so no block outlives the hold.  Where no OpenBLAS is found the
-blocks run one after another on the calling thread.  Each block runs in
-a copy of the caller's context, so a caller's ``np.errstate`` holds in
-it, and reduces its own contiguous kernel output, so the scores are
-bit-identical to the serial path.  Overlapping calls each get their own
-pool; the hold is reference-counted, so OpenBLAS stays at one thread
-until the last of them returns.
+The blocks of a call run on the package's thread pool,
+``_blas.map_on_cores``, with OpenBLAS held at one thread (serially where
+none is found).  Each block reduces its own contiguous kernel output, so
+the scores are bit-identical to the serial path.
 """
 
-import contextvars
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,25 +195,6 @@ class SampleScores:
     max_posterior: np.ndarray
 
 
-def _map_blocks(work, starts) -> list:
-    """``[work(i) for i in starts]``, on a pool that lives only for the
-    call while OpenBLAS is held at one thread, or serially where no
-    OpenBLAS is found.  Returns only once no item is running, also when
-    one raised."""
-    with _blas.single_thread() as held:
-        if not held:
-            return list(map(work, starts))
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        pool = ThreadPoolExecutor(cpus or 1, thread_name_prefix="gmmood-score")
-        try:
-            # each block runs in a copy of the caller's context, so that its
-            # numpy errstate (a context variable) holds on the pool threads
-            futures = [pool.submit(contextvars.copy_context().run, work, i) for i in starts]
-            return [f.result() for f in futures]
-        finally:
-            pool.shutdown(cancel_futures=True)
-
-
 def score_samples(
     z, model: GMMClassifier, ensemble: list[GMMParameterSample]
 ) -> SampleScores:
@@ -240,7 +212,7 @@ def score_samples(
         *scores, post, entropy = _reduce_members(joint, 1)
         return (*scores, entropy[0], post[0].max(axis=0))
 
-    blocks = _map_blocks(block, range(0, max(len(z), 1), step))  # no rows: one empty block
+    blocks = _blas.map_on_cores(block, range(0, max(len(z), 1), step))  # no rows: one empty block
     counts, predictive, aleatoric, mi, point_entropy, point_max = map(np.concatenate, zip(*blocks))
     return SampleScores(
         predicted_class=np.argmax(counts, axis=1),

@@ -58,6 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _blas
 from .errors import ConvergenceError, InsufficientDataError, ShapeError
 from .formats import HEADER_SIZE, container_dims, container_to_bytes, write_atomic
 
@@ -237,12 +238,16 @@ def _e_step(z, log_w, means, variances) -> tuple[np.ndarray, np.ndarray]:
 
 def _weighted_sq_devs(x: np.ndarray, resp: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Responsibility-weighted sums of squared deviations around each
-    component's center, shape (K, D); components lead the temporary so the
-    sums over samples round as per component (pairwise only at D = 1)."""
-    diff = x - centers[:, None, :]
-    out = resp.T[:, :, None] * diff
-    out *= diff
-    return out.sum(axis=1)
+    component's center, shape (K, D), one component at a time on (N, D)
+    temporaries; the sums over samples round as per component (pairwise
+    only at D = 1)."""
+    out = np.empty(centers.shape)
+    for k, center in enumerate(centers):
+        diff = x - center
+        term = resp[:, k, None] * diff
+        term *= diff
+        out[k] = term.sum(axis=0)
+    return out
 
 
 def _class_sums(joint: np.ndarray) -> np.ndarray:
@@ -385,14 +390,23 @@ def em_fit(
 def fit_classifier(
     per_class, n_components: int, *, max_iters: int = 100, tol: float = 1e-5, seed=0
 ) -> tuple[GMMClassifier, list[SufficientStats]]:
-    """``em_fit`` class c to the c-th (N_c, D) array of ``per_class`` (any
-    iterable) with seed child c of ``seed``, an int or a ``SeedSequence``
-    whose next child stays free; returns the classifier and the stats."""
+    """``em_fit`` class c to ``per_class[c]``, a sequence of (N_c, D)
+    arrays, with seed child c of ``seed``, an int or a ``SeedSequence``
+    whose next child stays free; returns the classifier and the stats.
+
+    The classes are fitted on the package's thread pool
+    (``_blas.map_on_cores``), each on its own seed and rows, so the
+    results are those of fitting them one after another; an error is
+    the lowest failing class's."""
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    fits = [
-        em_fit(x, n_components, max_iters=max_iters, tol=tol, seed=root.spawn(1)[0], class_id=c)
-        for c, x in enumerate(per_class)
-    ]
+    seeds = root.spawn(len(per_class))
+
+    def fit(c):
+        return em_fit(
+            per_class[c], n_components, max_iters=max_iters, tol=tol, seed=seeds[c], class_id=c
+        )
+
+    fits = _blas.map_on_cores(fit, range(len(per_class)))
     return GMMClassifier([gmm for gmm, _ in fits]), [st for _, st in fits]
 
 

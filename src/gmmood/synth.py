@@ -23,6 +23,13 @@ from .metrics import EvalReport, ScoredPixels, miou
 from .nig import DEFAULT_PRIOR, NIGParams, build_bank, sample_ensemble
 
 
+# The dataset files are float32.  The lattice extent, the OOD offset and
+# ten within-class standard deviations (a normal draw lands further out
+# with probability ~1.5e-23) may each take a third of float32's range, so
+# that no coordinate a dataset holds overflows it.
+_REACH_LIMIT = float(np.finfo(np.float32).max) / 3
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     feature_dim: int = 8
@@ -42,6 +49,16 @@ class SynthConfig:
             raise ValueError("sample counts must be >= 1")
         if self.class_separation <= 0 or self.ood_offset <= 0 or self.within_class_std <= 0:
             raise ValueError("distances and scales must be positive")
+        for key, reach in (
+            ("class_separation", (self.n_classes - 1) * self.class_separation),
+            ("ood_offset", self.ood_offset),
+            ("within_class_std", 10 * self.within_class_std),
+        ):
+            if not reach <= _REACH_LIMIT:
+                raise ValueError(
+                    f"'{key}' in [synth] is {getattr(self, key):g}: synthetic coordinates "
+                    f"could pass {_REACH_LIMIT:.3g}, more than the float32 dataset files hold"
+                )
         for pair in self.overlap_pairs:
             a, b = pair
             if not (0 <= a < self.n_classes and 0 <= b < self.n_classes) or a == b:

@@ -216,6 +216,65 @@ class TestFitCommand:
         assert (out / "model.gmmc").read_bytes() == first_model
         assert (out / "bank.nigb").read_bytes() == first_bank
 
+    @pytest.mark.parametrize("fit", ["pooled", "serial"])
+    def test_lowest_short_class_is_reported(self, tmp_path, capsys, monkeypatch, fit):
+        """Classes 2 and 5 both short of samples: the message names class
+        2, whether the classes are fitted on the pool or one by one."""
+        if fit == "serial":
+            monkeypatch.setattr(_blas, "_found", [])
+        # raw ids of train classes 0..5 in the default class map; class 2
+        # gets one pixel, class 5 none
+        raw = np.resize([10, 11, 18, 20], (4, 64))
+        raw[0, 0] = 15
+        features, labels = write_fit_inputs(tmp_path, [raw], dim=3, seed=8)
+        argv = ["fit", "--feature-dir", str(features), "--label-dir", str(labels),
+                "--out", str(tmp_path / "out"), "--classes", "6", "--feature-dim", "3"]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: class 2 has 1 samples; needs at least 2\n"
+
+    def test_memory_per_training_value_is_bounded(self, tmp_path, monkeypatch):
+        """Training features are pooled in float32 as read and each class
+        is widened to float64 only while it is fitted, on (N, D) EM
+        temporaries: 10.6 B per training value (samples x D) here, against
+        16.0 B when every class was pooled in float64 and EM took two
+        (K, N, D) temporaries.  Classes are fitted serially, so that the
+        peak does not depend on how many are in flight at once."""
+        monkeypatch.setattr(_blas, "_found", [])
+        rng = np.random.default_rng(9)
+        # the raw ids of train classes 0..9 and of an ignored class
+        raw = [10, 11, 15, 18, 20, 30, 31, 32, 40, 44, 0]
+        scans = [rng.choice(raw, size=(16, 256)) for _ in range(4)]
+        features, labels = write_fit_inputs(tmp_path, scans, dim=32, seed=10)
+        argv = ["fit", "--feature-dir", str(features), "--label-dir", str(labels),
+                "--out", str(tmp_path / "out"), "--classes", "10", "--feature-dim", "32"]
+        assert main(argv) == EXIT_OK  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        report = json.loads((tmp_path / "out" / "fit_report.json").read_text())
+        values = 32 * sum(entry["samples"] for entry in report["classes"].values())
+        assert peak / values < 13, f"{peak / values:.1f} B per training value"
+
+
+def write_fit_inputs(root, raw_labels, dim, seed):
+    """A feature map of ``dim`` channels per raw-label grid, every pixel
+    valid, under ``root``; returns (feature dir, label dir)."""
+    from gmmood.formats import FeatureMap, write_feature_map
+
+    rng = np.random.default_rng(seed)
+    features, labels = root / "features", root / "labels"
+    features.mkdir()
+    labels.mkdir()
+    for i, raw in enumerate(raw_labels):
+        valid = np.ones(raw.shape, bool)
+        values = rng.normal(0.0, 1.0, (*raw.shape, dim)) + raw[..., None] % 7
+        write_feature_map(FeatureMap(values, valid), features / f"{i:03d}.fmap")
+        write_feature_map(FeatureMap(raw[..., None], valid), labels / f"{i:03d}.fmap")
+    return features, labels
+
 
 def write_nan_pixel(src, dst):
     """Copy a feature map with one value of its first valid pixel set to NaN."""
@@ -693,6 +752,24 @@ class TestConfigHandling:
         path.write_text("[synth]\nwithin_class_std = nan\n")
         assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "'within_class_std' in [synth] must be finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [("--synth-separation", "1e300", "class_separation"),
+         ("--synth-ood-offset", "1e300", "ood_offset"),
+         ("--synth-std", "1e308", "within_class_std"),
+         ("--synth-separation", "1e100", "class_separation")],
+    )
+    def test_synth_geometry_beyond_float32_is_config_error(self, tmp_path, capsys, flag, value,
+                                                           key):
+        """Finite geometry whose coordinates the float32 dataset files
+        cannot hold is refused at config load, before it can overflow in
+        ``synth.ood_center`` or turn EM's arithmetic to NaN."""
+        assert main(["synth", flag, value, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: '{key}' in [synth] is {float(value):g}: ")
+        assert "float32" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path):

@@ -21,7 +21,7 @@ from gmmood.ensemble import (
     vote,
     vote_entropy,
 )
-from gmmood.errors import ShapeError
+from gmmood.errors import InsufficientDataError, ShapeError
 from gmmood.formats import FeatureMap
 from gmmood.gmm import (
     ClassGMM,
@@ -805,3 +805,65 @@ def test_hold_counts_overlapping_holders(blas_at_two):
     assert not any(w.is_alive() for w in workers)
     assert seen == {(True, (1,) * len(blas_at_two))}
     assert _blas._holders == 0 and blas_threads() == blas_at_two
+
+
+# ---------------------------------------------------------------------------
+# classes fitted on the same pool
+
+
+def fit_rows(sizes=(120, 80, 150, 60)):
+    rng = np.random.default_rng(30)
+    return [rng.normal(3.0 * c, 1.0, (n, 2)) for c, n in enumerate(sizes)]
+
+
+@pytest.fixture
+def fit_log(monkeypatch):
+    """(thread name, OpenBLAS thread counts) recorded by every class fit."""
+    log = []
+    real_em_fit = gmm_mod.em_fit
+
+    def recording(*args, **kwargs):
+        log.append((threading.current_thread().name, blas_threads()))
+        return real_em_fit(*args, **kwargs)
+
+    monkeypatch.setattr(gmm_mod, "em_fit", recording)
+    return log
+
+
+def test_classes_fit_on_the_pool_with_one_blas_thread(blas_at_two, fit_log):
+    fit_classifier(fit_rows(), 2)
+    assert len(fit_log) == 4
+    assert all(name.startswith("gmmood-score") for name, _ in fit_log)
+    assert {counts for _, counts in fit_log} == {(1,) * len(blas_at_two)}
+    assert blas_threads() == blas_at_two
+
+
+def test_no_pool_thread_outlives_the_fit(blas_at_two):
+    fit_classifier(fit_rows(), 2)
+    assert [t.name for t in threading.enumerate() if t.name.startswith("gmmood-score")] == []
+
+
+def test_callers_errstate_holds_in_pooled_fits(monkeypatch):
+    real_em_fit = gmm_mod.em_fit
+
+    def divide_by_zero(*args, **kwargs):
+        np.log(np.zeros(1))
+        return real_em_fit(*args, **kwargs)
+
+    monkeypatch.setattr(gmm_mod, "em_fit", divide_by_zero)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        fit_classifier(fit_rows(), 2)
+
+
+def test_serial_fits_run_on_the_calling_thread(monkeypatch, fit_log):
+    monkeypatch.setattr(_blas, "_found", [])
+    fit_classifier(fit_rows(), 2)
+    assert [name for name, _ in fit_log] == [threading.current_thread().name] * 4
+
+
+def test_blas_threads_restored_after_a_fit_raises(blas_at_two):
+    with pytest.raises(InsufficientDataError, match="class 2 has 1 samples"):
+        fit_classifier(fit_rows((120, 80, 1, 60, 90, 0)), 2)
+    assert blas_threads() == blas_at_two
+    assert _blas._holders == 0
+    assert [t.name for t in threading.enumerate() if t.name.startswith("gmmood-score")] == []

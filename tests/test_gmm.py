@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gmmood import _blas
+from gmmood import gmm as gmm_mod
 from gmmood.errors import InsufficientDataError, ShapeError
 from gmmood.gmm import (
     VARIANCE_FLOOR,
@@ -15,6 +17,7 @@ from gmmood.gmm import (
     GMMClassifier,
     class_log_densities,
     class_posterior,
+    classifier_to_bytes,
     em_fit,
     fit_classifier,
     load_classifier,
@@ -22,6 +25,8 @@ from gmmood.gmm import (
     predict,
     save_classifier,
 )
+from gmmood.nig import DEFAULT_PRIOR, bank_to_bytes, build_bank
+from gmmood.synth import SynthConfig, generate, run_benchmark
 
 
 def naive_log_density(z, gmm):
@@ -280,3 +285,121 @@ class TestEMFit:
         assert stats.counts.sum() == pytest.approx(120.0)
         assert np.all(stats.counts >= 0)
         assert np.all(stats.sq_devs >= 0)
+
+
+# ---------------------------------------------------------------------------
+# classes fitted on the pool against the serial loop
+
+# six points on which a K = 5 mixture loses a component on every seed: one
+# collapse re-seed, also with constant columns appended
+RESEEDING_ROWS = np.array([4.8301, 4.8298, 13.3717, 13.9552, -2.6438, -2.6708])[:, None]
+
+
+def assert_same_bytes(got, want):
+    """Equal dtype, shape and bytes: unlike array_equal, -0.0 differs from 0.0."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def pooled_fit_case(d):
+    """Six classes of different sizes and scales for K = 5, class 1 the
+    re-seeding rows padded to dimension d, class 3 in float32 (as
+    ``gmmood fit`` pools them)."""
+    rng = np.random.default_rng(40 + d)
+    return [
+        rng.normal(0.0, 1.0, (400, d)),
+        np.pad(RESEEDING_ROWS, ((0, 0), (0, d - 1))),
+        rng.normal(5.0, 0.1, (60, d)) * rng.uniform(1.0, 3.0, d),
+        rng.normal(-3.0, 2.0, (250, d)).astype(np.float32),
+        np.concatenate([rng.normal(0.0, 0.5, (90, d)), rng.normal(1e3, 1.0, (30, d))]),
+        rng.normal(1e4, 1.0, (7, d)),
+    ]
+
+
+def serial_loop_fit(per_class, k, seed):
+    """The one-class-at-a-time loop the pooled fit replaced: seed child c
+    is the c-th ``spawn(1)`` of the root."""
+    root = np.random.SeedSequence(seed)
+    fits = [em_fit(x, k, seed=root.spawn(1)[0], class_id=c) for c, x in enumerate(per_class)]
+    return GMMClassifier([g for g, _ in fits]), [st for _, st in fits]
+
+
+STATS_FIELDS = ("counts", "means", "sq_devs", "log_likelihoods")
+
+
+class TestPooledFit:
+    @pytest.mark.parametrize("d", [1, 5, 32])
+    def test_pooled_fit_equals_serial_bit_for_bit(self, d, monkeypatch):
+        """Models, banks and every statistic of the pooled fit equal the
+        serial path's (no OpenBLAS found) and the old loop's."""
+        per_class = pooled_fit_case(d)
+        pooled = fit_classifier(per_class, 5, seed=d)
+        monkeypatch.setattr(_blas, "_found", [])
+        serial = fit_classifier(per_class, 5, seed=d)
+        loop = serial_loop_fit(per_class, 5, seed=d)
+        assert pooled[1][1].reseeds >= 1  # the collapse re-seed is covered
+        for model, stats in (serial, loop):
+            assert classifier_to_bytes(model) == classifier_to_bytes(pooled[0])
+            assert bank_to_bytes(build_bank(model, stats, DEFAULT_PRIOR)) == bank_to_bytes(
+                build_bank(*pooled, DEFAULT_PRIOR)
+            )
+            for got, want in zip(stats, pooled[1]):
+                for name in STATS_FIELDS:
+                    assert_same_bytes(getattr(got, name), getattr(want, name))
+                assert got.reseeds == want.reseeds
+
+    def test_seed_children_follow_the_classes(self):
+        """Class c takes child c of a caller's root, which is left with
+        child C as its next free one."""
+        per_class = pooled_fit_case(5)
+        root = np.random.SeedSequence(11)
+        _, stats = fit_classifier(per_class, 5, seed=root)
+        assert root.n_children_spawned == len(per_class)
+        _, want = serial_loop_fit(per_class, 5, seed=11)
+        for got, ref in zip(stats, want):
+            assert_same_bytes(got.log_likelihoods, ref.log_likelihoods)
+
+    def test_run_benchmark_reports_equal_serial(self, monkeypatch):
+        dataset = generate(SynthConfig(feature_dim=4, n_classes=5, samples_per_class=200))
+        pooled = run_benchmark(dataset, n_samples=8, seed=9)
+        monkeypatch.setattr(_blas, "_found", [])
+        serial = run_benchmark(dataset, n_samples=8, seed=9)
+        assert pooled.epistemic.to_json() == serial.epistemic.to_json()
+        assert pooled.predictive.to_json() == serial.predictive.to_json()
+        assert pooled.delta_summary() == serial.delta_summary()
+
+    @pytest.mark.parametrize("fit", ["pooled", "serial"])
+    def test_lowest_short_class_is_reported(self, fit, monkeypatch):
+        """Classes 2 and 5 are both short of samples; as in the serial
+        loop, class 2's error is the one raised."""
+        if fit == "serial":
+            monkeypatch.setattr(_blas, "_found", [])
+        rng = np.random.default_rng(3)
+        per_class = [rng.normal(size=(n, 3)) for n in (50, 40, 1, 60, 30, 0)]
+        with pytest.raises(InsufficientDataError, match="^class 2 has 1 samples; needs at least 2$"):
+            fit_classifier(per_class, 2)
+
+
+def broadcast_weighted_sq_devs(x, resp, centers):
+    """The (K, N, D) broadcast form ``_weighted_sq_devs`` replaced."""
+    diff = x - centers[:, None, :]
+    out = resp.T[:, :, None] * diff
+    out *= diff
+    return out.sum(axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 32])
+@pytest.mark.parametrize("n", [1, 7, 100, 1000, 9000, 12533])
+def test_weighted_sq_devs_match_broadcast_form(n, d):
+    """One component at a time on (N, D) temporaries rounds as the
+    broadcast form did, for the (N, K) transposed responsibilities the
+    E-step returns."""
+    rng = np.random.default_rng(n + d)
+    x = rng.normal(2.0, 3.0, (n, d))
+    for k in (1, 2, 3):
+        resp = rng.dirichlet(np.ones(k), size=n).T.copy().T
+        centers = rng.normal(2.0, 1.0, (k, d))
+        assert_same_bytes(
+            gmm_mod._weighted_sq_devs(x, resp, centers),
+            broadcast_weighted_sq_devs(x, resp, centers),
+        )
