@@ -63,7 +63,6 @@ from .nig import (
     update_posterior,
 )
 from .rangeview import (
-    LabelSet,
     PointCloud,
     ProjectionConfig,
     RangeImage,

@@ -25,13 +25,17 @@ log density, second exp or second normaliser is taken.  The point
 model's entropy and maximum posterior come from member 0 of the same
 arrays.
 
+Each block returns every field for its own rows, predicted class and
+vote entropy included, so ``score_samples`` only concatenates them.  Rows
+reach the kernel as given, float32 from a feature map, and it widens them.
+
 The blocks of a call run on the package's thread pool,
 ``_blas.map_on_cores``, with OpenBLAS held at one thread (serially where
 none is found).  Each block reduces its own contiguous kernel output, so
 the scores are bit-identical to the serial path.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -149,7 +153,7 @@ def _reduce_members(joint: np.ndarray, front: int = 0):
 
 def _reduce_one(z, ensemble: list[GMMParameterSample], what: str):
     """``_reduce_members`` for a single feature vector, as N = 1 rows."""
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z)
     if z.ndim != 1:
         raise ShapeError(f"{what}() takes a single feature vector")
     return _reduce_members(_joint_log_densities(z[None, :], _stack(ensemble)))
@@ -202,47 +206,45 @@ def score_samples(
 
     The point model is stacked as member 0 in front of the ensemble, and
     each block of about ``_BLOCK_VALUES`` log densities, (M + 1) * C * K
-    per row, is one kernel call and one reduction."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    per row, is one kernel call and one reduction that returns finished
+    fields for its rows, concatenated by name; the kernel widens z."""
+    z = np.atleast_2d(np.asarray(z))
     coefficients = _stack(ensemble, model)
     step = max(1, _BLOCK_VALUES // len(coefficients[1]))
 
     def block(i):
         joint = _joint_log_densities(z[i : i + step], coefficients)
-        *scores, post, entropy = _reduce_members(joint, 1)
-        return (*scores, entropy[0], post[0].max(axis=0))
+        counts, predictive, aleatoric, mi, post, entropy = _reduce_members(joint, 1)
+        return SampleScores(
+            predicted_class=np.argmax(counts, axis=1),
+            vote_counts=counts,
+            epistemic=_entropy_rows(counts / len(ensemble)),
+            predictive_entropy=predictive,
+            aleatoric=aleatoric,
+            mutual_information=mi,
+            deterministic_entropy=entropy[0].copy(),  # a view would keep all M + 1 rows
+            max_posterior=post[0].max(axis=0),
+        )
 
     blocks = _blas.map_on_cores(block, range(0, max(len(z), 1), step))  # no rows: one empty block
-    counts, predictive, aleatoric, mi, point_entropy, point_max = map(np.concatenate, zip(*blocks))
     return SampleScores(
-        predicted_class=np.argmax(counts, axis=1),
-        vote_counts=counts,
-        epistemic=_entropy_rows(counts / len(ensemble)),
-        predictive_entropy=predictive,
-        aleatoric=aleatoric,
-        mutual_information=mi,
-        deterministic_entropy=point_entropy,
-        max_posterior=point_max,
+        **{f.name: np.concatenate([getattr(b, f.name) for b in blocks])
+           for f in fields(SampleScores)}
     )
 
 
 def score_feature_map(
     features: FeatureMap, model: GMMClassifier, ensemble: list[GMMParameterSample]
 ) -> UncertaintyMap:
-    """Score every valid pixel of a feature map; invalid pixels are skipped."""
-    if features.dim != model.feature_dim:
-        raise ShapeError(
-            f"feature map dimension {features.dim} does not match model "
-            f"dimension {model.feature_dim}"
-        )
-    h, w = features.height, features.width
+    """Score every valid pixel of a feature map; invalid pixels are skipped
+    and hold NaN (class -1).  A map of another dimension than the model's
+    raises ``ShapeError`` from the kernel, also with no valid pixel."""
     valid = features.valid
-    grids = {
-        name: np.full((h, w), np.nan) for name in UncertaintyMap.SCORE_CHANNELS
-    }
-    predicted = np.full((h, w), -1, dtype=np.int32)
-    scores = score_samples(features.values[valid].astype(np.float64), model, ensemble)
+    scores = score_samples(features.values[valid], model, ensemble)
+    shape = (features.height, features.width)
+    predicted = np.full(shape, -1, dtype=np.int32)
     predicted[valid] = scores.predicted_class
-    for name in UncertaintyMap.SCORE_CHANNELS:
-        grids[name][valid] = getattr(scores, name)
+    grids = {name: np.full(shape, np.nan) for name in UncertaintyMap.SCORE_CHANNELS}
+    for name, grid in grids.items():
+        grid[valid] = getattr(scores, name)
     return UncertaintyMap(predicted_class=predicted, valid=valid.copy(), **grids)

@@ -12,7 +12,8 @@ density: EM's E-step calls it on one (K, D) mixture, and the class
 reductions call it on the point-estimate ``GMMClassifier``, a sampled
 member (``nig.GMMParameterSample``) or a whole ensemble stacked along
 leading member axes.  It is also the one place that checks the rows'
-feature dimension, before its matrix product.
+feature dimension, before its matrix product, and that widens them to
+float64 (``em_fit`` also does, once, for its M-step's reuse).
 
 The kernel expands the quadratic form into one float64 GEMM.  With
 P = 1/sigma^2 and c the mean of all the component means passed in,
@@ -213,7 +214,8 @@ def _joint_log_densities(z, coefficients) -> np.ndarray:
     """log w_k + log N(z | k), shape (K, ..., N), of (N, D) features under
     the ``_coefficients`` of (..., K) mixtures: one (J, 2D + 1) by
     (2D + 1, N) GEMM, rows innermost.  Rows of any other shape raise
-    ``ShapeError`` before the product."""
+    ``ShapeError`` before the product; rows of a narrower dtype are
+    widened to float64 as ``z - c`` is written into the operand."""
     center, coef, log_w, shape = coefficients
     if z.ndim != 2 or z.shape[1] != center.size:
         raise ShapeError(f"expected rows of dimension {center.size}, got shape {z.shape}")
@@ -263,7 +265,7 @@ def _per_class(z, params, reduce):
     """``reduce`` of the (K, ..., C, N) joint log densities of one D-vector
     or (N, D) rows under ``params``, with the rows moved first (one vector
     drops the row axis)."""
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z)
     coefficients = _coefficients(_log_weights(params.weights), params.means, params.variances)
     out = np.moveaxis(reduce(_joint_log_densities(np.atleast_2d(z), coefficients)), -1, 0)
     return out[0] if z.ndim == 1 else out
@@ -376,11 +378,11 @@ def em_fit(
         variances[collapsed] = global_var
         reseeds += int(collapsed.sum())
         check_monotone = not collapsed.any()
+    else:  # ended on an M-step: a stop on tol has this E-step already
+        resp, _ = _e_step(x, _log_weights(weights), means, variances)
 
     gmm = ClassGMM(class_id, weights, means, variances)
-
-    # final E-step under the returned parameters feeds the Bayesian updates
-    resp, _ = _e_step(x, _log_weights(weights), means, variances)
+    # statistics of the E-step under the returned parameters feed the Bayesian updates
     nk = resp.sum(axis=0)
     xbar = np.where(nk[:, None] > 0, (resp.T @ x) / np.maximum(nk, 1e-300)[:, None], means)
     sq = _weighted_sq_devs(x, resp, xbar)

@@ -45,23 +45,6 @@ class PointCloud:
         return self.points[:, 3]
 
 
-@dataclass
-class LabelSet:
-    """Per-point semantic ids plus a flag marking the outlier class."""
-
-    labels: np.ndarray
-    outlier_flag: np.ndarray
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int32)
-        self.outlier_flag = np.asarray(self.outlier_flag, dtype=bool)
-        if self.labels.shape != self.outlier_flag.shape or self.labels.ndim != 1:
-            raise ShapeError("labels and outlier_flag must be parallel 1-d arrays")
-
-    def __len__(self) -> int:
-        return self.labels.shape[0]
-
-
 @dataclass(frozen=True)
 class ProjectionConfig:
     """Geometry of the range-view grid.
@@ -133,11 +116,10 @@ def parse_point_cloud(data: bytes) -> PointCloud:
     return PointCloud(points)
 
 
-def parse_labels(data: bytes, point_count: int, outlier_id: int = 1) -> LabelSet:
-    """Decode a raw label payload paired with ``point_count`` points.
-
-    The semantic id is the low 16 bits of each uint32 record; the flag is
-    set where it equals ``outlier_id``.
+def parse_labels(data: bytes, point_count: int) -> np.ndarray:
+    """Decode a raw label payload paired with ``point_count`` points into
+    their int32 semantic ids, the low 16 bits of each uint32 record.
+    Which ids are outliers or ignored is for ``cli.ClassMap`` to decide.
     """
     if len(data) != LABEL_RECORD_BYTES * point_count:
         raise LabelCountError(
@@ -145,13 +127,12 @@ def parse_labels(data: bytes, point_count: int, outlier_id: int = 1) -> LabelSet
             f"{LABEL_RECORD_BYTES * point_count} for {point_count} points"
         )
     raw = np.frombuffer(data, dtype="<u4")
-    semantic = (raw & 0xFFFF).astype(np.int32)
-    return LabelSet(semantic, semantic == outlier_id)
+    return (raw & 0xFFFF).astype(np.int32)
 
 
 def project_spherical(
     cloud: PointCloud,
-    labels: LabelSet | None = None,
+    labels: np.ndarray | None = None,
     config: ProjectionConfig = ProjectionConfig(),
 ):
     """Project a point cloud onto the spherical range-view grid.
@@ -164,8 +145,8 @@ def project_spherical(
     pixel.  Zero-range points are skipped and counted in
     ``dropped_points``.
 
-    Returns the RangeImage, or ``(RangeImage, label_grid)`` when labels
-    are given; the label grid holds -1 at invalid pixels.
+    Returns the RangeImage, or ``(RangeImage, label_grid)`` when per-point
+    semantic ids are given; the label grid holds -1 at invalid pixels.
     """
     n = len(cloud)
     if n == 0:
@@ -216,7 +197,7 @@ def project_spherical(
     if labels is None:
         return image
     label_grid = np.full((h, w), -1, dtype=np.int32)
-    label_grid[r_seq, c_seq] = labels.labels[seq]
+    label_grid[r_seq, c_seq] = labels[seq]
     return image, label_grid
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import score_samples
-from .gmm import fit_classifier, predict
+from .gmm import VARIANCE_FLOOR, fit_classifier, predict
 from .metrics import EvalReport, ScoredPixels, miou
 from .nig import DEFAULT_PRIOR, NIGParams, build_bank, sample_ensemble
 
@@ -28,6 +28,12 @@ from .nig import DEFAULT_PRIOR, NIGParams, build_bank, sample_ensemble
 # with probability ~1.5e-23) may each take a third of float32's range, so
 # that no coordinate a dataset holds overflows it.
 _REACH_LIMIT = float(np.finfo(np.float32).max) / 3
+
+# EM fits in float64: once its steps at the lattice extent pass ~1/500 of
+# the class spread (the std, or the variance floor's if larger), rounding
+# lowers EM's log-likelihood (seen at 1/256 on some seeds, never at 1/512,
+# for stds from 1e-3 to 1e3).  Stds below the floor can fail at finer steps.
+_STEPS_PER_SPREAD = 1024
 
 
 @dataclass(frozen=True)
@@ -49,8 +55,9 @@ class SynthConfig:
             raise ValueError("sample counts must be >= 1")
         if self.class_separation <= 0 or self.ood_offset <= 0 or self.within_class_std <= 0:
             raise ValueError("distances and scales must be positive")
+        extent = (self.n_classes - 1) * self.class_separation
         for key, reach in (
-            ("class_separation", (self.n_classes - 1) * self.class_separation),
+            ("class_separation", extent),
             ("ood_offset", self.ood_offset),
             ("within_class_std", 10 * self.within_class_std),
         ):
@@ -59,6 +66,13 @@ class SynthConfig:
                     f"'{key}' in [synth] is {getattr(self, key):g}: synthetic coordinates "
                     f"could pass {_REACH_LIMIT:.3g}, more than the float32 dataset files hold"
                 )
+        step, spread = np.spacing(extent), max(self.within_class_std, math.sqrt(VARIANCE_FLOOR))
+        if step * _STEPS_PER_SPREAD > spread:
+            raise ValueError(
+                f"'class_separation' in [synth] is {self.class_separation:g}: float64 steps near "
+                f"{extent:g} are {step:.3g} wide; EM needs the class spread {spread:g} to span "
+                f"{_STEPS_PER_SPREAD} of them"
+            )
         for pair in self.overlap_pairs:
             a, b = pair
             if not (0 <= a < self.n_classes and 0 <= b < self.n_classes) or a == b:

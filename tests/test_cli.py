@@ -772,6 +772,32 @@ class TestConfigHandling:
         assert "float32" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--synth-separation", "5e12"], ["--synth-separation", "1e14"],
+         ["--synth-separation", "1e36"],
+         ["--synth-std", "1e-5", "--synth-separation", "5e10"]],
+        ids=["5e12", "1e14", "1e36", "std-below-floor"],
+    )
+    def test_synth_separation_beyond_float64_resolution_is_config_error(self, tmp_path, capsys,
+                                                                         flags):
+        """A lattice so far out that float64 steps there are coarse next
+        to the class spread EM fits (the std, or the variance floor's if
+        larger) is refused at config load, naming the key, where EM used
+        to stop on a log-likelihood that rounding had lowered."""
+        assert main(["synth", *flags, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: 'class_separation' in [synth] is {float(flags[-1]):g}: ")
+        assert "float64" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_far_ood_offset_is_not_bounded_by_float64_resolution(self, tmp_path):
+        """Far-OOD points are what the method exists to flag, and EM never
+        sees them."""
+        argv = ["synth", "--synth-ood-offset", "1e36", "--synth-samples", "200",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+
     def test_missing_config_file(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "none.ini")]) == EXIT_CONFIG
 

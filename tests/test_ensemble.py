@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import os
 import signal
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -267,7 +269,16 @@ class TestScoreFeatureMap:
     def test_dimension_mismatch(self):
         model, members = fitted_setup(seed=15)
         fmap = FeatureMap(np.zeros((2, 2, 5), np.float32), np.ones((2, 2), bool))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"dimension 2, got shape \(4, 5\)"):
+            score_feature_map(fmap, model, members)
+
+    def test_dimension_mismatch_without_valid_pixels(self):
+        """The kernel's check also runs on the one empty block of a map
+        with no valid pixel, so such a map is refused, not scored as
+        empty."""
+        model, members = fitted_setup(seed=15)
+        fmap = FeatureMap(np.zeros((2, 2, 5), np.float32), np.zeros((2, 2), bool))
+        with pytest.raises(ShapeError, match=r"dimension 2, got shape \(0, 5\)"):
             score_feature_map(fmap, model, members)
 
     def test_rows_of_another_dimension_raise_shape_error(self):
@@ -516,6 +527,68 @@ def test_reference_rows_reach_certain_split_and_far_ood_cases(kernel_case, loop_
     assert (dist >= 1e3 * sigma).any()
     top, gap = top_two(loop_class_log_densities(rows, model))
     assert ((top <= -1e4) & (gap >= 5.0) & (gap <= 30.0)).any()
+
+
+def test_float32_rows_score_as_their_float64_widening(kernel_case):
+    """Callers pass float32 rows as they are and the kernel widens them:
+    every output equals, by dtype, shape and bytes, that of the same rows
+    widened to float64 first, on every kind of ``kernel_case`` row (far
+    OOD and the case translated by 1e4 included) and over several
+    blocks."""
+    model, members, step, rows = kernel_case
+    narrow = rows.astype(np.float32)
+    wide = narrow.astype(np.float64)
+    got, want = score_samples(narrow, model, members), score_samples(wide, model, members)
+    for field in dataclasses.fields(ens.SampleScores):
+        assert_same_bytes(getattr(got, field.name), getattr(want, field.name))
+    for params in (model, members[0]):
+        assert_same_bytes(class_log_densities(narrow, params), class_log_densities(wide, params))
+    for z32, z64 in zip(narrow[:10], wide[:10]):  # each kind of row twice
+        assert_same_bytes(vote(z32, members).counts, vote(z64, members).counts)
+        assert_same_bytes(
+            np.array(dataclasses.astuple(decompose_uncertainty(z32, members))),
+            np.array(dataclasses.astuple(decompose_uncertainty(z64, members))),
+        )
+
+
+def test_scoring_memory_per_pixel_is_bounded(monkeypatch):
+    """Marginal traced peak of ``score_feature_map`` per extra pixel at
+    the paper's shape (C = 19, K = 2, M = 20, D = 32), blocks serial so
+    the peak is deterministic.  It reads 529 B: the float32 rows (128)
+    with their mask index (16), the blocks' finished fields (208), their
+    concatenation (208) and, after the rows go, the grids.  At 650 it
+    fails if a float64 copy of the rows (256 more), a scan-wide vote pass
+    (counts / M and the log array, 304) or a block keeping all M + 1
+    point-entropy rows (160) comes back; before them it read 1189."""
+    monkeypatch.setattr(_blas, "_found", [])
+    c, k, m, d = 19, 2, 20, 32
+    rng = np.random.default_rng(21)
+    means = rng.normal(0.0, 5.0, (c, k, d))
+    variances = rng.uniform(0.5, 2.0, (c, k, d))
+    weights = np.full((c, k), 1.0 / k)
+    model = GMMClassifier(
+        [ClassGMM(i, weights[i], means[i], variances[i]) for i in range(c)]
+    )
+    members = [
+        GMMParameterSample(means + rng.normal(0.0, 0.1, means.shape), variances, weights)
+        for _ in range(m)
+    ]
+
+    def traced_peak(width):
+        fmap = FeatureMap(
+            rng.normal(0.0, 5.0, (32, width, d)).astype(np.float32), np.ones((32, width), bool)
+        )
+        score_feature_map(fmap, model, members)  # warm-up
+        tracemalloc.start()
+        try:
+            score_feature_map(fmap, model, members)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = traced_peak(256), traced_peak(1024)
+    per_pixel = (large - small) / (32 * 768)
+    assert per_pixel < 650, f"{per_pixel:.0f} B per extra pixel"
 
 
 def em_case(d, n):

@@ -275,6 +275,37 @@ class TestEMFit:
         assert done.returncode == 0, done.stderr
         assert "raised: EM log-likelihood decreased" in done.stdout
 
+    def test_a_fit_that_converges_runs_one_e_step_per_iteration(self, monkeypatch):
+        """A stop on ``tol`` feeds the statistics from the loop's last
+        E-step; no E-step is run again under unchanged parameters."""
+        calls = []
+        e_step = gmm_mod._e_step
+
+        def counting(*args):
+            calls.append(None)
+            return e_step(*args)
+
+        monkeypatch.setattr(gmm_mod, "_e_step", counting)
+        x = np.random.default_rng(8).normal(size=(300, 2))
+        _, stats = em_fit(x, 2, seed=0)
+        assert 1 < stats.log_likelihoods.size < 100
+        assert len(calls) == stats.log_likelihoods.size
+
+    @pytest.mark.parametrize("max_iters, tol", [(100, 1e-5), (3, 0.0)], ids=["tol", "max_iters"])
+    def test_stats_are_a_fresh_e_step_under_the_returned_mixture(self, max_iters, tol):
+        """Whichever way the loop ends, the statistics equal bit for bit
+        those of an E-step under the returned parameters."""
+        x = np.random.default_rng(9).normal(size=(300, 3)) * [1.0, 2.0, 0.5]
+        gmm, stats = em_fit(x, 2, max_iters=max_iters, tol=tol, seed=1)
+        assert (stats.log_likelihoods.size < max_iters) == (tol > 0)
+        log_w = gmm_mod._log_weights(gmm.weights)
+        resp, _ = gmm_mod._e_step(x, log_w, gmm.means, gmm.variances)
+        nk = resp.sum(axis=0)
+        xbar = (resp.T @ x) / nk[:, None]
+        assert_same_bytes(stats.counts, nk)
+        assert_same_bytes(stats.means, xbar)
+        assert_same_bytes(stats.sq_devs, gmm_mod._weighted_sq_devs(x, resp, xbar))
+
     def test_stats_shapes_and_mass(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(120, 2))

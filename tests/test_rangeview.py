@@ -52,14 +52,12 @@ class TestParsePointCloud:
 
 class TestParseLabels:
     def test_low_16_bits(self):
-        labels = parse_labels(struct.pack("<I", 0x00010001), 1, outlier_id=2)
-        assert labels.labels[0] == 1
-        assert not labels.outlier_flag[0]
+        labels = parse_labels(struct.pack("<I", 0x00010001), 1)
+        assert labels[0] == 1
 
     def test_outlier_flag(self):
-        labels = parse_labels(struct.pack("<I", 0x00FF0001), 1, outlier_id=1)
-        assert labels.labels[0] == 1
-        assert labels.outlier_flag[0]
+        labels = parse_labels(struct.pack("<I", 0x00FF0001), 1)
+        assert labels[0] == 1
 
     def test_count_mismatch(self):
         with pytest.raises(LabelCountError):
