@@ -15,18 +15,19 @@ The libraries are the OpenBLAS builds the process has mapped
 module costs nothing.
 
 ``map_on_cores(work, items)`` is the one thread pool of the package:
-scoring maps it over a scan's blocks of pixels and fitting over the
-classes.  The items of a call run on a pool of its own, one thread per
-usable CPU, opened and closed inside ``single_thread()``, since
-OpenBLAS's own threads would fight the pool's; so no item outlives the
-hold.  Where no OpenBLAS is found the items run one after another on
-the calling thread.  Each item runs in a copy of the caller's context,
-so a caller's ``np.errstate`` holds in it, and returns its own result,
-so what the caller assembles is bit-identical to the serial path.  The
-results come back in item order; an error is raised from the first item
-that failed, once no item is running.  Overlapping calls each get their
-own pool; the hold is reference-counted, so OpenBLAS stays at one thread
-until the last of them returns.
+scoring maps it over a scan's blocks of pixels, and fitting over its
+training scans and then over the classes.  The items of a call run on a
+pool of its own, one thread per usable CPU, opened and closed inside
+``single_thread()``, since OpenBLAS's own threads would fight the
+pool's; so no item outlives the hold.  Where no OpenBLAS is found the
+items run one after another on the calling thread.  Each item runs in a
+copy of the caller's context, so a caller's ``np.errstate`` holds in it,
+and returns its own result, so what the caller assembles is
+bit-identical to the serial path.  The results come back in item order; an
+error is raised from the first item that failed, once no item is
+running.  Overlapping calls each get their own pool; the hold is
+reference-counted, so OpenBLAS stays at one thread until the last of
+them returns.
 """
 
 import contextlib

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import ensemble as ens
-from . import gmm, metrics, nig, rangeview
+from . import _blas, gmm, metrics, nig, rangeview
 from . import synth as synthmod
-from .errors import Error, ShapeError, UndefinedMetricError
+from .errors import Error, FormatError, ShapeError, UndefinedMetricError
 from .formats import FeatureMap, read_feature_map, write_atomic, write_feature_map
 
 EXIT_OK = 0
@@ -372,12 +372,18 @@ def cmd_fit(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     n_classes = cfg.model.classes
-    pooled: list[list[np.ndarray]] = [[] for _ in range(n_classes)]
     feature_files = sorted(feature_dir.glob("*.fmap"))
     if not feature_files:
         raise Error(f"no feature files in {feature_dir}")
-    for fpath in feature_files:
-        fmap = read_feature_map(fpath)
+
+    def read_scan(fpath: Path) -> list:
+        """The usable float32 rows of one training scan, grouped by train
+        id with one stable sort: part c holds class c's rows in pixel
+        order."""
+        try:
+            fmap = read_feature_map(fpath)
+        except FormatError as exc:
+            raise FormatError(f"{fpath.name}: {exc}") from None
         if fmap.dim != cfg.model.feature_dim:
             raise ShapeError(
                 f"{fpath.name}: feature dimension {fmap.dim} != configured "
@@ -386,22 +392,25 @@ def cmd_fit(cfg: RunConfig) -> int:
         train, outlier, ignore = _read_labels(
             label_dir / fpath.name, fmap.valid.shape, cfg.class_map
         )
-        usable = fmap.valid & ~outlier & ~ignore
-        feats = fmap.values[usable]
-        ids = train[usable]
-        for c in range(n_classes):
-            sel = ids == c
-            if sel.any():
-                pooled[c].append(feats[sel])
+        pixels = np.flatnonzero(fmap.valid & ~outlier & ~ignore)
+        ids = train.ravel()[pixels]
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        bounds = np.searchsorted(ids, np.arange(n_classes + 1))
+        if bounds[-1] < ids.size:
+            raise Error(
+                f"{fpath.name}: train id {ids[bounds[-1]]} at a usable pixel is not below "
+                f"classes = {n_classes}"
+            )
+        rows = fmap.values.reshape(-1, fmap.dim)[pixels[order]]
+        return np.split(rows, bounds[1:-1])
 
-    # float32 as read, each class's parts dropped as it is concatenated;
-    # em_fit widens a class to float64 (exactly) only while it is fitted
-    per_class = []
-    while pooled:
-        parts = pooled.pop(0)
-        per_class.append(
-            np.concatenate(parts) if parts else np.empty((0, cfg.model.feature_dim), np.float32)
-        )
+    # each scan read, label-mapped and grouped on the pool; a class is its
+    # parts in file order, so EM sees the rows a serial read would give,
+    # in float32 as read (em_fit widens a class only while it is fitted)
+    scans = _blas.map_on_cores(read_scan, feature_files)
+    per_class = [np.concatenate([parts[c] for parts in scans]) for c in range(n_classes)]
+    del scans  # the grouped rows, freed before EM widens the classes
     model, stats = gmm.fit_classifier(
         per_class,
         cfg.model.components,

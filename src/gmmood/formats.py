@@ -117,7 +117,9 @@ def feature_map_from_bytes(data: bytes) -> FeatureMap:
     values = np.frombuffer(data, dtype="<f4", count=h * w * d, offset=HEADER_SIZE)
     valid = np.frombuffer(data, dtype=np.uint8, count=h * w, offset=HEADER_SIZE + 4 * h * w * d)
     fmap = FeatureMap(values.reshape(h, w, d).copy(), valid.reshape(h, w) != 0)
-    if not np.isfinite(fmap.values[fmap.valid]).all():
+    # the whole grid first, which needs no gather of the valid rows; only a
+    # map with a non-finite value anywhere pays for the valid-only check
+    if not np.isfinite(fmap.values).all() and not np.isfinite(fmap.values[fmap.valid]).all():
         raise FormatError("non-finite feature value at a valid pixel")
     return fmap
 

@@ -15,6 +15,15 @@ leading member axes.  It is also the one place that checks the rows'
 feature dimension, before its matrix product, and that widens them to
 float64 (``em_fit`` also does, once, for its M-step's reuse).
 
+The kernel writes ``z - c`` feature by feature into its (2D + 1, N)
+operand, so it reads the rows through ``z.T``.  C-ordered (N, D) rows
+make that a strided read, most of a D = 32 E-step's kernel time; so
+``em_fit`` keeps one feature-major copy of its widened rows
+(``np.ascontiguousarray(x.T).T``) for its E-steps, whose ``z.T`` is then
+contiguous.  The values and the GEMM are the same, so the log densities
+are too, bit for bit; seeding, the global variance and the M-step keep
+reading the C-ordered rows, so their sums round as before.
+
 The kernel expands the quadratic form into one float64 GEMM.  With
 P = 1/sigma^2 and c the mean of all the component means passed in,
 
@@ -345,6 +354,8 @@ def em_fit(
     if n < k:
         raise InsufficientDataError(f"class {class_id} has {n} samples; needs at least {k}")
 
+    # feature-major for the E-steps: the kernel's z.T is then a contiguous read
+    rows = np.ascontiguousarray(x.T).T
     rng = np.random.default_rng(seed)
     means = _kmeanspp_centers(x, k, rng)
     global_var = np.maximum(x.var(axis=0), VARIANCE_FLOOR)
@@ -356,7 +367,7 @@ def em_fit(
     prev_ll = -np.inf
     check_monotone = True
     for _ in range(max_iters):
-        resp, log_p = _e_step(x, _log_weights(weights), means, variances)
+        resp, log_p = _e_step(rows, _log_weights(weights), means, variances)
         ll = float(log_p.sum())
         if check_monotone and ll_history and not ll >= prev_ll - 1e-8 * max(1.0, abs(prev_ll)):
             raise ConvergenceError(f"EM log-likelihood decreased: {prev_ll} -> {ll}")
@@ -379,7 +390,7 @@ def em_fit(
         reseeds += int(collapsed.sum())
         check_monotone = not collapsed.any()
     else:  # ended on an M-step: a stop on tol has this E-step already
-        resp, _ = _e_step(x, _log_weights(weights), means, variances)
+        resp, _ = _e_step(rows, _log_weights(weights), means, variances)
 
     gmm = ClassGMM(class_id, weights, means, variances)
     # statistics of the E-step under the returned parameters feed the Bayesian updates

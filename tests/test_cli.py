@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmmood import _blas, cli
+from gmmood import _blas, cli, gmm, nig
 from gmmood.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -235,7 +235,8 @@ class TestFitCommand:
     def test_memory_per_training_value_is_bounded(self, tmp_path, monkeypatch):
         """Training features are pooled in float32 as read and each class
         is widened to float64 only while it is fitted, on (N, D) EM
-        temporaries: 10.6 B per training value (samples x D) here, against
+        temporaries: 8.7 B per training value (samples x D) here, against
+        10.6 B when each scan's classes were picked by boolean masks and
         16.0 B when every class was pooled in float64 and EM took two
         (K, N, D) temporaries.  Classes are fitted serially, so that the
         peak does not depend on how many are in flight at once."""
@@ -258,10 +259,108 @@ class TestFitCommand:
         values = 32 * sum(entry["samples"] for entry in report["classes"].values())
         assert peak / values < 13, f"{peak / values:.1f} B per training value"
 
+    @pytest.mark.parametrize("reads", ["pooled", "serial"])
+    def test_scans_grouped_on_the_pool_fit_as_a_serial_masked_read(
+        self, tmp_path, monkeypatch, reads
+    ):
+        """Each scan's rows grouped by one stable sort, on the pool or one
+        scan after another, give the model, bank and report bytes of
+        scans read in turn with one boolean mask per class: the same rows
+        in the same order.  The scans mix invalid, outlier, ignored and
+        unmapped pixels, and class 4 is missing from two of them."""
+        if reads == "serial":
+            monkeypatch.setattr(_blas, "_found", [])
+        rng = np.random.default_rng(21)
+        # train classes 0..5 of the default map, outlier 1, ignore 0, unmapped 7
+        raw = [10, 11, 15, 18, 20, 30, 1, 0, 7]
+        scans = [rng.choice(raw, size=(8, 64)) for _ in range(5)]
+        for scan in scans[1:3]:
+            scan[scan == 20] = 30
+        features, labels = write_fit_inputs(tmp_path, scans, dim=4, seed=22, invalid=0.2)
+        out = tmp_path / "out"
+        argv = ["fit", "--feature-dir", str(features), "--label-dir", str(labels),
+                "--out", str(out), "--classes", "6", "--feature-dim", "4"]
+        assert main(argv) == EXIT_OK
 
-def write_fit_inputs(root, raw_labels, dim, seed):
-    """A feature map of ``dim`` channels per raw-label grid, every pixel
-    valid, under ``root``; returns (feature dir, label dir)."""
+        cfg = cli.RunConfig()
+        pooled = [[] for _ in range(6)]
+        for fpath in sorted(features.glob("*.fmap")):
+            fmap = read_feature_map(fpath)
+            grid = read_feature_map(labels / fpath.name)
+            train, outlier, ignore = DEFAULT_CLASS_MAP.map_array(np.round(grid.grid()))
+            usable = fmap.valid & grid.valid & ~outlier & ~ignore
+            for c, parts in enumerate(pooled):
+                parts.append(fmap.values[usable & (train == c)])
+        per_class = [np.concatenate(parts) for parts in pooled]
+        model, stats = gmm.fit_classifier(
+            per_class, cfg.model.components, max_iters=cfg.em.max_iters, tol=cfg.em.tol,
+            seed=cfg.ensemble.seed,
+        )
+        report = {
+            str(c): {
+                "samples": len(x),
+                "em_iterations": int(st.log_likelihoods.size),
+                "final_log_likelihood": float(st.log_likelihoods[-1]),
+                "reseeds": int(st.reseeds),
+            }
+            for c, (x, st) in enumerate(zip(per_class, stats))
+        }
+        cli._write_json(tmp_path / "want.json", {"classes": report})
+        assert (out / "model.gmmc").read_bytes() == gmm.classifier_to_bytes(model)
+        assert (out / "bank.nigb").read_bytes() == nig.bank_to_bytes(
+            nig.build_bank(model, stats, cfg.prior)
+        )
+        assert (out / "fit_report.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    @pytest.mark.parametrize("first", ["non-finite", "dimension"])
+    def test_first_bad_scan_in_sorted_order_is_reported(self, tmp_path, capsys, first):
+        """Two bad scans, whose reads may fail at once on the pool: the
+        error is the first one's in sorted order, and names it."""
+        from gmmood.formats import FeatureMap, write_feature_map
+
+        scans = [np.resize([10, 11, 15], (4, 32)) for _ in range(4)]
+        features, labels = write_fit_inputs(tmp_path, scans, dim=3, seed=23)
+        nan_scan, wide_scan = ("001", "002") if first == "non-finite" else ("002", "001")
+        write_nan_pixel(features / f"{nan_scan}.fmap", features / f"{nan_scan}.fmap")
+        write_feature_map(
+            FeatureMap(np.zeros((4, 32, 5)), np.ones((4, 32), bool)),
+            features / f"{wide_scan}.fmap",
+        )
+        argv = ["fit", "--feature-dir", str(features), "--label-dir", str(labels),
+                "--out", str(tmp_path / "out"), "--classes", "3", "--feature-dim", "3"]
+        assert main(argv) == EXIT_CONFIG
+        want = {
+            "non-finite": "001.fmap: non-finite feature value at a valid pixel",
+            "dimension": "001.fmap: feature dimension 5 != configured 3",
+        }[first]
+        assert capsys.readouterr().err == f"error: {want}\n"
+
+    def test_train_id_beyond_classes_is_config_error(self, tmp_path, capsys):
+        """A usable pixel whose train id is not below ``classes`` stops
+        the fit before anything is written; outlier, ignored and unmapped
+        raw ids do not."""
+        scans = [np.resize([10, 11, 1, 0, 7], (4, 40)) for _ in range(3)]
+        scans[1][2, 5] = 15  # train id 2
+        features, labels = write_fit_inputs(tmp_path, scans, dim=3, seed=24)
+        out = tmp_path / "out"
+        argv = ["fit", "--feature-dir", str(features), "--label-dir", str(labels),
+                "--out", str(out), "--feature-dim", "3", "--classes"]
+        assert main([*argv, "2"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: 001.fmap: train id 2 at a usable pixel is not below classes = 2\n"
+        )
+        assert list(out.iterdir()) == []
+        scans[1][3, 6] = 15  # class 2 needs two samples for K = 2
+        shutil.rmtree(features)
+        shutil.rmtree(labels)
+        write_fit_inputs(tmp_path, scans, dim=3, seed=24)
+        assert main([*argv, "3"]) == EXIT_OK
+
+
+def write_fit_inputs(root, raw_labels, dim, seed, invalid=0.0):
+    """A feature map of ``dim`` channels per raw-label grid under
+    ``root``, every pixel valid or, given ``invalid``, that fraction of
+    them invalid; returns (feature dir, label dir)."""
     from gmmood.formats import FeatureMap, write_feature_map
 
     rng = np.random.default_rng(seed)
@@ -269,7 +368,7 @@ def write_fit_inputs(root, raw_labels, dim, seed):
     features.mkdir()
     labels.mkdir()
     for i, raw in enumerate(raw_labels):
-        valid = np.ones(raw.shape, bool)
+        valid = rng.random(raw.shape) >= invalid if invalid else np.ones(raw.shape, bool)
         values = rng.normal(0.0, 1.0, (*raw.shape, dim)) + raw[..., None] % 7
         write_feature_map(FeatureMap(values, valid), features / f"{i:03d}.fmap")
         write_feature_map(FeatureMap(raw[..., None], valid), labels / f"{i:03d}.fmap")

@@ -63,6 +63,18 @@ class TestFMap:
         with pytest.raises(FormatError):
             feature_map_from_bytes(data + b"\x00")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_fails_only_at_a_valid_pixel(self, value):
+        fmap = random_feature_map(np.random.default_rng(5))
+        (vr, vc), (ir, ic) = np.argwhere(fmap.valid)[0], np.argwhere(~fmap.valid)[0]
+        fmap.values[ir, ic, 1] = value
+        back = feature_map_from_bytes(feature_map_to_bytes(fmap))
+        assert back.values.tobytes() == fmap.values.tobytes()
+        np.testing.assert_array_equal(back.valid, fmap.valid)
+        fmap.values[vr, vc, 2] = value
+        with pytest.raises(FormatError, match="non-finite feature value at a valid pixel"):
+            feature_map_from_bytes(feature_map_to_bytes(fmap))
+
     def test_from_grid_requires_2d(self):
         with pytest.raises(ShapeError):
             FeatureMap.from_grid(np.zeros((2, 2, 2)), np.ones((2, 2), bool))

@@ -434,3 +434,112 @@ def test_weighted_sq_devs_match_broadcast_form(n, d):
             gmm_mod._weighted_sq_devs(x, resp, centers),
             broadcast_weighted_sq_devs(x, resp, centers),
         )
+
+
+@pytest.mark.parametrize("d", [1, 5, 32])
+@pytest.mark.parametrize("n", [64, 67, 9000, 9003])  # N mod 8 in {0, 3}: the GEMM's tail
+@pytest.mark.parametrize("far", [False, True], ids=["near", "far1e4"])
+def test_e_step_on_feature_major_rows_equals_c_ordered(d, n, far):
+    """The kernel reads feature-major rows with the same arithmetic as
+    C-ordered ones: responsibilities and log densities equal bit for
+    bit, also for far rows and a zero-weight component."""
+    rng = np.random.default_rng(100 * d + n)
+    x = rng.normal(0.0, 1.0, (n, d))
+    if far:
+        x[::5] += 1e4
+    log_w = gmm_mod._log_weights(np.array([0.5, 0.3, 0.2, 0.0]))
+    means = rng.normal(0.0, 2.0, (4, d))
+    variances = rng.uniform(0.5, 2.0, (4, d))
+    rows = np.ascontiguousarray(x.T).T
+    assert rows.T.flags.c_contiguous and np.array_equal(rows, x)
+    want = gmm_mod._e_step(x, log_w, means, variances)
+    got = gmm_mod._e_step(rows, log_w, means, variances)
+    for g, w in zip(got, want):
+        assert_same_bytes(g, w)
+
+
+def frozen_em_fit(features, k, *, max_iters=100, tol=1e-5, seed=0, class_id=0):
+    """``em_fit`` as it was when every E-step read the C-ordered float64
+    rows (its monotonicity check left out): the reference for the
+    feature-major E-steps."""
+    x = np.asarray(features, dtype=np.float64)
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    means = gmm_mod._kmeanspp_centers(x, k, rng)
+    global_var = np.maximum(x.var(axis=0), VARIANCE_FLOOR)
+    variances = np.tile(global_var, (k, 1))
+    weights = np.full(k, 1.0 / k)
+    ll_history, reseeds, prev_ll = [], 0, -np.inf
+    for _ in range(max_iters):
+        resp, log_p = gmm_mod._e_step(x, gmm_mod._log_weights(weights), means, variances)
+        ll = float(log_p.sum())
+        ll_history.append(ll)
+        if ll_history[:-1] and abs(ll - prev_ll) < tol * max(1.0, abs(prev_ll)):
+            break
+        prev_ll = ll
+        nk = resp.sum(axis=0)
+        collapsed = nk < gmm_mod.COLLAPSE_THRESHOLD
+        weights = np.where(collapsed, 1.0 / n, nk / n)
+        weights = weights / weights.sum()
+        safe_nk = np.maximum(nk, gmm_mod.COLLAPSE_THRESHOLD)[:, None]
+        means = (resp.T @ x) / safe_nk
+        variances = np.maximum(gmm_mod._weighted_sq_devs(x, resp, means) / safe_nk, VARIANCE_FLOOR)
+        means[collapsed] = x[rng.integers(n, size=collapsed.sum())]
+        variances[collapsed] = global_var
+        reseeds += int(collapsed.sum())
+    else:
+        resp, _ = gmm_mod._e_step(x, gmm_mod._log_weights(weights), means, variances)
+    nk = resp.sum(axis=0)
+    xbar = np.where(nk[:, None] > 0, (resp.T @ x) / np.maximum(nk, 1e-300)[:, None], means)
+    sq = gmm_mod._weighted_sq_devs(x, resp, xbar)
+    return (
+        ClassGMM(class_id, weights, means, variances),
+        gmm_mod.SufficientStats(nk, xbar, sq, np.asarray(ll_history), reseeds),
+    )
+
+
+def fit_d32_like_class(rng, n=4500, d=32):
+    """One class as the fit-d32 benchmark draws it: two diagonal
+    Gaussians in D = 32, pooled in float32."""
+    means = rng.normal(0.0, 3.0, d) + rng.normal(0.0, 2.0, (2, d))
+    stds = rng.uniform(0.6, 1.4, (2, d))
+    comp = (rng.random(n) >= rng.uniform(0.3, 0.7)).astype(np.int64)
+    return (means[comp] + stds[comp] * rng.standard_normal((n, d))).astype(np.float32)
+
+
+EM_CASES = {
+    "fit-d32": (lambda rng: fit_d32_like_class(rng), 2, 100),
+    "fit-d32-max_iters": (lambda rng: fit_d32_like_class(rng, n=3001), 2, 2),
+    "far1e4": (lambda rng: np.concatenate(
+        [fit_d32_like_class(rng, n=900), fit_d32_like_class(rng, n=203) + 1e4]), 3, 100),
+    "reseed": (lambda rng: np.pad(RESEEDING_ROWS, ((0, 0), (0, 31))), 5, 100),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EM_CASES))
+def test_em_fit_equals_its_c_ordered_form(case, monkeypatch):
+    """``em_fit``'s E-steps read feature-major rows, and its mixture and
+    statistics equal, bit for bit, those of the form whose E-steps read
+    the C-ordered rows."""
+    make, k, max_iters = EM_CASES[case]
+    x = make(np.random.default_rng(len(case)))
+    want = frozen_em_fit(x, k, max_iters=max_iters, seed=7, class_id=4)
+    e_step, layouts = gmm_mod._e_step, []
+
+    def spy(z, *args):
+        layouts.append(z.T.flags.c_contiguous)
+        return e_step(z, *args)
+
+    monkeypatch.setattr(gmm_mod, "_e_step", spy)
+    got = em_fit(x, k, max_iters=max_iters, seed=7, class_id=4)
+    assert layouts and all(layouts)
+    assert got[0].class_id == want[0].class_id
+    for name in ("weights", "means", "variances"):
+        assert_same_bytes(getattr(got[0], name), getattr(want[0], name))
+    for name in STATS_FIELDS:
+        assert_same_bytes(getattr(got[1], name), getattr(want[1], name))
+    assert got[1].reseeds == want[1].reseeds
+    if case == "reseed":
+        assert got[1].reseeds >= 1
+    if case.endswith("max_iters"):
+        assert got[1].log_likelihoods.size == max_iters
