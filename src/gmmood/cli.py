@@ -537,7 +537,8 @@ def cmd_eval(cfg: RunConfig) -> int:
 
     def eval_one(ppath: Path):
         """(OOD flags, {channel: float32 scores}, predicted ids, true ids)
-        of one scan's ranked pixels; the ids cover its in-distribution ones."""
+        of one scan's ranked pixels; the ids cover its in-distribution ones
+        and must lie in [0, classes)."""
         stem = ppath.stem
         pred_map = read_feature_map(ppath)
         train, outlier, ignore = _read_labels(
@@ -551,8 +552,16 @@ def cmd_eval(cfg: RunConfig) -> int:
                 raise ShapeError(f"{stem}_{channel}.fmap: grid {grid.shape} != {ranked.shape}")
             scores[channel] = -grid[ranked] if channel == "max_posterior" else grid[ranked]
         id_pixels = ranked & ~outlier
-        pred = np.round(pred_map.grid()).astype(np.int64)
-        return outlier[ranked], scores, pred[id_pixels], train[id_pixels]
+        pred = np.round(pred_map.grid()).astype(np.int64)[id_pixels]
+        true = train[id_pixels]
+        for what, ids in (("train", true), ("predicted", pred)):
+            bad = ids[(ids < 0) | (ids >= cfg.model.classes)]
+            if bad.size:
+                raise Error(
+                    f"{what} id {bad[0]} at an in-distribution pixel is not in "
+                    f"[0, classes = {cfg.model.classes})"
+                )
+        return outlier[ranked], scores, pred, true
 
     done = _each_file(pred_files, eval_one)
     for path, _, error in done:

@@ -13,16 +13,26 @@ reductions call it on the point-estimate ``GMMClassifier``, a sampled
 member (``nig.GMMParameterSample``) or a whole ensemble stacked along
 leading member axes.  It is also the one place that checks the rows'
 feature dimension, before its matrix product, and that widens them to
-float64 (``em_fit`` also does, once, for its M-step's reuse).
+float64 (``em_fit`` also does, once, into the copy its passes share).
 
 The kernel writes ``z - c`` feature by feature into its (2D + 1, N)
 operand, so it reads the rows through ``z.T``.  C-ordered (N, D) rows
 make that a strided read, most of a D = 32 E-step's kernel time; so
-``em_fit`` keeps one feature-major copy of its widened rows
-(``np.ascontiguousarray(x.T).T``) for its E-steps, whose ``z.T`` is then
-contiguous.  The values and the GEMM are the same, so the log densities
-are too, bit for bit; seeding, the global variance and the M-step keep
-reading the C-ordered rows, so their sums round as before.
+``em_fit`` widens a class's rows once into one feature-major (D, N)
+float64 copy, which every pass of the fit reads: the E-steps (through
+its ``.T``, so the kernel's ``z.T`` is contiguous), k-means++ seeding,
+the global variance, reseeding and ``_moments``.
+
+``_moments`` gives the M-step and the final statistics: the effective
+counts, the means (one (K, N) by (N, D) GEMM over the counts) and each
+component's sums of squared deviations about its new mean, subtracted
+into a (D, N) scratch buffer that lives for the whole fit, squared in
+place and weighted by one matrix-vector product.  Second moments about
+the kernel's shared centre c would come from one GEMM with the E-step's
+operand, as ``S2 - nk (m - c)^2``, but that difference cancels at the
+scale of a component's offset from c: on two unit-sigma components 1e6
+apart it is off by ~1e-4 relative, where deviations about each
+component's own mean stay within ~1e-14 of a per-component float64 loop.
 
 The kernel expands the quadratic form into one float64 GEMM.  With
 P = 1/sigma^2 and c the mean of all the component means passed in,
@@ -247,18 +257,20 @@ def _e_step(z, log_w, means, variances) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(joint, out=joint).T, log_p
 
 
-def _weighted_sq_devs(x: np.ndarray, resp: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Responsibility-weighted sums of squared deviations around each
-    component's center, shape (K, D), one component at a time on (N, D)
-    temporaries; the sums over samples round as per component (pairwise
-    only at D = 1)."""
-    out = np.empty(centers.shape)
-    for k, center in enumerate(centers):
-        diff = x - center
-        term = resp[:, k, None] * diff
-        term *= diff
-        out[k] = term.sum(axis=0)
-    return out
+def _moments(rows: np.ndarray, resp: np.ndarray, scratch: np.ndarray) -> tuple:
+    """Effective counts (K,), means (K, D) and sums of squared deviations
+    about those means (K, D) of feature-major (D, N) ``rows`` under (K, N)
+    responsibilities; ``scratch`` is a (D, N) float64 buffer.  A component
+    of zero count gets mean 0 and sums 0."""
+    nk = resp.sum(axis=1)
+    means = resp @ rows.T
+    means /= np.maximum(nk, 1e-300)[:, None]
+    sq_devs = np.empty(means.shape)
+    for k, mean in enumerate(means):
+        np.subtract(rows, mean[:, None], out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        np.matmul(scratch, resp[k], out=sq_devs[k])
+    return nk, means, sq_devs
 
 
 def _class_sums(joint: np.ndarray) -> np.ndarray:
@@ -308,19 +320,29 @@ def predict(z, model: GMMClassifier):
     return int(ids) if np.ndim(z) == 1 else ids
 
 
-def _kmeanspp_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++-style seeding: spread initial means by squared distance."""
-    n = x.shape[0]
-    centers = np.empty((k, x.shape[1]))
-    centers[0] = x[rng.integers(n)]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+def _kmeanspp_centers(
+    rows: np.ndarray, k: int, rng: np.random.Generator, scratch: np.ndarray
+) -> np.ndarray:
+    """k-means++-style seeding from feature-major (D, N) rows: spread
+    initial means by squared distance; ``scratch`` is a (D, N) float64
+    buffer."""
+    d, n = rows.shape
+    centers = np.empty((k, d))
+
+    def sq_dists(center):
+        np.subtract(rows, center[:, None], out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        return scratch.sum(axis=0)
+
+    centers[0] = rows[:, rng.integers(n)]
+    d2 = sq_dists(centers[0])
     for m in range(1, k):
         total = d2.sum()
         if total > 0:
-            centers[m] = x[rng.choice(n, p=d2 / total)]
+            centers[m] = rows[:, rng.choice(n, p=d2 / total)]
         else:
-            centers[m] = x[rng.integers(n)]
-        d2 = np.minimum(d2, np.sum((x - centers[m]) ** 2, axis=1))
+            centers[m] = rows[:, rng.integers(n)]
+        np.minimum(d2, sq_dists(centers[m]), out=d2)
     return centers
 
 
@@ -342,9 +364,15 @@ def em_fit(
     iterations.  Components whose effective count collapses below
     ``COLLAPSE_THRESHOLD`` are re-seeded to a random data point (counted
     in the returned statistics, not fatal).  The data log-likelihood is
-    checked to be non-decreasing (1e-8 slack) across ordinary iterations.
+    checked to be non-decreasing (1e-8 slack) across ordinary iterations;
+    a decrease raises ``ConvergenceError`` naming ``class_id``.
+
+    The rows are widened once into a feature-major (D, N) float64 copy
+    that every pass reads, with one (D, N) scratch buffer for seeding and
+    ``_moments`` (see the module docstring): two float64 values per
+    feature value, plus the kernel's operand during an E-step.
     """
-    x = np.asarray(features, dtype=np.float64)
+    x = np.asarray(features)
     if x.ndim != 2:
         raise ShapeError(f"features must be (N, D), got {x.shape}")
     n, d = x.shape
@@ -354,11 +382,11 @@ def em_fit(
     if n < k:
         raise InsufficientDataError(f"class {class_id} has {n} samples; needs at least {k}")
 
-    # feature-major for the E-steps: the kernel's z.T is then a contiguous read
-    rows = np.ascontiguousarray(x.T).T
+    rows = np.array(x.T, dtype=np.float64, order="C")
+    scratch = np.empty_like(rows)
     rng = np.random.default_rng(seed)
-    means = _kmeanspp_centers(x, k, rng)
-    global_var = np.maximum(x.var(axis=0), VARIANCE_FLOOR)
+    means = _kmeanspp_centers(rows, k, rng, scratch)
+    global_var = np.maximum(rows.var(axis=1), VARIANCE_FLOOR)
     variances = np.tile(global_var, (k, 1))
     weights = np.full(k, 1.0 / k)
 
@@ -367,36 +395,36 @@ def em_fit(
     prev_ll = -np.inf
     check_monotone = True
     for _ in range(max_iters):
-        resp, log_p = _e_step(rows, _log_weights(weights), means, variances)
+        resp, log_p = _e_step(rows.T, _log_weights(weights), means, variances)
         ll = float(log_p.sum())
         if check_monotone and ll_history and not ll >= prev_ll - 1e-8 * max(1.0, abs(prev_ll)):
-            raise ConvergenceError(f"EM log-likelihood decreased: {prev_ll} -> {ll}")
+            raise ConvergenceError(
+                f"EM log-likelihood decreased: {prev_ll} -> {ll} (class {class_id})"
+            )
         ll_history.append(ll)
 
         if ll_history[:-1] and abs(ll - prev_ll) < tol * max(1.0, abs(prev_ll)):
             break
         prev_ll = ll
 
-        # M-step
-        nk = resp.sum(axis=0)
+        # M-step; a collapsed component's mean and variance are replaced
+        nk, means, sq_devs = _moments(rows, resp.T, scratch)
         collapsed = nk < COLLAPSE_THRESHOLD
         weights = np.where(collapsed, 1.0 / n, nk / n)
         weights = weights / weights.sum()
         safe_nk = np.maximum(nk, COLLAPSE_THRESHOLD)[:, None]
-        means = (resp.T @ x) / safe_nk
-        variances = np.maximum(_weighted_sq_devs(x, resp, means) / safe_nk, VARIANCE_FLOOR)
-        means[collapsed] = x[rng.integers(n, size=collapsed.sum())]
+        variances = np.maximum(sq_devs / safe_nk, VARIANCE_FLOOR)
+        means[collapsed] = rows[:, rng.integers(n, size=collapsed.sum())].T
         variances[collapsed] = global_var
         reseeds += int(collapsed.sum())
         check_monotone = not collapsed.any()
     else:  # ended on an M-step: a stop on tol has this E-step already
-        resp, _ = _e_step(rows, _log_weights(weights), means, variances)
+        resp, _ = _e_step(rows.T, _log_weights(weights), means, variances)
 
     gmm = ClassGMM(class_id, weights, means, variances)
     # statistics of the E-step under the returned parameters feed the Bayesian updates
-    nk = resp.sum(axis=0)
-    xbar = np.where(nk[:, None] > 0, (resp.T @ x) / np.maximum(nk, 1e-300)[:, None], means)
-    sq = _weighted_sq_devs(x, resp, xbar)
+    nk, xbar, sq = _moments(rows, resp.T, scratch)
+    xbar = np.where(nk[:, None] > 0, xbar, means)
     return gmm, SufficientStats(nk, xbar, sq, np.asarray(ll_history), reseeds)
 
 

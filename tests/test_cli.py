@@ -234,11 +234,12 @@ class TestFitCommand:
 
     def test_memory_per_training_value_is_bounded(self, tmp_path, monkeypatch):
         """Training features are pooled in float32 as read and each class
-        is widened to float64 only while it is fitted, on (N, D) EM
-        temporaries: 8.7 B per training value (samples x D) here, against
-        10.6 B when each scan's classes were picked by boolean masks and
-        16.0 B when every class was pooled in float64 and EM took two
-        (K, N, D) temporaries.  Classes are fitted serially, so that the
+        is widened to float64 only while it is fitted, into one
+        feature-major copy: 8.3 B per training value (samples x D) here,
+        against 8.7 B when EM also kept a C-ordered copy and took (N, D)
+        M-step temporaries, 10.6 B when each scan's classes were picked by
+        boolean masks and 16.0 B when every class was pooled in float64
+        and EM took two (K, N, D) temporaries.  Classes are fitted serially, so that the
         peak does not depend on how many are in flight at once."""
         monkeypatch.setattr(_blas, "_found", [])
         rng = np.random.default_rng(9)
@@ -624,6 +625,43 @@ class TestEvalCommand:
             assert (root / "eval_both" / name).read_bytes() == (
                 root / "eval_alone" / name
             ).read_bytes()
+
+    def test_out_of_range_prediction_fails_its_scan_only(self, fitted, capsys):
+        """A predicted id outside [0, classes) at one in-distribution pixel
+        fails that scan, naming it, the id and ``classes``; the other scan
+        is still evaluated."""
+        from gmmood.formats import FeatureMap, write_feature_map
+
+        cfg, out, root = fitted
+        assert main(["score", "--config", str(cfg)]) == EXIT_OK
+        path = out / "predictions" / "001.fmap"
+        pred = read_feature_map(path)
+        raw = read_feature_map(out / "labels" / "001.fmap").grid()
+        row, col = np.argwhere(pred.valid & np.isin(raw, [10, 20, 30]))[0]
+        values = pred.values.copy()
+        values[row, col] = 7
+        write_feature_map(FeatureMap(values, pred.valid), path)
+        assert main(["eval", "--config", str(cfg), "--label-dir", str(out / "labels"),
+                     "--score-dir", str(out), "--out", str(root / "eval")]) == EXIT_PARTIAL
+        assert capsys.readouterr().err == (
+            "error: 001: predicted id 7 at an in-distribution pixel is not in [0, classes = 3)\n"
+        )
+        assert len(list((root / "eval").iterdir())) == 12
+
+    def test_train_ids_beyond_classes_fail_every_scan(self, fitted, capsys):
+        """``--classes 2`` below the labels' train id 2: each scan fails
+        naming the id, and with no scan left the run exits 2."""
+        cfg, out, root = fitted
+        assert main(["score", "--config", str(cfg)]) == EXIT_OK
+        assert main(["eval", "--config", str(cfg), "--label-dir", str(out / "labels"),
+                     "--score-dir", str(out), "--out", str(root / "eval"),
+                     "--classes", "2"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err[:2] == [
+            f"error: {stem}: train id 2 at an in-distribution pixel is not in [0, classes = 2)"
+            for stem in ("000", "001")
+        ]
+        assert err[2:] == [f"error: no scan in {out / 'predictions'} could be evaluated"]
 
     def test_zero_ood_is_undefined_metric(self, tmp_path):
         rng = np.random.default_rng(1)

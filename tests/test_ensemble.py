@@ -622,20 +622,6 @@ def test_em_helpers_match_loop_reference(d, n):
         assert_close(resp, want_resp)
 
 
-@pytest.mark.parametrize("n", [1, 9, 300])
-@pytest.mark.parametrize("d", [1, 5, 32])
-def test_em_helpers_bytes_match_per_component_loops(d, n):
-    """``_weighted_sq_devs`` keeps the per-component loop's arithmetic."""
-    log_w, means, variances, rows = em_case(d, n)
-    for x in rows:
-        resp, _ = loop_e_step(x, log_w, means, variances)
-        want_sq = np.empty((3, d))
-        for m in range(3):
-            diff = x - means[m]
-            want_sq[m] = (resp[:, m, None] * diff * diff).sum(axis=0)
-        assert_same_bytes(gmm_mod._weighted_sq_devs(x, resp, means), want_sq)
-
-
 @pytest.mark.parametrize("d", [1, 5, 32])
 def test_zero_weight_component_raises_no_floating_point_error(d):
     """A zero-weight component's log weight is -inf and stays out of the
