@@ -465,7 +465,7 @@ def cmd_score(cfg: RunConfig) -> int:
             for channel in SCORE_CHANNELS
         }
         written["predictions"] = _write_grid(
-            out, f"predictions/{stem}.fmap", np.where(valid, umap.predicted_class, -1), valid
+            out, f"predictions/{stem}.fmap", umap.predicted_class, valid
         )
         return valid, umap.epistemic[valid], written
 

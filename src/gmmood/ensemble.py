@@ -25,8 +25,9 @@ log density, second exp or second normaliser is taken.  The point
 model's entropy and maximum posterior come from member 0 of the same
 arrays.
 
-Each block returns every field for its own rows, predicted class and
-vote entropy included, so ``score_samples`` only concatenates them.  Rows
+Each block writes every field for its own rows, predicted class and
+vote entropy included, into one ``SampleScores`` that ``score_samples``
+allocates for all rows, so no block result is kept or concatenated.  Rows
 reach the kernel as given, float32 from a feature map, and it widens them.
 
 The blocks of a call run on the package's thread pool,
@@ -35,7 +36,7 @@ none is found).  Each block reduces its own contiguous kernel output, so
 the scores are bit-identical to the serial path.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -206,31 +207,31 @@ def score_samples(
 
     The point model is stacked as member 0 in front of the ensemble, and
     each block of about ``_BLOCK_VALUES`` log densities, (M + 1) * C * K
-    per row, is one kernel call and one reduction that returns finished
-    fields for its rows, concatenated by name; the kernel widens z."""
+    per row, is one kernel call and one reduction that writes finished
+    fields into its rows of the preallocated result; the kernel widens z."""
     z = np.atleast_2d(np.asarray(z))
     coefficients = _stack(ensemble, model)
     step = max(1, _BLOCK_VALUES // len(coefficients[1]))
+    n = len(z)
+    out = SampleScores(np.empty(n, np.intp), np.empty((n, model.num_classes), np.intp),
+                       *(np.empty(n) for _ in range(6)))
 
     def block(i):
-        joint = _joint_log_densities(z[i : i + step], coefficients)
+        rows = slice(i, i + step)
+        joint = _joint_log_densities(z[rows], coefficients)
         counts, predictive, aleatoric, mi, post, entropy = _reduce_members(joint, 1)
-        return SampleScores(
-            predicted_class=np.argmax(counts, axis=1),
-            vote_counts=counts,
-            epistemic=_entropy_rows(counts / len(ensemble)),
-            predictive_entropy=predictive,
-            aleatoric=aleatoric,
-            mutual_information=mi,
-            deterministic_entropy=entropy[0].copy(),  # a view would keep all M + 1 rows
-            max_posterior=post[0].max(axis=0),
-        )
+        out.predicted_class[rows] = np.argmax(counts, axis=1)
+        out.vote_counts[rows] = counts
+        out.epistemic[rows] = _entropy_rows(counts / len(ensemble))
+        out.predictive_entropy[rows] = predictive
+        out.aleatoric[rows] = aleatoric
+        out.mutual_information[rows] = mi
+        out.deterministic_entropy[rows] = entropy[0]
+        out.max_posterior[rows] = post[0].max(axis=0)
 
-    blocks = _blas.map_on_cores(block, range(0, max(len(z), 1), step))  # no rows: one empty block
-    return SampleScores(
-        **{f.name: np.concatenate([getattr(b, f.name) for b in blocks])
-           for f in fields(SampleScores)}
-    )
+    # no rows: one empty block, so that the kernel still checks their dimension
+    _blas.map_on_cores(block, range(0, max(n, 1), step))
+    return out
 
 
 def score_feature_map(

@@ -7,6 +7,11 @@ class prior, maximum-density prediction, and EM fitting that also emits
 the responsibility-weighted sufficient statistics consumed by the
 Bayesian layer.
 
+Every parameter set (``ClassGMM``, EM's ``SufficientStats``, a
+``nig.NIGPosteriorBank`` and its sampled ``nig.GMMParameterSample``s)
+holds (..., K, D) arrays beside a (..., K) one; ``_check_parameters``
+alone stores them as float64 and checks their shapes and finiteness.
+
 One kernel, ``_joint_log_densities``, computes every Gaussian log
 density: EM's E-step calls it on one (K, D) mixture, and the class
 reductions call it on the point-estimate ``GMMClassifier``, a sampled
@@ -94,6 +99,29 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 _EXP_FLOOR = -700.0
 
 
+def _check_parameters(obj, axes: str, per_component: str, *per_dim: str) -> None:
+    """Store the named arrays of parameter set ``obj`` as float64: raise
+    ``ShapeError`` unless the ``per_dim`` ones share one shape of axes
+    ``axes`` ("KD" or "CKD") and ``per_component`` is that shape minus its
+    last axis, and ``ValueError`` at the first value that is not finite."""
+    arrays = {n: np.asarray(getattr(obj, n), dtype=np.float64) for n in (*per_dim, per_component)}
+    shapes = [a.shape for a in arrays.values()]
+    if len(shapes[0]) != len(axes) or shapes != [shapes[0]] * len(per_dim) + [shapes[0][:-1]]:
+        raise ShapeError(
+            f"{type(obj).__name__}: {', '.join(per_dim)} must be ({', '.join(axes)}) and "
+            f"{per_component} ({', '.join(axes[:-1])}), got "
+            + ", ".join(f"{n} {a.shape}" for n, a in arrays.items())
+        )
+    for name, a in arrays.items():
+        setattr(obj, name, a)
+        finite = np.isfinite(a)
+        if not finite.all():
+            index = tuple(int(i) for i in np.unravel_index(np.argmin(finite), a.shape))
+            raise ValueError(
+                f"{type(obj).__name__}.{name} must be finite, got {a[index]} at index {index}"
+            )
+
+
 @dataclass
 class ClassGMM:
     """Point-estimate mixture for one class: weights, per-dim means/variances."""
@@ -104,19 +132,7 @@ class ClassGMM:
     variances: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.variances = np.asarray(self.variances, dtype=np.float64)
-        if self.means.ndim != 2:
-            raise ShapeError(f"means must be (K, D), got {self.means.shape}")
-        k, d = self.means.shape
-        if self.weights.shape != (k,) or self.variances.shape != (k, d):
-            raise ShapeError(
-                f"inconsistent mixture shapes: weights {self.weights.shape}, "
-                f"means {self.means.shape}, variances {self.variances.shape}"
-            )
-        if not all(np.isfinite(a).all() for a in (self.weights, self.means, self.variances)):
-            raise ValueError("mixture parameters must be finite")
+        _check_parameters(self, "KD", "weights", "means", "variances")
         if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("mixture weights must be nonnegative and sum to 1")
         if np.any(self.variances < VARIANCE_FLOOR * (1 - 1e-12)):
@@ -180,11 +196,7 @@ class SufficientStats:
     reseeds: int = 0
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.float64)
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.sq_devs = np.asarray(self.sq_devs, dtype=np.float64)
-        if self.means.shape != self.sq_devs.shape or self.counts.shape != self.means.shape[:1]:
-            raise ShapeError("inconsistent sufficient-statistic shapes")
+        _check_parameters(self, "KD", "counts", "means", "sq_devs")
         if np.any(self.counts < 0) or np.any(self.sq_devs < 0):
             raise ValueError("effective counts and squared deviations must be nonnegative")
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidStatisticsError, ShapeError
 from .formats import HEADER_SIZE, container_dims, container_to_bytes, write_atomic
-from .gmm import GMMClassifier, SufficientStats
+from .gmm import GMMClassifier, SufficientStats, _check_parameters
 
 NIGB_MAGIC = b"NIGB"
 NIGB_VERSION = 1
@@ -37,6 +37,9 @@ class NIGParams:
     beta: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"NIGParams.{name} must be finite, got {value}")
         if not (self.kappa > 0 and self.alpha > 0 and self.beta > 0):
             raise ValueError(
                 f"kappa, alpha, beta must be positive, got "
@@ -62,23 +65,7 @@ class NIGPosteriorBank:
     weights: np.ndarray
 
     def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        self.kappa = np.asarray(self.kappa, dtype=np.float64)
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        self.beta = np.asarray(self.beta, dtype=np.float64)
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.mu.ndim != 3:
-            raise ShapeError(f"bank arrays must be (C, K, D), got {self.mu.shape}")
-        for arr in (self.kappa, self.alpha, self.beta):
-            if arr.shape != self.mu.shape:
-                raise ShapeError("bank parameter arrays must share one shape")
-        if self.weights.shape != self.mu.shape[:2]:
-            raise ShapeError(
-                f"weights must be (C, K) = {self.mu.shape[:2]}, got {self.weights.shape}"
-            )
-        params = (self.mu, self.kappa, self.alpha, self.beta, self.weights)
-        if not all(np.isfinite(a).all() for a in params):
-            raise ValueError("bank parameters must be finite")
+        _check_parameters(self, "CKD", "weights", "mu", "kappa", "alpha", "beta")
         if np.any(self.kappa <= 0) or np.any(self.alpha <= 0) or np.any(self.beta <= 0):
             raise ValueError("kappa, alpha, beta must be positive in every cell")
 
@@ -92,13 +79,8 @@ class GMMParameterSample:
     weights: np.ndarray
 
     def __post_init__(self):
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.variances = np.asarray(self.variances, dtype=np.float64)
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.means.shape != self.variances.shape or self.means.ndim != 3:
-            raise ShapeError("sample arrays must be (C, K, D)")
-        if self.weights.shape != self.means.shape[:2]:
-            raise ShapeError("sample weights must be (C, K)")
+        # variances first: a mean drawn with an infinite variance is infinite too
+        _check_parameters(self, "CKD", "weights", "variances", "means")
         if np.any(self.variances <= 0):
             raise ValueError("sampled variances must be strictly positive")
 
@@ -156,7 +138,8 @@ def sample_parameters(bank: NIGPosteriorBank, rng_seed) -> GMMParameterSample:
     """
     rng = np.random.default_rng(rng_seed)
     gamma = np.maximum(rng.standard_gamma(bank.alpha), np.finfo(np.float64).tiny)
-    variances = bank.beta / gamma
+    with np.errstate(over="ignore"):  # GMMParameterSample names an infinite variance
+        variances = bank.beta / gamma
     means = rng.normal(bank.mu, np.sqrt(variances / bank.kappa))
     return GMMParameterSample(means, variances, bank.weights.copy())
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shutil
@@ -462,6 +463,22 @@ class TestScoreCommand:
         scored = sorted(f["file"] for f in manifest["files"] if "error" not in f)
         assert scored == ["000", "001"]
         assert not (out / "scores" / "nan_epistemic.fmap").exists()
+
+    def test_bank_drawing_an_infinite_variance_is_config_error(self, fitted, capsys):
+        """A parseable bank with one cell at alpha = 1e-300, beta = 1e300
+        draws an infinite variance: ``score`` exits 2 naming the member's
+        array before it writes any score map."""
+        cfg, out, root = fitted
+        bank = nig.load_bank(out / "bank.nigb")
+        bank.alpha[1, 0, 2], bank.beta[1, 0, 2] = 1e-300, 1e300
+        nig.save_bank(bank, root / "extreme.nigb")
+        assert main(["score", "--config", str(cfg), "--out", str(root / "extreme"),
+                     "--model-path", str(out / "model.gmmc"),
+                     "--bank-path", str(root / "extreme.nigb")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: GMMParameterSample.variances must be finite, got inf at ")
+        assert "(1, 0, 2)" in err
+        assert not any((root / "extreme").rglob("*.fmap"))
 
     @pytest.mark.parametrize("model_classes, bank_classes", [(3, 5), (5, 3)])
     def test_model_bank_mismatch_is_config_error(
@@ -990,6 +1007,15 @@ class TestConfigHandling:
         assert cfg.paths.label_dir == "data/labels"
         assert cfg.model.feature_dim == 5
 
+    def test_readme_quick_tour_runs(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        tour = readme.split("```python\n", 1)[1].split("```", 1)[0]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", tour], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+
     def test_builtin_defaults(self):
         cfg = load_run_config(None)
         assert cfg.ensemble.n_samples == 20
@@ -1030,3 +1056,15 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_package_has_no_assert_statements():
+    """Invariants are checked by code that still runs under ``python -O``,
+    which strips ``assert`` statements."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

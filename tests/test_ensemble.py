@@ -554,12 +554,13 @@ def test_float32_rows_score_as_their_float64_widening(kernel_case):
 def test_scoring_memory_per_pixel_is_bounded(monkeypatch):
     """Marginal traced peak of ``score_feature_map`` per extra pixel at
     the paper's shape (C = 19, K = 2, M = 20, D = 32), blocks serial so
-    the peak is deterministic.  It reads 529 B: the float32 rows (128)
-    with their mask index (16), the blocks' finished fields (208), their
-    concatenation (208) and, after the rows go, the grids.  At 650 it
-    fails if a float64 copy of the rows (256 more), a scan-wide vote pass
-    (counts / M and the log array, 304) or a block keeping all M + 1
-    point-entropy rows (160) comes back; before them it read 1189."""
+    the peak is deterministic.  It reads 336 B: the float32 rows (128)
+    and the fields the blocks write into (208: the vote counts 152, the
+    predicted class 8 and six float64 scores 48); the grids come after the
+    rows go.  At 450 it fails if a float64 copy of the rows (256 more), a
+    scan-wide vote pass (counts / M and the log array, 304) or block
+    results kept for a concatenation (208) comes back; before them it
+    read 1189."""
     monkeypatch.setattr(_blas, "_found", [])
     c, k, m, d = 19, 2, 20, 32
     rng = np.random.default_rng(21)
@@ -588,7 +589,7 @@ def test_scoring_memory_per_pixel_is_bounded(monkeypatch):
 
     small, large = traced_peak(256), traced_peak(1024)
     per_pixel = (large - small) / (32 * 768)
-    assert per_pixel < 650, f"{per_pixel:.0f} B per extra pixel"
+    assert per_pixel < 450, f"{per_pixel:.0f} B per extra pixel"
 
 
 def em_case(d, n):

@@ -3,9 +3,10 @@ import pytest
 from scipy import stats as sstats
 
 from gmmood.errors import InvalidStatisticsError, ShapeError
-from gmmood.gmm import GMMClassifier, SufficientStats, em_fit
+from gmmood.gmm import ClassGMM, GMMClassifier, SufficientStats, em_fit
 from gmmood.nig import (
     DEFAULT_PRIOR,
+    GMMParameterSample,
     NIGParams,
     NIGPosteriorBank,
     build_bank,
@@ -232,3 +233,74 @@ class TestValidation:
                 np.ones((1, 1, 1)),
                 np.ones((1, 1)),
             )
+
+    @pytest.mark.parametrize("name", ["mu", "kappa", "alpha", "beta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_prior_rejects_non_finite_fields(self, name, value):
+        fields = {**vars(DEFAULT_PRIOR), name: value}
+        with pytest.raises(ValueError, match=rf"^NIGParams\.{name} must be finite, got {value}$"):
+            NIGParams(**fields)
+
+
+# every parameter set, as (class, valid arguments by name); shapes (2, 3)
+# per dimension and (2,) per component, or (2, 2, 3) and (2, 2)
+PARAMETER_SETS = {
+    "ClassGMM": (
+        ClassGMM,
+        dict(class_id=0, weights=np.full(2, 0.5), means=np.zeros((2, 3)),
+             variances=np.ones((2, 3))),
+    ),
+    "SufficientStats": (
+        SufficientStats,
+        dict(counts=np.full(2, 4.0), means=np.zeros((2, 3)), sq_devs=np.ones((2, 3))),
+    ),
+    "GMMParameterSample": (
+        GMMParameterSample,
+        dict(means=np.zeros((2, 2, 3)), variances=np.ones((2, 2, 3)),
+             weights=np.full((2, 2), 0.5)),
+    ),
+    "NIGPosteriorBank": (
+        NIGPosteriorBank,
+        dict(mu=np.zeros((2, 2, 3)), kappa=np.ones((2, 2, 3)), alpha=np.full((2, 2, 3), 2.0),
+             beta=np.ones((2, 2, 3)), weights=np.full((2, 2), 0.5)),
+    ),
+}
+PARAMETER_ARRAYS = [
+    (kind, name)
+    for kind, (_, args) in PARAMETER_SETS.items()
+    for name, value in args.items()
+    if isinstance(value, np.ndarray)
+]
+
+
+@pytest.mark.parametrize("kind, name", PARAMETER_ARRAYS)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_parameter_sets_name_their_first_non_finite_value(kind, name, value):
+    cls, args = PARAMETER_SETS[kind]
+    bad = args[name].copy()
+    index = (1,) * (bad.ndim - 1) + (0,)
+    bad[index] = value
+    bad.flat[-1] = value  # only the first bad value is named
+    with pytest.raises(ValueError, match="finite") as info:
+        cls(**{**args, name: bad})
+    assert str(info.value) == f"{kind}.{name} must be finite, got {value} at index {index}"
+
+
+@pytest.mark.parametrize("kind, name", PARAMETER_ARRAYS)
+def test_parameter_sets_reject_a_misshapen_array(kind, name):
+    cls, args = PARAMETER_SETS[kind]
+    with pytest.raises(ShapeError, match=rf"^{kind}: .* got .*{name} \(1,"):
+        cls(**{**args, name: args[name][:1]})
+    with pytest.raises(ShapeError, match=f"^{kind}: "):
+        cls(**{**args, name: args[name][None]})
+
+
+@pytest.mark.parametrize("kind", sorted(PARAMETER_SETS))
+def test_parameter_sets_store_float64(kind):
+    cls, args = PARAMETER_SETS[kind]
+    made = cls(**{n: a.astype(np.float32) if isinstance(a, np.ndarray) else a
+                  for n, a in args.items()})
+    for name, value in args.items():
+        if isinstance(value, np.ndarray):
+            assert getattr(made, name).dtype == np.float64
+            np.testing.assert_array_equal(getattr(made, name), value)
