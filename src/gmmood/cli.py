@@ -209,14 +209,23 @@ def config_keys() -> list:
     return keys
 
 
+def _parse_key(sec: str, key: str, parse, text: str):
+    """``parse(text)``, whose ``ValueError`` names INI key ``key`` of [``sec``]."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"'{key}' in [{sec}]: {exc}") from exc
+
+
 def _parse_class_map(items) -> ClassMap:
     train_ids, special = {}, {"outlier": set(), "ignore": set()}
     for key, value in items:
         value = value.strip().lower()
+        raw = _parse_key("class_map", key, int, key)
         if value in special:
-            special[value].add(int(key))
+            special[value].add(raw)
         else:
-            train_ids[int(key)] = int(value)
+            train_ids[raw] = _parse_key("class_map", key, int, value)
     return ClassMap(train_ids, frozenset(special["outlier"]), frozenset(special["ignore"]))
 
 
@@ -249,7 +258,7 @@ def load_run_config(path=None, args=None) -> RunConfig:
         for ini_key, text in ini[sec].items():
             if (sec, ini_key) in known:
                 name, parse = known[sec, ini_key]
-                values.setdefault(sec, {})[name] = parse(text)
+                values.setdefault(sec, {})[name] = _parse_key(sec, ini_key, parse, text)
             elif ini_key not in ini.defaults():  # [DEFAULT] may hold interpolation-only keys
                 raise Error(f"{path}: unknown key '{ini_key}' in [{sec}]")
     _replace_sections(cfg, values)
@@ -441,8 +450,6 @@ def cmd_fit(cfg: RunConfig) -> int:
 def cmd_score(cfg: RunConfig) -> int:
     feature_dir = _require_dir(cfg.paths.feature_dir, "feature_dir")
     out = Path(cfg.paths.out_dir)
-    for sub in ("scores", "predictions", "ood_masks"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
     model = gmm.load_classifier(cfg.model_path())
     bank = nig.load_bank(cfg.bank_path())
     model_shape = model.means.shape
@@ -451,6 +458,8 @@ def cmd_score(cfg: RunConfig) -> int:
             f"model (C, K, D) = {model_shape} does not match bank (C, K, D) = {bank.mu.shape}"
         )
     members = nig.sample_ensemble(bank, cfg.ensemble.n_samples, cfg.ensemble.seed)
+    for sub in ("scores", "predictions", "ood_masks"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
 
     def score_one(path: Path):
         """Score one feature map and write its score grids and predictions

@@ -1,11 +1,9 @@
-"""Binary containers: the shared header codec and the FMAP feature grid.
+"""Binary containers: the one codec and the FMAP feature grid.
 
-Every container (FMAP here, GMMC in ``gmm``, NIGB in ``nig``) starts
-with the same little-endian header: a 4-byte magic, a uint16 version and
-three uint32 dimensions.  ``container_to_bytes`` writes it and
-``container_dims`` checks the magic, the version and that the byte
-length equals exactly the header plus the payload the dimensions
-declare.
+Each container (FMAP here, GMMC in ``gmm``, NIGB in ``nig``) is a
+``Container`` declared beside the type it stores: a little-endian header
+(a 4-byte magic, a uint16 version, three uint32 dimensions), then the
+arrays its ``layout(*dims)`` lists, back to back, at exactly that length.
 
 FMAP payload: H*W*D float32 values, row-major with the feature
 dimension fastest, then H*W validity bytes (0 or 1).  Every value of a
@@ -14,45 +12,69 @@ valid pixel must be finite.
 Every file the package writes goes through ``write_atomic``.
 """
 
+import math
 import os
 import struct
 import threading
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .errors import FormatError, ShapeError
 
-FMAP_MAGIC = b"FMAP"
-FMAP_VERSION = 1
-
 _HEADER = struct.Struct("<4sHIII")
 HEADER_SIZE = _HEADER.size
 
 
-def container_to_bytes(magic: bytes, version: int, dims, *arrays) -> bytes:
-    """Header for ``dims`` followed by the raw bytes of each array in order."""
-    return b"".join([_HEADER.pack(magic, version, *dims), *(a.tobytes() for a in arrays)])
+def _nbytes(dtype, shape) -> int:
+    """Byte size of a layout entry in Python ints, a record's summed field
+    by field: numpy makes no record over 2 GiB, which a corrupt header may
+    declare."""
+    fields = dtype if isinstance(dtype, list) else [(None, dtype, ())]
+    return math.prod(shape) * sum(np.dtype(t).itemsize * math.prod(s) for _, t, s in fields)
 
 
-def container_dims(data: bytes, magic: bytes, version: int, payload_size) -> tuple:
-    """Validate a container header and return its three dimensions.
+@dataclass(frozen=True)
+class Container:
+    """``layout(*dims)`` gives the (dtype, shape) of each payload array in
+    order; a record dtype, a list of interleaved (name, dtype, shape)
+    fields, packs from and parses to a tuple of per-field arrays."""
 
-    ``payload_size(*dims)`` gives the byte count the payload must have.
-    """
-    name = magic.decode()
-    if len(data) < HEADER_SIZE:
-        raise FormatError(f"truncated {name} container: {len(data)} bytes")
-    got_magic, got_version, *dims = _HEADER.unpack_from(data)
-    if got_magic != magic:
-        raise FormatError(f"bad magic {got_magic!r}, expected {magic!r}")
-    if got_version != version:
-        raise FormatError(f"unsupported {name} version {got_version}")
-    expected = HEADER_SIZE + payload_size(*dims)
-    if len(data) != expected:
-        raise FormatError(f"{name} size mismatch: declared {expected} bytes, got {len(data)}")
-    return tuple(dims)
+    magic: bytes
+    version: int
+    layout: Callable
+
+    def to_bytes(self, dims, *arrays) -> bytes:
+        """The header for ``dims``, then ``arrays`` in their layout's dtypes."""
+        parts = [_HEADER.pack(self.magic, self.version, *dims)]
+        for (dtype, _), a in zip(self.layout(*dims), arrays):
+            if isinstance(dtype, list):
+                a = np.rec.fromarrays(a, dtype=dtype)
+            parts.append(np.asarray(a, dtype).tobytes())
+        return b"".join(parts)
+
+    def from_bytes(self, data: bytes) -> tuple:
+        """(dims, read-only views of ``data``, one per layout entry)."""
+        name = self.magic.decode()
+        if len(data) < HEADER_SIZE:
+            raise FormatError(f"truncated {name} container: {len(data)} bytes")
+        magic, version, *dims = _HEADER.unpack_from(data)
+        if magic != self.magic:
+            raise FormatError(f"bad magic {magic!r}, expected {self.magic!r}")
+        if version != self.version:
+            raise FormatError(f"unsupported {name} version {version}")
+        layout = self.layout(*dims)
+        *starts, end = accumulate([_nbytes(*entry) for entry in layout], initial=HEADER_SIZE)
+        if len(data) != end:
+            raise FormatError(f"{name} size mismatch: declared {end} bytes, got {len(data)}")
+        arrays = []
+        for (dtype, shape), start in zip(layout, starts):
+            a = np.ndarray(shape, dtype, buffer=data, offset=start)
+            arrays.append(tuple(a[f] for f, _, _ in dtype) if isinstance(dtype, list) else a)
+        return tuple(dims), arrays
 
 
 @dataclass
@@ -100,23 +122,16 @@ class FeatureMap:
         return self.values[:, :, 0]
 
 
+FMAP = Container(b"FMAP", 1, lambda h, w, d: [("<f4", (h, w, d)), ("u1", (h, w))])
+
+
 def feature_map_to_bytes(fmap: FeatureMap) -> bytes:
-    return container_to_bytes(
-        FMAP_MAGIC,
-        FMAP_VERSION,
-        fmap.values.shape,
-        fmap.values.astype("<f4", copy=False),
-        fmap.valid.astype(np.uint8),
-    )
+    return FMAP.to_bytes(fmap.values.shape, fmap.values, fmap.valid)
 
 
 def feature_map_from_bytes(data: bytes) -> FeatureMap:
-    h, w, d = container_dims(
-        data, FMAP_MAGIC, FMAP_VERSION, lambda h, w, d: 4 * h * w * d + h * w
-    )
-    values = np.frombuffer(data, dtype="<f4", count=h * w * d, offset=HEADER_SIZE)
-    valid = np.frombuffer(data, dtype=np.uint8, count=h * w, offset=HEADER_SIZE + 4 * h * w * d)
-    fmap = FeatureMap(values.reshape(h, w, d).copy(), valid.reshape(h, w) != 0)
+    _, (values, valid) = FMAP.from_bytes(data)
+    fmap = FeatureMap(values.copy(), valid != 0)
     # the whole grid first, which needs no gather of the valid rows; only a
     # map with a non-finite value anywhere pays for the valid-only check
     if not np.isfinite(fmap.values).all() and not np.isfinite(fmap.values[fmap.valid]).all():

@@ -85,13 +85,10 @@ import numpy as np
 
 from . import _blas
 from .errors import ConvergenceError, InsufficientDataError, ShapeError
-from .formats import HEADER_SIZE, container_dims, container_to_bytes, write_atomic
+from .formats import Container, write_atomic
 
 VARIANCE_FLOOR = 1e-6
 COLLAPSE_THRESHOLD = 1e-6
-
-GMMC_MAGIC = b"GMMC"
-GMMC_VERSION = 1
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 # exp(-700) ~ 1e-304; numpy's vectorised exp leaves its fast path (~20x
@@ -102,14 +99,16 @@ _EXP_FLOOR = -700.0
 def _check_parameters(obj, axes: str, per_component: str, *per_dim: str) -> None:
     """Store the named arrays of parameter set ``obj`` as float64: raise
     ``ShapeError`` unless the ``per_dim`` ones share one shape of axes
-    ``axes`` ("KD" or "CKD") and ``per_component`` is that shape minus its
-    last axis, and ``ValueError`` at the first value that is not finite."""
+    ``axes`` ("KD" or "CKD"), each at least 1, and ``per_component`` is
+    that shape minus its last axis, and ``ValueError`` at the first value
+    that is not finite."""
     arrays = {n: np.asarray(getattr(obj, n), dtype=np.float64) for n in (*per_dim, per_component)}
     shapes = [a.shape for a in arrays.values()]
-    if len(shapes[0]) != len(axes) or shapes != [shapes[0]] * len(per_dim) + [shapes[0][:-1]]:
+    expected = [shapes[0]] * len(per_dim) + [shapes[0][:-1]]
+    if len(shapes[0]) != len(axes) or 0 in shapes[0] or shapes != expected:
         raise ShapeError(
             f"{type(obj).__name__}: {', '.join(per_dim)} must be ({', '.join(axes)}) and "
-            f"{per_component} ({', '.join(axes[:-1])}), got "
+            f"{per_component} ({', '.join(axes[:-1])}), every axis at least 1, got "
             + ", ".join(f"{n} {a.shape}" for n, a in arrays.items())
         )
     for name, a in arrays.items():
@@ -177,6 +176,11 @@ class GMMClassifier:
     @property
     def feature_dim(self) -> int:
         return self.classes[0].dim
+
+
+GMMC = Container(b"GMMC", 1, lambda c, k, d: [
+    ([("weights", "<f8", (k,)), ("means", "<f8", (k, d)), ("variances", "<f8", (k, d))], (c,)),
+])
 
 
 @dataclass
@@ -465,24 +469,13 @@ def fit_classifier(
 
 def classifier_to_bytes(model: GMMClassifier) -> bytes:
     """Serialize to the GMMC container (classes are stored positionally)."""
-    body = np.concatenate(
-        [model.weights, model.means.reshape(model.num_classes, -1),
-         model.variances.reshape(model.num_classes, -1)], axis=1
-    )
-    return container_to_bytes(GMMC_MAGIC, GMMC_VERSION, model.means.shape, body.astype("<f8"))
+    return GMMC.to_bytes(model.means.shape, (model.weights, model.means, model.variances))
 
 
 def classifier_from_bytes(data: bytes) -> GMMClassifier:
     """Parse a GMMC container; class ids are assigned 0..C-1 in file order."""
-    c, k, d = container_dims(
-        data, GMMC_MAGIC, GMMC_VERSION, lambda c, k, d: 8 * c * (k + 2 * k * d)
-    )
-    body = np.frombuffer(data, dtype="<f8", offset=HEADER_SIZE).reshape(c, k + 2 * k * d)
-    means = body[:, k : k + k * d].reshape(c, k, d)
-    variances = body[:, k + k * d :].reshape(c, k, d)
-    return GMMClassifier(
-        [ClassGMM(i, body[i, :k].copy(), means[i].copy(), variances[i].copy()) for i in range(c)]
-    )
+    _, [fields] = GMMC.from_bytes(data)
+    return GMMClassifier([ClassGMM(i, *(a.copy() for a in p)) for i, p in enumerate(zip(*fields))])
 
 
 def save_classifier(model: GMMClassifier, path) -> None:

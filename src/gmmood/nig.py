@@ -15,11 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidStatisticsError, ShapeError
-from .formats import HEADER_SIZE, container_dims, container_to_bytes, write_atomic
+from .formats import Container, write_atomic
 from .gmm import GMMClassifier, SufficientStats, _check_parameters
-
-NIGB_MAGIC = b"NIGB"
-NIGB_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -68,6 +65,11 @@ class NIGPosteriorBank:
         _check_parameters(self, "CKD", "weights", "mu", "kappa", "alpha", "beta")
         if np.any(self.kappa <= 0) or np.any(self.alpha <= 0) or np.any(self.beta <= 0):
             raise ValueError("kappa, alpha, beta must be positive in every cell")
+
+
+NIGB = Container(b"NIGB", 1, lambda c, k, d: [
+    ([(f, "<f8", ()) for f in ("mu", "kappa", "alpha", "beta")], (c, k, d)), ("<f8", (c, k)),
+])
 
 
 @dataclass
@@ -175,22 +177,12 @@ def posterior_predictive_logpdf(cell: NIGParams, x):
 
 
 def bank_to_bytes(bank: NIGPosteriorBank) -> bytes:
-    """Serialize to the NIGB container: header, per-cell (mu, kappa,
-    alpha, beta) quadruples, then per-(class, component) weights."""
-    cells = np.stack([bank.mu, bank.kappa, bank.alpha, bank.beta], axis=-1)
-    return container_to_bytes(
-        NIGB_MAGIC, NIGB_VERSION, bank.mu.shape, cells.astype("<f8"), bank.weights.astype("<f8")
-    )
+    return NIGB.to_bytes(bank.mu.shape, (bank.mu, bank.kappa, bank.alpha, bank.beta), bank.weights)
 
 
 def bank_from_bytes(data: bytes) -> NIGPosteriorBank:
-    c, k, d = container_dims(
-        data, NIGB_MAGIC, NIGB_VERSION, lambda c, k, d: 8 * (4 * c * k * d + c * k)
-    )
-    body = np.frombuffer(data, dtype="<f8", offset=HEADER_SIZE)
-    cells = body[: 4 * c * k * d].reshape(c, k, d, 4)
-    weights = body[4 * c * k * d :].reshape(c, k)
-    return NIGPosteriorBank(*(cells[..., i].copy() for i in range(4)), weights.copy())
+    _, (cells, weights) = NIGB.from_bytes(data)
+    return NIGPosteriorBank(*(a.copy() for a in cells), weights.copy())
 
 
 def save_bank(bank: NIGPosteriorBank, path) -> None:

@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import threading
@@ -505,6 +506,25 @@ class TestScoreCommand:
                      "--bank-path", str(root / "mixed.nigb")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert str((model_classes, k, d)) in err and str(shape) in err
+        # refused before any output directory is made
+        assert not any((root / "mixed" / sub).exists()
+                       for sub in ("scores", "predictions", "ood_masks"))
+
+    @pytest.mark.parametrize("bad", ["model", "bank"])
+    def test_empty_axis_in_model_or_bank_is_config_error(self, fitted, capsys, bad):
+        """A GMMC or NIGB declaring D = 0 is refused on load (exit 2); it
+        used to parse, then fail every scan in the kernel's reshape."""
+        cfg, out, root = fitted
+        magic = {"model": b"GMMC", "bank": b"NIGB"}[bad]
+        path = root / f"empty.{bad}"
+        # (C, K, D) = (2, 2, 0): both payloads are the (C, K) weights alone
+        path.write_bytes(struct.pack("<4sHIII", magic, 1, 2, 2, 0) + np.full(4, 0.5).tobytes())
+        paths = {"model": out / "model.gmmc", "bank": out / "bank.nigb", bad: path}
+        assert main(["score", "--config", str(cfg), "--out", str(root / "empty"),
+                     "--model-path", str(paths["model"]),
+                     "--bank-path", str(paths["bank"])]) == EXIT_CONFIG
+        assert "every axis at least 1" in capsys.readouterr().err
+        assert not (root / "empty" / "scores").exists()
 
     def test_jobs_do_not_change_outputs(self, fitted):
         cfg, out, root = fitted
@@ -980,6 +1000,30 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert message in err and str(path) in err
 
+    @pytest.mark.parametrize(
+        "ini, message",
+        [
+            ("[ensemble]\nn_samples = abc\n",
+             "'n_samples' in [ensemble]: invalid literal for int() with base 10: 'abc'"),
+            ("[threshold]\ntop_fraction = lots\n",
+             "'top_fraction' in [threshold]: could not convert string to float: 'lots'"),
+            ("[threshold]\nper_scan = maybe\n", "'per_scan' in [threshold]: Not a boolean: maybe"),
+            ("[synth]\noverlap_pairs = 1-\n",
+             "'overlap_pairs' in [synth]: invalid literal for int() with base 10: ''"),
+            ("[class_map]\n10 = foo\n",
+             "'10' in [class_map]: invalid literal for int() with base 10: 'foo'"),
+            ("[class_map]\nten = 3\n",
+             "'ten' in [class_map]: invalid literal for int() with base 10: 'ten'"),
+        ],
+        ids=["int", "float", "bool", "tuple", "class-map-value", "class-map-id"],
+    )
+    def test_unparseable_ini_values_name_their_key(self, tmp_path, capsys, ini, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(ini)
+        assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_default_section_keys_serve_interpolation(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[DEFAULT]\nroot = data\n[paths]\nscan_dir = %(root)s/scans\n")
@@ -1058,13 +1102,32 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def package_nodes():
+    """(file name, node) for every AST node of the package's modules."""
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path.name, node
+
+
 def test_package_has_no_assert_statements():
     """Invariants are checked by code that still runs under ``python -O``,
     which strips ``assert`` statements."""
+    found = [f"{name}:{node.lineno}" for name, node in package_nodes()
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_only_formats_knows_the_container_header():
+    """Every container is a ``formats.Container`` declared by its layout;
+    no other module packs, unpacks or offsets past the header."""
+    header = {"_HEADER", "HEADER_SIZE", "struct"}
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(Path(cli.__file__).parent.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Assert)
+        f"{name}:{node.lineno}"
+        for name, node in package_nodes()
+        if name != "formats.py" and (
+            isinstance(node, ast.Name) and node.id in header
+            or isinstance(node, ast.Attribute) and node.attr in header
+            or isinstance(node, ast.alias) and node.name in header
+        )
     ]
     assert found == []

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import os
 import struct
 
@@ -284,3 +285,80 @@ def test_write_error_names_the_file_asked_for(tmp_path):
     with pytest.raises(FileNotFoundError) as info:
         WRITERS["fmap"](path)
     assert str(info.value) == f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{path}'"
+
+
+def pinned_objects():
+    """One small object per container, whose arrays all differ, so a
+    reordered or transposed layout changes the bytes even where a round
+    trip would not see it."""
+    ramp = np.arange(12.0).reshape(2, 2, 3)
+    weights = np.array([[0.25, 0.75], [0.5, 0.5]])
+    fmap = FeatureMap(
+        (np.arange(12, dtype=np.float32).reshape(2, 3, 2) - 5.5) / 4,
+        np.array([[1, 0, 1], [1, 1, 0]], dtype=bool),
+    )
+    model = GMMClassifier(
+        [ClassGMM(c, weights[c], ramp[c] / 8 - 0.5, ramp[c] / 4 + 1) for c in range(2)]
+    )
+    bank = NIGPosteriorBank(ramp / 8 - 0.5, ramp + 1, ramp / 2 + 1, ramp / 4 + 0.5, weights)
+    return {
+        "FMAP": (feature_map_to_bytes(fmap), feature_map_from_bytes),
+        "GMMC": (classifier_to_bytes(model), classifier_from_bytes),
+        "NIGB": (bank_to_bytes(bank), bank_from_bytes),
+    }
+
+
+# sha256 of each pinned object's container bytes
+PINNED_SHA256 = {
+    "FMAP": "c6a20a59ee71e293e1e28697eed84d20ad36cbd7a773246749a7f370be1a671c",
+    "GMMC": "aba1f27fc39cd4e3088dd6cff6bea72b06472cf04b353f4e8ec4d6022401bacf",
+    "NIGB": "c6ac6b4464e29c91abd08075ba0b10e18f07f80e36c689a20126aef0824f9069",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_SHA256))
+def test_container_bytes_and_errors_are_pinned(kind):
+    data, parse = pinned_objects()[kind]
+    assert hashlib.sha256(data).hexdigest() == PINNED_SHA256[kind]
+    magic = kind.encode()
+    bad = {
+        f"truncated {kind} container: 10 bytes": data[:10],
+        f"bad magic b'XXXX', expected {magic!r}": b"XXXX" + data[4:],
+        f"unsupported {kind} version 2": data[:4] + struct.pack("<H", 2) + data[6:],
+        f"{kind} size mismatch: declared {len(data)} bytes, got {len(data) + 1}": data + b"\0",
+        f"{kind} size mismatch: declared {len(data)} bytes, got {len(data) - 1}": data[:-1],
+    }
+    for message, corrupt in bad.items():
+        with pytest.raises(FormatError) as info:
+            parse(corrupt)
+        assert str(info.value) == message
+
+
+def payload_values(magic, dims):
+    """float64 values a GMMC or NIGB container of ``dims`` holds."""
+    c, k, d = dims
+    return c * k * (1 + 2 * d) if magic == b"GMMC" else c * k * (4 * d + 1)
+
+
+@pytest.mark.parametrize("dims", [(0, 1, 1), (1, 0, 1), (1, 1, 0), (2, 1, 0)])
+@pytest.mark.parametrize("magic, parse", [(b"GMMC", classifier_from_bytes),
+                                          (b"NIGB", bank_from_bytes)])
+def test_parameter_containers_refuse_an_empty_axis(magic, parse, dims):
+    """A parameter set needs one class, component and dimension at least;
+    an empty axis used to parse, then fail every scan in scoring."""
+    data = struct.pack("<4sHIII", magic, 1, *dims) + np.ones(payload_values(magic, dims)).tobytes()
+    with pytest.raises((ShapeError, ValueError), match="at least (1|one)"):
+        parse(data)
+
+
+@pytest.mark.parametrize("magic, parse", [(b"GMMC", classifier_from_bytes),
+                                          (b"NIGB", bank_from_bytes)])
+def test_dims_past_any_record_are_a_size_mismatch(magic, parse):
+    """numpy builds no record over 2 GiB; a header declaring one is still
+    sized, and refused by its length."""
+    dims = (1, 2**31, 2**31)
+    data = struct.pack("<4sHIII", magic, 1, *dims) + b"\0" * 8
+    declared = HEADER_SIZE + 8 * payload_values(magic, dims)
+    with pytest.raises(FormatError) as info:
+        parse(data)
+    assert str(info.value) == f"{magic.decode()} size mismatch: declared {declared} bytes, got 26"

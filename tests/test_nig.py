@@ -296,6 +296,16 @@ def test_parameter_sets_reject_a_misshapen_array(kind, name):
 
 
 @pytest.mark.parametrize("kind", sorted(PARAMETER_SETS))
+def test_parameter_sets_reject_an_empty_axis(kind):
+    """D = 0 in every per-dimension array: consistent shapes, no cells."""
+    cls, args = PARAMETER_SETS[kind]
+    ndim = max(a.ndim for a in args.values() if isinstance(a, np.ndarray))
+    empty = {n: a[..., :0] for n, a in args.items() if isinstance(a, np.ndarray) and a.ndim == ndim}
+    with pytest.raises(ShapeError, match=f"^{kind}: .*every axis at least 1, got "):
+        cls(**{**args, **empty})
+
+
+@pytest.mark.parametrize("kind", sorted(PARAMETER_SETS))
 def test_parameter_sets_store_float64(kind):
     cls, args = PARAMETER_SETS[kind]
     made = cls(**{n: a.astype(np.float32) if isinstance(a, np.ndarray) else a
