@@ -132,6 +132,8 @@ class EnsembleConfig:
 
     def __post_init__(self):
         _require_positive(self, "n_samples")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
 
 @dataclass
@@ -556,9 +558,14 @@ def cmd_eval(cfg: RunConfig) -> int:
         ranked = pred_map.valid & ~ignore
         scores = {}
         for channel in SCORE_CHANNELS:
-            grid = read_feature_map(score_dir / "scores" / f"{stem}_{channel}.fmap").grid()
+            smap = read_feature_map(score_dir / "scores" / f"{stem}_{channel}.fmap")
+            grid = smap.grid()
             if grid.shape != ranked.shape:
                 raise ShapeError(f"{stem}_{channel}.fmap: grid {grid.shape} != {ranked.shape}")
+            if (smap.valid != pred_map.valid).any():
+                raise Error(
+                    f"{stem}_{channel}.fmap: validity mask differs from predictions/{ppath.name}'s"
+                )
             scores[channel] = -grid[ranked] if channel == "max_posterior" else grid[ranked]
         id_pixels = ranked & ~outlier
         pred = np.round(pred_map.grid()).astype(np.int64)[id_pixels]
@@ -583,7 +590,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     is_ood = np.concatenate(ood_flags)
     if not is_ood.any():
         raise UndefinedMetricError(
-            "auroc, auprc, fpr95 undefined: ground truth contains no OOD pixels"
+            f"{', '.join(metrics.DETECTION)} undefined: ground truth contains no OOD pixels"
         )
     mean_iou, per_class = metrics.miou(
         np.concatenate(pred_ids), np.concatenate(true_ids), cfg.model.classes
@@ -593,10 +600,8 @@ def cmd_eval(cfg: RunConfig) -> int:
         values = np.concatenate([scores[channel] for scores in channel_scores])
         report = metrics.EvalReport.of(metrics.ScoredPixels(values, is_ood), mean_iou, per_class)
         _write_report(out, report_name, report)
-        print(
-            f"{report_name}: auroc={report.auroc:.4f} auprc={report.auprc:.4f} "
-            f"fpr95={report.fpr95:.4f} miou={report.miou:.4f}"
-        )
+        terms = [f"{name}={getattr(report, name):.4f}" for name in (*metrics.DETECTION, "miou")]
+        print(f"{report_name}: " + " ".join(terms))
     return EXIT_PARTIAL if len(results) < len(done) else EXIT_OK
 
 

@@ -2,24 +2,29 @@
 percentile decision rule.
 
 Detection treats the problem as binary ranking: higher score means more
-likely out-of-distribution.  AUROC uses the Mann-Whitney formulation
-(ties count one half), AUPRC is the average precision with stable input
-order breaking score ties, and FPR95 is the smallest false-positive rate
-among thresholds whose true-positive rate reaches the target under the
-rule ``flag score >= t``.  All three read one stable descending sort of
-the scores, which ``ScoredPixels`` takes on first use and keeps.
+likely out-of-distribution.  ``ScoredPixels.ranking`` sorts the scores
+once, stably and descending, into a table: the OOD flags in that order
+and the OOD and ID count of each block of equal scores.  AUROC is the
+Mann-Whitney U counted from the blocks (ties count one half); FPR95 is
+the smallest false-positive rate among thresholds, which sit between
+blocks, whose true-positive rate reaches the target under the rule
+``flag score >= t``; ``average_precision`` steps once per block, so a
+tied block is one threshold and pixel order cannot move it.  ``auprc``
+alone reads the flags: it steps per pixel and breaks ties by stable
+input order, so on heavily tied scores it depends on the pixel order.
 """
 
-import csv
-import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ShapeError, UndefinedMetricError
+
+# the detection fields of ``EvalReport``, in report order
+DETECTION = ("auroc", "auprc", "average_precision", "fpr95")
 
 
 @dataclass
@@ -34,6 +39,9 @@ class ScoredPixels:
         self.is_ood = np.asarray(self.is_ood, dtype=bool)
         if self.scores.shape != self.is_ood.shape or self.scores.ndim != 1:
             raise ShapeError("scores and is_ood must be parallel 1-d arrays")
+        bad = np.flatnonzero(~np.isfinite(self.scores))
+        if bad.size:
+            raise ValueError(f"scores must be finite, got {self.scores[bad[0]]} at index {bad[0]}")
 
     @property
     def n_ood(self) -> int:
@@ -44,13 +52,16 @@ class ScoredPixels:
         return int((~self.is_ood).sum())
 
     @cached_property
-    def ranking(self) -> tuple[np.ndarray, np.ndarray]:
-        """``is_ood`` in the stable descending order of the scores, and
-        the end of each block of equal scores in that order."""
+    def ranking(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``is_ood`` in the stable descending order of the scores, then
+        the int64 OOD and ID count of each block of equal scores in that
+        order."""
         order = np.argsort(-self.scores, kind="stable")
         ranked = self.scores[order]
-        ends = np.append(np.nonzero(ranked[1:] != ranked[:-1])[0] + 1, ranked.size)
-        return self.is_ood[order], ends
+        flags = self.is_ood[order]
+        blocks = np.flatnonzero(np.append(True, ranked[1:] != ranked[:-1]))
+        ood = np.add.reduceat(flags, blocks, dtype=np.int64)
+        return flags, ood, np.diff(blocks, append=flags.size) - ood
 
 
 def _require_both_classes(data: ScoredPixels, metric: str) -> None:
@@ -64,15 +75,11 @@ def _require_both_classes(data: ScoredPixels, metric: str) -> None:
 def auroc(data: ScoredPixels) -> float:
     """P(random OOD score > random ID score), ties counting 1/2."""
     _require_both_classes(data, "auroc")
-    flags, ends = data.ranking
-    # the descending block [a, b) holds the ascending 1-based ranks
-    # n - b + 1 .. n - a, average n - (a + b - 1) / 2: half-integers, so
-    # the rank sum is exact
-    starts = np.append(0, ends[:-1])
-    ood = np.diff(np.cumsum(flags)[ends - 1], prepend=0)
-    rank_sum = (ood * (flags.size - 0.5 * (starts + ends - 1))).sum()
-    n_ood, n_id = data.n_ood, data.n_id
-    return float((rank_sum - n_ood * (n_ood + 1) / 2.0) / (n_ood * n_id))
+    _, ood, ids = data.ranking
+    # twice U, exact in int64: each OOD pixel beats the ID pixels of the
+    # lower blocks twice over and those of its own block once
+    twice_u = (ood * (2 * (data.n_id - np.cumsum(ids)) + ids)).sum()
+    return float(twice_u / 2 / (data.n_ood * data.n_id))
 
 
 def auprc(data: ScoredPixels) -> float:
@@ -81,11 +88,20 @@ def auprc(data: ScoredPixels) -> float:
     Ties are broken by stable input order.
     """
     _require_both_classes(data, "auprc")
-    flags, _ = data.ranking
+    flags = data.ranking[0]
     tp = np.cumsum(flags)
     ranks = np.arange(1, flags.size + 1)
     precision_at_pos = tp[flags] / ranks[flags]
     return float(precision_at_pos.sum() / data.n_ood)
+
+
+def average_precision(data: ScoredPixels) -> float:
+    """Average precision with one step per block of equal scores: the sum
+    over blocks of (block OOD / all OOD) x precision with the block flagged."""
+    _require_both_classes(data, "average_precision")
+    _, ood, ids = data.ranking
+    tp = np.cumsum(ood)
+    return float((ood / data.n_ood * tp / (tp + np.cumsum(ids))).sum())
 
 
 def fpr_at_tpr(data: ScoredPixels, target_tpr: float = 0.95) -> float:
@@ -93,16 +109,11 @@ def fpr_at_tpr(data: ScoredPixels, target_tpr: float = 0.95) -> float:
     _require_both_classes(data, "fpr_at_tpr")
     if not 0.0 < target_tpr <= 1.0:
         raise ValueError(f"target_tpr must be in (0, 1], got {target_tpr}")
-    flags, ends = data.ranking
-    tp = np.cumsum(flags)
-    fp = np.cumsum(~flags)
-    # thresholds can only sit at the end of a group of equal scores
-    cut = ends - 1
-    tpr = tp[cut] / data.n_ood
-    fpr = fp[cut] / data.n_id
-    feasible = np.nonzero(tpr >= target_tpr)[0]
-    # tpr reaches 1.0 at the last cut, so a feasible threshold always exists
-    return float(fpr[feasible[0]])
+    _, ood, ids = data.ranking
+    tpr = np.cumsum(ood) / data.n_ood
+    fpr = np.cumsum(ids) / data.n_id
+    # tpr reaches 1.0 at the last block, so a feasible threshold always exists
+    return float(fpr[np.flatnonzero(tpr >= target_tpr)[0]])
 
 
 def miou(pred, gt, num_classes: int, ignore=None) -> tuple[float, np.ndarray]:
@@ -159,10 +170,14 @@ def percentile_threshold(scores, top_fraction: float = 0.05) -> tuple[float, np.
 
 @dataclass
 class EvalReport:
-    """Aggregate detection and segmentation quality for one score channel."""
+    """Aggregate detection and segmentation quality for one score channel.
+
+    Its fields, in order, are the report: JSON keys and CSV columns alike.
+    """
 
     auroc: float
     auprc: float
+    average_precision: float
     fpr95: float
     miou: float
     per_class_iou: np.ndarray
@@ -178,6 +193,7 @@ class EvalReport:
         return cls(
             auroc=auroc(data),
             auprc=auprc(data),
+            average_precision=average_precision(data),
             fpr95=fpr_at_tpr(data),
             miou=miou,
             per_class_iou=per_class_iou,
@@ -186,51 +202,34 @@ class EvalReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "auroc": self.auroc,
-            "auprc": self.auprc,
-            "fpr95": self.fpr95,
-            "miou": self.miou,
-            "per_class_iou": [
-                None if math.isnan(v) else v for v in self.per_class_iou.tolist()
-            ],
-            "n_id": self.n_id,
-            "n_ood": self.n_ood,
-        }
+        """Every field by name; NaN per-class IoUs become ``None``."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["per_class_iou"] = [None if math.isnan(v) else v for v in self.per_class_iou.tolist()]
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EvalReport":
-        per_class = np.array(
-            [math.nan if v is None else float(v) for v in doc["per_class_iou"]]
-        )
-        return cls(
-            auroc=float(doc["auroc"]),
-            auprc=float(doc["auprc"]),
-            fpr95=float(doc["fpr95"]),
-            miou=float(doc["miou"]),
-            per_class_iou=per_class,
-            n_id=int(doc["n_id"]),
-            n_ood=int(doc["n_ood"]),
-        )
+        kwargs = {f.name: f.type(doc[f.name]) for f in fields(cls) if f.name != "per_class_iou"}
+        per_class = [math.nan if v is None else float(v) for v in doc["per_class_iou"]]
+        return cls(per_class_iou=np.array(per_class), **kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
         return cls.from_json_dict(json.loads(text))
 
     def to_csv(self) -> str:
-        """One-row CSV; fractional values carry six decimal digits."""
-        header = ["auroc", "auprc", "fpr95", "miou"]
-        row = [f"{getattr(self, k):.6f}" for k in header]
-        for i, v in enumerate(self.per_class_iou):
-            header.append(f"per_class_iou_{i}")
-            row.append("" if math.isnan(v) else f"{v:.6f}")
-        header += ["n_id", "n_ood"]
-        row += [str(self.n_id), str(self.n_ood)]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerow(row)
-        return buf.getvalue()
+        """One-row CSV, a column per field and per class; fractional values
+        carry six decimal digits and a NaN IoU is left empty."""
+        header, row = [], []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "per_class_iou":
+                header += [f"per_class_iou_{i}" for i in range(value.size)]
+                row += ["" if math.isnan(v) else f"{v:.6f}" for v in value]
+            else:
+                header.append(f.name)
+                row.append(f"{value:.6f}" if f.type is float else str(value))
+        return ",".join(header) + "\n" + ",".join(row) + "\n"

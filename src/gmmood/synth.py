@@ -19,7 +19,7 @@ import numpy as np
 
 from .ensemble import score_samples
 from .gmm import VARIANCE_FLOOR, fit_classifier, predict
-from .metrics import EvalReport, ScoredPixels, miou
+from .metrics import DETECTION, EvalReport, ScoredPixels, miou
 from .nig import DEFAULT_PRIOR, NIGParams, build_bank, sample_ensemble
 
 
@@ -55,6 +55,8 @@ class SynthConfig:
             raise ValueError("sample counts must be >= 1")
         if self.class_separation <= 0 or self.ood_offset <= 0 or self.within_class_std <= 0:
             raise ValueError("distances and scales must be positive")
+        if self.seed < 0:
+            raise ValueError(f"'seed' in [synth] must be at least 0, got {self.seed}")
         extent = (self.n_classes - 1) * self.class_separation
         for key, reach in (
             ("class_separation", extent),
@@ -180,18 +182,12 @@ class BenchmarkResult:
     def delta_summary(self) -> dict:
         """Signed epistemic-minus-predictive differences per metric, next
         to each score's own value of the metric."""
-        return {
-            "auroc_delta": self.epistemic.auroc - self.predictive.auroc,
-            "auprc_delta": self.epistemic.auprc - self.predictive.auprc,
-            "fpr95_delta": self.epistemic.fpr95 - self.predictive.fpr95,
-            "epistemic_auroc": self.epistemic.auroc,
-            "predictive_auroc": self.predictive.auroc,
-            "epistemic_auprc": self.epistemic.auprc,
-            "predictive_auprc": self.predictive.auprc,
-            "epistemic_fpr95": self.epistemic.fpr95,
-            "predictive_fpr95": self.predictive.fpr95,
-            "point_accuracy": self.point_accuracy,
-        }
+        summary = {"point_accuracy": self.point_accuracy}
+        for metric in DETECTION:
+            ours, theirs = getattr(self.epistemic, metric), getattr(self.predictive, metric)
+            summary.update({f"{metric}_delta": ours - theirs, f"epistemic_{metric}": ours,
+                            f"predictive_{metric}": theirs})
+        return summary
 
 
 def run_benchmark(

@@ -3,11 +3,14 @@
 ``perfbench/layers.py`` reads each metric from the spans of the package
 functions it names, and a metric whose function was renamed or deleted
 silently reads 0.  A tiny traced ``score`` + ``eval`` must give every
-metric below a positive value.
+metric below a positive value, and ``eval`` must record a span of each
+ranking metric for every report channel: a sum such as
+``metrics.ranking_s`` stays positive when one of its functions goes dark.
 """
 
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +24,7 @@ sys.path.insert(0, str(PERFBENCH))
 
 import layers  # noqa: E402
 import run  # noqa: E402
+from spans import ID, NAME, subtree  # noqa: E402
 
 # raw SemanticKITTI ids of train classes 0, 1, 2 and the outlier class
 RAW_IDS, OUTLIER_RAW = (10, 11, 15), 1
@@ -55,7 +59,8 @@ def write_split(root: Path, rng):
 
 
 @pytest.fixture(scope="module")
-def metrics(tmp_path_factory):
+def trees(tmp_path_factory):
+    """The span tree of each repetition of a traced ``score`` + ``eval``."""
     root = tmp_path_factory.mktemp("bench")
     rng = np.random.default_rng(0)
     train_f, train_l = write_split(root / "train", rng)
@@ -74,9 +79,25 @@ def metrics(tmp_path_factory):
     env["PYTHONPATH"] = str(PERFBENCH.parent / "src")
     _, spans, _ = run.run_program(root, env, commands, out=out, trace=True,
                                   deadline=time.monotonic() + 120)
-    return layers.layer_metrics(run.rep_trees(spans), 1, 5 * 3 * 1 * 3)
+    return run.rep_trees(spans)
+
+
+@pytest.fixture(scope="module")
+def metrics(trees):
+    return layers.layer_metrics(trees, 1, 5 * 3 * 1 * 3)
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_metric_reads_above_zero(metrics, name):
     assert metrics[name] > 0
+
+
+@pytest.mark.parametrize(
+    "name", ["metrics.auroc", "metrics.auprc", "metrics.fpr_at_tpr", "metrics.average_precision"]
+)
+def test_eval_traces_each_ranking_metric_per_channel(trees, name):
+    assert trees
+    for tree in trees:
+        (root,) = [s for s in tree if s[NAME] == "cli.eval"]
+        calls = Counter(s[NAME] for s in subtree(tree, root[ID]))
+        assert calls[name] == len(cli.REPORT_CHANNELS)

@@ -685,6 +685,27 @@ class TestEvalCommand:
         )
         assert len(list((root / "eval").iterdir())) == 12
 
+    def test_score_mask_unlike_its_prediction_fails_its_scan_only(self, fitted, capsys):
+        """A score map whose validity mask differs from its prediction
+        grid's (here: left half marked invalid and NaN) fails that scan,
+        naming the file; the other scan is still reported."""
+        from gmmood.formats import FeatureMap, write_feature_map
+
+        cfg, out, root = fitted
+        assert main(["score", "--config", str(cfg)]) == EXIT_OK
+        path = out / "scores" / "001_epistemic.fmap"
+        smap = read_feature_map(path)
+        values, valid = smap.values.copy(), smap.valid.copy()
+        half = valid.shape[1] // 2
+        values[:, :half], valid[:, :half] = np.nan, False
+        write_feature_map(FeatureMap(values, valid), path)
+        assert main(["eval", "--config", str(cfg), "--label-dir", str(out / "labels"),
+                     "--score-dir", str(out), "--out", str(root / "eval")]) == EXIT_PARTIAL
+        assert capsys.readouterr().err == (
+            "error: 001: 001_epistemic.fmap: validity mask differs from predictions/001.fmap's\n"
+        )
+        assert len(list((root / "eval").iterdir())) == 12
+
     def test_train_ids_beyond_classes_fail_every_scan(self, fitted, capsys):
         """``--classes 2`` below the labels' train id 2: each scan fails
         naming the id, and with no scan left the run exits 2."""
@@ -896,6 +917,26 @@ class TestConfigHandling:
     def test_counts_below_one_are_config_errors(self, tmp_path, capsys, argv, message):
         """Rejected at config load, before any directory is made; the
         data directories exist, so only the count can stop the run."""
+        data = tmp_path / "data"
+        data.mkdir()
+        dirs = ["--feature-dir", str(data), "--label-dir", str(data)]
+        assert main([*argv, *dirs, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--seed", "-1"], "seed must be at least 0, got -1"),
+            (["score", "--seed", "-1"], "seed must be at least 0, got -1"),
+            (["synth", "--seed", "-1"], "seed must be at least 0, got -1"),
+            (["synth", "--synth-seed", "-2"], "'seed' in [synth] must be at least 0, got -2"),
+        ],
+        ids=["fit", "score", "synth", "synth-seed"],
+    )
+    def test_negative_seeds_are_config_errors(self, tmp_path, capsys, argv, message):
+        """A negative seed names its key at config load, before ``fit`` or
+        ``synth`` makes its output directory."""
         data = tmp_path / "data"
         data.mkdir()
         dirs = ["--feature-dir", str(data), "--label-dir", str(data)]

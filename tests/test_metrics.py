@@ -11,6 +11,7 @@ from gmmood.metrics import (
     ScoredPixels,
     auprc,
     auroc,
+    average_precision,
     fpr_at_tpr,
     miou,
     percentile_threshold,
@@ -239,6 +240,107 @@ def test_shared_sort_matches_separate_sorts_bit_for_bit(decimals):
                 assert calls[name](data).hex() == want[name].hex(), (n, names, name)
 
 
+def stepwise_average_precision(scores, is_ood):
+    """Sum of (recall gain) x precision over the distinct thresholds t,
+    flagging score >= t, from the highest down."""
+    scores = np.asarray(scores, float)
+    is_ood = np.asarray(is_ood, bool)
+    total, recall = 0.0, 0.0
+    for t in np.unique(scores)[::-1]:
+        flagged = scores >= t
+        tp = (flagged & is_ood).sum()
+        total += (tp / is_ood.sum() - recall) * tp / flagged.sum()
+        recall = tp / is_ood.sum()
+    return total
+
+
+class TestAveragePrecision:
+    def test_perfect_ranking(self):
+        data = ScoredPixels([1.0, 2.0, 10.0, 11.0], [False, False, True, True])
+        assert average_precision(data) == 1.0
+
+    def test_all_ties_read_the_prevalence(self):
+        data = ScoredPixels([3.0] * 8, [True] + [False] * 7)
+        assert average_precision(data) == 0.125
+
+    def test_tied_block_counts_once(self):
+        # one OOD and one ID tied on top, one OOD below: (1/2)(1/2) + (1/2)(2/3)
+        data = ScoredPixels([5.0, 5.0, 1.0], [False, True, True])
+        assert average_precision(data) == pytest.approx(0.25 + 1.0 / 3.0)
+        assert auprc(data) == pytest.approx((0.5 + 2.0 / 3.0) / 2.0)
+
+    def test_matches_stepwise_oracle(self):
+        rng = np.random.default_rng(10)
+        for decimals in (0, 1, None):
+            for _ in range(40):
+                n = int(rng.integers(5, 200))
+                raw = rng.normal(size=n)
+                scores = raw if decimals is None else np.round(raw, decimals)
+                is_ood = rng.random(n) < 0.3
+                if is_ood.all() or not is_ood.any():
+                    continue
+                value = average_precision(ScoredPixels(scores, is_ood))
+                assert value == pytest.approx(stepwise_average_precision(scores, is_ood), abs=1e-12)
+
+    def test_equals_auprc_without_ties(self):
+        rng = np.random.default_rng(11)
+        scores = rng.normal(size=500)
+        is_ood = rng.random(500) < 0.2
+        data = ScoredPixels(scores, is_ood)
+        assert average_precision(data) == pytest.approx(auprc(data), abs=1e-12)
+
+    def test_single_class_rejected(self):
+        with pytest.raises(UndefinedMetricError):
+            average_precision(ScoredPixels([1.0, 2.0], [False, False]))
+
+
+def test_tie_aware_metrics_ignore_pixel_order():
+    """AUROC, FPR95 and the tie-aware AP read only the per-block counts, so
+    any permutation of heavily tied pixels gives the same bits; the
+    input-order AUPRC is the one that moves."""
+    rng = np.random.default_rng(12)
+    scores = rng.integers(0, 6, 3000).astype(float)
+    is_ood = rng.random(3000) < 0.1
+    calls = (auroc, fpr_at_tpr, average_precision)
+    want = [f(ScoredPixels(scores, is_ood)).hex() for f in calls]
+    moved = set()
+    for _ in range(20):
+        perm = rng.permutation(3000)
+        data = ScoredPixels(scores[perm], is_ood[perm])
+        assert [f(data).hex() for f in calls] == want
+        moved.add(auprc(data))
+    assert len(moved) > 1
+
+
+@pytest.mark.parametrize("decimals", [0, 2, None], ids=["heavy-ties", "ties", "no-ties"])
+def test_ranking_table_matches_unique_counts(decimals):
+    """``ranking``'s block counts are the OOD and ID counts of each distinct
+    score, highest first, and its flags are ``is_ood`` in that order."""
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 50, 4000):
+        raw = rng.normal(size=n)
+        scores = raw if decimals is None else np.round(raw, decimals)
+        is_ood = rng.random(n) < 0.3
+        data = ScoredPixels(scores, is_ood)
+        flags, ood, ids = data.ranking
+        values, inverse = np.unique(scores, return_inverse=True)
+        want_ood = np.bincount(inverse, weights=is_ood, minlength=values.size)[::-1]
+        want_ids = np.bincount(inverse, weights=~is_ood, minlength=values.size)[::-1]
+        np.testing.assert_array_equal(ood, want_ood)
+        np.testing.assert_array_equal(ids, want_ids)
+        assert ood.dtype == ids.dtype == np.int64
+        assert (ood.sum(), ids.sum()) == (data.n_ood, data.n_id)
+        np.testing.assert_array_equal(flags, is_ood[np.argsort(-scores, kind="stable")])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scored_pixels_refuse_non_finite_scores(bad):
+    scores = np.arange(6.0)
+    scores[4] = bad
+    with pytest.raises(ValueError, match=f"got {bad} at index 4"):
+        ScoredPixels(scores, np.arange(6) % 2 == 0)
+
+
 class TestMiou:
     def test_perfect_prediction(self):
         gt = np.array([[0, 1], [2, 1]])
@@ -339,6 +441,7 @@ class TestEvalReport:
         report = EvalReport(
             auroc=0.91,
             auprc=0.37,
+            average_precision=0.35,
             fpr95=0.4,
             miou=0.57,
             per_class_iou=np.array([0.5, math.nan, 0.7]),
@@ -359,6 +462,7 @@ class TestEvalReport:
         report = EvalReport(
             auroc=1 / 3,
             auprc=0.25,
+            average_precision=0.5,
             fpr95=0.125,
             miou=2 / 3,
             per_class_iou=np.array([0.5]),

@@ -150,13 +150,13 @@ class TestRunBenchmark:
         cfg = small_config(samples_per_class=200, n_classes=3)
         res = run_benchmark(generate(cfg), n_samples=8, seed=9)
         summary = res.delta_summary()
-        for metric in ("auroc", "auprc", "fpr95"):
+        for metric in ("auroc", "auprc", "average_precision", "fpr95"):
             ours, theirs = getattr(res.epistemic, metric), getattr(res.predictive, metric)
             assert summary[f"epistemic_{metric}"] == ours
             assert summary[f"predictive_{metric}"] == theirs
             assert summary[f"{metric}_delta"] == ours - theirs
         assert summary["point_accuracy"] == res.point_accuracy
-        assert len(summary) == 10
+        assert len(summary) == 13
 
     def test_miou_fields_match_across_reports(self):
         cfg = small_config(samples_per_class=200)
