@@ -123,6 +123,8 @@ class EMConfig:
 
     def __post_init__(self):
         _require_positive(self, "max_iters")
+        if self.tol < 0:
+            raise ValueError(f"tol must be at least 0, got {self.tol}")
 
 
 @dataclass
@@ -418,10 +420,10 @@ def cmd_fit(cfg: RunConfig) -> int:
 
     # each scan read, label-mapped and grouped on the pool; a class is its
     # parts in file order, so EM sees the rows a serial read would give,
-    # in float32 as read (em_fit widens a class only while it is fitted)
+    # kept in float32 as read: the thread that fits a class widens its
+    # parts straight into the one float64 copy EM reads
     scans = _blas.map_on_cores(read_scan, feature_files)
-    per_class = [np.concatenate([parts[c] for parts in scans]) for c in range(n_classes)]
-    del scans  # the grouped rows, freed before EM widens the classes
+    per_class = [[parts[c] for parts in scans] for c in range(n_classes)]
     model, stats = gmm.fit_classifier(
         per_class,
         cfg.model.components,
@@ -431,12 +433,12 @@ def cmd_fit(cfg: RunConfig) -> int:
     )
     report = {
         str(c): {
-            "samples": len(x),
+            "samples": sum(len(part) for part in parts),
             "em_iterations": int(st.log_likelihoods.size),
             "final_log_likelihood": float(st.log_likelihoods[-1]),
             "reseeds": int(st.reseeds),
         }
-        for c, (x, st) in enumerate(zip(per_class, stats))
+        for c, (parts, st) in enumerate(zip(per_class, stats))
     }
     bank = nig.build_bank(model, stats, cfg.prior)
     gmm.save_classifier(model, cfg.model_path())

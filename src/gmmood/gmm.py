@@ -18,26 +18,36 @@ reductions call it on the point-estimate ``GMMClassifier``, a sampled
 member (``nig.GMMParameterSample``) or a whole ensemble stacked along
 leading member axes.  It is also the one place that checks the rows'
 feature dimension, before its matrix product, and that widens them to
-float64 (``em_fit`` also does, once, into the copy its passes share).
+float64 (a fit also does, once, into the copy its passes share).
 
 The kernel writes ``z - c`` feature by feature into its (2D + 1, N)
 operand, so it reads the rows through ``z.T``.  C-ordered (N, D) rows
-make that a strided read, most of a D = 32 E-step's kernel time; so
-``em_fit`` widens a class's rows once into one feature-major (D, N)
-float64 copy, which every pass of the fit reads: the E-steps (through
-its ``.T``, so the kernel's ``z.T`` is contiguous), k-means++ seeding,
-the global variance, reseeding and ``_moments``.
+make that a strided read, most of a D = 32 E-step's kernel time; so a
+class's rows are widened once into one feature-major (D, N) float64
+copy, which every pass of the fit reads: the E-steps (through its
+``.T``, so the kernel's ``z.T`` is contiguous), k-means++ seeding, the
+global variance, reseeding and ``_moments``.  ``fit_classifier`` widens
+a class given as per-scan blocks straight into that copy, on the thread
+that fits it, and ``em_fit`` reads it without copying again.
+
+``em_fit`` allocates one (2D + 1, N) float64 work buffer per class.
+Each E-step writes the kernel's operand into it (scoring passes none
+and gets a fresh operand per call), and its first D rows are the (D, N)
+scratch of seeding, the global variance and ``_moments``, none of which
+runs while an E-step needs its operand.  A fit thus holds 8 B per
+feature value for the copy and 8 (2D + 1) / D B for the buffer, 16.25 B
+at D = 32.
 
 ``_moments`` gives the M-step and the final statistics: the effective
 counts, the means (one (K, N) by (N, D) GEMM over the counts) and each
 component's sums of squared deviations about its new mean, subtracted
-into a (D, N) scratch buffer that lives for the whole fit, squared in
-place and weighted by one matrix-vector product.  Second moments about
-the kernel's shared centre c would come from one GEMM with the E-step's
-operand, as ``S2 - nk (m - c)^2``, but that difference cancels at the
-scale of a component's offset from c: on two unit-sigma components 1e6
-apart it is off by ~1e-4 relative, where deviations about each
-component's own mean stay within ~1e-14 of a per-component float64 loop.
+into the scratch, squared in place and weighted by one matrix-vector
+product.  Second moments about the kernel's shared centre c would come
+from one GEMM with the E-step's operand, as ``S2 - nk (m - c)^2``, but
+that difference cancels at the scale of a component's offset from c: on
+two unit-sigma components 1e6 apart it is off by ~1e-4 relative, where
+deviations about each component's own mean stay within ~1e-14 of a
+per-component float64 loop.
 
 The kernel expands the quadratic form into one float64 GEMM.  With
 P = 1/sigma^2 and c the mean of all the component means passed in,
@@ -245,17 +255,19 @@ def _coefficients(log_w, means, variances):
     return center, coef.reshape(-1, 2 * d + 1), np.moveaxis(log_w, -1, 0).ravel(), const.shape
 
 
-def _joint_log_densities(z, coefficients) -> np.ndarray:
+def _joint_log_densities(z, coefficients, feats=None) -> np.ndarray:
     """log w_k + log N(z | k), shape (K, ..., N), of (N, D) features under
     the ``_coefficients`` of (..., K) mixtures: one (J, 2D + 1) by
     (2D + 1, N) GEMM, rows innermost.  Rows of any other shape raise
     ``ShapeError`` before the product; rows of a narrower dtype are
-    widened to float64 as ``z - c`` is written into the operand."""
+    widened to float64 as ``z - c`` is written into the operand, which is
+    ``feats`` when given (a (2D + 1, N) float64 buffer), else new."""
     center, coef, log_w, shape = coefficients
     if z.ndim != 2 or z.shape[1] != center.size:
         raise ShapeError(f"expected rows of dimension {center.size}, got shape {z.shape}")
     n, d = z.shape
-    feats = np.empty((2 * d + 1, n))
+    if feats is None:
+        feats = np.empty((2 * d + 1, n))
     np.subtract(z.T, center[:, None], out=feats[d : 2 * d])
     np.multiply(feats[d : 2 * d], feats[d : 2 * d], out=feats[:d])
     feats[2 * d] = 1.0
@@ -264,10 +276,10 @@ def _joint_log_densities(z, coefficients) -> np.ndarray:
     return out.reshape(shape + (n,))
 
 
-def _e_step(z, log_w, means, variances) -> tuple[np.ndarray, np.ndarray]:
+def _e_step(z, log_w, means, variances, feats=None) -> tuple[np.ndarray, np.ndarray]:
     """Responsibilities (N, K), a transposed view, and mixture log
-    densities (N,) of one mixture."""
-    joint = _joint_log_densities(z, _coefficients(log_w, means, variances))
+    densities (N,) of one mixture; ``feats`` is the kernel's operand."""
+    joint = _joint_log_densities(z, _coefficients(log_w, means, variances), feats)
     log_p = logsumexp(joint, axis=0)
     joint -= log_p
     return np.exp(joint, out=joint).T, log_p
@@ -383,10 +395,12 @@ def em_fit(
     checked to be non-decreasing (1e-8 slack) across ordinary iterations;
     a decrease raises ``ConvergenceError`` naming ``class_id``.
 
-    The rows are widened once into a feature-major (D, N) float64 copy
-    that every pass reads, with one (D, N) scratch buffer for seeding and
-    ``_moments`` (see the module docstring): two float64 values per
-    feature value, plus the kernel's operand during an E-step.
+    Every pass reads the rows as one feature-major (D, N) float64 array:
+    ``features.T`` itself when it is C-ordered float64, as for a class
+    ``fit_classifier`` was given as blocks, else one copy; they are never
+    written.  One (2D + 1, N) work buffer holds each E-step's operand and,
+    in its first D rows, the scratch of the other passes (see the module
+    docstring).
     """
     x = np.asarray(features)
     if x.ndim != 2:
@@ -398,11 +412,14 @@ def em_fit(
     if n < k:
         raise InsufficientDataError(f"class {class_id} has {n} samples; needs at least {k}")
 
-    rows = np.array(x.T, dtype=np.float64, order="C")
-    scratch = np.empty_like(rows)
+    rows = np.asarray(x.T, dtype=np.float64, order="C")
+    work = np.empty((2 * d + 1, n))
+    scratch = work[:d]
     rng = np.random.default_rng(seed)
     means = _kmeanspp_centers(rows, k, rng, scratch)
-    global_var = np.maximum(rows.var(axis=1), VARIANCE_FLOOR)
+    np.subtract(rows, rows.sum(axis=1, keepdims=True) / n, out=scratch)
+    np.multiply(scratch, scratch, out=scratch)
+    global_var = np.maximum(scratch.sum(axis=1) / n, VARIANCE_FLOOR)
     variances = np.tile(global_var, (k, 1))
     weights = np.full(k, 1.0 / k)
 
@@ -411,7 +428,7 @@ def em_fit(
     prev_ll = -np.inf
     check_monotone = True
     for _ in range(max_iters):
-        resp, log_p = _e_step(rows.T, _log_weights(weights), means, variances)
+        resp, log_p = _e_step(rows.T, _log_weights(weights), means, variances, work)
         ll = float(log_p.sum())
         if check_monotone and ll_history and not ll >= prev_ll - 1e-8 * max(1.0, abs(prev_ll)):
             raise ConvergenceError(
@@ -435,7 +452,7 @@ def em_fit(
         reseeds += int(collapsed.sum())
         check_monotone = not collapsed.any()
     else:  # ended on an M-step: a stop on tol has this E-step already
-        resp, _ = _e_step(rows.T, _log_weights(weights), means, variances)
+        resp, _ = _e_step(rows.T, _log_weights(weights), means, variances, work)
 
     gmm = ClassGMM(class_id, weights, means, variances)
     # statistics of the E-step under the returned parameters feed the Bayesian updates
@@ -447,21 +464,28 @@ def em_fit(
 def fit_classifier(
     per_class, n_components: int, *, max_iters: int = 100, tol: float = 1e-5, seed=0
 ) -> tuple[GMMClassifier, list[SufficientStats]]:
-    """``em_fit`` class c to ``per_class[c]``, a sequence of (N_c, D)
-    arrays, with seed child c of ``seed``, an int or a ``SeedSequence``
-    whose next child stays free; returns the classifier and the stats.
+    """``em_fit`` class c to ``per_class[c]``, an (N_c, D) array or a
+    list of (N_i, D) blocks whose rows, in list order, are the class's,
+    with seed child c of ``seed``, an int or a ``SeedSequence`` whose
+    next child stays free; returns the classifier and the stats.
 
     The classes are fitted on the package's thread pool
     (``_blas.map_on_cores``), each on its own seed and rows, so the
     results are those of fitting them one after another; an error is
-    the lowest failing class's."""
+    the lowest failing class's.  The thread that fits a class given as
+    blocks widens them straight into one C-ordered feature-major float64
+    (D, N) array and passes ``em_fit`` its ``.T``, which ``em_fit``
+    reads without a copy: the class's rows are never concatenated in
+    their own dtype first."""
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seeds = root.spawn(len(per_class))
 
     def fit(c):
-        return em_fit(
-            per_class[c], n_components, max_iters=max_iters, tol=tol, seed=seeds[c], class_id=c
-        )
+        x = per_class[c]
+        if isinstance(x, list):
+            rows = np.empty((x[0].shape[1], sum(map(len, x))))
+            x = np.concatenate([block.T for block in x], axis=1, out=rows).T
+        return em_fit(x, n_components, max_iters=max_iters, tol=tol, seed=seeds[c], class_id=c)
 
     fits = _blas.map_on_cores(fit, range(len(per_class)))
     return GMMClassifier([gmm for gmm, _ in fits]), [st for _, st in fits]

@@ -8,7 +8,9 @@ ranking metric for every report channel: a sum such as
 ``metrics.ranking_s`` stays positive when one of its functions goes dark.
 """
 
+import json
 import sys
+import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmmood import cli
+from gmmood import _blas, cli, gmm
 from gmmood.formats import FeatureMap, write_feature_map
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -43,9 +45,10 @@ NAMES = (
 )
 
 
-def write_split(root: Path, rng):
-    """A 4 x 64 grid of three 3-d classes with a tenth of it outliers."""
-    cls = rng.integers(0, 3, (4, 64))
+def write_split(root: Path, rng, name="s", classes=3):
+    """A 4 x 64 grid ``name`` of the first ``classes`` of three 3-d
+    classes with a tenth of it outliers."""
+    cls = rng.integers(0, classes, (4, 64))
     z = rng.normal(0.0, 0.5, (4, 64, 3)) + 3.0 * cls[..., None]
     raw = np.asarray(RAW_IDS)[cls]
     ood = rng.random((4, 64)) < 0.1
@@ -53,8 +56,8 @@ def write_split(root: Path, rng):
     raw[ood] = OUTLIER_RAW
     valid = np.ones((4, 64), bool)
     for sub, values in (("f", z), ("l", raw[..., None])):
-        (root / sub).mkdir(parents=True)
-        write_feature_map(FeatureMap(values.astype(np.float32), valid), root / sub / "s.fmap")
+        (root / sub).mkdir(parents=True, exist_ok=True)
+        write_feature_map(FeatureMap(values.astype(np.float32), valid), root / sub / f"{name}.fmap")
     return root / "f", root / "l"
 
 
@@ -101,3 +104,43 @@ def test_eval_traces_each_ranking_metric_per_channel(trees, name):
         (root,) = [s for s in tree if s[NAME] == "cli.eval"]
         calls = Counter(s[NAME] for s in subtree(tree, root[ID]))
         assert calls[name] == len(cli.REPORT_CHANNELS)
+
+
+@pytest.mark.parametrize("fit", ["pooled", "serial"])
+def test_em_fit_is_counted_on_the_rows_it_reads(tmp_path, monkeypatch, fit):
+    """``gmm.em_samples`` is ``len`` of ``em_fit``'s first argument, so
+    ``fit`` calls ``em_fit`` once per class with (N_c, D) rows: a view
+    whose ``.T`` is the C-ordered float64 copy that EM reads, not a
+    second copy.  Class 2 is missing from one of the three scans."""
+    if fit == "serial":
+        monkeypatch.setattr(_blas, "_found", [])
+    rng = np.random.default_rng(3)
+    for i, classes in enumerate((3, 2, 3)):
+        features, labels = write_split(tmp_path, rng, name=f"s{i}", classes=classes)
+    calls, local = [], threading.local()
+    real_em_fit, real_moments = gmm.em_fit, gmm._moments
+
+    def em_fit_spy(*args, **kwargs):
+        local.read = []
+        result = real_em_fit(*args, **kwargs)
+        calls.append((args, kwargs, result, local.read))
+        return result
+
+    def moments_spy(rows, *args):
+        local.read.append(rows)
+        return real_moments(rows, *args)
+
+    monkeypatch.setattr(gmm, "em_fit", em_fit_spy)
+    monkeypatch.setattr(gmm, "_moments", moments_spy)
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--feature-dir", str(features), "--label-dir", str(labels),
+                     "--out", str(out), "--classes", "3", "--feature-dim", "3"]) == cli.EXIT_OK
+    report = json.loads((out / "fit_report.json").read_text())["classes"]
+    assert sorted(kwargs["class_id"] for _, kwargs, _, _ in calls) == [0, 1, 2]
+    for args, kwargs, result, read in calls:
+        x, entry = args[0], report[str(kwargs["class_id"])]
+        assert x.shape == (entry["samples"], 3)
+        count = layers.COUNTERS["gmm.em_fit"](args, kwargs, result)
+        assert count == [entry["samples"], entry["em_iterations"]]
+        assert read and all(np.shares_memory(x.T, rows) for rows in read)
+        assert x.T.flags.c_contiguous and x.dtype == np.float64
