@@ -28,11 +28,13 @@ EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
 
-SCORE_CHANNELS = ens.UncertaintyMap.SCORE_CHANNELS
+SCORE_CHANNELS = ens.SCORE_CHANNELS
 # eval report names; max_posterior is negated so that higher = more OOD
 REPORT_CHANNELS = tuple(
     "neg_max_posterior" if ch == "max_posterior" else ch for ch in SCORE_CHANNELS
 )
+# raw semantic ids are the low 16 bits of a label record (``rangeview``)
+RAW_ID_MAX = 0xFFFF
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,12 @@ class ClassMap:
     ignore_ids: frozenset
 
     def __post_init__(self):
+        for rid in sorted({*self.train_ids, *self.outlier_ids, *self.ignore_ids}):
+            if not 0 <= rid <= RAW_ID_MAX:
+                raise ValueError(f"'{rid}' in [class_map]: raw id must be in [0, {RAW_ID_MAX}]")
+        for rid, tid in sorted(self.train_ids.items()):
+            if tid < 0:
+                raise ValueError(f"'{rid}' in [class_map]: train id must be at least 0, got {tid}")
         overlap = (set(self.train_ids) & self.outlier_ids) | (
             set(self.train_ids) & self.ignore_ids
         )
@@ -461,6 +469,13 @@ def cmd_score(cfg: RunConfig) -> int:
         raise ShapeError(
             f"model (C, K, D) = {model_shape} does not match bank (C, K, D) = {bank.mu.shape}"
         )
+    # build_bank copies the model's weights bit for bit; K = 1 weights are
+    # all 1, so such a bank from another fit is not told apart here
+    if not np.array_equal(bank.weights, model.weights):
+        raise Error(
+            f"bank {cfg.bank_path()} was not built from model {cfg.model_path()}: "
+            "their mixture weights differ"
+        )
     members = nig.sample_ensemble(bank, cfg.ensemble.n_samples, cfg.ensemble.seed)
     for sub in ("scores", "predictions", "ood_masks"):
         (out / sub).mkdir(parents=True, exist_ok=True)
@@ -658,19 +673,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+COMMANDS = {
+    "project": (cmd_project, "project raw scans to range-view images and label grids"),
+    "fit": (cmd_fit, "fit per-class GMMs and the NIG posterior bank"),
+    "score": (cmd_score, "score feature maps and emit OOD masks"),
+    "eval": (cmd_eval, "evaluate score maps against ground truth"),
+    "synth": (cmd_synth, "generate a synthetic dataset and run the benchmark"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gmmood",
         description="Range-view OOD detection with Bayesian GMM ensembles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("project", "project raw scans to range-view images and label grids"),
-        ("fit", "fit per-class GMMs and the NIG posterior bank"),
-        ("score", "score feature maps and emit OOD masks"),
-        ("eval", "evaluate score maps against ground truth"),
-        ("synth", "generate a synthetic dataset and run the benchmark"),
-    ):
+    for name, (_, help_text) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=str, default=None)
         if name == "score":
@@ -689,17 +707,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config, args)
-        if args.command == "project":
-            return cmd_project(cfg)
-        if args.command == "fit":
-            return cmd_fit(cfg)
-        if args.command == "score":
-            return cmd_score(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        raise Error(f"unknown command {args.command}")
+        return COMMANDS[args.command][0](cfg)
     except (Error, ValueError, configparser.Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -25,10 +25,13 @@ log density, second exp or second normaliser is taken.  The point
 model's entropy and maximum posterior come from member 0 of the same
 arrays.
 
-Each block writes every field for its own rows, predicted class and
-vote entropy included, into one ``SampleScores`` that ``score_samples``
-allocates for all rows, so no block result is kept or concatenated.  Rows
-reach the kernel as given, float32 from a feature map, and it widens them.
+``SampleScores`` declares what scoring gives per pixel; ``SCORE_CHANNELS``
+and ``UncertaintyMap`` (the record on a scan's grid) follow from it.
+Each block writes its rows of one ``SampleScores`` that ``score_samples``
+allocates for all rows, so no block result is kept or concatenated, and
+its (N, C) vote counts end there; ``vote`` gives one pixel's histogram.
+Rows reach the kernel as given, float32 from a feature map, and it
+widens them.
 
 The blocks of a call run on the package's thread pool,
 ``_blas.map_on_cores``, with OpenBLAS held at one thread (serially where
@@ -36,7 +39,7 @@ none is found).  Each block reduces its own contiguous kernel output, so
 the scores are bit-identical to the serial path.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -82,8 +85,9 @@ class UncertaintyDecomposition:
 
 
 @dataclass
-class UncertaintyMap:
-    """Per-pixel score grids; values are only defined where ``valid``."""
+class SampleScores:
+    """Per pixel: the predicted class (the lowest class id with the most
+    member votes), then one float64 field per score channel."""
 
     predicted_class: np.ndarray
     epistemic: np.ndarray
@@ -92,16 +96,17 @@ class UncertaintyMap:
     mutual_information: np.ndarray
     deterministic_entropy: np.ndarray
     max_posterior: np.ndarray
-    valid: np.ndarray
 
-    SCORE_CHANNELS = (
-        "epistemic",
-        "predictive_entropy",
-        "aleatoric",
-        "mutual_information",
-        "deterministic_entropy",
-        "max_posterior",
-    )
+
+SCORE_CHANNELS = tuple(f.name for f in fields(SampleScores)[1:])
+
+
+@dataclass
+class UncertaintyMap(SampleScores):
+    """``SampleScores`` on the (H, W) grid; invalid pixels hold class -1
+    and NaN scores."""
+
+    valid: np.ndarray
 
 
 def _entropy_rows(p: np.ndarray, axis=-1) -> np.ndarray:
@@ -186,20 +191,6 @@ def decompose_uncertainty(
     return UncertaintyDecomposition(*(float(p[0]) for p in parts))
 
 
-@dataclass
-class SampleScores:
-    """Flat per-sample scores for a batch of feature vectors."""
-
-    predicted_class: np.ndarray
-    vote_counts: np.ndarray
-    epistemic: np.ndarray
-    predictive_entropy: np.ndarray
-    aleatoric: np.ndarray
-    mutual_information: np.ndarray
-    deterministic_entropy: np.ndarray
-    max_posterior: np.ndarray
-
-
 def score_samples(
     z, model: GMMClassifier, ensemble: list[GMMParameterSample]
 ) -> SampleScores:
@@ -213,15 +204,13 @@ def score_samples(
     coefficients = _stack(ensemble, model)
     step = max(1, _BLOCK_VALUES // len(coefficients[1]))
     n = len(z)
-    out = SampleScores(np.empty(n, np.intp), np.empty((n, model.num_classes), np.intp),
-                       *(np.empty(n) for _ in range(6)))
+    out = SampleScores(np.empty(n, np.intp), *(np.empty(n) for _ in SCORE_CHANNELS))
 
     def block(i):
         rows = slice(i, i + step)
         joint = _joint_log_densities(z[rows], coefficients)
         counts, predictive, aleatoric, mi, post, entropy = _reduce_members(joint, 1)
         out.predicted_class[rows] = np.argmax(counts, axis=1)
-        out.vote_counts[rows] = counts
         out.epistemic[rows] = _entropy_rows(counts / len(ensemble))
         out.predictive_entropy[rows] = predictive
         out.aleatoric[rows] = aleatoric
@@ -243,9 +232,8 @@ def score_feature_map(
     valid = features.valid
     scores = score_samples(features.values[valid], model, ensemble)
     shape = (features.height, features.width)
-    predicted = np.full(shape, -1, dtype=np.int32)
-    predicted[valid] = scores.predicted_class
-    grids = {name: np.full(shape, np.nan) for name in UncertaintyMap.SCORE_CHANNELS}
+    grids = {name: np.full(shape, np.nan) for name in SCORE_CHANNELS}
+    grids["predicted_class"] = np.full(shape, -1, dtype=np.int32)
     for name, grid in grids.items():
         grid[valid] = getattr(scores, name)
-    return UncertaintyMap(predicted_class=predicted, valid=valid.copy(), **grids)
+    return UncertaintyMap(**grids, valid=valid.copy())

@@ -514,6 +514,25 @@ class TestScoreCommand:
         assert not any((root / "mixed" / sub).exists()
                        for sub in ("scores", "predictions", "ood_masks"))
 
+    def test_bank_from_another_fit_is_config_error(self, fitted, capsys):
+        """Two fits of one training set with EM seeds 1 and 2 give one
+        (C, K, D) but other mixture weights, which each bank copies from
+        its model bit for bit: scoring model 1 with bank 2 exits 2,
+        naming both paths, before any output directory is made."""
+        cfg, out, root = fitted
+        for seed in (1, 2):
+            assert main(["fit", "--config", str(cfg), "--out", str(root / f"fit{seed}"),
+                         "--seed", str(seed)]) == EXIT_OK
+        model_path, bank_path = root / "fit1" / "model.gmmc", root / "fit2" / "bank.nigb"
+        model, bank = gmm.load_classifier(model_path), nig.load_bank(bank_path)
+        assert bank.mu.shape == model.means.shape
+        assert not np.array_equal(bank.weights, model.weights)
+        assert main(["score", "--config", str(cfg), "--out", str(root / "crossed"),
+                     "--model-path", str(model_path), "--bank-path", str(bank_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(model_path) in err and str(bank_path) in err and "weights differ" in err
+        assert not (root / "crossed").exists()
+
     @pytest.mark.parametrize("bad", ["model", "bank"])
     def test_empty_axis_in_model_or_bank_is_config_error(self, fitted, capsys, bad):
         """A GMMC or NIGB declaring D = 0 is refused on load (exit 2); it
@@ -837,7 +856,7 @@ def resolved_config(monkeypatch, tmp_path, ini_text, flags=()):
         seen.append(cfg)
         return EXIT_OK
 
-    monkeypatch.setattr(cli, "cmd_synth", capture)
+    monkeypatch.setitem(cli.COMMANDS, "synth", (capture, cli.COMMANDS["synth"][1]))
     argv = ["synth", *flags]
     if ini_text is not None:
         path = tmp_path / "run.ini"
@@ -1082,6 +1101,29 @@ class TestConfigHandling:
         assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "ini, message",
+        [
+            ("5 = 1\n7 = 2\n-2 = 0\n", "'-2' in [class_map]: raw id must be in [0, 65535]"),
+            ("4000000000000 = 2\n",
+             "'4000000000000' in [class_map]: raw id must be in [0, 65535]"),
+            ("65536 = outlier\n", "'65536' in [class_map]: raw id must be in [0, 65535]"),
+            ("10 = 0\n20 = -1\n", "'20' in [class_map]: train id must be at least 0, got -1"),
+        ],
+        ids=["negative-raw-id", "huge-raw-id", "raw-id-past-16-bits", "negative-train-id"],
+    )
+    def test_class_map_ids_out_of_range_are_config_errors(self, tmp_path, capsys, ini, message):
+        """A negative raw id used to wrap in the lookup table (raw 7 of
+        the first case read as train id 0), a huge one exhausted memory
+        and a negative train id turned its raw id into "ignore"."""
+        path = tmp_path / "map.ini"
+        path.write_text("[class_map]\n" + ini)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(path), "--feature-dir", str(tmp_path),
+                     "--label-dir", str(tmp_path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_default_section_keys_serve_interpolation(self, tmp_path):
         path = tmp_path / "run.ini"

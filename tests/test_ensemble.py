@@ -105,8 +105,8 @@ class TestVote:
         )
         z = rng.uniform(-1.0, 1.0, size=(40, 1))
         scores = score_samples(z, model, members)
-        assert (scores.vote_counts == [len(members), 0, 0]).all()
         assert (scores.predicted_class == 0).all()
+        assert (scores.epistemic == 0.0).all()
         for row in z:
             assert vote(row, members).counts.tolist() == [len(members), 0, 0]
 
@@ -184,7 +184,8 @@ class TestInvariances:
         # votes are integers, so predictions and epistemic scores are exact;
         # the float accumulators only move at machine precision
         np.testing.assert_array_equal(forward.predicted_class, backward.predicted_class)
-        np.testing.assert_array_equal(forward.vote_counts, backward.vote_counts)
+        for row in z:
+            np.testing.assert_array_equal(vote(row, members).counts, vote(row, members[::-1]).counts)
         np.testing.assert_array_equal(forward.epistemic, backward.epistemic)
         np.testing.assert_allclose(
             forward.predictive_entropy, backward.predictive_entropy,
@@ -296,7 +297,7 @@ class TestScoreFeatureMap:
         z = rng.normal(loc=3.0, scale=3.0, size=(40, 2))
         scores = score_samples(z, model, members)
         for i in range(z.shape[0]):
-            assert scores.predicted_class[i] == np.argmax(scores.vote_counts[i])
+            assert scores.predicted_class[i] == np.argmax(vote(z[i], members).counts)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +488,8 @@ N_ROWS = pytest.mark.parametrize(
 )
 
 
-INT_FIELDS = ("vote_counts", "predicted_class")
+SCORE_FIELDS = tuple(f.name for f in dataclasses.fields(ens.SampleScores))
+INT_FIELDS = tuple(name for name in SCORE_FIELDS if name not in ens.SCORE_CHANNELS)
 
 
 @N_ROWS
@@ -496,19 +498,22 @@ def test_score_samples_match_loop_reference(kernel_case, loop_reference, n_rows)
     model, members, step, rows = kernel_case
     n = n_rows(step)
     got = score_samples(rows[:n], model, members)
-    for name, value in loop_reference(n).items():
-        if name not in INT_FIELDS:
-            assert_close(getattr(got, name), value)
+    for name in ens.SCORE_CHANNELS:
+        assert_close(getattr(got, name), loop_reference(n)[name])
 
 
 @N_ROWS
 def test_score_samples_bytes_match_loop_reference(kernel_case, loop_reference, n_rows):
-    """Votes and predicted classes survive the kernel's rounding bit for bit."""
+    """Predicted classes, and each row's votes by ``vote``, survive the
+    kernel's rounding bit for bit."""
     model, members, step, rows = kernel_case
     n = n_rows(step)
     got = score_samples(rows[:n], model, members)
+    want = loop_reference(n)
     for name in INT_FIELDS:
-        assert_same_bytes(getattr(got, name), loop_reference(n)[name])
+        assert_same_bytes(getattr(got, name), want[name])
+    counts = np.array([vote(row, members).counts for row in rows[:n]], dtype=np.int64)
+    assert_same_bytes(counts.reshape(want["vote_counts"].shape), want["vote_counts"])
 
 
 def test_reference_rows_reach_certain_split_and_far_ood_cases(kernel_case, loop_reference):
@@ -554,13 +559,12 @@ def test_float32_rows_score_as_their_float64_widening(kernel_case):
 def test_scoring_memory_per_pixel_is_bounded(monkeypatch):
     """Marginal traced peak of ``score_feature_map`` per extra pixel at
     the paper's shape (C = 19, K = 2, M = 20, D = 32), blocks serial so
-    the peak is deterministic.  It reads 336 B: the float32 rows (128)
-    and the fields the blocks write into (208: the vote counts 152, the
-    predicted class 8 and six float64 scores 48); the grids come after the
-    rows go.  At 450 it fails if a float64 copy of the rows (256 more), a
-    scan-wide vote pass (counts / M and the log array, 304) or block
-    results kept for a concatenation (208) comes back; before them it
-    read 1189."""
+    the peak is deterministic.  It reads 184 B: the float32 rows (128)
+    and the fields the blocks write into (56: the predicted class 8 and
+    six float64 score channels 48); the grids come after the rows go.  At
+    260 it fails if the scan-wide (N, C) vote histogram (152 more), a
+    float64 copy of the rows (256) or a scan-wide vote pass (counts / M
+    and the log array, 304) comes back; before them it read 1189."""
     monkeypatch.setattr(_blas, "_found", [])
     c, k, m, d = 19, 2, 20, 32
     rng = np.random.default_rng(21)
@@ -589,7 +593,7 @@ def test_scoring_memory_per_pixel_is_bounded(monkeypatch):
 
     small, large = traced_peak(256), traced_peak(1024)
     per_pixel = (large - small) / (32 * 768)
-    assert per_pixel < 450, f"{per_pixel:.0f} B per extra pixel"
+    assert per_pixel < 260, f"{per_pixel:.0f} B per extra pixel"
 
 
 def em_case(d, n):
@@ -641,7 +645,7 @@ def test_zero_weight_component_raises_no_floating_point_error(d):
     with np.errstate(all="raise", under="ignore"):
         scores = score_samples(z, model, members)
         resp, log_p = gmm_mod._e_step(near, log_w, means, variances)
-    for name in ens.UncertaintyMap.SCORE_CHANNELS:
+    for name in ens.SCORE_CHANNELS:
         assert np.isfinite(getattr(scores, name)).all()
     assert np.isfinite(log_p).all() and (resp[:, 2] == 0.0).all()
 
@@ -671,7 +675,7 @@ def test_rows_far_from_all_classes_but_one_stay_finite_and_certain():
     nearest = np.abs(z - centers).argmin(axis=1)
     with np.errstate(all="raise"):
         scores = score_samples(z, model, members)
-    for name in ens.UncertaintyMap.SCORE_CHANNELS:
+    for name in ens.SCORE_CHANNELS:
         assert np.isfinite(getattr(scores, name)).all()
     assert (scores.max_posterior == 1.0).all()
     for name in ("predictive_entropy", "aleatoric", "deterministic_entropy"):
@@ -679,15 +683,13 @@ def test_rows_far_from_all_classes_but_one_stay_finite_and_certain():
         assert (value >= 0.0).all() and (value < 1e-300).all()
     want = np.zeros((len(z), 3), dtype=np.int64)
     want[np.arange(len(z)), nearest] = len(members)
-    np.testing.assert_array_equal(scores.vote_counts, want)
+    np.testing.assert_array_equal([vote(row, members).counts for row in z], want)
     np.testing.assert_array_equal(scores.predicted_class, nearest)
+    assert (scores.epistemic == 0.0).all()
 
 
 # ---------------------------------------------------------------------------
 # blocks on a pool of their own under the OpenBLAS hold
-
-SCORE_FIELDS = ("predicted_class", "vote_counts", *ens.UncertaintyMap.SCORE_CHANNELS)
-
 
 def blas_threads() -> tuple:
     """The thread count of each OpenBLAS found."""
