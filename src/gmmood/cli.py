@@ -429,7 +429,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     # each scan read, label-mapped and grouped on the pool; a class is its
     # parts in file order, so EM sees the rows a serial read would give,
     # kept in float32 as read: the thread that fits a class widens its
-    # parts straight into the one float64 copy EM reads
+    # parts straight into the one float64 operand EM reads
     scans = _blas.map_on_cores(read_scan, feature_files)
     per_class = [[parts[c] for parts in scans] for c in range(n_classes)]
     model, stats = gmm.fit_classifier(

@@ -123,19 +123,26 @@ class FeatureMap:
 
 
 FMAP = Container(b"FMAP", 1, lambda h, w, d: [("<f4", (h, w, d)), ("u1", (h, w))])
+_CHUNK = 1 << 16  # values per finiteness check
 
 
 def feature_map_to_bytes(fmap: FeatureMap) -> bytes:
     return FMAP.to_bytes(fmap.values.shape, fmap.values, fmap.valid)
 
 
-def feature_map_from_bytes(data: bytes) -> FeatureMap:
+def feature_map_from_bytes(data) -> FeatureMap:
+    """Parse an FMAP container; the values are a view of ``data`` when it
+    is a writable buffer (as ``read_feature_map`` reads into), else a
+    copy."""
     _, (values, valid) = FMAP.from_bytes(data)
-    fmap = FeatureMap(values.copy(), valid != 0)
-    # the whole grid first, which needs no gather of the valid rows; only a
-    # map with a non-finite value anywhere pays for the valid-only check
-    if not np.isfinite(fmap.values).all() and not np.isfinite(fmap.values[fmap.valid]).all():
-        raise FormatError("non-finite feature value at a valid pixel")
+    fmap = FeatureMap(values if values.flags.writeable else values.copy(), valid != 0)
+    # the whole grid first, in chunks, which needs no gather of the valid
+    # rows and no mask of the grid's size; only a map with a non-finite
+    # value anywhere pays for the valid-only check
+    flat = fmap.values.reshape(-1)
+    if not all(np.isfinite(flat[i : i + _CHUNK]).all() for i in range(0, flat.size, _CHUNK)):
+        if not np.isfinite(fmap.values[fmap.valid]).all():
+            raise FormatError("non-finite feature value at a valid pixel")
     return fmap
 
 
@@ -163,4 +170,12 @@ def write_feature_map(fmap: FeatureMap, path) -> None:
 
 
 def read_feature_map(path) -> FeatureMap:
-    return feature_map_from_bytes(Path(path).read_bytes())
+    """Read an FMAP file into one writable buffer, placed so that its
+    values start 64-byte aligned, and parse it: the map's values are a
+    view of that buffer, with no second copy."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        buffer = np.empty(size + 64, np.uint8)
+        start = -(buffer.ctypes.data + HEADER_SIZE) % 64
+        data = buffer[start : start + size]
+        return feature_map_from_bytes(data[: fh.readinto(data)])

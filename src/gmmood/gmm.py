@@ -12,31 +12,40 @@ Every parameter set (``ClassGMM``, EM's ``SufficientStats``, a
 holds (..., K, D) arrays beside a (..., K) one; ``_check_parameters``
 alone stores them as float64 and checks their shapes and finiteness.
 
-One kernel, ``_joint_log_densities``, computes every Gaussian log
-density: EM's E-step calls it on one (K, D) mixture, and the class
-reductions call it on the point-estimate ``GMMClassifier``, a sampled
-member (``nig.GMMParameterSample``) or a whole ensemble stacked along
-leading member axes.  It is also the one place that checks the rows'
-feature dimension, before its matrix product, and that widens them to
-float64 (a fit also does, once, into the copy its passes share).
+One GEMM, ``_joint``, computes every Gaussian log density from a
+(2D + 1, N) operand ``[(z - c)^2, z - c, 1]`` of the rows about a centre
+c.  Scoring's ``_joint_log_densities`` builds a fresh operand per block
+about the mean of the stacked component means, for the point-estimate
+``GMMClassifier``, a sampled member (``nig.GMMParameterSample``) or a
+whole ensemble stacked along leading member axes.  It is the one place
+that checks the rows' feature dimension, before its product, and it
+widens them to float64 as it writes ``z - c``.
 
-The kernel writes ``z - c`` feature by feature into its (2D + 1, N)
-operand, so it reads the rows through ``z.T``.  C-ordered (N, D) rows
-make that a strided read, most of a D = 32 E-step's kernel time; so a
-class's rows are widened once into one feature-major (D, N) float64
-copy, which every pass of the fit reads: the E-steps (through its
-``.T``, so the kernel's ``z.T`` is contiguous), k-means++ seeding, the
-global variance, reseeding and ``_moments``.  ``fit_classifier`` widens
-a class given as per-scan blocks straight into that copy, on the thread
-that fits it, and ``em_fit`` reads it without copying again.
+A fit builds one operand per class, once, and never writes it again.
+``_operand`` widens the rows into its middle D rows (``fit_classifier``
+widens a class's float32 per-scan parts straight there; ``em_fit``
+copies an (N, D) array there, in the same order), rounds their float64
+mean to float32 for the centre cbar, centres the rows in place into
+Y = x - cbar, squares them into the first D rows and sets the last row
+to ones.  Every E-step is then ``_coefficients`` about cbar times that
+operand, plus the log weights, with no ``z - c``, square or ones row
+per iteration.  The other passes read Y: ``_moments`` (its means are
+shifted back by cbar), k-means++ seeding and collapse re-seeds (which
+take ``Y[:, j] + cbar``) and the global variance (from the operand's
+sum of Y^2 and the rows' mean).
 
-``em_fit`` allocates one (2D + 1, N) float64 work buffer per class.
-Each E-step writes the kernel's operand into it (scoring passes none
-and gets a fresh operand per call), and its first D rows are the (D, N)
-scratch of seeding, the global variance and ``_moments``, none of which
-runs while an E-step needs its operand.  A fit thus holds 8 B per
-feature value for the copy and 8 (2D + 1) / D B for the buffer, 16.25 B
-at D = 32.
+For float32 x, ``x - cbar`` is exact in float64 when the magnitudes of x
+and cbar are within 2^28 of each other: both have 24-bit significands, so
+the difference needs at most 53 bits.  Then ``Y + cbar`` gives back every
+row bit for bit, ``Y_i - Y_j`` is exactly ``x_i - x_j``, and seeding on Y
+picks and returns the same seeds as seeding on the uncentred rows.
+Float64 features that float32 cannot represent, or magnitudes more than
+2^28 apart, round once in ``x - cbar``, as a per-iteration ``z - c``
+would; a mean beyond float32's range is kept in float64.
+
+A class's fit holds its operand, 8 (2D + 1) / D B per feature value, and
+one (D, N) float64 scratch for seeding and ``_moments``, 8 B: 24.25 B at
+D = 32.
 
 ``_moments`` gives the M-step and the final statistics: the effective
 counts, the means (one (K, N) by (N, D) GEMM over the counts) and each
@@ -50,7 +59,8 @@ deviations about each component's own mean stay within ~1e-14 of a
 per-component float64 loop.
 
 The kernel expands the quadratic form into one float64 GEMM.  With
-P = 1/sigma^2 and c the mean of all the component means passed in,
+P = 1/sigma^2 and c the operand's centre (by default the mean of all
+the component means passed in),
 
     log N(z | mu, sigma^2) = [-P/2, (mu - c) P, -const/2] @ [(z - c)^2, z - c, 1],
     const = sum_d ((mu - c)^2 P + log sigma^2) + D log 2 pi,
@@ -58,8 +68,9 @@ P = 1/sigma^2 and c the mean of all the component means passed in,
 a (J, 2D + 1) by (2D + 1, N) product for all J components at once.
 ``_coefficients`` builds the left factor once per parameter set, so a
 caller scoring many blocks (``ensemble.score_samples``) pays for it once.
-Expanding around c rather than the origin keeps the cancelling terms at
-the scale of the data's spread, not of its offset: against the
+Expanding around any fixed c near the data rather than the origin keeps
+the cancelling terms at the scale of the data's spread, not of its
+offset: against the
 per-component ``(z - mu)^2`` loop the log densities and everything
 derived from them agree to a few hundred eps relative to max(1, |value|),
 where an uncentred expansion of features at 1e4 is off by ~5e7 eps.
@@ -94,7 +105,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _blas
-from .errors import ConvergenceError, InsufficientDataError, ShapeError
+from .errors import ConvergenceError, Error, InsufficientDataError, ShapeError
 from .formats import Container, write_atomic
 
 VARIANCE_FLOOR = 1e-6
@@ -238,14 +249,16 @@ def logsumexp(a, axis=-1, keepdims=False):
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
-def _coefficients(log_w, means, variances):
+def _coefficients(log_w, means, variances, center=None):
     """GEMM coefficients of (..., K) log weights and (..., K, D) diagonal
-    Gaussians (see the module docstring): the centre c (D,), the K-first
+    Gaussians about ``center`` (see the module docstring), by default the
+    mean of the component means: the centre c (D,), the K-first
     (J, 2D + 1) rows ``[-P/2, (mu - c) P, -const/2]``, the (J,) log
     weights and the (K, ...) shape the J rows reshape to."""
     d = means.shape[-1]
     mu = np.moveaxis(means, -2, 0)
-    center = mu.reshape(-1, d).mean(axis=0)
+    if center is None:
+        center = mu.reshape(-1, d).mean(axis=0)
     mu = mu - center
     var = np.moveaxis(variances, -2, 0)
     prec = 1.0 / var
@@ -255,31 +268,61 @@ def _coefficients(log_w, means, variances):
     return center, coef.reshape(-1, 2 * d + 1), np.moveaxis(log_w, -1, 0).ravel(), const.shape
 
 
-def _joint_log_densities(z, coefficients, feats=None) -> np.ndarray:
-    """log w_k + log N(z | k), shape (K, ..., N), of (N, D) features under
-    the ``_coefficients`` of (..., K) mixtures: one (J, 2D + 1) by
-    (2D + 1, N) GEMM, rows innermost.  Rows of any other shape raise
-    ``ShapeError`` before the product; rows of a narrower dtype are
-    widened to float64 as ``z - c`` is written into the operand, which is
-    ``feats`` when given (a (2D + 1, N) float64 buffer), else new."""
-    center, coef, log_w, shape = coefficients
+def _fill_operand(operand: np.ndarray) -> None:
+    """Complete a (2D + 1, N) operand whose rows D to 2D hold ``z - c``:
+    their squares into rows 0 to D and ones into the last row."""
+    d = operand.shape[0] // 2
+    np.multiply(operand[d : 2 * d], operand[d : 2 * d], out=operand[:d])
+    operand[2 * d] = 1.0
+
+
+def _joint(operand, coefficients) -> np.ndarray:
+    """log w_k + log N(z | k), shape (K, ..., N), from the (2D + 1, N)
+    operand of rows about the centre of the ``_coefficients`` of (..., K)
+    mixtures: one (J, 2D + 1) by (2D + 1, N) GEMM, rows innermost."""
+    _, coef, log_w, shape = coefficients
+    out = coef @ operand
+    out += log_w[:, None]
+    return out.reshape(shape + (operand.shape[1],))
+
+
+def _joint_log_densities(z, coefficients) -> np.ndarray:
+    """``_joint`` of (N, D) features on a fresh operand.  Rows of any
+    other shape raise ``ShapeError`` before the product; rows of a
+    narrower dtype are widened to float64 as ``z - c`` is written."""
+    center = coefficients[0]
     if z.ndim != 2 or z.shape[1] != center.size:
         raise ShapeError(f"expected rows of dimension {center.size}, got shape {z.shape}")
     n, d = z.shape
-    if feats is None:
-        feats = np.empty((2 * d + 1, n))
-    np.subtract(z.T, center[:, None], out=feats[d : 2 * d])
-    np.multiply(feats[d : 2 * d], feats[d : 2 * d], out=feats[:d])
-    feats[2 * d] = 1.0
-    out = coef @ feats
-    out += log_w[:, None]
-    return out.reshape(shape + (n,))
+    operand = np.empty((2 * d + 1, n))
+    np.subtract(z.T, center[:, None], out=operand[d : 2 * d])
+    _fill_operand(operand)
+    return _joint(operand, coefficients)
 
 
-def _e_step(z, log_w, means, variances, feats=None) -> tuple[np.ndarray, np.ndarray]:
+def _operand(x, operand=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A fit's (2D + 1, N) operand of (N, D) rows ``x``, its centre cbar
+    (see the module docstring) and the rows' float64 mean minus cbar;
+    ``operand``, when given, already holds ``x.T`` in its rows D to 2D
+    and is built in place."""
+    n, d = x.shape
+    if operand is None:
+        operand = np.empty((2 * d + 1, n))
+        operand[d : 2 * d] = x.T
+    rows = operand[d : 2 * d]
+    mean = rows.sum(axis=1) / n
+    with np.errstate(over="ignore"):
+        center = mean.astype(np.float32).astype(np.float64)
+    center = np.where(np.isfinite(center), center, mean)
+    rows -= center[:, None]
+    _fill_operand(operand)
+    return operand, center, mean - center
+
+
+def _e_step(operand, center, log_w, means, variances) -> tuple[np.ndarray, np.ndarray]:
     """Responsibilities (N, K), a transposed view, and mixture log
-    densities (N,) of one mixture; ``feats`` is the kernel's operand."""
-    joint = _joint_log_densities(z, _coefficients(log_w, means, variances), feats)
+    densities (N,) of one mixture on a fit's operand about ``center``."""
+    joint = _joint(operand, _coefficients(log_w, means, variances, center))
     log_p = logsumexp(joint, axis=0)
     joint -= log_p
     return np.exp(joint, out=joint).T, log_p
@@ -362,16 +405,23 @@ def _kmeanspp_centers(
         np.multiply(scratch, scratch, out=scratch)
         return scratch.sum(axis=0)
 
+    # squared distance to the nearest centre drawn so far, taken only for
+    # the centres still to draw
+    d2 = np.full(n, np.inf)
     centers[0] = rows[:, rng.integers(n)]
-    d2 = sq_dists(centers[0])
     for m in range(1, k):
+        np.minimum(d2, sq_dists(centers[m - 1]), out=d2)
         total = d2.sum()
         if total > 0:
             centers[m] = rows[:, rng.choice(n, p=d2 / total)]
         else:
             centers[m] = rows[:, rng.integers(n)]
-        np.minimum(d2, sq_dists(centers[m]), out=d2)
     return centers
+
+
+def _check_samples(n: int, k: int, class_id: int) -> None:
+    if n < k:
+        raise InsufficientDataError(f"class {class_id} has {n} samples; needs at least {k}")
 
 
 def em_fit(
@@ -382,6 +432,7 @@ def em_fit(
     tol: float = 1e-5,
     seed: int = 0,
     class_id: int = 0,
+    operand=None,
 ) -> tuple[ClassGMM, SufficientStats]:
     """Fit one class mixture by EM and return it with its final statistics.
 
@@ -395,12 +446,11 @@ def em_fit(
     checked to be non-decreasing (1e-8 slack) across ordinary iterations;
     a decrease raises ``ConvergenceError`` naming ``class_id``.
 
-    Every pass reads the rows as one feature-major (D, N) float64 array:
-    ``features.T`` itself when it is C-ordered float64, as for a class
-    ``fit_classifier`` was given as blocks, else one copy; they are never
-    written.  One (2D + 1, N) work buffer holds each E-step's operand and,
-    in its first D rows, the scratch of the other passes (see the module
-    docstring).
+    Every pass reads the class's one operand (see the module docstring),
+    built from a copy of ``features``, which are never written.
+    ``fit_classifier`` passes ``operand``, a (2D + 1, N) float64 array
+    whose rows D to 2D are ``features.T`` (it widens a class's blocks
+    there): the operand is then built in place, overwriting ``features``.
     """
     x = np.asarray(features)
     if x.ndim != 2:
@@ -409,17 +459,16 @@ def em_fit(
     k = int(n_components)
     if k < 1 or max_iters < 1:
         raise ValueError(f"n_components and max_iters must be at least 1, got {k} and {max_iters}")
-    if n < k:
-        raise InsufficientDataError(f"class {class_id} has {n} samples; needs at least {k}")
+    _check_samples(n, k, class_id)
+    if operand is not None and operand[d : 2 * d].__array_interface__ != x.T.__array_interface__:
+        raise ValueError("operand rows D to 2D must be features.T")
 
-    rows = np.asarray(x.T, dtype=np.float64, order="C")
-    work = np.empty((2 * d + 1, n))
-    scratch = work[:d]
+    operand, center, shift = _operand(x, operand)
+    rows = operand[d : 2 * d]
+    scratch = np.empty((d, n))
     rng = np.random.default_rng(seed)
-    means = _kmeanspp_centers(rows, k, rng, scratch)
-    np.subtract(rows, rows.sum(axis=1, keepdims=True) / n, out=scratch)
-    np.multiply(scratch, scratch, out=scratch)
-    global_var = np.maximum(scratch.sum(axis=1) / n, VARIANCE_FLOOR)
+    means = _kmeanspp_centers(rows, k, rng, scratch) + center
+    global_var = np.maximum(operand[:d].sum(axis=1) / n - shift * shift, VARIANCE_FLOOR)
     variances = np.tile(global_var, (k, 1))
     weights = np.full(k, 1.0 / k)
 
@@ -428,7 +477,7 @@ def em_fit(
     prev_ll = -np.inf
     check_monotone = True
     for _ in range(max_iters):
-        resp, log_p = _e_step(rows.T, _log_weights(weights), means, variances, work)
+        resp, log_p = _e_step(operand, center, _log_weights(weights), means, variances)
         ll = float(log_p.sum())
         if check_monotone and ll_history and not ll >= prev_ll - 1e-8 * max(1.0, abs(prev_ll)):
             raise ConvergenceError(
@@ -442,22 +491,23 @@ def em_fit(
 
         # M-step; a collapsed component's mean and variance are replaced
         nk, means, sq_devs = _moments(rows, resp.T, scratch)
+        means += center
         collapsed = nk < COLLAPSE_THRESHOLD
         weights = np.where(collapsed, 1.0 / n, nk / n)
         weights = weights / weights.sum()
         safe_nk = np.maximum(nk, COLLAPSE_THRESHOLD)[:, None]
         variances = np.maximum(sq_devs / safe_nk, VARIANCE_FLOOR)
-        means[collapsed] = rows[:, rng.integers(n, size=collapsed.sum())].T
+        means[collapsed] = rows[:, rng.integers(n, size=collapsed.sum())].T + center
         variances[collapsed] = global_var
         reseeds += int(collapsed.sum())
         check_monotone = not collapsed.any()
     else:  # ended on an M-step: a stop on tol has this E-step already
-        resp, _ = _e_step(rows.T, _log_weights(weights), means, variances, work)
+        resp, _ = _e_step(operand, center, _log_weights(weights), means, variances)
 
     gmm = ClassGMM(class_id, weights, means, variances)
     # statistics of the E-step under the returned parameters feed the Bayesian updates
     nk, xbar, sq = _moments(rows, resp.T, scratch)
-    xbar = np.where(nk[:, None] > 0, xbar, means)
+    xbar = np.where(nk[:, None] > 0, xbar + center, means)
     return gmm, SufficientStats(nk, xbar, sq, np.asarray(ll_history), reseeds)
 
 
@@ -469,25 +519,43 @@ def fit_classifier(
     with seed child c of ``seed``, an int or a ``SeedSequence`` whose
     next child stays free; returns the classifier and the stats.
 
-    The classes are fitted on the package's thread pool
-    (``_blas.map_on_cores``), each on its own seed and rows, so the
-    results are those of fitting them one after another; an error is
-    the lowest failing class's.  The thread that fits a class given as
-    blocks widens them straight into one C-ordered feature-major float64
-    (D, N) array and passes ``em_fit`` its ``.T``, which ``em_fit``
-    reads without a copy: the class's rows are never concatenated in
-    their own dtype first."""
+    A class short of samples is reported before any fit starts, the
+    lowest one first.  The classes are then fitted on the package's
+    thread pool (``_blas.map_on_cores``), largest first, so that the
+    last to finish is a small one.  Each runs on its own seed and rows,
+    so the results are those of fitting them one after another, and
+    results and errors come back in class order: an error of the
+    package's own (``errors.Error``) is the lowest failing class's, any
+    other the first met in the order of fitting.  The thread that fits
+    a class given as blocks widens them straight into the middle rows of
+    its operand, so the class's rows are never concatenated in their own
+    dtype first."""
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seeds = root.spawn(len(per_class))
+    sizes = [sum(map(len, x)) if isinstance(x, list) else len(x) for x in per_class]
+    for c, n in enumerate(sizes):
+        _check_samples(n, int(n_components), c)
 
     def fit(c):
-        x = per_class[c]
+        x, operand = per_class[c], None
         if isinstance(x, list):
-            rows = np.empty((x[0].shape[1], sum(map(len, x))))
-            x = np.concatenate([block.T for block in x], axis=1, out=rows).T
-        return em_fit(x, n_components, max_iters=max_iters, tol=tol, seed=seeds[c], class_id=c)
+            d = x[0].shape[1]
+            operand = np.empty((2 * d + 1, sizes[c]))
+            x = np.concatenate([block.T for block in x], axis=1, out=operand[d : 2 * d]).T
+        try:
+            return em_fit(
+                x, n_components, max_iters=max_iters, tol=tol, seed=seeds[c], class_id=c,
+                operand=operand,
+            )
+        except Error as exc:  # raised below, in class order
+            return exc
 
-    fits = _blas.map_on_cores(fit, range(len(per_class)))
+    order = sorted(range(len(per_class)), key=lambda c: -sizes[c])
+    done = dict(zip(order, _blas.map_on_cores(fit, order)))
+    fits = [done[c] for c in range(len(per_class))]
+    for result in fits:
+        if isinstance(result, Error):
+            raise result
     return GMMClassifier([gmm for gmm, _ in fits]), [st for _, st in fits]
 
 

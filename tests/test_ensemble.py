@@ -614,14 +614,31 @@ def loop_e_step(x, log_w, means, variances):
     return np.exp(joint - log_p[:, None]), log_p
 
 
+def operand_about_mixture(x, means):
+    """The (2D + 1, N) operand of rows ``x`` about the mean of the
+    component means, as the scoring kernel builds it, and that centre."""
+    d = x.shape[1]
+    center = means.mean(axis=0)
+    operand = np.empty((2 * d + 1, len(x)))
+    operand[d : 2 * d] = x.T - center[:, None]
+    gmm_mod._fill_operand(operand)
+    return operand, center
+
+
 @pytest.mark.parametrize("n", [1, 9, 300])
 @pytest.mark.parametrize("d", [1, 5, 32])
 def test_em_helpers_match_loop_reference(d, n):
-    """``_e_step`` against the per-component loop, also with the mixture
-    and the rows translated by 1e4."""
-    log_w, means, variances, rows = em_case(d, n)
-    for x, mu in [(x, means) for x in rows] + [(rows[0] + 1e4, means + 1e4)]:
-        resp, log_p = gmm_mod._e_step(x, log_w, mu, variances)
+    """``_e_step`` against the per-component loop on a fit's operand,
+    also with the mixture and the rows translated by 1e4.  With far rows
+    appended, whose mean (a fit's centre) sits 500 from every component,
+    it runs on an operand about the mixture's centre."""
+    log_w, means, variances, (near, far) = em_case(d, n)
+    for x, mu, operand in [
+        (near, means, gmm_mod._operand(near)[:2]),
+        (near + 1e4, means + 1e4, gmm_mod._operand(near + 1e4)[:2]),
+        (far, means, operand_about_mixture(far, means)),
+    ]:
+        resp, log_p = gmm_mod._e_step(*operand, log_w, mu, variances)
         want_resp, want_log_p = loop_e_step(x, log_w, mu, variances)
         assert_close(log_p, want_log_p)
         assert_close(resp, want_resp)
@@ -644,7 +661,7 @@ def test_zero_weight_component_raises_no_floating_point_error(d):
     log_w, means, variances, (near, _) = em_case(d, 30)
     with np.errstate(all="raise", under="ignore"):
         scores = score_samples(z, model, members)
-        resp, log_p = gmm_mod._e_step(near, log_w, means, variances)
+        resp, log_p = gmm_mod._e_step(*gmm_mod._operand(near)[:2], log_w, means, variances)
     for name in ens.SCORE_CHANNELS:
         assert np.isfinite(getattr(scores, name)).all()
     assert np.isfinite(log_p).all() and (resp[:, 2] == 0.0).all()

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,48 @@ class TestFMap:
         fmap.values[vr, vc, 2] = value
         with pytest.raises(FormatError, match="non-finite feature value at a valid pixel"):
             feature_map_from_bytes(feature_map_to_bytes(fmap))
+
+    def test_read_parses_its_one_buffer_in_place(self, tmp_path):
+        """``read_feature_map`` reads the file into one writable buffer and
+        returns views of it: the values and mask equal the ``bytes`` path's,
+        the values are writable, and one read's traced peak is at most 1.1
+        times the file, where a copy of the values would add about one.
+        Parsing read-only ``bytes`` still copies the values."""
+        fmap = random_feature_map(np.random.default_rng(6), h=32, w=256, d=32)
+        path = tmp_path / "x.fmap"
+        write_feature_map(fmap, path)
+        data = path.read_bytes()
+        want = feature_map_from_bytes(data)
+        read_feature_map(path)  # warm-up
+        tracemalloc.start()
+        try:
+            got = read_feature_map(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for g, w in ((got.values, want.values), (got.valid, want.valid)):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert got.values.flags.writeable and got.values.flags.c_contiguous
+        assert peak <= 1.1 * len(data), f"{peak / len(data):.2f} x the file"
+        assert want.values.flags.writeable
+        assert not np.shares_memory(want.values, np.frombuffer(data, np.uint8))
+
+    @pytest.mark.parametrize("at_valid", [False, True], ids=["invalid", "valid"])
+    def test_non_finite_value_past_the_first_chunk(self, tmp_path, at_valid):
+        """The finiteness check reads the whole grid of a map larger than
+        one chunk: a NaN at its last value fails the read only where that
+        pixel is valid."""
+        fmap = random_feature_map(np.random.default_rng(7), h=8, w=1024, d=9)
+        assert fmap.values.size > formats_mod._CHUNK
+        fmap.valid[-1, -1] = at_valid
+        fmap.values[-1, -1, -1] = np.nan
+        path = tmp_path / "x.fmap"
+        write_feature_map(fmap, path)
+        if at_valid:
+            with pytest.raises(FormatError, match="non-finite feature value at a valid pixel"):
+                read_feature_map(path)
+        else:
+            assert read_feature_map(path).values.tobytes() == fmap.values.tobytes()
 
     def test_from_grid_requires_2d(self):
         with pytest.raises(ShapeError):

@@ -11,7 +11,7 @@ import pytest
 
 from gmmood import _blas
 from gmmood import gmm as gmm_mod
-from gmmood.errors import InsufficientDataError, ShapeError
+from gmmood.errors import ConvergenceError, InsufficientDataError, ShapeError
 from gmmood.gmm import (
     VARIANCE_FLOOR,
     ClassGMM,
@@ -301,12 +301,13 @@ class TestEMFit:
         x = np.random.default_rng(9).normal(size=(300, 3)) * [1.0, 2.0, 0.5]
         gmm, stats = em_fit(x, 2, max_iters=max_iters, tol=tol, seed=1)
         assert (stats.log_likelihoods.size < max_iters) == (tol > 0)
-        rows = np.ascontiguousarray(x.T)
+        operand, center, _ = gmm_mod._operand(x)
+        rows = operand[3:6]
         log_w = gmm_mod._log_weights(gmm.weights)
-        resp, _ = gmm_mod._e_step(rows.T, log_w, gmm.means, gmm.variances)
+        resp, _ = gmm_mod._e_step(operand, center, log_w, gmm.means, gmm.variances)
         nk, xbar, sq_devs = gmm_mod._moments(rows, resp.T, np.empty_like(rows))
         assert_same_bytes(stats.counts, nk)
-        assert_same_bytes(stats.means, xbar)
+        assert_same_bytes(stats.means, xbar + center)
         assert_same_bytes(stats.sq_devs, sq_devs)
 
     def test_stats_shapes_and_mass(self):
@@ -416,9 +417,8 @@ class TestPooledFit:
             fit_classifier([[np.empty((0, d), np.float32)] * 3], 1)
 
     def test_em_fit_reads_feature_major_float64_rows_in_place(self):
-        """Rows whose ``.T`` is C-ordered float64, which ``em_fit`` reads in
-        place, are never written: a read-only view fits as a C-ordered
-        copy does."""
+        """Features are never written: a read-only view whose ``.T`` is
+        C-ordered float64 fits as a C-ordered copy does."""
         x = pooled_fit_case(5)[4]
         rows = np.array(x.T, order="C")
         rows.flags.writeable = False
@@ -471,7 +471,7 @@ def moment_case(d, n, separation, far):
     if far:
         x = np.concatenate([x, means[1] + 1e4 + rng.standard_normal((n // 4 + 1, d))])
     log_w = gmm_mod._log_weights(np.array([0.5, 0.5]))
-    resp, _ = gmm_mod._e_step(x, log_w, means, np.ones((2, d)))
+    resp, _ = gmm_mod._e_step(*gmm_mod._operand(x)[:2], log_w, means, np.ones((2, d)))
     return x, resp, means.mean(axis=0)
 
 
@@ -534,9 +534,9 @@ def test_moments_match_per_component_loop(d, n, separation, far):
 @pytest.mark.parametrize("n", [64, 67, 9000, 9003])  # N mod 8 in {0, 3}: the GEMM's tail
 @pytest.mark.parametrize("far", [False, True], ids=["near", "far1e4"])
 def test_e_step_on_feature_major_rows_equals_c_ordered(d, n, far):
-    """The kernel reads feature-major rows with the same arithmetic as
-    C-ordered ones: responsibilities and log densities equal bit for
-    bit, also for far rows and a zero-weight component."""
+    """A fit's operand of feature-major rows equals that of C-ordered ones
+    bit for bit, and so do the responsibilities and log densities of an
+    E-step on it, also for far rows and a zero-weight component."""
     rng = np.random.default_rng(100 * d + n)
     x = rng.normal(0.0, 1.0, (n, d))
     if far:
@@ -546,10 +546,21 @@ def test_e_step_on_feature_major_rows_equals_c_ordered(d, n, far):
     variances = rng.uniform(0.5, 2.0, (4, d))
     rows = np.ascontiguousarray(x.T).T
     assert rows.T.flags.c_contiguous and np.array_equal(rows, x)
-    want = gmm_mod._e_step(x, log_w, means, variances)
-    got = gmm_mod._e_step(rows, log_w, means, variances)
+    want, got = gmm_mod._operand(x), gmm_mod._operand(rows)
     for g, w in zip(got, want):
         assert_same_bytes(g, w)
+    want = gmm_mod._e_step(*want[:2], log_w, means, variances)
+    got = gmm_mod._e_step(*got[:2], log_w, means, variances)
+    for g, w in zip(got, want):
+        assert_same_bytes(g, w)
+
+
+def rows_e_step(x, log_w, means, variances):
+    """The E-step as it was before the fit's operand: the scoring kernel
+    on (N, D) rows about the mean of the component means."""
+    joint = gmm_mod._joint_log_densities(x, gmm_mod._coefficients(log_w, means, variances))
+    log_p = logsumexp(joint, axis=0)
+    return np.exp(joint - log_p).T, log_p
 
 
 def two_pass_em_fit(features, k, *, max_iters=100, tol=1e-5, seed=0, class_id=0):
@@ -582,7 +593,7 @@ def two_pass_em_fit(features, k, *, max_iters=100, tol=1e-5, seed=0, class_id=0)
     weights = np.full(k, 1.0 / k)
     ll_history, reseeds, prev_ll = [], 0, -np.inf
     for _ in range(max_iters):
-        resp, log_p = gmm_mod._e_step(x, gmm_mod._log_weights(weights), means, variances)
+        resp, log_p = rows_e_step(x, gmm_mod._log_weights(weights), means, variances)
         ll = float(log_p.sum())
         ll_history.append(ll)
         if ll_history[:-1] and abs(ll - prev_ll) < tol * max(1.0, abs(prev_ll)):
@@ -599,7 +610,7 @@ def two_pass_em_fit(features, k, *, max_iters=100, tol=1e-5, seed=0, class_id=0)
         variances[collapsed] = global_var
         reseeds += int(collapsed.sum())
     else:
-        resp, _ = gmm_mod._e_step(x, gmm_mod._log_weights(weights), means, variances)
+        resp, _ = rows_e_step(x, gmm_mod._log_weights(weights), means, variances)
     nk = resp.sum(axis=0)
     xbar = np.where(nk[:, None] > 0, (resp.T @ x) / np.maximum(nk, 1e-300)[:, None], means)
     sq = sq_devs_about(resp, xbar)
@@ -633,17 +644,19 @@ EM_CASES = {
 
 @pytest.mark.parametrize("case", sorted(EM_CASES))
 def test_em_fit_matches_two_pass_reference(case, monkeypatch):
-    """``em_fit`` reads one feature-major copy in every E-step and moment
-    pass, and takes the reference's iterations and reseeds, with every
-    parameter and statistic within the case's measured bound."""
+    """``em_fit`` reads one (2D + 1, N) operand in every E-step and its
+    centred feature-major rows in every moment pass, and takes the
+    reference's iterations and reseeds, with every parameter and
+    statistic within the case's measured bound."""
     make, k, max_iters, rtol = EM_CASES[case]
     x = make(np.random.default_rng(len(case)))
     want = two_pass_em_fit(x, k, max_iters=max_iters, seed=7, class_id=4)
     e_step, moments, layouts = gmm_mod._e_step, gmm_mod._moments, []
 
-    def e_step_spy(z, *args):
-        layouts.append(("e_step", z.T.flags.c_contiguous))
-        return e_step(z, *args)
+    def e_step_spy(operand, *args):
+        shape = (2 * x.shape[1] + 1, x.shape[0])
+        layouts.append(("e_step", operand.shape == shape and operand.flags.c_contiguous))
+        return e_step(operand, *args)
 
     def moments_spy(rows, resp, scratch):
         layouts.append(("moments", rows.shape == x.shape[::-1] and rows.flags.c_contiguous))
@@ -669,10 +682,11 @@ def test_em_fit_matches_two_pass_reference(case, monkeypatch):
 
 
 def test_em_fit_memory_per_value_is_bounded():
-    """One ``em_fit`` of a fit-d32-like float32 class holds one float64
-    copy and one (2D + 1, N) work buffer, the E-step's operand whose first
-    D rows are the scratch of seeding, the variance and ``_moments``:
-    26.6 B per value (samples x D) at its traced peak, against 33.5 B when
+    """One ``em_fit`` of a fit-d32-like float32 class holds its (2D + 1, N)
+    operand, whose middle D rows are the class's one float64 copy, and
+    one (D, N) scratch of seeding and ``_moments``: 26.6 B per value
+    (samples x D) at its traced peak, as when a float64 copy sat beside
+    one work buffer for the operand and the scratch, against 33.5 B when
     the scratch sat beside a fresh operand per E-step and 41.0 B when a
     C-ordered copy sat beside the feature-major one and the M-step took
     (N, D) temporaries.  A second copy or per-iteration temporary would
@@ -686,3 +700,144 @@ def test_em_fit_memory_per_value_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak / x.size < 29, f"{peak / x.size:.1f} B per value"
+
+
+# ---------------------------------------------------------------------------
+# the fit's operand: built once per class around a float32 centre
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4], ids=["origin", "1e4"])
+def test_operand_rows_give_back_float32_rows(offset):
+    """The centre is a float32 value and the centred rows plus it give
+    back every float32 row bit for bit, also 1e4 from the origin; the
+    operand's other rows are their squares and ones, and k-means++ seeds
+    drawn on the centred rows equal those drawn on the uncentred ones."""
+    x = fit_d32_like_class(np.random.default_rng(12), n=3001) + np.float32(offset)
+    assert x.dtype == np.float32
+    n, d = x.shape
+    operand, center, _ = gmm_mod._operand(x)
+    rows = operand[d : 2 * d]
+    assert_same_bytes(center.astype(np.float32).astype(np.float64), center)
+    assert_same_bytes(np.ascontiguousarray((rows + center[:, None]).T), x.astype(np.float64))
+    assert_same_bytes(operand[:d], rows * rows)
+    assert (operand[2 * d] == 1.0).all()
+    scratch = np.empty((d, n))
+    for seed in range(3):
+        got = gmm_mod._kmeanspp_centers(rows, 4, np.random.default_rng(seed), scratch) + center
+        want = gmm_mod._kmeanspp_centers(
+            np.ascontiguousarray(x.T, dtype=np.float64), 4, np.random.default_rng(seed), scratch
+        )
+        assert_same_bytes(got, want)
+
+
+def test_operand_beyond_float32_keeps_a_float64_centre():
+    """Rows whose mean float32 cannot hold are centred about that float64
+    mean, with no floating-point error, and fit to finite parameters."""
+    x = np.random.default_rng(17).normal(1e39, 1e37, (200, 3))
+    with np.errstate(all="raise"):
+        operand, center, shift = gmm_mod._operand(x)
+        gmm, _ = em_fit(x, 2, seed=0)
+    assert_same_bytes(center, np.ascontiguousarray(x.T).sum(axis=1) / len(x))
+    assert (shift == 0.0).all() and np.isfinite(operand).all()
+    assert np.isfinite(gmm.means).all() and np.isfinite(gmm.variances).all()
+
+
+def test_em_fit_refuses_an_operand_without_its_features():
+    """An ``operand`` is taken only when its rows D to 2D are the
+    features' transpose."""
+    x = np.random.default_rng(18).normal(size=(50, 3))
+    operand = np.empty((7, 50))
+    operand[3:6] = x.T
+    with pytest.raises(ValueError, match="operand rows D to 2D must be features.T"):
+        em_fit(x, 2, operand=operand)
+    want = em_fit(x, 2, seed=1)
+    got = em_fit(operand[3:6].T, 2, seed=1, operand=operand)
+    for name in ("weights", "means", "variances"):
+        assert_same_bytes(getattr(got[0], name), getattr(want[0], name))
+
+
+def test_every_e_step_reads_one_unchanged_operand(monkeypatch):
+    """A fit builds its (2D + 1, N) operand once: every E-step gets the
+    same array, and no pass of the fit writes it."""
+    x = fit_d32_like_class(np.random.default_rng(13), n=2000)
+    e_step, seen = gmm_mod._e_step, []
+
+    def spy(operand, *args):
+        seen.append((operand, operand.tobytes()))
+        return e_step(operand, *args)
+
+    monkeypatch.setattr(gmm_mod, "_e_step", spy)
+    _, stats = em_fit(x, 2, seed=3)
+    assert len(seen) == stats.log_likelihoods.size > 2
+    first, snapshot = seen[0]
+    assert first.shape == (2 * x.shape[1] + 1, x.shape[0])
+    assert all(operand is first for operand, _ in seen)
+    assert all(data == snapshot for _, data in seen) and first.tobytes() == snapshot
+
+
+@pytest.mark.parametrize("value", [0.1, 1e4 + 0.3])
+def test_constant_feature_has_exactly_zero_spread(value):
+    """A feature that is constant over a class centres to exact zeros: its
+    sums of squared deviations are exactly 0, its variances the floor and
+    its means the constant itself."""
+    x = fit_d32_like_class(np.random.default_rng(14), n=1500, d=5)
+    x[:, 2] = np.float32(value)
+    gmm, stats = em_fit(x, 2, seed=4)
+    assert (stats.counts > 0).all()
+    assert (stats.sq_devs[:, 2] == 0.0).all()
+    assert (gmm.variances[:, 2] == VARIANCE_FLOOR).all()
+    assert (gmm.means[:, 2] == np.float64(np.float32(value))).all()
+    assert (stats.means[:, 2] == np.float64(np.float32(value))).all()
+
+
+def test_skewed_classes_fit_alike_largest_first_in_id_order_and_serially(monkeypatch):
+    """Classes of skewed sizes are handed to the pool largest first, and
+    fit to the same bytes as in id order and serially, in class order."""
+    rng = np.random.default_rng(15)
+    sizes = (40, 3000, 7, 900, 3000, 250)
+    per_class = [fit_d32_like_class(rng, n=n, d=5) for n in sizes]
+    per_class[3] = [per_class[3][:100], per_class[3][100:]]
+    real_map, orders = _blas.map_on_cores, []
+
+    def largest_first(work, items):
+        orders.append(list(items))
+        return real_map(work, items)
+
+    def in_id_order(work, items):
+        items = list(items)
+        done = dict(zip(sorted(items), real_map(work, sorted(items))))
+        return [done[i] for i in items]
+
+    monkeypatch.setattr(_blas, "map_on_cores", largest_first)
+    fits = [fit_classifier(per_class, 2, seed=5)]
+    assert orders == [[1, 4, 3, 5, 0, 2]]
+    monkeypatch.setattr(_blas, "map_on_cores", in_id_order)
+    fits.append(fit_classifier(per_class, 2, seed=5))
+    monkeypatch.setattr(_blas, "map_on_cores", real_map)
+    monkeypatch.setattr(_blas, "_found", [])
+    fits.append(fit_classifier(per_class, 2, seed=5))
+    (model, stats), others = fits[0], fits[1:]
+    assert [g.class_id for g in model.classes] == list(range(len(sizes)))
+    assert [int(round(st.counts.sum())) for st in stats] == list(sizes)
+    for other_model, other_stats in others:
+        assert classifier_to_bytes(other_model) == classifier_to_bytes(model)
+        for got, want in zip(other_stats, stats):
+            for name in STATS_FIELDS:
+                assert_same_bytes(getattr(got, name), getattr(want, name))
+
+
+def test_errors_come_back_in_class_order(monkeypatch):
+    """Of two failing classes, the lower one's error is raised, though the
+    larger, higher one was fitted first."""
+    real_em_fit = gmm_mod.em_fit
+
+    def failing(x, *args, class_id, **kwargs):
+        if class_id in (1, 3):
+            raise ConvergenceError(f"class {class_id} failed")
+        return real_em_fit(x, *args, class_id=class_id, **kwargs)
+
+    monkeypatch.setattr(gmm_mod, "em_fit", failing)
+    rng = np.random.default_rng(16)
+    per_class = [rng.normal(size=(n, 3)) for n in (50, 60, 70, 900)]
+    with pytest.raises(ConvergenceError, match="^class 1 failed$"):
+        fit_classifier(per_class, 2)
