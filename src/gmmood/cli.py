@@ -355,12 +355,10 @@ def cmd_project(cfg: RunConfig) -> int:
     def project_one(scan_path: Path) -> dict:
         cloud = rangeview.parse_point_cloud(scan_path.read_bytes())
         label_path = label_dir / (scan_path.stem + ".label") if label_dir else None
-        if label_path is None or not label_path.exists():
-            image = rangeview.project_spherical(cloud, None, cfg.projection)
-            grid = None
-        else:
+        labels = None
+        if label_path is not None and label_path.exists():
             labels = rangeview.parse_labels(label_path.read_bytes(), len(cloud))
-            image, grid = rangeview.project_spherical(cloud, labels, cfg.projection)
+        image = rangeview.project_spherical(cloud, cfg.projection)
         entry = {
             "scan": scan_path.name,
             "points": len(cloud),
@@ -369,7 +367,8 @@ def cmd_project(cfg: RunConfig) -> int:
                 out, f"range/{scan_path.stem}.fmap", image.channels, image.valid
             ),
         }
-        if grid is not None:
+        if labels is not None:
+            grid = np.where(image.valid, labels[image.point_index], -1)
             entry["label_grid"] = _write_grid(
                 out, f"labels/{scan_path.stem}.fmap", grid, image.valid
             )
@@ -708,7 +707,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_run_config(args.config, args)
         return COMMANDS[args.command][0](cfg)
-    except (Error, ValueError, configparser.Error, OSError) as exc:
+    except (Error, ValueError, configparser.Error, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -7,10 +7,12 @@ class prior, maximum-density prediction, and EM fitting that also emits
 the responsibility-weighted sufficient statistics consumed by the
 Bayesian layer.
 
-Every parameter set (``ClassGMM``, EM's ``SufficientStats``, a
-``nig.NIGPosteriorBank`` and its sampled ``nig.GMMParameterSample``s)
-holds (..., K, D) arrays beside a (..., K) one; ``_check_parameters``
-alone stores them as float64 and checks their shapes and finiteness.
+Every parameter set (one class's ``ClassGMM``, the ``GMMClassifier``
+that stacks them, EM's ``SufficientStats``, a ``nig.NIGPosteriorBank``
+and its sampled ``nig.GMMParameterSample``s) holds (..., K, D) arrays
+beside a (..., K) one; ``_check_parameters`` alone stores them as
+float64 and checks their shapes and finiteness.  Class c of a stacked
+set is its row c.
 
 One GEMM, ``_joint``, computes every Gaussian log density from a
 (2D + 1, N) operand ``[(z - c)^2, z - c, 1]`` of the rows about a centre
@@ -142,61 +144,54 @@ def _check_parameters(obj, axes: str, per_component: str, *per_dim: str) -> None
             )
 
 
+def _check_mixture(obj, axes: str) -> None:
+    """``_check_parameters`` of a point-estimate mixture set, then: raise
+    ``ValueError`` unless each mixture's weights are nonnegative and sum
+    to 1 and every variance is at ``VARIANCE_FLOOR`` or above."""
+    _check_parameters(obj, axes, "weights", "means", "variances")
+    if np.any(obj.weights < 0) or np.any(np.abs(obj.weights.sum(axis=-1) - 1.0) > 1e-9):
+        raise ValueError("mixture weights must be nonnegative and sum to 1")
+    if np.any(obj.variances < VARIANCE_FLOOR * (1 - 1e-12)):
+        raise ValueError(f"variances must be floored at {VARIANCE_FLOOR}")
+
+
 @dataclass
 class ClassGMM:
     """Point-estimate mixture for one class: weights, per-dim means/variances."""
 
-    class_id: int
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
 
     def __post_init__(self):
-        _check_parameters(self, "KD", "weights", "means", "variances")
-        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-9:
-            raise ValueError("mixture weights must be nonnegative and sum to 1")
-        if np.any(self.variances < VARIANCE_FLOOR * (1 - 1e-12)):
-            raise ValueError(f"variances must be floored at {VARIANCE_FLOOR}")
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
+        _check_mixture(self, "KD")
 
 
 @dataclass
 class GMMClassifier:
-    """All per-class mixtures sharing one K and D; class c has id c.
+    """Point-estimate mixtures of C classes sharing one K and D: class c
+    is row c of ``weights`` (C, K) and ``means``/``variances`` (C, K, D)."""
 
-    ``weights`` (C, K), ``means`` and ``variances`` (C, K, D) stack the
-    class parameters once at construction for ``class_log_densities``.
-    """
-
-    classes: list[ClassGMM]
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-    means: np.ndarray = field(init=False, repr=False, compare=False)
-    variances: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray
+    means: np.ndarray
+    variances: np.ndarray
 
     def __post_init__(self):
-        if not self.classes:
-            raise ValueError("classifier needs at least one class")
-        if len({gmm.means.shape for gmm in self.classes}) != 1:
-            raise ShapeError("all class mixtures must share K and D")
-        ids = [gmm.class_id for gmm in self.classes]
-        if ids != list(range(len(ids))):
-            raise ValueError(
-                f"class ids must be 0..{len(ids) - 1} in order, got {ids}: GMMC files "
-                "store classes by position, not by id"
-            )
-        for name in ("weights", "means", "variances"):
-            setattr(self, name, np.stack([getattr(gmm, name) for gmm in self.classes]))
+        _check_mixture(self, "CKD")
+
+    @classmethod
+    def of(cls, classes: list[ClassGMM]) -> "GMMClassifier":
+        """The classifier whose class c is ``classes[c]``."""
+        names = ("weights", "means", "variances")
+        return cls(*(np.stack([getattr(gmm, n) for gmm in classes]) for n in names))
 
     @property
     def num_classes(self) -> int:
-        return len(self.classes)
+        return self.means.shape[0]
 
     @property
     def feature_dim(self) -> int:
-        return self.classes[0].dim
+        return self.means.shape[2]
 
 
 GMMC = Container(b"GMMC", 1, lambda c, k, d: [
@@ -419,9 +414,9 @@ def _kmeanspp_centers(
     return centers
 
 
-def _check_samples(n: int, k: int, class_id: int) -> None:
+def _check_samples(n: int, k: int, c: int) -> None:
     if n < k:
-        raise InsufficientDataError(f"class {class_id} has {n} samples; needs at least {k}")
+        raise InsufficientDataError(f"class {c} has {n} samples; needs at least {k}")
 
 
 def em_fit(
@@ -504,7 +499,7 @@ def em_fit(
     else:  # ended on an M-step: a stop on tol has this E-step already
         resp, _ = _e_step(operand, center, _log_weights(weights), means, variances)
 
-    gmm = ClassGMM(class_id, weights, means, variances)
+    gmm = ClassGMM(weights, means, variances)
     # statistics of the E-step under the returned parameters feed the Bayesian updates
     nk, xbar, sq = _moments(rows, resp.T, scratch)
     xbar = np.where(nk[:, None] > 0, xbar + center, means)
@@ -519,29 +514,30 @@ def fit_classifier(
     with seed child c of ``seed``, an int or a ``SeedSequence`` whose
     next child stays free; returns the classifier and the stats.
 
-    A class short of samples is reported before any fit starts, the
-    lowest one first.  The classes are then fitted on the package's
+    A class with a block that is not (N, D), or short of samples, is
+    reported before any fit starts, the lowest one first.  The classes are then fitted on the package's
     thread pool (``_blas.map_on_cores``), largest first, so that the
     last to finish is a small one.  Each runs on its own seed and rows,
     so the results are those of fitting them one after another, and
     results and errors come back in class order: an error of the
     package's own (``errors.Error``) is the lowest failing class's, any
     other the first met in the order of fitting.  The thread that fits
-    a class given as blocks widens them straight into the middle rows of
-    its operand, so the class's rows are never concatenated in their own
-    dtype first."""
+    a class widens its blocks (an array is one block) straight into the
+    middle rows of its operand, so the class's rows are never
+    concatenated in their own dtype first."""
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seeds = root.spawn(len(per_class))
-    sizes = [sum(map(len, x)) if isinstance(x, list) else len(x) for x in per_class]
-    for c, n in enumerate(sizes):
+    blocks = [x if isinstance(x, list) else [x] for x in per_class]
+    sizes = [sum(map(len, x)) for x in blocks]
+    for c, (x, n) in enumerate(zip(blocks, sizes)):
+        if any(np.ndim(block) != 2 for block in x):
+            raise ShapeError(f"class {c}: features must be (N, D) blocks")
         _check_samples(n, int(n_components), c)
 
     def fit(c):
-        x, operand = per_class[c], None
-        if isinstance(x, list):
-            d = x[0].shape[1]
-            operand = np.empty((2 * d + 1, sizes[c]))
-            x = np.concatenate([block.T for block in x], axis=1, out=operand[d : 2 * d]).T
+        d = blocks[c][0].shape[1]
+        operand = np.empty((2 * d + 1, sizes[c]))
+        x = np.concatenate([block.T for block in blocks[c]], axis=1, out=operand[d : 2 * d]).T
         try:
             return em_fit(
                 x, n_components, max_iters=max_iters, tol=tol, seed=seeds[c], class_id=c,
@@ -556,18 +552,18 @@ def fit_classifier(
     for result in fits:
         if isinstance(result, Error):
             raise result
-    return GMMClassifier([gmm for gmm, _ in fits]), [st for _, st in fits]
+    return GMMClassifier.of([gmm for gmm, _ in fits]), [st for _, st in fits]
 
 
 def classifier_to_bytes(model: GMMClassifier) -> bytes:
-    """Serialize to the GMMC container (classes are stored positionally)."""
+    """Serialize to the GMMC container, class c as its c-th record."""
     return GMMC.to_bytes(model.means.shape, (model.weights, model.means, model.variances))
 
 
 def classifier_from_bytes(data: bytes) -> GMMClassifier:
-    """Parse a GMMC container; class ids are assigned 0..C-1 in file order."""
+    """Parse a GMMC container: class c is its c-th record."""
     _, [fields] = GMMC.from_bytes(data)
-    return GMMClassifier([ClassGMM(i, *(a.copy() for a in p)) for i, p in enumerate(zip(*fields))])
+    return GMMClassifier(*(a.copy() for a in fields))
 
 
 def save_classifier(model: GMMClassifier, path) -> None:

@@ -121,7 +121,7 @@ def build_bank(
     shape = model.means.shape
     if len(stats) != shape[0]:
         raise ShapeError(f"{len(stats)} statistics blocks for {shape[0]} classes")
-    bad = [gmm.class_id for gmm, st in zip(model.classes, stats) if st.means.shape != shape[1:]]
+    bad = [c for c, st in enumerate(stats) if st.means.shape != shape[1:]]
     if bad:
         raise ShapeError(f"classes {bad}: statistics shape is not {shape[1:]}")
     xbar = np.stack([st.means for st in stats])

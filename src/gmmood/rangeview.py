@@ -131,10 +131,8 @@ def parse_labels(data: bytes, point_count: int) -> np.ndarray:
 
 
 def project_spherical(
-    cloud: PointCloud,
-    labels: np.ndarray | None = None,
-    config: ProjectionConfig = ProjectionConfig(),
-):
+    cloud: PointCloud, config: ProjectionConfig = ProjectionConfig()
+) -> RangeImage:
     """Project a point cloud onto the spherical range-view grid.
 
     For each point with range r > 0, yaw = atan2(y, x) and
@@ -145,14 +143,12 @@ def project_spherical(
     pixel.  Zero-range points are skipped and counted in
     ``dropped_points``.
 
-    Returns the RangeImage, or ``(RangeImage, label_grid)`` when per-point
-    semantic ids are given; the label grid holds -1 at invalid pixels.
+    Per-point values ``a`` map onto the grid as
+    ``np.where(image.valid, a[image.point_index], fill)``.
     """
     n = len(cloud)
     if n == 0:
         raise ValueError("cannot project an empty point cloud")
-    if labels is not None and len(labels) != n:
-        raise ShapeError(f"{len(labels)} labels for {n} points")
 
     h, w = config.height, config.width
     fov_up = math.radians(config.fov_up)
@@ -192,13 +188,7 @@ def project_spherical(
     point_index[r_seq, c_seq] = seq
 
     valid = point_index >= 0
-    image = RangeImage(channels, valid, point_index, point_rows, point_cols, dropped)
-
-    if labels is None:
-        return image
-    label_grid = np.full((h, w), -1, dtype=np.int32)
-    label_grid[r_seq, c_seq] = labels[seq]
-    return image, label_grid
+    return RangeImage(channels, valid, point_index, point_rows, point_cols, dropped)
 
 
 def back_project(image: RangeImage, per_pixel_values: np.ndarray) -> np.ndarray:

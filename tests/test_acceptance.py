@@ -399,7 +399,7 @@ def test_c9_end_to_end_determinism(tmp_path):
         cgmm, st = em_fit(x, 2, seed=ci, class_id=ci)
         classes.append(cgmm)
         stats.append(st)
-    model = GMMClassifier(classes)
+    model = GMMClassifier.of(classes)
     bank = build_bank(model, stats, DEFAULT_PRIOR)
     model_path = tmp_path / "model.gmmc"
     bank_path = tmp_path / "bank.nigb"

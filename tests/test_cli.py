@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from gmmood import _blas, cli, gmm, nig
+from gmmood import metrics as metrics_mod
 from gmmood.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -92,6 +93,33 @@ class TestProjectCommand:
         labels = read_feature_map(out / "labels" / "000.fmap")
         np.testing.assert_array_equal(labels.valid, fmap.valid)
 
+    def test_scan_without_label_file_gets_no_label_grid(self, tmp_path):
+        """A scan with no label file gets its range image and no label grid;
+        the other's grid holds the label of the point that won each valid
+        pixel, and -1 elsewhere."""
+        from gmmood import rangeview
+
+        scan_dir, label_dir = make_dataset(tmp_path)
+        (label_dir / "001.label").unlink()
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "run.ini", out, scan_dir, label_dir)
+        assert main(["project", "--config", str(cfg)]) == EXIT_OK
+        files = json.loads((out / "project_manifest.json").read_text())["files"]
+        assert [f["scan"] for f in files] == ["000.bin", "001.bin"]
+        assert files[0]["label_grid"] == "labels/000.fmap" and "label_grid" not in files[1]
+        assert files[1]["range_image"] == "range/001.fmap"
+        assert sorted(p.name for p in (out / "labels").iterdir()) == ["000.fmap"]
+        cloud = rangeview.parse_point_cloud((scan_dir / "000.bin").read_bytes())
+        image = rangeview.project_spherical(
+            cloud, load_run_config(str(cfg), cli.build_parser().parse_args(["project"])).projection
+        )
+        labels = rangeview.parse_labels((label_dir / "000.label").read_bytes(), len(cloud))
+        grid = read_feature_map(out / "labels" / "000.fmap")
+        np.testing.assert_array_equal(grid.valid, image.valid)
+        np.testing.assert_array_equal(
+            grid.grid(), np.where(image.valid, labels[image.point_index], -1)
+        )
+
     def test_empty_dir_gives_empty_manifest(self, tmp_path):
         scan_dir = tmp_path / "scans"
         scan_dir.mkdir()
@@ -158,9 +186,7 @@ class TestFitCommand:
         bank = load_bank(out / "bank.nigb")
         assert model.num_classes == 3 and model.feature_dim == 5
         assert bank.mu.shape == model.means.shape
-        np.testing.assert_allclose(
-            bank.weights, [g.weights for g in model.classes], rtol=1e-12
-        )
+        np.testing.assert_allclose(bank.weights, model.weights, rtol=1e-12)
 
     def test_outliers_excluded_from_counts(self, projected):
         cfg, out, _ = projected
@@ -469,6 +495,48 @@ class TestScoreCommand:
         assert scored == ["000", "001"]
         assert not (out / "scores" / "nan_epistemic.fmap").exists()
 
+    def test_per_scan_thresholds_follow_each_scan(self, fitted):
+        """With ``--per-scan-threshold`` each scan's threshold is the
+        percentile threshold of its own float64 epistemic values, and its
+        mask flags the valid pixels above it.  The far scan's votes split
+        where the others' are mostly unanimous, so the thresholds differ;
+        a scan with no valid pixel gets a null threshold, an all-zero
+        mask and a warning."""
+        from gmmood.formats import FeatureMap, write_feature_map
+
+        cfg, out, _ = fitted
+        rng = np.random.default_rng(22)
+        far = rng.normal(0.0, 100.0, (16, 128, 5))
+        write_feature_map(FeatureMap(far, rng.random((16, 128)) < 0.3), out / "range" / "far.fmap")
+        write_feature_map(FeatureMap(far, np.zeros((16, 128), bool)), out / "range" / "none.fmap")
+        assert main(["score", "--config", str(cfg), "--per-scan-threshold"]) == EXIT_OK
+        manifest = json.loads((out / "score_manifest.json").read_text())
+        assert manifest["per_scan"] is True
+        assert manifest["warnings"] == ["none: no valid pixels"]
+        run = load_run_config(str(cfg), cli.build_parser().parse_args(["score"]))
+        model = gmm.load_classifier(out / "model.gmmc")
+        members = nig.sample_ensemble(
+            nig.load_bank(out / "bank.nigb"), run.ensemble.n_samples, run.ensemble.seed
+        )
+        thresholds = {}
+        for entry in manifest["files"]:
+            stem = entry["file"]
+            umap = cli.ens.score_feature_map(
+                read_feature_map(out / "range" / f"{stem}.fmap"), model, members
+            )
+            mask = read_feature_map(out / "ood_masks" / f"{stem}.fmap").grid()
+            values = umap.epistemic[umap.valid]
+            if stem == "none":
+                assert entry["threshold"] is None and not mask.any()
+                continue
+            want = metrics_mod.percentile_threshold(values, run.threshold.top_fraction)[0]
+            assert entry["threshold"] == want
+            np.testing.assert_array_equal(mask, umap.valid & (umap.epistemic > want))
+            assert entry["flagged"] == int(mask.sum())
+            thresholds[stem] = want
+        assert sorted(thresholds) == ["000", "001", "far"]
+        assert thresholds["far"] > max(thresholds["000"], thresholds["001"])
+
     def test_bank_drawing_an_infinite_variance_is_config_error(self, fitted, capsys):
         """A parseable bank with one cell at alpha = 1e-300, beta = 1e300
         draws an infinite variance: ``score`` exits 2 naming the member's
@@ -489,14 +557,15 @@ class TestScoreCommand:
     def test_model_bank_mismatch_is_config_error(
         self, fitted, capsys, model_classes, bank_classes
     ):
-        from gmmood.gmm import ClassGMM, GMMClassifier, save_classifier
+        from gmmood.gmm import GMMClassifier, save_classifier
         from gmmood.nig import NIGPosteriorBank, save_bank
 
         cfg, out, root = fitted
         k, d = 2, 5
         model = GMMClassifier(
-            [ClassGMM(c, np.full(k, 1 / k), np.full((k, d), float(c)), np.ones((k, d)))
-             for c in range(model_classes)]
+            np.full((model_classes, k), 1 / k),
+            np.arange(model_classes, dtype=float)[:, None, None] + np.zeros((k, d)),
+            np.ones((model_classes, k, d)),
         )
         shape = (bank_classes, k, d)
         bank = NIGPosteriorBank(
@@ -743,6 +812,18 @@ class TestEvalCommand:
             for stem in ("000", "001")
         ]
         assert err[2:] == [f"error: no scan in {out / 'predictions'} could be evaluated"]
+
+    def test_refused_allocation_is_config_error(self, fitted, capsys):
+        """``--classes 1000000000`` asks ``metrics.miou`` for a 10^18-entry
+        confusion count, 8 EB: the allocation is refused at once, and the
+        run exits 2 with an error line, not a traceback."""
+        cfg, out, root = fitted
+        assert main(["score", "--config", str(cfg)]) == EXIT_OK
+        assert main(["eval", "--config", str(cfg), "--label-dir", str(out / "labels"),
+                     "--score-dir", str(out), "--out", str(root / "eval"),
+                     "--classes", "1000000000"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "allocate" in err and "Traceback" not in err
 
     def test_zero_ood_is_undefined_metric(self, tmp_path):
         rng = np.random.default_rng(1)

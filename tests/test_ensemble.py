@@ -26,7 +26,6 @@ from gmmood.ensemble import (
 from gmmood.errors import InsufficientDataError, ShapeError
 from gmmood.formats import FeatureMap
 from gmmood.gmm import (
-    ClassGMM,
     GMMClassifier,
     class_log_densities,
     class_posterior,
@@ -63,7 +62,7 @@ def fitted_setup(seed=0, n_classes=3, d=2, n=200, k=2):
         gmm, st = em_fit(x, k, seed=ci, class_id=ci)
         classes.append(gmm)
         stats.append(st)
-    model = GMMClassifier(classes)
+    model = GMMClassifier.of(classes)
     bank = build_bank(model, stats, DEFAULT_PRIOR)
     return model, sample_ensemble(bank, 8, rng_seed=seed)
 
@@ -94,15 +93,20 @@ class TestVote:
         with pytest.raises(ShapeError):
             vote(np.zeros(3), [member([0.0, 4.0])])
 
+    def test_empty_ensemble_is_refused(self):
+        model, _ = fitted_setup(seed=3)
+        with pytest.raises(ValueError, match="^ensemble must be non-empty$"):
+            vote(np.zeros(2), [])
+        with pytest.raises(ValueError, match="^ensemble must be non-empty$"):
+            score_samples(np.zeros((4, 2)), model, [])
+
     def test_identical_classes_vote_for_the_lower_id(self):
         """Classes 0 and 1 share their parameters in the point model and
         in every member, so every vote goes to class 0 in the batched and
         the single-vector paths, and so does the predicted class."""
         rng = np.random.default_rng(18)
         members = [member([m, m, 6.0]) for m in rng.normal(0.0, 0.5, size=9)]
-        model = GMMClassifier(
-            [ClassGMM(c, [1.0], [[mu]], [[1.0]]) for c, mu in enumerate([0.0, 0.0, 6.0])]
-        )
+        model = GMMClassifier(np.ones((3, 1)), [[[0.0]], [[0.0]], [[6.0]]], np.ones((3, 1, 1)))
         z = rng.uniform(-1.0, 1.0, size=(40, 1))
         scores = score_samples(z, model, members)
         assert (scores.predicted_class == 0).all()
@@ -114,6 +118,12 @@ class TestVote:
 class TestVoteEntropy:
     def test_unanimous_is_zero(self):
         assert vote_entropy(VoteRecord([20, 0, 0])) == 0.0
+
+    def test_record_needs_one_row_of_votes(self):
+        with pytest.raises(ShapeError, match=r"^counts must be 1-d, got shape \(1, 3\)$"):
+            VoteRecord([[20, 0, 0]])
+        with pytest.raises(ValueError, match="at least one vote"):
+            VoteRecord([0, 0, 0])
 
     def test_uniform_twenty_classes(self):
         record = VoteRecord(np.ones(20, dtype=int))
@@ -571,9 +581,7 @@ def test_scoring_memory_per_pixel_is_bounded(monkeypatch):
     means = rng.normal(0.0, 5.0, (c, k, d))
     variances = rng.uniform(0.5, 2.0, (c, k, d))
     weights = np.full((c, k), 1.0 / k)
-    model = GMMClassifier(
-        [ClassGMM(i, weights[i], means[i], variances[i]) for i in range(c)]
-    )
+    model = GMMClassifier(weights, means, variances)
     members = [
         GMMParameterSample(means + rng.normal(0.0, 0.1, means.shape), variances, weights)
         for _ in range(m)
@@ -651,9 +659,7 @@ def test_zero_weight_component_raises_no_floating_point_error(d):
     far-OOD rows included."""
     model, members = fitted_setup(seed=19, d=d)
     one_hot = np.tile([1.0, 0.0], (model.num_classes, 1))
-    model = GMMClassifier(
-        [ClassGMM(g.class_id, [1.0, 0.0], g.means, g.variances) for g in model.classes]
-    )
+    model = GMMClassifier(one_hot, model.means, model.variances)
     members = [GMMParameterSample(m.means, m.variances, one_hot) for m in members]
     rng = np.random.default_rng(20)
     # row counts off the multiples of 8 that BLAS kernels tile without padding
@@ -682,9 +688,7 @@ def test_rows_far_from_all_classes_but_one_stay_finite_and_certain():
         return means, np.ones_like(means), np.tile([1.0, 0.0], (3, 1))
 
     means, variances, weights = mixture_params(0.0)
-    model = GMMClassifier(
-        [ClassGMM(c, weights[c], means[c], variances[c]) for c in range(3)]
-    )
+    model = GMMClassifier(weights, means, variances)
     members = [GMMParameterSample(*mixture_params(s)) for s in rng.normal(0.0, 0.5, 8)]
     near = centers[rng.integers(3, size=30)] + rng.uniform(-2.0, 2.0, 30)
     far = np.array([-1e4, -3e5, 1e4, 3e5])

@@ -21,7 +21,6 @@ from gmmood.formats import (
     write_feature_map,
 )
 from gmmood.gmm import (
-    ClassGMM,
     GMMClassifier,
     classifier_from_bytes,
     classifier_to_bytes,
@@ -130,16 +129,11 @@ class TestFMap:
 
 
 def random_classifier(rng, c=3, k=2, d=4):
-    classes = []
-    for ci in range(c):
-        w = rng.random(k)
-        w /= w.sum()
-        # renormalize exactly so the stored weights satisfy the invariant
-        w[-1] = 1.0 - w[:-1].sum()
-        classes.append(
-            ClassGMM(ci, w, rng.normal(size=(k, d)), rng.random((k, d)) + 0.1)
-        )
-    return GMMClassifier(classes)
+    w = rng.random((c, k))
+    w /= w.sum(axis=1, keepdims=True)
+    # renormalize exactly so the stored weights satisfy the invariant
+    w[:, -1] = 1.0 - w[:, :-1].sum(axis=1)
+    return GMMClassifier(w, rng.normal(size=(c, k, d)), rng.random((c, k, d)) + 0.1)
 
 
 class TestGMMC:
@@ -147,11 +141,9 @@ class TestGMMC:
         model = random_classifier(np.random.default_rng(5))
         back = classifier_from_bytes(classifier_to_bytes(model))
         assert back.num_classes == model.num_classes
-        for a, b in zip(model.classes, back.classes):
-            assert a.class_id == b.class_id
-            np.testing.assert_array_equal(a.weights, b.weights)
-            np.testing.assert_array_equal(a.means, b.means)
-            np.testing.assert_array_equal(a.variances, b.variances)
+        np.testing.assert_array_equal(back.weights, model.weights)
+        np.testing.assert_array_equal(back.means, model.means)
+        np.testing.assert_array_equal(back.variances, model.variances)
 
     def test_bad_container(self):
         data = classifier_to_bytes(random_classifier(np.random.default_rng(6)))
@@ -340,9 +332,7 @@ def pinned_objects():
         (np.arange(12, dtype=np.float32).reshape(2, 3, 2) - 5.5) / 4,
         np.array([[1, 0, 1], [1, 1, 0]], dtype=bool),
     )
-    model = GMMClassifier(
-        [ClassGMM(c, weights[c], ramp[c] / 8 - 0.5, ramp[c] / 4 + 1) for c in range(2)]
-    )
+    model = GMMClassifier(weights, ramp / 8 - 0.5, ramp / 4 + 1)
     bank = NIGPosteriorBank(ramp / 8 - 0.5, ramp + 1, ramp / 2 + 1, ramp / 4 + 0.5, weights)
     return {
         "FMAP": (feature_map_to_bytes(fmap), feature_map_from_bytes),

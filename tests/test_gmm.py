@@ -41,8 +41,16 @@ def naive_log_density(z, gmm):
     return math.log(total)
 
 
-def std_normal_1d(class_id=0, mean=0.0, var=1.0):
-    return ClassGMM(class_id, [1.0], [[mean]], [[var]])
+def std_normal_1d(var=1.0):
+    return ClassGMM([1.0], [[0.0]], [[var]])
+
+
+def one_component_classes(means, variances=None):
+    """A classifier of one-component classes: (C, D) ``means`` and
+    ``variances``, by default all 1."""
+    means = np.asarray(means, dtype=float)
+    variances = np.ones(means.shape) if variances is None else np.asarray(variances)
+    return GMMClassifier(np.ones((len(means), 1)), means[:, None], variances[:, None])
 
 
 class TestLogSumExp:
@@ -72,7 +80,7 @@ class TestLogDensity:
         assert got == pytest.approx(-0.9189385332046727, abs=1e-12)
 
     def test_mixture_of_identical_components(self):
-        gmm = ClassGMM(0, [0.5, 0.5], [[0.0], [0.0]], [[1.0], [1.0]])
+        gmm = ClassGMM([0.5, 0.5], [[0.0], [0.0]], [[1.0], [1.0]])
         got = class_log_densities(np.array([0.0]), gmm)
         assert got == pytest.approx(-0.9189385332046727, abs=1e-12)
 
@@ -83,7 +91,7 @@ class TestLogDensity:
             w = rng.random(k)
             w /= w.sum()
             w[-1] = 1.0 - w[:-1].sum()
-            gmm = ClassGMM(0, w, rng.normal(size=(k, d)), rng.random((k, d)) + 0.2)
+            gmm = ClassGMM(w, rng.normal(size=(k, d)), rng.random((k, d)) + 0.2)
             z = rng.normal(size=d)
             assert class_log_densities(z, gmm) == pytest.approx(
                 naive_log_density(z, gmm), rel=1e-10
@@ -99,7 +107,7 @@ class TestLogDensity:
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(1)
-        gmm = ClassGMM(0, [1.0], rng.normal(size=(1, 2)), rng.random((1, 2)) + 0.5)
+        gmm = ClassGMM([1.0], rng.normal(size=(1, 2)), rng.random((1, 2)) + 0.5)
         z = rng.normal(size=(7, 2))
         batch = class_log_densities(z, gmm)
         singles = [class_log_densities(zi, gmm) for zi in z]
@@ -108,28 +116,23 @@ class TestLogDensity:
 
 class TestClassPosterior:
     def test_identical_classes_split_evenly(self):
-        model = GMMClassifier([std_normal_1d(0), std_normal_1d(1)])
+        model = one_component_classes([[0.0], [0.0]])
         post = class_posterior(np.array([0.7]), model)
         np.testing.assert_allclose(post, [0.5, 0.5], atol=1e-12)
 
     def test_twenty_identical_classes(self):
-        model = GMMClassifier([std_normal_1d(i) for i in range(20)])
+        model = one_component_classes(np.zeros((20, 1)))
         post = class_posterior(np.array([0.3]), model)
         np.testing.assert_allclose(post, np.full(20, 0.05), atol=1e-12)
 
     def test_midpoint_of_equal_variance_classes(self):
-        model = GMMClassifier([std_normal_1d(0, mean=0.0), std_normal_1d(1, mean=4.0)])
+        model = one_component_classes([[0.0], [4.0]])
         post = class_posterior(np.array([2.0]), model)
         np.testing.assert_allclose(post, [0.5, 0.5], atol=1e-12)
 
     def test_valid_probability_vector(self):
         rng = np.random.default_rng(2)
-        model = GMMClassifier(
-            [
-                ClassGMM(i, [1.0], rng.normal(size=(1, 4)), rng.random((1, 4)) + 0.1)
-                for i in range(5)
-            ]
-        )
+        model = one_component_classes(rng.normal(size=(5, 4)), rng.random((5, 4)) + 0.1)
         for _ in range(100):
             post = class_posterior(rng.normal(scale=10.0, size=4), model)
             assert np.all(post >= 0)
@@ -139,50 +142,36 @@ class TestClassPosterior:
         # appending a dimension shared by all classes adds the same constant
         # to every class log-density at a fixed input
         rng = np.random.default_rng(3)
-        base = [
-            ClassGMM(i, [1.0], rng.normal(size=(1, 2)), rng.random((1, 2)) + 0.2)
-            for i in range(3)
-        ]
-        extended = [
-            ClassGMM(
-                g.class_id,
-                g.weights,
-                np.hstack([g.means, [[0.7]]]),
-                np.hstack([g.variances, [[2.0]]]),
-            )
-            for g in base
-        ]
+        means, variances = rng.normal(size=(3, 2)), rng.random((3, 2)) + 0.2
+        base = one_component_classes(means, variances)
+        extended = one_component_classes(
+            np.hstack([means, np.full((3, 1), 0.7)]), np.hstack([variances, np.full((3, 1), 2.0)])
+        )
         z = rng.normal(size=2)
         z_ext = np.append(z, 1.3)
-        post_a = class_posterior(z, GMMClassifier(base))
-        post_b = class_posterior(z_ext, GMMClassifier(extended))
+        post_a = class_posterior(z, base)
+        post_b = class_posterior(z_ext, extended)
         np.testing.assert_allclose(post_a, post_b, rtol=1e-10)
-        assert predict(z, GMMClassifier(base)) == predict(z_ext, GMMClassifier(extended))
+        assert predict(z, base) == predict(z_ext, extended)
 
 
 class TestPredict:
     def setup_method(self):
-        self.model = GMMClassifier(
-            [std_normal_1d(0, mean=0.0), std_normal_1d(1, mean=4.0)]
-        )
+        self.model = one_component_classes([[0.0], [4.0]])
 
     def test_at_class_mean(self):
         assert predict(np.array([0.0]), self.model) == 0
 
     def test_tie_goes_to_lowest_id(self):
-        tied = GMMClassifier([std_normal_1d(0), std_normal_1d(1)])
+        tied = one_component_classes([[0.0], [0.0]])
         assert predict(np.array([1.0]), tied) == 0
 
     def test_near_other_mean(self):
         assert predict(np.array([3.9]), self.model) == 1
 
     def test_class_ids_are_positions(self, tmp_path):
-        """GMMC stores classes by position, so ids other than 0..C-1 are
-        refused, and a saved model predicts the ids it did before."""
-        with pytest.raises(ValueError, match="GMMC"):
-            GMMClassifier([std_normal_1d(0), std_normal_1d(5, mean=4.0)])
-        with pytest.raises(ValueError, match="GMMC"):
-            GMMClassifier([std_normal_1d(1), std_normal_1d(0, mean=4.0)])
+        """Class c is row c, which GMMC stores as its c-th record, so a
+        saved model predicts the ids it did before."""
         rng = np.random.default_rng(6)
         model, _ = fit_classifier([rng.normal(4.0 * c, 1.0, (50, 2)) for c in range(3)], 1)
         save_classifier(model, tmp_path / "model.gmmc")
@@ -227,6 +216,10 @@ class TestEMFit:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             em_fit(np.zeros((1, 2)), 2)
+
+    def test_one_dimensional_features_raise_shape_error(self):
+        with pytest.raises(ShapeError, match=r"^features must be \(N, D\), got \(10,\)$"):
+            em_fit(np.zeros(10), 1)
 
     @pytest.mark.parametrize("k, max_iters", [(0, 100), (2, 0)])
     def test_counts_below_one_raise_value_error(self, k, max_iters):
@@ -356,7 +349,7 @@ def serial_loop_fit(per_class, k, seed):
     is the c-th ``spawn(1)`` of the root."""
     root = np.random.SeedSequence(seed)
     fits = [em_fit(x, k, seed=root.spawn(1)[0], class_id=c) for c, x in enumerate(per_class)]
-    return GMMClassifier([g for g, _ in fits]), [st for _, st in fits]
+    return GMMClassifier.of([g for g, _ in fits]), [st for _, st in fits]
 
 
 STATS_FIELDS = ("counts", "means", "sq_devs", "log_likelihoods")
@@ -405,16 +398,16 @@ class TestPooledFit:
         want = fit_classifier(per_class, 5, seed=d)
         got = fit_classifier(blocks, 5, seed=d)
         assert want[1][1].reseeds >= 1
-        for g, w in zip(got[0].classes, want[0].classes):
-            assert g.class_id == w.class_id
-            for name in ("weights", "means", "variances"):
-                assert_same_bytes(getattr(g, name), getattr(w, name))
+        for name in ("weights", "means", "variances"):
+            assert_same_bytes(getattr(got[0], name), getattr(want[0], name))
         for g, w in zip(got[1], want[1]):
             for name in STATS_FIELDS:
                 assert_same_bytes(getattr(g, name), getattr(w, name))
             assert g.reseeds == w.reseeds
         with pytest.raises(InsufficientDataError, match="^class 0 has 0 samples"):
             fit_classifier([[np.empty((0, d), np.float32)] * 3], 1)
+        with pytest.raises(ShapeError, match=r"^class 1: features must be \(N, D\) blocks$"):
+            fit_classifier([per_class[0], [blocks[1][0], np.zeros(10)], np.zeros(10)], 1)
 
     def test_em_fit_reads_feature_major_float64_rows_in_place(self):
         """Features are never written: a read-only view whose ``.T`` is
@@ -563,7 +556,7 @@ def rows_e_step(x, log_w, means, variances):
     return np.exp(joint - log_p).T, log_p
 
 
-def two_pass_em_fit(features, k, *, max_iters=100, tol=1e-5, seed=0, class_id=0):
+def two_pass_em_fit(features, k, *, max_iters=100, tol=1e-5, seed=0):
     """``em_fit`` as it was before ``_moments`` (its monotonicity check left
     out): every pass reads C-ordered float64 rows, the means are
     ``resp.T @ x`` over the counts and the squared deviations about them
@@ -615,7 +608,7 @@ def two_pass_em_fit(features, k, *, max_iters=100, tol=1e-5, seed=0, class_id=0)
     xbar = np.where(nk[:, None] > 0, (resp.T @ x) / np.maximum(nk, 1e-300)[:, None], means)
     sq = sq_devs_about(resp, xbar)
     return (
-        ClassGMM(class_id, weights, means, variances),
+        ClassGMM(weights, means, variances),
         gmm_mod.SufficientStats(nk, xbar, sq, np.asarray(ll_history), reseeds),
     )
 
@@ -650,7 +643,7 @@ def test_em_fit_matches_two_pass_reference(case, monkeypatch):
     statistic within the case's measured bound."""
     make, k, max_iters, rtol = EM_CASES[case]
     x = make(np.random.default_rng(len(case)))
-    want = two_pass_em_fit(x, k, max_iters=max_iters, seed=7, class_id=4)
+    want = two_pass_em_fit(x, k, max_iters=max_iters, seed=7)
     e_step, moments, layouts = gmm_mod._e_step, gmm_mod._moments, []
 
     def e_step_spy(operand, *args):
@@ -667,7 +660,6 @@ def test_em_fit_matches_two_pass_reference(case, monkeypatch):
     got = em_fit(x, k, max_iters=max_iters, seed=7, class_id=4)
     assert {kind for kind, _ in layouts} == {"e_step", "moments"}
     assert all(feature_major for _, feature_major in layouts)
-    assert got[0].class_id == want[0].class_id
     assert got[1].log_likelihoods.size == want[1].log_likelihoods.size
     assert got[1].reseeds == want[1].reseeds
     for obj, names in ((0, ("weights", "means", "variances")), (1, STATS_FIELDS)):
@@ -817,7 +809,7 @@ def test_skewed_classes_fit_alike_largest_first_in_id_order_and_serially(monkeyp
     monkeypatch.setattr(_blas, "_found", [])
     fits.append(fit_classifier(per_class, 2, seed=5))
     (model, stats), others = fits[0], fits[1:]
-    assert [g.class_id for g in model.classes] == list(range(len(sizes)))
+    assert model.num_classes == len(sizes)
     assert [int(round(st.counts.sum())) for st in stats] == list(sizes)
     for other_model, other_stats in others:
         assert classifier_to_bytes(other_model) == classifier_to_bytes(model)

@@ -156,6 +156,12 @@ class TestFprAtTpr:
         # demanding every OOD forces the threshold below all ID scores
         assert fpr_at_tpr(data, 1.0) == 1.0
 
+    @pytest.mark.parametrize("target", [0.0, 1.5])
+    def test_target_outside_unit_interval_is_refused(self, target):
+        data = ScoredPixels([1.0, 2.0], [False, True])
+        with pytest.raises(ValueError, match=rf"^target_tpr must be in \(0, 1\], got {target}$"):
+            fpr_at_tpr(data, target)
+
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
@@ -386,6 +392,14 @@ class TestMiou:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             miou(np.zeros((2, 2)), np.zeros((2, 3)), 2)
+        with pytest.raises(ShapeError, match=r"^ignore mask \(2, 3\) does not match \(2, 2\)$"):
+            miou(np.zeros((2, 2)), np.zeros((2, 2)), 2, ignore=np.zeros((2, 3), bool))
+
+    def test_labels_outside_the_classes_need_the_ignore_mask(self):
+        pred, gt = np.array([0, 1, 2]), np.array([0, 1, 1])
+        with pytest.raises(ValueError, match="must be covered by the ignore mask"):
+            miou(pred, gt, 2)
+        assert miou(pred, gt, 2, ignore=pred == 2)[0] == 1.0
 
 
 class TestPercentileThreshold:

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats as sstats
 
 from gmmood.errors import InvalidStatisticsError, ShapeError
-from gmmood.gmm import ClassGMM, GMMClassifier, SufficientStats, em_fit
+from gmmood.gmm import VARIANCE_FLOOR, ClassGMM, GMMClassifier, SufficientStats, em_fit
 from gmmood.nig import (
     DEFAULT_PRIOR,
     GMMParameterSample,
@@ -85,7 +85,7 @@ class TestBuildBank:
     def test_zero_counts_reduce_to_prior(self):
         gmm, _ = em_fit(np.random.default_rng(2).normal(size=(10, 2)), 1, seed=0)
         stats = SufficientStats(np.zeros(1), np.zeros((1, 2)), np.zeros((1, 2)))
-        bank = build_bank(GMMClassifier([gmm]), [stats], DEFAULT_PRIOR)
+        bank = build_bank(GMMClassifier.of([gmm]), [stats], DEFAULT_PRIOR)
         assert np.all(bank.mu == DEFAULT_PRIOR.mu)
         assert np.all(bank.kappa == DEFAULT_PRIOR.kappa)
         assert np.all(bank.alpha == DEFAULT_PRIOR.alpha)
@@ -95,7 +95,7 @@ class TestBuildBank:
         rng = np.random.default_rng(3)
         x = rng.normal(loc=1.5, scale=0.8, size=(40, 1))
         gmm, stats = em_fit(x, 1, seed=0)
-        bank = build_bank(GMMClassifier([gmm]), [stats], DEFAULT_PRIOR)
+        bank = build_bank(GMMClassifier.of([gmm]), [stats], DEFAULT_PRIOR)
         cell = update_posterior(
             DEFAULT_PRIOR,
             n=float(stats.counts[0]),
@@ -111,7 +111,7 @@ class TestBuildBank:
             [rng.normal(0.0, 0.5, size=(500, 1)), rng.normal(10.0, 0.5, size=(500, 1))]
         )
         gmm, stats = em_fit(x, 2, seed=1)
-        bank = build_bank(GMMClassifier([gmm]), [stats], DEFAULT_PRIOR)
+        bank = build_bank(GMMClassifier.of([gmm]), [stats], DEFAULT_PRIOR)
         means = np.sort(bank.mu[0, :, 0])
         assert abs(means[0] - 0.0) < 0.1
         assert abs(means[1] - 10.0) < 0.1
@@ -119,8 +119,10 @@ class TestBuildBank:
     def test_shape_mismatch(self):
         gmm, stats = em_fit(np.random.default_rng(5).normal(size=(20, 2)), 1, seed=0)
         bad = SufficientStats(np.zeros(1), np.zeros((1, 3)), np.zeros((1, 3)))
-        with pytest.raises(ShapeError):
-            build_bank(GMMClassifier([gmm]), [bad], DEFAULT_PRIOR)
+        with pytest.raises(ShapeError, match=r"^classes \[1\]: statistics shape is not \(1, 2\)$"):
+            build_bank(GMMClassifier.of([gmm, gmm]), [stats, bad], DEFAULT_PRIOR)
+        with pytest.raises(ShapeError, match="^1 statistics blocks for 2 classes$"):
+            build_bank(GMMClassifier.of([gmm, gmm]), [stats], DEFAULT_PRIOR)
 
 
 def toy_bank(rng=None, c=2, k=2, d=3):
@@ -247,8 +249,12 @@ class TestValidation:
 PARAMETER_SETS = {
     "ClassGMM": (
         ClassGMM,
-        dict(class_id=0, weights=np.full(2, 0.5), means=np.zeros((2, 3)),
-             variances=np.ones((2, 3))),
+        dict(weights=np.full(2, 0.5), means=np.zeros((2, 3)), variances=np.ones((2, 3))),
+    ),
+    "GMMClassifier": (
+        GMMClassifier,
+        dict(weights=np.full((2, 2), 0.5), means=np.zeros((2, 2, 3)),
+             variances=np.ones((2, 2, 3))),
     ),
     "SufficientStats": (
         SufficientStats,
@@ -303,6 +309,23 @@ def test_parameter_sets_reject_an_empty_axis(kind):
     empty = {n: a[..., :0] for n, a in args.items() if isinstance(a, np.ndarray) and a.ndim == ndim}
     with pytest.raises(ShapeError, match=f"^{kind}: .*every axis at least 1, got "):
         cls(**{**args, **empty})
+
+
+@pytest.mark.parametrize("kind", ["ClassGMM", "GMMClassifier"])
+@pytest.mark.parametrize("name, value, message", [
+    ("weights", [1.5, -0.5], "nonnegative and sum to 1"),
+    ("weights", [0.5, 0.4], "nonnegative and sum to 1"),
+    ("variances", VARIANCE_FLOOR / 2, "floored at"),
+])
+def test_point_estimates_keep_the_mixture_rules(kind, name, value, message):
+    """A point-estimate mixture's weights are nonnegative and sum to 1 and
+    its variances are at the floor; one bad class (the last) is enough
+    for a classifier to be refused."""
+    cls, args = PARAMETER_SETS[kind]
+    bad = args[name].copy()
+    bad[(-1,) * (bad.ndim - np.ndim(value))] = value
+    with pytest.raises(ValueError, match=message):
+        cls(**{**args, name: bad})
 
 
 @pytest.mark.parametrize("kind", sorted(PARAMETER_SETS))

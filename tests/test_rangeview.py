@@ -95,10 +95,12 @@ class TestProjection:
             project_spherical(PointCloud(np.empty((0, 4))))
 
     def test_label_grid(self):
+        """The point index carries per-point labels onto the grid."""
         cloud = parse_point_cloud(pack_points([(10.0, 0.0, 0.0, 0.3)]))
         labels = parse_labels(struct.pack("<I", 7), 1)
-        image, grid = project_spherical(cloud, labels)
-        assert grid[6, 512] == 7
+        image = project_spherical(cloud)
+        grid = np.where(image.valid, labels[image.point_index], -1)
+        assert grid.dtype == np.int32 and grid[6, 512] == 7
         assert (grid == -1).sum() == grid.size - 1
 
     def test_sentinel_and_mask_agree(self):

@@ -88,6 +88,12 @@ class TestLayout:
         means = class_mean_layout(cfg)
         assert np.linalg.norm(means[1] - means[0]) == pytest.approx(1.0)
 
+    def test_coincident_overlap_pair_moves_along_the_first_axis(self):
+        """(0, 1) and (0, 2) put classes 1 and 2 on one point, so (1, 2)
+        has no direction and moves class 2 along the first axis."""
+        cfg = small_config(n_classes=3, feature_dim=2, overlap_pairs=((0, 1), (0, 2), (1, 2)))
+        np.testing.assert_array_equal(class_mean_layout(cfg), [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+
     def test_ood_center_distance(self):
         for n_classes in (3, 6):
             cfg = small_config(n_classes=n_classes, feature_dim=8, ood_offset=12.0)
