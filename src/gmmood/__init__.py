@@ -30,7 +30,6 @@ from .errors import (
 )
 from .formats import FeatureMap, read_feature_map, write_feature_map
 from .gmm import (
-    ClassGMM,
     GMMClassifier,
     SufficientStats,
     class_log_densities,

@@ -306,11 +306,15 @@ def _write_report(out: Path, name: str, report: metrics.EvalReport) -> None:
 
 def _read_labels(path: Path, shape, class_map: ClassMap) -> tuple:
     """(train ids, outlier, ignore) of the label grid at ``path``, whose
-    H x W must be ``shape``; pixels the grid marks invalid are ignored."""
+    H x W must be ``shape``; pixels the grid marks invalid are ignored
+    and never read, and an id beyond the raw range is one absent from
+    the table (ignored)."""
     lmap = read_feature_map(path)
     if lmap.values.shape[:2] != shape:
         raise ShapeError(f"{path.name}: label grid {lmap.values.shape[:2]} does not match {shape}")
-    train, outlier, ignore = class_map.map_array(np.round(lmap.grid()).astype(np.int64))
+    raw = np.full(shape, -1, dtype=np.int64)
+    raw[lmap.valid] = np.clip(np.round(lmap.grid()[lmap.valid]), -1, RAW_ID_MAX + 1)
+    train, outlier, ignore = class_map.map_array(raw)
     return train, outlier, ignore | ~lmap.valid
 
 
@@ -584,16 +588,16 @@ def cmd_eval(cfg: RunConfig) -> int:
                 )
             scores[channel] = -grid[ranked] if channel == "max_posterior" else grid[ranked]
         id_pixels = ranked & ~outlier
-        pred = np.round(pred_map.grid()).astype(np.int64)[id_pixels]
+        pred = np.round(pred_map.grid()[id_pixels])
         true = train[id_pixels]
         for what, ids in (("train", true), ("predicted", pred)):
             bad = ids[(ids < 0) | (ids >= cfg.model.classes)]
             if bad.size:
                 raise Error(
-                    f"{what} id {bad[0]} at an in-distribution pixel is not in "
+                    f"{what} id {bad[0]:g} at an in-distribution pixel is not in "
                     f"[0, classes = {cfg.model.classes})"
                 )
-        return outlier[ranked], scores, pred, true
+        return outlier[ranked], scores, pred.astype(np.int64), true
 
     done = _each_file(pred_files, eval_one)
     for path, _, error in done:

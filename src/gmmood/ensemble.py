@@ -110,10 +110,11 @@ class UncertaintyMap(SampleScores):
 
 
 def _entropy_rows(p: np.ndarray, axis=-1) -> np.ndarray:
-    """Shannon entropy along ``axis``, with 0 * log 0 = 0."""
+    """Shannon entropy along ``axis``, with 0 * log 0 = 0; a certain row
+    gives +0.0 (the sum's negation would give -0.0)."""
     log_p = np.log(p, out=np.zeros(p.shape), where=p > 0)
     log_p *= p
-    return -log_p.sum(axis=axis)
+    return 0.0 - log_p.sum(axis=axis)
 
 
 def _stack(ensemble: list[GMMParameterSample], *front):

@@ -7,12 +7,12 @@ class prior, maximum-density prediction, and EM fitting that also emits
 the responsibility-weighted sufficient statistics consumed by the
 Bayesian layer.
 
-Every parameter set (one class's ``ClassGMM``, the ``GMMClassifier``
-that stacks them, EM's ``SufficientStats``, a ``nig.NIGPosteriorBank``
-and its sampled ``nig.GMMParameterSample``s) holds (..., K, D) arrays
-beside a (..., K) one; ``_check_parameters`` alone stores them as
-float64 and checks their shapes and finiteness.  Class c of a stacked
-set is its row c.
+Every parameter set (a ``GMMClassifier``, EM's ``SufficientStats``, a
+``nig.NIGPosteriorBank`` and its sampled ``nig.GMMParameterSample``s)
+holds (C, K, D) arrays beside a (C, K) one, class c in row c;
+``_check_parameters`` alone stores them as float64 and checks their
+shapes and finiteness.  ``em_fit`` fits one class and returns one-row
+sets, which ``GMMClassifier.of`` and ``nig.build_bank`` concatenate.
 
 One GEMM, ``_joint``, computes every Gaussian log density from a
 (2D + 1, N) operand ``[(z - c)^2, z - c, 1]`` of the rows about a centre
@@ -119,19 +119,18 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 _EXP_FLOOR = -700.0
 
 
-def _check_parameters(obj, axes: str, per_component: str, *per_dim: str) -> None:
+def _check_parameters(obj, per_component: str, *per_dim: str) -> None:
     """Store the named arrays of parameter set ``obj`` as float64: raise
-    ``ShapeError`` unless the ``per_dim`` ones share one shape of axes
-    ``axes`` ("KD" or "CKD"), each at least 1, and ``per_component`` is
-    that shape minus its last axis, and ``ValueError`` at the first value
-    that is not finite."""
+    ``ShapeError`` unless the ``per_dim`` ones share one (C, K, D) shape,
+    each axis at least 1, and ``per_component`` is (C, K), and
+    ``ValueError`` at the first value that is not finite."""
     arrays = {n: np.asarray(getattr(obj, n), dtype=np.float64) for n in (*per_dim, per_component)}
     shapes = [a.shape for a in arrays.values()]
     expected = [shapes[0]] * len(per_dim) + [shapes[0][:-1]]
-    if len(shapes[0]) != len(axes) or 0 in shapes[0] or shapes != expected:
+    if len(shapes[0]) != 3 or 0 in shapes[0] or shapes != expected:
         raise ShapeError(
-            f"{type(obj).__name__}: {', '.join(per_dim)} must be ({', '.join(axes)}) and "
-            f"{per_component} ({', '.join(axes[:-1])}), every axis at least 1, got "
+            f"{type(obj).__name__}: {', '.join(per_dim)} must be (C, K, D) and "
+            f"{per_component} (C, K), every axis at least 1, got "
             + ", ".join(f"{n} {a.shape}" for n, a in arrays.items())
         )
     for name, a in arrays.items():
@@ -144,46 +143,29 @@ def _check_parameters(obj, axes: str, per_component: str, *per_dim: str) -> None
             )
 
 
-def _check_mixture(obj, axes: str) -> None:
-    """``_check_parameters`` of a point-estimate mixture set, then: raise
-    ``ValueError`` unless each mixture's weights are nonnegative and sum
-    to 1 and every variance is at ``VARIANCE_FLOOR`` or above."""
-    _check_parameters(obj, axes, "weights", "means", "variances")
-    if np.any(obj.weights < 0) or np.any(np.abs(obj.weights.sum(axis=-1) - 1.0) > 1e-9):
-        raise ValueError("mixture weights must be nonnegative and sum to 1")
-    if np.any(obj.variances < VARIANCE_FLOOR * (1 - 1e-12)):
-        raise ValueError(f"variances must be floored at {VARIANCE_FLOOR}")
-
-
-@dataclass
-class ClassGMM:
-    """Point-estimate mixture for one class: weights, per-dim means/variances."""
-
-    weights: np.ndarray
-    means: np.ndarray
-    variances: np.ndarray
-
-    def __post_init__(self):
-        _check_mixture(self, "KD")
-
-
 @dataclass
 class GMMClassifier:
     """Point-estimate mixtures of C classes sharing one K and D: class c
-    is row c of ``weights`` (C, K) and ``means``/``variances`` (C, K, D)."""
+    is row c of ``weights`` (C, K) and ``means``/``variances`` (C, K, D).
+    Each class's weights are nonnegative and sum to 1, and every variance
+    is at ``VARIANCE_FLOOR`` or above."""
 
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
 
     def __post_init__(self):
-        _check_mixture(self, "CKD")
+        _check_parameters(self, "weights", "means", "variances")
+        if np.any(self.weights < 0) or np.any(np.abs(self.weights.sum(axis=-1) - 1.0) > 1e-9):
+            raise ValueError("mixture weights must be nonnegative and sum to 1")
+        if np.any(self.variances < VARIANCE_FLOOR * (1 - 1e-12)):
+            raise ValueError(f"variances must be floored at {VARIANCE_FLOOR}")
 
     @classmethod
-    def of(cls, classes: list[ClassGMM]) -> "GMMClassifier":
-        """The classifier whose class c is ``classes[c]``."""
+    def of(cls, classifiers: list["GMMClassifier"]) -> "GMMClassifier":
+        """The classifier whose rows are those of ``classifiers``, in order."""
         names = ("weights", "means", "variances")
-        return cls(*(np.stack([getattr(gmm, n) for gmm in classes]) for n in names))
+        return cls(*(np.concatenate([getattr(m, n) for m in classifiers]) for n in names))
 
     @property
     def num_classes(self) -> int:
@@ -201,11 +183,13 @@ GMMC = Container(b"GMMC", 1, lambda c, k, d: [
 
 @dataclass
 class SufficientStats:
-    """Responsibility-weighted statistics from the final E-step.
+    """Responsibility-weighted statistics from the final E-step of a fit,
+    class c in row c (``em_fit`` gives one row).
 
-    ``counts[k]`` is the effective sample count of component k (shared by
-    all of its dimensions), ``means`` the weighted per-dimension means and
-    ``sq_devs`` the weighted sums of squared deviations around them.
+    ``counts[c, k]`` is the effective sample count of component k of
+    class c (shared by all of its dimensions), ``means`` (C, K, D) the
+    weighted per-dimension means and ``sq_devs`` the weighted sums of
+    squared deviations around them.
     ``log_likelihoods`` and ``reseeds`` are fit diagnostics.
     """
 
@@ -216,7 +200,7 @@ class SufficientStats:
     reseeds: int = 0
 
     def __post_init__(self):
-        _check_parameters(self, "KD", "counts", "means", "sq_devs")
+        _check_parameters(self, "counts", "means", "sq_devs")
         if np.any(self.counts < 0) or np.any(self.sq_devs < 0):
             raise ValueError("effective counts and squared deviations must be nonnegative")
 
@@ -227,7 +211,7 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
         return np.where(weights > 0, np.log(np.maximum(weights, 1e-300)), -np.inf)
 
 
-def logsumexp(a, axis=-1, keepdims=False):
+def logsumexp(a, axis=-1):
     """log sum exp(a) along ``axis``, as max + log sum exp(a - max); a
     slice that is all -inf gives -inf, not NaN."""
     a = np.asarray(a, dtype=np.float64)
@@ -241,7 +225,7 @@ def logsumexp(a, axis=-1, keepdims=False):
     np.log(out, out=out)
     out += top
     out[empty] = -np.inf
-    return out if keepdims else np.squeeze(out, axis=axis)
+    return np.squeeze(out, axis=axis)
 
 
 def _coefficients(log_w, means, variances, center=None):
@@ -361,10 +345,9 @@ def _per_class(z, params, reduce):
 def class_log_densities(z, params):
     """log p(z | c), shape (N, ..., C) (or (..., C) for one vector), for
     (..., C, K) ``weights`` and (..., C, K, D) ``means``/``variances``:
-    a ``GMMClassifier``, a ``GMMParameterSample`` or a stack of them (or
-    one ``ClassGMM``, with no class axis).  The result is a view of a
-    rows-innermost (..., C, N) array; it is finite for finite z, since
-    the variances are floored."""
+    a ``GMMClassifier``, a ``GMMParameterSample`` or a stack of them.
+    The result is a view of a rows-innermost (..., C, N) array; it is
+    finite for finite z, since the variances are floored."""
     return _per_class(z, params, lambda joint: logsumexp(joint, axis=0))
 
 
@@ -428,8 +411,9 @@ def em_fit(
     seed: int = 0,
     class_id: int = 0,
     operand=None,
-) -> tuple[ClassGMM, SufficientStats]:
-    """Fit one class mixture by EM and return it with its final statistics.
+) -> tuple[GMMClassifier, SufficientStats]:
+    """Fit one class mixture by EM and return it with its final statistics,
+    each a one-row set: weights and counts (1, K), the rest (1, K, D).
 
     Soft expectation-maximization with k-means++-style seeding from
     ``seed``; M-step uses the standard maximum-likelihood (1/n) variance
@@ -499,11 +483,11 @@ def em_fit(
     else:  # ended on an M-step: a stop on tol has this E-step already
         resp, _ = _e_step(operand, center, _log_weights(weights), means, variances)
 
-    gmm = ClassGMM(weights, means, variances)
+    gmm = GMMClassifier(weights[None], means[None], variances[None])
     # statistics of the E-step under the returned parameters feed the Bayesian updates
     nk, xbar, sq = _moments(rows, resp.T, scratch)
     xbar = np.where(nk[:, None] > 0, xbar + center, means)
-    return gmm, SufficientStats(nk, xbar, sq, np.asarray(ll_history), reseeds)
+    return gmm, SufficientStats(nk[None], xbar[None], sq[None], np.asarray(ll_history), reseeds)
 
 
 def fit_classifier(
@@ -512,7 +496,8 @@ def fit_classifier(
     """``em_fit`` class c to ``per_class[c]``, an (N_c, D) array or a
     list of (N_i, D) blocks whose rows, in list order, are the class's,
     with seed child c of ``seed``, an int or a ``SeedSequence`` whose
-    next child stays free; returns the classifier and the stats.
+    next child stays free; returns the classifier, the classes' one-row
+    fits concatenated once, and each class's one-row stats.
 
     A class with a block that is not (N, D), or short of samples, is
     reported before any fit starts, the lowest one first.  The classes are then fitted on the package's

@@ -62,7 +62,7 @@ class NIGPosteriorBank:
     weights: np.ndarray
 
     def __post_init__(self):
-        _check_parameters(self, "CKD", "weights", "mu", "kappa", "alpha", "beta")
+        _check_parameters(self, "weights", "mu", "kappa", "alpha", "beta")
         if np.any(self.kappa <= 0) or np.any(self.alpha <= 0) or np.any(self.beta <= 0):
             raise ValueError("kappa, alpha, beta must be positive in every cell")
 
@@ -82,7 +82,7 @@ class GMMParameterSample:
 
     def __post_init__(self):
         # variances first: a mean drawn with an infinite variance is infinite too
-        _check_parameters(self, "CKD", "weights", "variances", "means")
+        _check_parameters(self, "weights", "variances", "means")
         if np.any(self.variances <= 0):
             raise ValueError("sampled variances must be strictly positive")
 
@@ -117,16 +117,17 @@ def build_bank(
     stats: list[SufficientStats],
     prior: NIGParams = DEFAULT_PRIOR,
 ) -> NIGPosteriorBank:
-    """Apply the conjugate update independently to every cell of the model."""
+    """Apply the conjugate update independently to every cell of the model,
+    class c's from ``stats[c]``, a one-row block as ``em_fit`` gives."""
     shape = model.means.shape
     if len(stats) != shape[0]:
         raise ShapeError(f"{len(stats)} statistics blocks for {shape[0]} classes")
-    bad = [c for c, st in enumerate(stats) if st.means.shape != shape[1:]]
+    row = (1, *shape[1:])
+    bad = [c for c, st in enumerate(stats) if st.means.shape != row]
     if bad:
-        raise ShapeError(f"classes {bad}: statistics shape is not {shape[1:]}")
-    xbar = np.stack([st.means for st in stats])
-    n = np.broadcast_to(np.stack([st.counts for st in stats])[:, :, None], shape)
-    sq = np.stack([st.sq_devs for st in stats])
+        raise ShapeError(f"classes {bad}: statistics shape is not {row}")
+    xbar, sq = (np.concatenate([getattr(st, f) for st in stats]) for f in ("means", "sq_devs"))
+    n = np.broadcast_to(np.concatenate([st.counts for st in stats])[:, :, None], shape)
     return NIGPosteriorBank(*_conjugate_update(prior, n, xbar, sq), model.weights.copy())
 
 

@@ -198,9 +198,9 @@ def test_c4_em_recovery():
             [rng.normal(0.0, 0.5, size=(500, 1)), rng.normal(10.0, 0.5, size=(500, 1))]
         )
         gmm, _ = em_fit(x, 2, seed=seed)
-        order = np.argsort(gmm.means[:, 0])
-        means = gmm.means[order, 0]
-        weights = gmm.weights[order]
+        order = np.argsort(gmm.means[0, :, 0])
+        means = gmm.means[0, order, 0]
+        weights = gmm.weights[0, order]
         if (
             abs(means[0] - 0.0) < 0.1
             and abs(means[1] - 10.0) < 0.1

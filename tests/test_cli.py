@@ -501,7 +501,8 @@ class TestScoreCommand:
         mask flags the valid pixels above it.  The far scan's votes split
         where the others' are mostly unanimous, so the thresholds differ;
         a scan with no valid pixel gets a null threshold, an all-zero
-        mask and a warning."""
+        mask and a warning.  A unanimous pixel's written score, and a
+        threshold of zero, are +0.0."""
         from gmmood.formats import FeatureMap, write_feature_map
 
         cfg, out, _ = fitted
@@ -530,7 +531,9 @@ class TestScoreCommand:
                 assert entry["threshold"] is None and not mask.any()
                 continue
             want = metrics_mod.percentile_threshold(values, run.threshold.top_fraction)[0]
-            assert entry["threshold"] == want
+            assert entry["threshold"] == want and not np.signbit(entry["threshold"])
+            written = read_feature_map(out / "scores" / f"{stem}_epistemic.fmap").grid()
+            assert (written[umap.valid] == 0.0).any() and not np.signbit(written).any()
             np.testing.assert_array_equal(mask, umap.valid & (umap.epistemic > want))
             assert entry["flagged"] == int(mask.sum())
             thresholds[stem] = want
@@ -755,10 +758,65 @@ class TestEvalCommand:
                 root / "eval_alone" / name
             ).read_bytes()
 
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    def test_label_grid_of_another_size_is_refused(self, fitted, capsys, command):
+        """A label grid whose H x W is not its scan's is named: ``fit``
+        exits 2, ``eval`` fails that scan only."""
+        from gmmood.formats import FeatureMap, write_feature_map
+
+        cfg, out, root = fitted
+        labels = root / "labels"
+        shutil.copytree(out / "labels", labels)
+        grid = read_feature_map(labels / "001.fmap")
+        write_feature_map(FeatureMap(grid.values[:, :-1], grid.valid[:, :-1]), labels / "001.fmap")
+        argv = ["--config", str(cfg), "--label-dir", str(labels), "--out", str(root / "out")]
+        error = "001.fmap: label grid (16, 127) does not match (16, 128)"
+        if command == "fit":
+            assert main(["fit", *argv]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: {error}\n"
+        else:
+            assert main(["score", "--config", str(cfg)]) == EXIT_OK
+            assert main(["eval", *argv, "--score-dir", str(out)]) == EXIT_PARTIAL
+            assert capsys.readouterr().err == f"error: 001: {error}\n"
+
+    def test_label_grids_are_cast_only_where_read(self, projected):
+        """Label grids holding NaN at their invalid pixels and 1e30 at one
+        valid pixel per scan fit and evaluate, with no warning, to the
+        bytes of grids holding -1 there: an invalid pixel is never read,
+        and an id beyond the raw range is one absent from the table."""
+        from gmmood.formats import FeatureMap, write_feature_map
+
+        cfg, out, root = projected
+        fills = {"neg": (-1.0, -1.0), "nan": (np.nan, 1e30)}
+        for path in sorted((out / "labels").glob("*.fmap")):
+            grid = read_feature_map(path)
+            values, valid = grid.values.copy(), grid.valid
+            row, col = np.argwhere(valid & (values[..., 0] == 10))[0]
+            for name, (at_invalid, at_one) in fills.items():
+                values[~valid], values[row, col] = at_invalid, at_one
+                (root / name).mkdir(exist_ok=True)
+                write_feature_map(FeatureMap(values, valid), root / name / path.name)
+        for name in fills:
+            argv = ["--config", str(cfg), "--label-dir", str(root / name)]
+            assert main(["fit", *argv, "--out", str(root / f"fit_{name}")]) == EXIT_OK
+        for name in ("model.gmmc", "bank.nigb", "fit_report.json"):
+            assert (root / "fit_nan" / name).read_bytes() == (root / "fit_neg" / name).read_bytes()
+        scored = root / "fit_neg"
+        assert main(["score", "--config", str(cfg), "--out", str(scored)]) == EXIT_OK
+        for name in fills:
+            argv = ["--config", str(cfg), "--label-dir", str(root / name), "--score-dir", str(scored)]
+            assert main(["eval", *argv, "--out", str(root / f"eval_{name}")]) == EXIT_OK
+        reports = sorted(p.name for p in (root / "eval_neg").iterdir())
+        assert len(reports) == 12
+        for name in reports:
+            want = (root / "eval_neg" / name).read_bytes()
+            assert (root / "eval_nan" / name).read_bytes() == want
+
     def test_out_of_range_prediction_fails_its_scan_only(self, fitted, capsys):
         """A predicted id outside [0, classes) at one in-distribution pixel
         fails that scan, naming it, the id and ``classes``; the other scan
-        is still evaluated."""
+        is still evaluated.  An id too large for an integer is refused as
+        well, with no warning."""
         from gmmood.formats import FeatureMap, write_feature_map
 
         cfg, out, root = fitted
@@ -768,14 +826,17 @@ class TestEvalCommand:
         raw = read_feature_map(out / "labels" / "001.fmap").grid()
         row, col = np.argwhere(pred.valid & np.isin(raw, [10, 20, 30]))[0]
         values = pred.values.copy()
-        values[row, col] = 7
-        write_feature_map(FeatureMap(values, pred.valid), path)
-        assert main(["eval", "--config", str(cfg), "--label-dir", str(out / "labels"),
-                     "--score-dir", str(out), "--out", str(root / "eval")]) == EXIT_PARTIAL
-        assert capsys.readouterr().err == (
-            "error: 001: predicted id 7 at an in-distribution pixel is not in [0, classes = 3)\n"
-        )
-        assert len(list((root / "eval").iterdir())) == 12
+        for value, named in ((7, "7"), (1e30, "1e+30")):
+            values[row, col] = value
+            write_feature_map(FeatureMap(values, pred.valid), path)
+            eval_out = root / f"eval_{named}"
+            assert main(["eval", "--config", str(cfg), "--label-dir", str(out / "labels"),
+                         "--score-dir", str(out), "--out", str(eval_out)]) == EXIT_PARTIAL
+            assert capsys.readouterr().err == (
+                f"error: 001: predicted id {named} at an in-distribution pixel is not in "
+                "[0, classes = 3)\n"
+            )
+            assert len(list(eval_out.iterdir())) == 12
 
     def test_score_mask_unlike_its_prediction_fails_its_scan_only(self, fitted, capsys):
         """A score map whose validity mask differs from its prediction
@@ -1014,9 +1075,10 @@ class TestConfigHandling:
             (["fit", "--classes", "0"], "classes must be at least 1, got 0"),
             (["fit", "--feature-dim", "-1"], "feature_dim must be at least 1, got -1"),
             (["score", "--n-samples", "0"], "n_samples must be at least 1, got 0"),
+            (["synth", "--synth-dim", "0"], "feature_dim and n_classes must be >= 1"),
         ],
         ids=["fit-components", "synth-components", "fit-em-max-iters", "fit-classes",
-             "fit-feature-dim", "score-n-samples"],
+             "fit-feature-dim", "score-n-samples", "synth-dim"],
     )
     def test_counts_below_one_are_config_errors(self, tmp_path, capsys, argv, message):
         """Rejected at config load, before any directory is made; the
@@ -1131,6 +1193,30 @@ class TestConfigHandling:
                 "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["score"], "feature_dir is not configured"),
+            (["fit", "--feature-dir", "{data}", "--label-dir", "{data}"],
+             "no feature files in {data}"),
+            (["eval", "--label-dir", "{data}", "--score-dir", "{data}"],
+             "no predictions directory under {data}"),
+            (["eval", "--label-dir", "{data}", "--score-dir", "{scored}"],
+             "no prediction grids in {scored}/predictions"),
+        ],
+        ids=["score-no-feature-dir", "fit-empty-feature-dir", "eval-no-predictions",
+             "eval-empty-predictions"],
+    )
+    def test_missing_inputs_are_config_errors(self, tmp_path, capsys, argv, message):
+        """A command whose input directory is not configured, or holds
+        nothing to read, exits 2 naming it."""
+        dirs = {"data": tmp_path / "data", "scored": tmp_path / "scored"}
+        (dirs["scored"] / "predictions").mkdir(parents=True)
+        dirs["data"].mkdir()
+        argv = [arg.format(**dirs) for arg in argv]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message.format(**dirs)}\n"
+
     def test_missing_config_file(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "none.ini")]) == EXIT_CONFIG
 
@@ -1191,8 +1277,10 @@ class TestConfigHandling:
              "'4000000000000' in [class_map]: raw id must be in [0, 65535]"),
             ("65536 = outlier\n", "'65536' in [class_map]: raw id must be in [0, 65535]"),
             ("10 = 0\n20 = -1\n", "'20' in [class_map]: train id must be at least 0, got -1"),
+            ("1 = outlier\n01 = 0\n", "a raw id may appear in only one of train/outlier/ignore"),
         ],
-        ids=["negative-raw-id", "huge-raw-id", "raw-id-past-16-bits", "negative-train-id"],
+        ids=["negative-raw-id", "huge-raw-id", "raw-id-past-16-bits", "negative-train-id",
+             "raw-id-in-two-lists"],
     )
     def test_class_map_ids_out_of_range_are_config_errors(self, tmp_path, capsys, ini, message):
         """A negative raw id used to wrap in the lookup table (raw 7 of

@@ -93,6 +93,13 @@ class TestVote:
         with pytest.raises(ShapeError):
             vote(np.zeros(3), [member([0.0, 4.0])])
 
+    @pytest.mark.parametrize("call", [vote, decompose_uncertainty])
+    def test_rows_are_refused(self, call):
+        """The per-pixel calls take one feature vector, not (N, D) rows."""
+        message = rf"^{call.__name__}\(\) takes a single feature vector$"
+        with pytest.raises(ShapeError, match=message):
+            call(np.zeros((2, 1)), [member([0.0, 4.0])])
+
     def test_empty_ensemble_is_refused(self):
         model, _ = fitted_setup(seed=3)
         with pytest.raises(ValueError, match="^ensemble must be non-empty$"):
@@ -110,14 +117,15 @@ class TestVote:
         z = rng.uniform(-1.0, 1.0, size=(40, 1))
         scores = score_samples(z, model, members)
         assert (scores.predicted_class == 0).all()
-        assert (scores.epistemic == 0.0).all()
+        assert (scores.epistemic == 0.0).all() and not np.signbit(scores.epistemic).any()
         for row in z:
             assert vote(row, members).counts.tolist() == [len(members), 0, 0]
 
 
 class TestVoteEntropy:
     def test_unanimous_is_zero(self):
-        assert vote_entropy(VoteRecord([20, 0, 0])) == 0.0
+        h = vote_entropy(VoteRecord([20, 0, 0]))
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0  # +0.0, not -0.0
 
     def test_record_needs_one_row_of_votes(self):
         with pytest.raises(ShapeError, match=r"^counts must be 1-d, got shape \(1, 3\)$"):

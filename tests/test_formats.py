@@ -118,6 +118,12 @@ class TestFMap:
         else:
             assert read_feature_map(path).values.tobytes() == fmap.values.tobytes()
 
+    def test_values_are_a_grid_of_vectors_under_their_mask(self):
+        with pytest.raises(ShapeError, match=r"^feature values must be \(H, W, D\), got \(2, 2\)$"):
+            FeatureMap(np.zeros((2, 2)), np.ones((2, 2), bool))
+        with pytest.raises(ShapeError, match=r"^validity mask \(2, 3\) does not match grid"):
+            FeatureMap(np.zeros((2, 2, 1)), np.ones((2, 3), bool))
+
     def test_from_grid_requires_2d(self):
         with pytest.raises(ShapeError):
             FeatureMap.from_grid(np.zeros((2, 2, 2)), np.ones((2, 2), bool))

@@ -14,7 +14,6 @@ from gmmood import gmm as gmm_mod
 from gmmood.errors import ConvergenceError, InsufficientDataError, ShapeError
 from gmmood.gmm import (
     VARIANCE_FLOOR,
-    ClassGMM,
     GMMClassifier,
     class_log_densities,
     class_posterior,
@@ -31,9 +30,10 @@ from gmmood.synth import SynthConfig, generate, run_benchmark
 
 
 def naive_log_density(z, gmm):
-    """Linear-space mixture density; independent of the log-sum-exp path."""
+    """Linear-space density of a one-class mixture; independent of the
+    log-sum-exp path."""
     total = 0.0
-    for w, mu, var in zip(gmm.weights, gmm.means, gmm.variances):
+    for w, mu, var in zip(gmm.weights[0], gmm.means[0], gmm.variances[0]):
         comp = 1.0
         for zd, m, v in zip(z, mu, var):
             comp *= math.exp(-0.5 * (zd - m) ** 2 / v) / math.sqrt(2 * math.pi * v)
@@ -42,7 +42,7 @@ def naive_log_density(z, gmm):
 
 
 def std_normal_1d(var=1.0):
-    return ClassGMM([1.0], [[0.0]], [[var]])
+    return GMMClassifier([[1.0]], [[[0.0]]], [[[var]]])
 
 
 def one_component_classes(means, variances=None):
@@ -61,12 +61,7 @@ class TestLogSumExp:
         a = rng.normal(0.0, 1.0, (50, 3, 7)) * 10.0 ** rng.integers(-2, 12, (50, 1, 1))
         a[0, 1, 2] = -np.inf
         for axis in (0, 1, -1):
-            for keepdims in (False, True):
-                np.testing.assert_allclose(
-                    logsumexp(a, axis=axis, keepdims=keepdims),
-                    ref(a, axis=axis, keepdims=keepdims),
-                    rtol=1e-14,
-                )
+            np.testing.assert_allclose(logsumexp(a, axis=axis), ref(a, axis=axis), rtol=1e-14)
 
     def test_all_minus_inf_slice_is_minus_inf(self):
         a = np.array([[-np.inf, -np.inf], [0.0, -np.inf]])
@@ -76,12 +71,12 @@ class TestLogSumExp:
 
 class TestLogDensity:
     def test_standard_normal_at_zero(self):
-        got = class_log_densities(np.array([0.0]), std_normal_1d())
+        (got,) = class_log_densities(np.array([0.0]), std_normal_1d())
         assert got == pytest.approx(-0.9189385332046727, abs=1e-12)
 
     def test_mixture_of_identical_components(self):
-        gmm = ClassGMM([0.5, 0.5], [[0.0], [0.0]], [[1.0], [1.0]])
-        got = class_log_densities(np.array([0.0]), gmm)
+        gmm = GMMClassifier([[0.5, 0.5]], [[[0.0], [0.0]]], [[[1.0], [1.0]]])
+        (got,) = class_log_densities(np.array([0.0]), gmm)
         assert got == pytest.approx(-0.9189385332046727, abs=1e-12)
 
     def test_matches_naive_summation(self):
@@ -91,15 +86,15 @@ class TestLogDensity:
             w = rng.random(k)
             w /= w.sum()
             w[-1] = 1.0 - w[:-1].sum()
-            gmm = ClassGMM(w, rng.normal(size=(k, d)), rng.random((k, d)) + 0.2)
+            gmm = GMMClassifier([w], rng.normal(size=(1, k, d)), rng.random((1, k, d)) + 0.2)
             z = rng.normal(size=d)
-            assert class_log_densities(z, gmm) == pytest.approx(
+            assert class_log_densities(z, gmm)[0] == pytest.approx(
                 naive_log_density(z, gmm), rel=1e-10
             )
 
     def test_finite_for_extreme_inputs(self):
         gmm = std_normal_1d(var=VARIANCE_FLOOR)
-        assert math.isfinite(class_log_densities(np.array([1e6]), gmm))
+        assert math.isfinite(class_log_densities(np.array([1e6]), gmm)[0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
@@ -107,7 +102,7 @@ class TestLogDensity:
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(1)
-        gmm = ClassGMM([1.0], rng.normal(size=(1, 2)), rng.random((1, 2)) + 0.5)
+        gmm = GMMClassifier([[1.0]], rng.normal(size=(1, 1, 2)), rng.random((1, 1, 2)) + 0.5)
         z = rng.normal(size=(7, 2))
         batch = class_log_densities(z, gmm)
         singles = [class_log_densities(zi, gmm) for zi in z]
@@ -186,10 +181,10 @@ class TestEMFit:
         rng = np.random.default_rng(4)
         x = rng.normal(loc=2.0, scale=1.5, size=(200, 2))
         gmm, stats = em_fit(x, 1, seed=0)
-        np.testing.assert_allclose(gmm.weights, [1.0])
-        np.testing.assert_allclose(gmm.means[0], x.mean(axis=0), rtol=1e-8)
-        np.testing.assert_allclose(gmm.variances[0], x.var(axis=0), rtol=1e-8)
-        assert stats.counts[0] == pytest.approx(200.0)
+        np.testing.assert_allclose(gmm.weights, [[1.0]])
+        np.testing.assert_allclose(gmm.means[0, 0], x.mean(axis=0), rtol=1e-8)
+        np.testing.assert_allclose(gmm.variances[0, 0], x.var(axis=0), rtol=1e-8)
+        assert stats.counts[0, 0] == pytest.approx(200.0)
 
     def test_two_cluster_recovery(self):
         rng = np.random.default_rng(5)
@@ -200,10 +195,10 @@ class TestEMFit:
             ]
         )
         gmm, _ = em_fit(x, 2, seed=1)
-        means = np.sort(gmm.means[:, 0])
+        means = np.sort(gmm.means[0, :, 0])
         assert abs(means[0] - 0.0) < 0.1
         assert abs(means[1] - 10.0) < 0.1
-        np.testing.assert_allclose(gmm.weights, [0.5, 0.5], atol=0.05)
+        np.testing.assert_allclose(gmm.weights, [[0.5, 0.5]], atol=0.05)
 
     def test_identical_points_hit_variance_floor(self):
         x = np.ones((50, 3))
@@ -296,20 +291,20 @@ class TestEMFit:
         assert (stats.log_likelihoods.size < max_iters) == (tol > 0)
         operand, center, _ = gmm_mod._operand(x)
         rows = operand[3:6]
-        log_w = gmm_mod._log_weights(gmm.weights)
-        resp, _ = gmm_mod._e_step(operand, center, log_w, gmm.means, gmm.variances)
+        log_w = gmm_mod._log_weights(gmm.weights[0])
+        resp, _ = gmm_mod._e_step(operand, center, log_w, gmm.means[0], gmm.variances[0])
         nk, xbar, sq_devs = gmm_mod._moments(rows, resp.T, np.empty_like(rows))
-        assert_same_bytes(stats.counts, nk)
-        assert_same_bytes(stats.means, xbar + center)
-        assert_same_bytes(stats.sq_devs, sq_devs)
+        assert_same_bytes(stats.counts[0], nk)
+        assert_same_bytes(stats.means[0], xbar + center)
+        assert_same_bytes(stats.sq_devs[0], sq_devs)
 
     def test_stats_shapes_and_mass(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(120, 2))
         gmm, stats = em_fit(x, 2, seed=3)
-        assert stats.counts.shape == (2,)
-        assert stats.means.shape == (2, 2)
-        assert stats.sq_devs.shape == (2, 2)
+        assert gmm.weights.shape == stats.counts.shape == (1, 2)
+        assert gmm.means.shape == gmm.variances.shape == (1, 2, 2)
+        assert stats.means.shape == stats.sq_devs.shape == (1, 2, 2)
         assert stats.counts.sum() == pytest.approx(120.0)
         assert np.all(stats.counts >= 0)
         assert np.all(stats.sq_devs >= 0)
@@ -608,8 +603,8 @@ def two_pass_em_fit(features, k, *, max_iters=100, tol=1e-5, seed=0):
     xbar = np.where(nk[:, None] > 0, (resp.T @ x) / np.maximum(nk, 1e-300)[:, None], means)
     sq = sq_devs_about(resp, xbar)
     return (
-        ClassGMM(weights, means, variances),
-        gmm_mod.SufficientStats(nk, xbar, sq, np.asarray(ll_history), reseeds),
+        GMMClassifier(weights[None], means[None], variances[None]),
+        gmm_mod.SufficientStats(nk[None], xbar[None], sq[None], np.asarray(ll_history), reseeds),
     )
 
 
@@ -776,10 +771,10 @@ def test_constant_feature_has_exactly_zero_spread(value):
     x[:, 2] = np.float32(value)
     gmm, stats = em_fit(x, 2, seed=4)
     assert (stats.counts > 0).all()
-    assert (stats.sq_devs[:, 2] == 0.0).all()
-    assert (gmm.variances[:, 2] == VARIANCE_FLOOR).all()
-    assert (gmm.means[:, 2] == np.float64(np.float32(value))).all()
-    assert (stats.means[:, 2] == np.float64(np.float32(value))).all()
+    assert (stats.sq_devs[..., 2] == 0.0).all()
+    assert (gmm.variances[..., 2] == VARIANCE_FLOOR).all()
+    assert (gmm.means[..., 2] == np.float64(np.float32(value))).all()
+    assert (stats.means[..., 2] == np.float64(np.float32(value))).all()
 
 
 def test_skewed_classes_fit_alike_largest_first_in_id_order_and_serially(monkeypatch):

@@ -347,6 +347,15 @@ def test_scored_pixels_refuse_non_finite_scores(bad):
         ScoredPixels(scores, np.arange(6) % 2 == 0)
 
 
+@pytest.mark.parametrize("scores, is_ood", [
+    (np.arange(3.0), np.zeros(4, bool)),
+    (np.zeros((2, 2)), np.zeros((2, 2), bool)),
+], ids=["unequal-lengths", "2-d"])
+def test_scored_pixels_refuse_misshapen_arrays(scores, is_ood):
+    with pytest.raises(ShapeError, match="^scores and is_ood must be parallel 1-d arrays$"):
+        ScoredPixels(scores, is_ood)
+
+
 class TestMiou:
     def test_perfect_prediction(self):
         gt = np.array([[0, 1], [2, 1]])

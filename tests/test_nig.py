@@ -3,7 +3,7 @@ import pytest
 from scipy import stats as sstats
 
 from gmmood.errors import InvalidStatisticsError, ShapeError
-from gmmood.gmm import VARIANCE_FLOOR, ClassGMM, GMMClassifier, SufficientStats, em_fit
+from gmmood.gmm import VARIANCE_FLOOR, GMMClassifier, SufficientStats, em_fit
 from gmmood.nig import (
     DEFAULT_PRIOR,
     GMMParameterSample,
@@ -84,7 +84,7 @@ class TestUpdatePosterior:
 class TestBuildBank:
     def test_zero_counts_reduce_to_prior(self):
         gmm, _ = em_fit(np.random.default_rng(2).normal(size=(10, 2)), 1, seed=0)
-        stats = SufficientStats(np.zeros(1), np.zeros((1, 2)), np.zeros((1, 2)))
+        stats = SufficientStats(np.zeros((1, 1)), np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))
         bank = build_bank(GMMClassifier.of([gmm]), [stats], DEFAULT_PRIOR)
         assert np.all(bank.mu == DEFAULT_PRIOR.mu)
         assert np.all(bank.kappa == DEFAULT_PRIOR.kappa)
@@ -98,9 +98,9 @@ class TestBuildBank:
         bank = build_bank(GMMClassifier.of([gmm]), [stats], DEFAULT_PRIOR)
         cell = update_posterior(
             DEFAULT_PRIOR,
-            n=float(stats.counts[0]),
-            xbar=float(stats.means[0, 0]),
-            S=float(stats.sq_devs[0, 0]),
+            n=float(stats.counts[0, 0]),
+            xbar=float(stats.means[0, 0, 0]),
+            S=float(stats.sq_devs[0, 0, 0]),
         )
         for name in ("mu", "kappa", "alpha", "beta"):
             assert getattr(bank, name)[0, 0, 0] == pytest.approx(getattr(cell, name), rel=1e-12)
@@ -118,8 +118,9 @@ class TestBuildBank:
 
     def test_shape_mismatch(self):
         gmm, stats = em_fit(np.random.default_rng(5).normal(size=(20, 2)), 1, seed=0)
-        bad = SufficientStats(np.zeros(1), np.zeros((1, 3)), np.zeros((1, 3)))
-        with pytest.raises(ShapeError, match=r"^classes \[1\]: statistics shape is not \(1, 2\)$"):
+        bad = SufficientStats(np.zeros((1, 1)), np.zeros((1, 1, 3)), np.zeros((1, 1, 3)))
+        message = r"^classes \[1\]: statistics shape is not \(1, 1, 2\)$"
+        with pytest.raises(ShapeError, match=message):
             build_bank(GMMClassifier.of([gmm, gmm]), [stats, bad], DEFAULT_PRIOR)
         with pytest.raises(ShapeError, match="^1 statistics blocks for 2 classes$"):
             build_bank(GMMClassifier.of([gmm, gmm]), [stats], DEFAULT_PRIOR)
@@ -244,13 +245,9 @@ class TestValidation:
             NIGParams(**fields)
 
 
-# every parameter set, as (class, valid arguments by name); shapes (2, 3)
-# per dimension and (2,) per component, or (2, 2, 3) and (2, 2)
+# every parameter set, as (class, valid arguments by name); shapes
+# (C, K, D) = (2, 2, 3) per dimension and (C, K) = (2, 2) per component
 PARAMETER_SETS = {
-    "ClassGMM": (
-        ClassGMM,
-        dict(weights=np.full(2, 0.5), means=np.zeros((2, 3)), variances=np.ones((2, 3))),
-    ),
     "GMMClassifier": (
         GMMClassifier,
         dict(weights=np.full((2, 2), 0.5), means=np.zeros((2, 2, 3)),
@@ -258,7 +255,7 @@ PARAMETER_SETS = {
     ),
     "SufficientStats": (
         SufficientStats,
-        dict(counts=np.full(2, 4.0), means=np.zeros((2, 3)), sq_devs=np.ones((2, 3))),
+        dict(counts=np.full((2, 2), 4.0), means=np.zeros((2, 2, 3)), sq_devs=np.ones((2, 2, 3))),
     ),
     "GMMParameterSample": (
         GMMParameterSample,
@@ -299,6 +296,8 @@ def test_parameter_sets_reject_a_misshapen_array(kind, name):
         cls(**{**args, name: args[name][:1]})
     with pytest.raises(ShapeError, match=f"^{kind}: "):
         cls(**{**args, name: args[name][None]})
+    with pytest.raises(ShapeError, match=f"^{kind}: "):  # the class axis dropped
+        cls(**{**args, name: args[name][0]})
 
 
 @pytest.mark.parametrize("kind", sorted(PARAMETER_SETS))
@@ -311,16 +310,19 @@ def test_parameter_sets_reject_an_empty_axis(kind):
         cls(**{**args, **empty})
 
 
-@pytest.mark.parametrize("kind", ["ClassGMM", "GMMClassifier"])
-@pytest.mark.parametrize("name, value, message", [
-    ("weights", [1.5, -0.5], "nonnegative and sum to 1"),
-    ("weights", [0.5, 0.4], "nonnegative and sum to 1"),
-    ("variances", VARIANCE_FLOOR / 2, "floored at"),
+@pytest.mark.parametrize("kind, name, value, message", [
+    ("GMMClassifier", "weights", [1.5, -0.5], "nonnegative and sum to 1"),
+    ("GMMClassifier", "weights", [0.5, 0.4], "nonnegative and sum to 1"),
+    ("GMMClassifier", "variances", VARIANCE_FLOOR / 2, "floored at"),
+    ("SufficientStats", "counts", -1.0, "must be nonnegative"),
+    ("SufficientStats", "sq_devs", -1.0, "must be nonnegative"),
+    ("GMMParameterSample", "variances", 0.0, "must be strictly positive"),
 ])
-def test_point_estimates_keep_the_mixture_rules(kind, name, value, message):
-    """A point-estimate mixture's weights are nonnegative and sum to 1 and
-    its variances are at the floor; one bad class (the last) is enough
-    for a classifier to be refused."""
+def test_parameter_sets_keep_their_value_rules(kind, name, value, message):
+    """One finite value outside a set's range, in its last class, is
+    refused: a point-estimate mixture's weights (a class's row here) are
+    nonnegative and sum to 1 and its variances are at the floor, EM's
+    statistics are nonnegative and drawn variances positive."""
     cls, args = PARAMETER_SETS[kind]
     bad = args[name].copy()
     bad[(-1,) * (bad.ndim - np.ndim(value))] = value

@@ -50,6 +50,11 @@ class TestParsePointCloud:
             parse_point_cloud(data)
 
 
+def test_point_cloud_needs_four_columns():
+    with pytest.raises(ShapeError, match=r"^points must be \(N, 4\), got \(5, 3\)$"):
+        PointCloud(np.zeros((5, 3)))
+
+
 class TestParseLabels:
     def test_low_16_bits(self):
         labels = parse_labels(struct.pack("<I", 0x00010001), 1)
