@@ -392,13 +392,12 @@ def cmd_project(cfg: RunConfig) -> int:
 def cmd_fit(cfg: RunConfig) -> int:
     feature_dir = _require_dir(cfg.paths.feature_dir, "feature_dir")
     label_dir = _require_dir(cfg.paths.label_dir, "label_dir")
-    out = Path(cfg.paths.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     n_classes = cfg.model.classes
     feature_files = sorted(feature_dir.glob("*.fmap"))
     if not feature_files:
         raise Error(f"no feature files in {feature_dir}")
+    out = Path(cfg.paths.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     def read_scan(fpath: Path) -> list:
         """The usable float32 rows of one training scan, grouped by train
@@ -556,8 +555,6 @@ def cmd_score(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     score_dir = Path(cfg.paths.score_dir or cfg.paths.out_dir)
     label_dir = _require_dir(cfg.paths.label_dir, "label_dir")
-    out = Path(cfg.paths.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     pred_dir = score_dir / "predictions"
     if not pred_dir.is_dir():
         raise Error(f"no predictions directory under {score_dir}")
@@ -565,6 +562,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     pred_files = sorted(pred_dir.glob("*.fmap"))
     if not pred_files:
         raise Error(f"no prediction grids in {pred_dir}")
+    out = Path(cfg.paths.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     def eval_one(ppath: Path):
         """(OOD flags, {channel: float32 scores}, predicted ids, true ids)

@@ -23,7 +23,8 @@ largest s, tallied by one ``np.bincount``.  The floor of
 ``_class_sums`` keeps every s > 0, so no log needs a mask and no class
 log density, second exp or second normaliser is taken.  The point
 model's entropy and maximum posterior come from member 0 of the same
-arrays.
+arrays.  A pixel's vote entropy sums a table of (k / M) log(k / M),
+k = 0..M, built once per call, at its C vote counts.
 
 ``SampleScores`` declares what scoring gives per pixel; ``SCORE_CHANNELS``
 and ``UncertaintyMap`` (the record on a scan's grid) follow from it.
@@ -50,13 +51,15 @@ from .gmm import GMMClassifier, _class_sums, _coefficients, _joint_log_densities
 from .gmm import logsumexp  # noqa: F401  unused here; perfbench traces ensemble.logsumexp
 from .nig import GMMParameterSample
 
-# float64 log densities (GEMM outputs) per scoring block, 1 MB.  With
-# the blocks on the pool, one 46.7k-pixel paper-shape scan took (median
-# ms of 30, 2 vCPUs, one | two BLAS threads) 275 | 287 at 2**17 and
-# 251 | 255 at 2**18 for D = 32, 241 | 222 and 216 | 207 for D = 5;
-# 2**16 and 2**15 were 1.2-2x slower.  The gain of 2**18 is inside the
-# quartile spread of 2**17's runs and costs score-d32 ~5 MB of peak RSS.
-_BLOCK_VALUES = 1 << 17
+# float64 log densities (GEMM outputs) per scoring block, 2 MB: 328 rows
+# at the paper's shape (M = 20, C = 19, K = 2).  Pooled on 2 vCPUs, one
+# 46.5k-pixel scan took (median of 18 interleaved calls) 289 ms at 2**17
+# and 250 at 2**18 for D = 32, 245 and 211 for D = 5; 2**16 was 1.3-1.4x
+# slower than 2**17, and 2**19 read from 6% slower to 7% faster than
+# 2**18 across runs.  Each row's scores are those of 2**17's blocks bit
+# for bit, but among a call's last N mod 8 rows, which take the GEMM's
+# tail kernels.
+_BLOCK_VALUES = 1 << 18
 
 
 @dataclass
@@ -109,12 +112,24 @@ class UncertaintyMap(SampleScores):
     valid: np.ndarray
 
 
+def _p_log_p(p: np.ndarray) -> np.ndarray:
+    """p * log p elementwise, with 0 * log 0 = 0."""
+    log_p = np.log(p, out=np.zeros(p.shape), where=p > 0)
+    log_p *= p
+    return log_p
+
+
 def _entropy_rows(p: np.ndarray, axis=-1) -> np.ndarray:
     """Shannon entropy along ``axis``, with 0 * log 0 = 0; a certain row
     gives +0.0 (the sum's negation would give -0.0)."""
-    log_p = np.log(p, out=np.zeros(p.shape), where=p > 0)
-    log_p *= p
-    return 0.0 - log_p.sum(axis=axis)
+    return 0.0 - _p_log_p(p).sum(axis=axis)
+
+
+def _vote_table(m: int) -> np.ndarray:
+    """(k / m) log(k / m) for k = 0..m: a row of vote counts out of m has
+    entropy ``0.0 - table[counts].sum(axis=-1)``, the bytes of
+    ``_entropy_rows(counts / m)`` (the same operations on the same values)."""
+    return _p_log_p(np.arange(m + 1) / m)
 
 
 def _stack(ensemble: list[GMMParameterSample], *front):
@@ -206,13 +221,14 @@ def score_samples(
     step = max(1, _BLOCK_VALUES // len(coefficients[1]))
     n = len(z)
     out = SampleScores(np.empty(n, np.intp), *(np.empty(n) for _ in SCORE_CHANNELS))
+    vote_table = _vote_table(len(ensemble))
 
     def block(i):
         rows = slice(i, i + step)
         joint = _joint_log_densities(z[rows], coefficients)
         counts, predictive, aleatoric, mi, post, entropy = _reduce_members(joint, 1)
         out.predicted_class[rows] = np.argmax(counts, axis=1)
-        out.epistemic[rows] = _entropy_rows(counts / len(ensemble))
+        out.epistemic[rows] = 0.0 - vote_table[counts].sum(axis=1)
         out.predictive_entropy[rows] = predictive
         out.aleatoric[rows] = aleatoric
         out.mutual_information[rows] = mi

@@ -94,6 +94,13 @@ p(c | z) = s_c / sum_c' s_c' with no class log density, second max-shift
 or second exp in between.  The floor keeps exp on numpy's fast path and
 every s_c >= e^-700 > 0, so logs of s need no mask; each floored term
 adds at most e^-700 ~ 1e-304 to a total whose largest term is exactly 1.
+It works in place on the (K, ..., C, N) joint array: T is each
+component slab's max over C, folded over the K slabs by a running
+``np.maximum`` (a max is exact in any order), and s is component 0's
+slab with the others added into it in turn, the order of ``.sum(axis=0)``
+and so its bytes.  So the class sums allocate no (..., C, N) array
+beyond the joint one, and s is a view that holds all of it: a caller
+that keeps posteriors divides into a new array.
 ``class_log_densities`` (log-sum-exp over K, with ``logsumexp``, the
 package's one max-shift log-sum-exp) remains for the mixture densities
 themselves and ``predict``.  EM's E-step keeps ``logsumexp`` too: its
@@ -326,10 +333,18 @@ def _moments(rows: np.ndarray, resp: np.ndarray, scratch: np.ndarray) -> tuple:
 def _class_sums(joint: np.ndarray) -> np.ndarray:
     """Class sums s = sum_k exp(max(j - T, _EXP_FLOOR)), shape (..., C, N),
     of (K, ..., C, N) joint log densities j (overwritten), T their max over
-    K and C per parameter set and row: p(c | z) = s_c / sum_c' s_c'."""
-    joint -= joint.max(axis=(0, -2), keepdims=True)
+    K and C per parameter set and row: p(c | z) = s_c / sum_c' s_c'.  s is
+    ``joint[0]``, a view that holds the whole joint array."""
+    top = joint[0].max(axis=-2, keepdims=True)
+    for slab in joint[1:]:
+        np.maximum(top, slab.max(axis=-2, keepdims=True), out=top)
+    joint -= top
     np.maximum(joint, _EXP_FLOOR, out=joint)
-    return np.exp(joint, out=joint).sum(axis=0)
+    np.exp(joint, out=joint)
+    s = joint[0]
+    for slab in joint[1:]:
+        s += slab
+    return s
 
 
 def _per_class(z, params, reduce):
@@ -352,10 +367,10 @@ def class_log_densities(z, params):
 
 
 def _normalised_class_sums(joint):
-    """Class posteriors s / sum_c s from joint log densities."""
+    """Class posteriors s / sum_c s from joint log densities, in a new
+    array that does not hold the joint one."""
     s = _class_sums(joint)
-    s /= s.sum(axis=-2, keepdims=True)
-    return s
+    return s / s.sum(axis=-2, keepdims=True)
 
 
 def class_posterior(z, model: GMMClassifier):

@@ -1209,13 +1209,15 @@ class TestConfigHandling:
     )
     def test_missing_inputs_are_config_errors(self, tmp_path, capsys, argv, message):
         """A command whose input directory is not configured, or holds
-        nothing to read, exits 2 naming it."""
+        nothing to read, exits 2 naming it before it makes its ``--out``
+        directory."""
         dirs = {"data": tmp_path / "data", "scored": tmp_path / "scored"}
         (dirs["scored"] / "predictions").mkdir(parents=True)
         dirs["data"].mkdir()
         argv = [arg.format(**dirs) for arg in argv]
         assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message.format(**dirs)}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "none.ini")]) == EXIT_CONFIG

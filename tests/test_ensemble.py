@@ -142,6 +142,43 @@ class TestVoteEntropy:
             0.5623351446188083, abs=1e-6
         )
 
+    @pytest.mark.parametrize("m, rows", [(1, 1), (2, 2), (3, 3), (20, 626)])
+    def test_table_gives_the_entropy_of_vote_shares(self, m, rows):
+        """``score_samples`` reads each row's vote entropy from
+        ``_vote_table``: for every partition of m votes into at most C = 19
+        classes, in shuffled class order, the table's sum is the bytes of
+        ``_entropy_rows(counts / m)``, and the one unanimous row reads +0.0."""
+        c = 19
+        rng = np.random.default_rng(m)
+
+        def partitions(rest, largest, classes):
+            if rest == 0:
+                yield ()
+            elif classes:
+                for first in range(min(rest, largest), 0, -1):
+                    for tail in partitions(rest - first, first, classes - 1):
+                        yield (first, *tail)
+
+        parts = list(partitions(m, m, c))
+        assert len(parts) == rows
+        counts = np.zeros((rows, c), np.int64)
+        for row, part in zip(counts, parts):
+            row[rng.permutation(c)[: len(part)]] = part
+        got = 0.0 - ens._vote_table(m)[counts].sum(axis=1)
+        assert_same_bytes(got, ens._entropy_rows(counts / m))
+        unanimous = counts.max(axis=1) == m
+        assert unanimous.sum() == 1 and got[unanimous].tobytes() == np.zeros(1).tobytes()
+
+    def test_scores_take_the_entropy_of_each_rows_votes(self):
+        """Through ``score_samples``: each row's epistemic score is the
+        bytes of ``_entropy_rows`` of its ``vote`` shares."""
+        model, members = fitted_setup(seed=6)
+        z = np.random.default_rng(7).normal(3.0, 3.0, (300, 2))
+        counts = np.array([vote(row, members).counts for row in z])
+        assert (counts.max(axis=1) < len(members)).any()
+        got = score_samples(z, model, members).epistemic
+        assert_same_bytes(got, ens._entropy_rows(counts / len(members)))
+
     def test_bounds(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -444,25 +481,22 @@ def far_near_tie_rows(model, rng, rays=64, reach=2000):
     return rows[(top <= -1e4) & (gap >= 5.0) & (gap <= 30.0)]
 
 
-@pytest.fixture(
-    scope="module",
-    params=[(1, 0.0), (5, 0.0), (32, 0.0), (32, 1e4)],
-    ids=["D1", "D5", "D32", "D32+1e4"],
-)
-def kernel_case(request):
-    """Three classes, an ensemble, the block step, and 2 * step + 1 rows
-    cycling through far-OOD (every member certain), near-center,
-    between-center (members split), random, and far near-tie rows (see
-    ``far_near_tie_rows``); the last case is the D = 32 one translated by
-    1e4, data, prior and rows alike."""
-    d, shift = request.param
+KERNEL_CASES = {"D1": (1, 0.0), "D5": (5, 0.0), "D32": (32, 0.0), "D32+1e4": (32, 1e4)}
+
+
+def make_kernel_case(d, shift, block_values):
+    """Three classes, an ensemble, the step of ``block_values``-value
+    blocks, and 2 * step + 1 rows cycling through far-OOD (every member
+    certain), near-center, between-center (members split), random, and
+    far near-tie rows (see ``far_near_tie_rows``); with ``shift`` the
+    case is translated, data, prior and rows alike."""
     rng = np.random.default_rng(d)
     per_class = [rng.normal(10.0 * c, 1.0, size=(80, d)) + shift for c in range(3)]
     model, stats = fit_classifier(per_class, 2, seed=d)
     # a vague prior on the mean keeps member sigmas near the data's 1.0
     prior = NIGParams(mu=shift, kappa=1e-6, alpha=2.0, beta=1.0)
     members = sample_ensemble(build_bank(model, stats, prior), N_MEMBERS, rng_seed=d)
-    step = max(1, ens._BLOCK_VALUES // ((N_MEMBERS + 1) * model.weights.size))
+    step = max(1, block_values // ((N_MEMBERS + 1) * model.weights.size))
     n = 2 * step + 1
     cls = rng.integers(3, size=(n, 1))
     centers = np.mean([m.means.mean(axis=1) for m in members], axis=0) - shift  # (C, D)
@@ -476,6 +510,12 @@ def kernel_case(request):
     kind = np.arange(n) % len(candidates)
     rows = np.choose(kind[:, None], candidates) + shift
     return model, members, step, rows
+
+
+@pytest.fixture(scope="module", params=KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
+def kernel_case(request):
+    """``make_kernel_case`` at the scoring block's step."""
+    return make_kernel_case(*request.param, ens._BLOCK_VALUES)
 
 
 @pytest.fixture(scope="module")
@@ -572,6 +612,22 @@ def test_float32_rows_score_as_their_float64_widening(kernel_case):
             np.array(dataclasses.astuple(decompose_uncertainty(z32, members))),
             np.array(dataclasses.astuple(decompose_uncertainty(z64, members))),
         )
+
+
+@pytest.mark.parametrize("d, shift", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
+def test_rows_drawn_at_the_former_block_step_match_loop_reference(d, shift):
+    """``kernel_case`` draws its rows at the block's step, so its far
+    near-tie rows change with ``_BLOCK_VALUES``.  The 3361 rows it drew
+    at 2**17-value blocks stay checked, scored at ``_BLOCK_VALUES``: every
+    float field within the same tolerance, the integer ones bit for bit."""
+    model, members, _, rows = make_kernel_case(d, shift, 1 << 17)
+    assert len(rows) == 3361
+    got = score_samples(rows, model, members)
+    want = loop_score_samples(rows, model, members)
+    for name in ens.SCORE_CHANNELS:
+        assert_close(getattr(got, name), want[name])
+    for name in INT_FIELDS:
+        assert_same_bytes(getattr(got, name), want[name])
 
 
 def test_scoring_memory_per_pixel_is_bounded(monkeypatch):
@@ -715,6 +771,52 @@ def test_rows_far_from_all_classes_but_one_stay_finite_and_certain():
     np.testing.assert_array_equal([vote(row, members).counts for row in z], want)
     np.testing.assert_array_equal(scores.predicted_class, nearest)
     assert (scores.epistemic == 0.0).all()
+
+
+def summed_class_sums(joint):
+    """``gmm._class_sums`` as one max over components and classes and one
+    sum over components."""
+    joint -= joint.max(axis=(0, -2), keepdims=True)
+    np.maximum(joint, gmm_mod._EXP_FLOOR, out=joint)
+    return np.exp(joint, out=joint).sum(axis=0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_class_sums_fold_components_as_one_sum(k, monkeypatch):
+    """``_class_sums`` folds the K component slabs in place; its class
+    sums, and the scores and posteriors that read them, equal those of
+    ``summed_class_sums`` byte for byte, with a zero-weight component
+    (log weight -inf) beside K = 1 and rows far from every class.  The
+    posteriors hold only their own (N, C) values, not the joint array."""
+    rng = np.random.default_rng(30 + k)
+    c, d = 4, 3
+    weights = rng.dirichlet(np.ones(k), size=c)
+    if k > 1:
+        weights[1] = np.append(rng.dirichlet(np.ones(k - 1)), 0.0)
+    means = rng.normal(0.0, 3.0, (c, k, d))
+    variances = rng.uniform(0.5, 2.0, (c, k, d))
+    model = GMMClassifier(weights, means, variances)
+    members = [
+        GMMParameterSample(means + rng.normal(0.0, 0.3, means.shape), variances, weights)
+        for _ in range(6)
+    ]
+    far = rng.choice([-1.0, 1.0], (13, d)) * rng.uniform(1e4, 1e5, (13, d))
+    z = np.concatenate([rng.normal(0.0, 3.0, (37, d)), far])
+    joint = gmm_mod._joint_log_densities(z, ens._stack(members, model))
+    assert np.isneginf(joint).any() == (k > 1)
+    assert_same_bytes(gmm_mod._class_sums(joint.copy()), summed_class_sums(joint.copy()))
+
+    got_scores, got_post = score_samples(z, model, members), class_posterior(z, model)
+    owner = got_post
+    while owner.base is not None:
+        owner = owner.base
+    assert owner.nbytes == got_post.nbytes
+    monkeypatch.setattr(gmm_mod, "_class_sums", summed_class_sums)
+    monkeypatch.setattr(ens, "_class_sums", summed_class_sums)
+    want_scores = score_samples(z, model, members)
+    for name in SCORE_FIELDS:
+        assert_same_bytes(getattr(got_scores, name), getattr(want_scores, name))
+    assert_same_bytes(got_post, class_posterior(z, model))
 
 
 # ---------------------------------------------------------------------------
