@@ -2,7 +2,7 @@
 
 Runs are driven by an INI config file whose sections mirror RunConfig;
 every key can be overridden by a command-line flag (flags win); both
-are derived from the section dataclass fields by ``config_keys``.
+are derived from the section dataclass fields into ``CONFIG_KEYS``.
 Exit codes: 0 success, 1 partial per-file failures, 2 configuration or
 precondition error.
 """
@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,20 +22,23 @@ import numpy as np
 from . import ensemble as ens
 from . import _blas, gmm, metrics, nig, rangeview
 from . import synth as synthmod
-from .errors import Error, FormatError, ShapeError, UndefinedMetricError
+from .errors import Error, ShapeError, UndefinedMetricError
 from .formats import FeatureMap, read_feature_map, write_atomic, write_feature_map
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
 
-SCORE_CHANNELS = ens.SCORE_CHANNELS
-# eval report names; max_posterior is negated so that higher = more OOD
-REPORT_CHANNELS = tuple(
-    "neg_max_posterior" if ch == "max_posterior" else ch for ch in SCORE_CHANNELS
-)
+# eval report name and sign of each score channel: max_posterior is
+# negated so that higher = more OOD
+REPORT_CHANNELS = {
+    ch: ("neg_" + ch, -1) if ch == "max_posterior" else (ch, 1) for ch in ens.SCORE_CHANNELS
+}
 # raw semantic ids are the low 16 bits of a label record (``rangeview``)
 RAW_ID_MAX = 0xFFFF
+_OUTLIER = -2  # code of an outlier raw id in ``ClassMap``'s table; -1 is ignore
+# where ``score`` writes, and ``eval`` reads, a scan's grid of one channel
+SCORE_FILE = "scores/{stem}_{channel}.fmap"
 
 
 @dataclass(frozen=True)
@@ -44,41 +48,35 @@ class ClassMap:
     train_ids: dict
     outlier_ids: frozenset
     ignore_ids: frozenset
+    # code of each raw id in [0, RAW_ID_MAX] (its train id, _OUTLIER, or
+    # -1: ignore, also when absent), then -1 for every id outside
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for rid in sorted({*self.train_ids, *self.outlier_ids, *self.ignore_ids}):
+        ids = [*self.train_ids, *self.outlier_ids, *self.ignore_ids]
+        for rid in sorted(set(ids)):
             if not 0 <= rid <= RAW_ID_MAX:
                 raise ValueError(f"'{rid}' in [class_map]: raw id must be in [0, {RAW_ID_MAX}]")
         for rid, tid in sorted(self.train_ids.items()):
-            if tid < 0:
-                raise ValueError(f"'{rid}' in [class_map]: train id must be at least 0, got {tid}")
-        overlap = (set(self.train_ids) & self.outlier_ids) | (
-            set(self.train_ids) & self.ignore_ids
-        )
-        if overlap or (self.outlier_ids & self.ignore_ids):
+            if not 0 <= tid < 2**63:  # an int64 in the table
+                bound = "at least 0" if tid < 0 else "below 2**63"
+                raise ValueError(f"'{rid}' in [class_map]: train id must be {bound}, got {tid}")
+        if len(ids) > len(set(ids)):
             raise ValueError("a raw id may appear in only one of train/outlier/ignore")
+        codes = np.full(RAW_ID_MAX + 2, -1, dtype=np.int64)
+        codes[list(self.outlier_ids)] = _OUTLIER
+        codes[list(self.train_ids)] = list(self.train_ids.values())
+        object.__setattr__(self, "codes", codes)
 
     def map_array(self, raw: np.ndarray):
         """Vectorized mapping: (train ids with -1 elsewhere, outlier, ignore).
 
-        Raw ids absent from the table are treated as ignore.
+        Raw ids absent from the table or outside [0, RAW_ID_MAX] are
+        treated as ignore.
         """
-        raw = np.asarray(raw, dtype=np.int64)
-        top = max(
-            [0, *self.train_ids.keys(), *self.outlier_ids, *self.ignore_ids]
-        )
-        lut = np.full(top + 2, -1, dtype=np.int64)  # default: ignore
-        outlier_lut = np.zeros(top + 2, dtype=bool)
-        for rid in self.outlier_ids:
-            outlier_lut[rid] = True
-        for rid, tid in self.train_ids.items():
-            lut[rid] = tid
-        clipped = np.clip(raw, 0, top + 1)
-        unknown = (raw < 0) | (raw > top)
-        train = np.where(unknown, -1, lut[clipped])
-        outlier = np.where(unknown, False, outlier_lut[clipped])
-        ignore = (train < 0) & ~outlier
-        return train, outlier, ignore
+        # -1 and RAW_ID_MAX + 1 both read the table's last entry: ignore
+        code = self.codes[np.clip(np.asarray(raw, dtype=np.int64), -1, RAW_ID_MAX + 1)]
+        return np.maximum(code, -1), code == _OUTLIER, code == -1
 
 
 # Default table for SemanticKITTI-style raw labels: 19 train classes,
@@ -108,10 +106,10 @@ class PathsConfig:
     bank_path: str | None = None
 
 
-def _require_positive(section, *names) -> None:
+def _require_at_least(section, low, *names) -> None:
     for name in names:
-        if getattr(section, name) < 1:
-            raise ValueError(f"{name} must be at least 1, got {getattr(section, name)}")
+        if getattr(section, name) < low:
+            raise ValueError(f"{name} must be at least {low}, got {getattr(section, name)}")
 
 
 @dataclass
@@ -121,7 +119,7 @@ class ModelConfig:
     feature_dim: int = 32
 
     def __post_init__(self):
-        _require_positive(self, "classes", "components", "feature_dim")
+        _require_at_least(self, 1, "classes", "components", "feature_dim")
 
 
 @dataclass
@@ -130,9 +128,8 @@ class EMConfig:
     tol: float = 1e-5
 
     def __post_init__(self):
-        _require_positive(self, "max_iters")
-        if self.tol < 0:
-            raise ValueError(f"tol must be at least 0, got {self.tol}")
+        _require_at_least(self, 1, "max_iters")
+        _require_at_least(self, 0, "tol")
 
 
 @dataclass
@@ -141,9 +138,8 @@ class EnsembleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_positive(self, "n_samples")
-        if self.seed < 0:
-            raise ValueError(f"seed must be at least 0, got {self.seed}")
+        _require_at_least(self, 1, "n_samples")
+        _require_at_least(self, 0, "seed")
 
 
 @dataclass
@@ -206,19 +202,26 @@ _FLAG_DESTS = {
 _PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_overlap_pairs}
 
 
-def config_keys() -> list:
-    """(section, field, INI key, flag dest, parser) for each field of each
-    RunConfig section; [class_map] is a raw-id table with its own parser."""
+# a key's flag is ``--`` and its dest with ``-`` for ``_``
+ConfigKey = namedtuple("ConfigKey", "section field ini_key dest parse")
+
+
+def _config_keys() -> dict:
     defaults = RunConfig()
-    keys = []
+    keys = {}
     for sec in (f.name for f in dataclasses.fields(RunConfig) if f.name != "class_map"):
         section = getattr(defaults, sec)
         for f in dataclasses.fields(section):
             ini_key = _INI_KEYS.get((sec, f.name), f.name)
             dest = _FLAG_DESTS.get((sec, f.name), _FLAG_PREFIXES.get(sec, "") + ini_key)
             parse = _PARSERS.get(type(getattr(section, f.name)), str)
-            keys.append((sec, f.name, ini_key, dest, parse))
+            keys[sec, ini_key] = ConfigKey(sec, f.name, ini_key, dest, parse)
     return keys
+
+
+# (section, INI key) -> ConfigKey for each field of each RunConfig section;
+# [class_map] is a raw-id table with its own parser
+CONFIG_KEYS = _config_keys()
 
 
 def _parse_key(sec: str, key: str, parse, text: str):
@@ -242,13 +245,13 @@ def _parse_class_map(items) -> ClassMap:
 
 
 def _replace_sections(cfg: RunConfig, values: dict) -> None:
-    """Apply {section: {field: value}}; each section re-runs its validation,
-    after a float that is not finite is refused by its INI key."""
+    """Apply {section: {ConfigKey: value}}; each section re-runs its
+    validation, after a float that is not finite is refused by its INI key."""
     for sec, fields in values.items():
-        for name, value in fields.items():
+        for key, value in fields.items():
             if isinstance(value, float) and not math.isfinite(value):
-                key = _INI_KEYS.get((sec, name), name)
-                raise ValueError(f"'{key}' in [{sec}] must be finite, got {value}")
+                raise ValueError(f"'{key.ini_key}' in [{sec}] must be finite, got {value}")
+        fields = {key.field: value for key, value in fields.items()}
         setattr(cfg, sec, dataclasses.replace(getattr(cfg, sec), **fields))
 
 
@@ -259,28 +262,26 @@ def load_run_config(path=None, args=None) -> RunConfig:
     ini = configparser.ConfigParser()
     if path is not None and not ini.read(path):
         raise Error(f"cannot read config file {path}")
-    known = {(sec, key): (name, parse) for sec, name, key, _, parse in config_keys()}
     values = {}
     for sec in ini.sections():
         if sec == "class_map":
             cfg.class_map = _parse_class_map(ini[sec].items())
             continue
-        if sec not in {known_sec for known_sec, _ in known}:
+        if sec not in {known for known, _ in CONFIG_KEYS}:
             raise Error(f"{path}: unknown section [{sec}]")
         for ini_key, text in ini[sec].items():
-            if (sec, ini_key) in known:
-                name, parse = known[sec, ini_key]
-                values.setdefault(sec, {})[name] = _parse_key(sec, ini_key, parse, text)
+            if (key := CONFIG_KEYS.get((sec, ini_key))) is not None:
+                values.setdefault(sec, {})[key] = _parse_key(sec, ini_key, key.parse, text)
             elif ini_key not in ini.defaults():  # [DEFAULT] may hold interpolation-only keys
                 raise Error(f"{path}: unknown key '{ini_key}' in [{sec}]")
     _replace_sections(cfg, values)
     if args is not None:
         values = {}
-        for sec, name, _, dest, _ in config_keys():
-            if getattr(args, dest, None) is not None:
-                values.setdefault(sec, {})[name] = getattr(args, dest)
+        for key in CONFIG_KEYS.values():
+            if (value := getattr(args, key.dest)) is not None:
+                values.setdefault(key.section, {})[key] = value
         if args.seed is not None:  # the run seed: dataset and pipeline alike
-            values.setdefault("synth", {}).setdefault("seed", args.seed)
+            values.setdefault("synth", {}).setdefault(CONFIG_KEYS["synth", "seed"], args.seed)
         _replace_sections(cfg, values)
     return cfg
 
@@ -314,8 +315,7 @@ def _read_labels(path: Path, shape, class_map: ClassMap) -> tuple:
         raise ShapeError(f"{path.name}: label grid {lmap.values.shape[:2]} does not match {shape}")
     raw = np.full(shape, -1, dtype=np.int64)
     raw[lmap.valid] = np.clip(np.round(lmap.grid()[lmap.valid]), -1, RAW_ID_MAX + 1)
-    train, outlier, ignore = class_map.map_array(raw)
-    return train, outlier, ignore | ~lmap.valid
+    return class_map.map_array(raw)  # raw id -1, where invalid: ignore
 
 
 def _require_dir(path, what: str) -> Path:
@@ -403,10 +403,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         """The usable float32 rows of one training scan, grouped by train
         id with one stable sort: part c holds class c's rows in pixel
         order."""
-        try:
-            fmap = read_feature_map(fpath)
-        except FormatError as exc:
-            raise FormatError(f"{fpath.name}: {exc}") from None
+        fmap = read_feature_map(fpath)
         if fmap.dim != cfg.model.feature_dim:
             raise ShapeError(
                 f"{fpath.name}: feature dimension {fmap.dim} != configured "
@@ -488,11 +485,9 @@ def cmd_score(cfg: RunConfig) -> int:
         umap = ens.score_feature_map(read_feature_map(path), model, members)
         valid, stem = umap.valid, path.stem
         written = {
-            channel: _write_grid(
-                out, f"scores/{stem}_{channel}.fmap",
-                np.where(valid, getattr(umap, channel), 0.0), valid,
-            )
-            for channel in SCORE_CHANNELS
+            channel: _write_grid(out, SCORE_FILE.format(stem=stem, channel=channel),
+                                 np.where(valid, getattr(umap, channel), 0.0), valid)
+            for channel in ens.SCORE_CHANNELS
         }
         written["predictions"] = _write_grid(
             out, f"predictions/{stem}.fmap", umap.predicted_class, valid
@@ -522,29 +517,16 @@ def cmd_score(cfg: RunConfig) -> int:
         if threshold is not None:
             mask[valid] = values > threshold
         written["ood_mask"] = _write_grid(out, f"ood_masks/{stem}.fmap", mask, valid)
-        manifest_files.append(
-            {
-                "file": stem,
-                "n_valid": int(valid.sum()),
-                "flagged": int(mask.sum()),
-                "threshold": threshold,
-                "outputs": written,
-            }
-        )
+        manifest_files.append({"file": stem, "n_valid": int(valid.sum()),
+                               "flagged": int(mask.sum()), "threshold": threshold,
+                               "outputs": written})
     manifest_files += [
         {"file": p.stem, "error": error} for p, _, error in done if error is not None
     ]
-
-    _write_json(
-        out / "score_manifest.json",
-        {
-            "files": manifest_files,
-            "warnings": warnings,
-            "n_samples": cfg.ensemble.n_samples,
-            "top_fraction": cfg.threshold.top_fraction,
-            "per_scan": cfg.threshold.per_scan,
-        },
-    )
+    _write_json(out / "score_manifest.json", {
+        "files": manifest_files, "warnings": warnings, "n_samples": cfg.ensemble.n_samples,
+        "top_fraction": cfg.threshold.top_fraction, "per_scan": cfg.threshold.per_scan,
+    })
     return EXIT_PARTIAL if len(scored) < len(done) else EXIT_OK
 
 
@@ -576,16 +558,17 @@ def cmd_eval(cfg: RunConfig) -> int:
         )
         ranked = pred_map.valid & ~ignore
         scores = {}
-        for channel in SCORE_CHANNELS:
-            smap = read_feature_map(score_dir / "scores" / f"{stem}_{channel}.fmap")
+        for channel, (_, sign) in REPORT_CHANNELS.items():
+            spath = score_dir / SCORE_FILE.format(stem=stem, channel=channel)
+            smap = read_feature_map(spath)
             grid = smap.grid()
             if grid.shape != ranked.shape:
-                raise ShapeError(f"{stem}_{channel}.fmap: grid {grid.shape} != {ranked.shape}")
+                raise ShapeError(f"{spath.name}: grid {grid.shape} != {ranked.shape}")
             if (smap.valid != pred_map.valid).any():
                 raise Error(
-                    f"{stem}_{channel}.fmap: validity mask differs from predictions/{ppath.name}'s"
+                    f"{spath.name}: validity mask differs from predictions/{ppath.name}'s"
                 )
-            scores[channel] = -grid[ranked] if channel == "max_posterior" else grid[ranked]
+            scores[channel] = sign * grid[ranked]
         id_pixels = ranked & ~outlier
         pred = np.round(pred_map.grid()[id_pixels])
         true = train[id_pixels]
@@ -615,7 +598,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         np.concatenate(pred_ids), np.concatenate(true_ids), cfg.model.classes
     )
 
-    for channel, report_name in zip(SCORE_CHANNELS, REPORT_CHANNELS):
+    for channel, (report_name, _) in REPORT_CHANNELS.items():
         values = np.concatenate([scores[channel] for scores in channel_scores])
         report = metrics.EvalReport.of(metrics.ScoredPixels(values, is_ood), mean_iou, per_class)
         _write_report(out, report_name, report)
@@ -688,25 +671,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gmmood",
         description="Range-view OOD detection with Bayesian GMM ensembles.",
+        usage="%(prog)s {" + ",".join(COMMANDS) + "} [options]",
+        formatter_class=argparse.RawTextHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", type=str, default=None)
-        if name == "score":
-            cmd.add_argument("--jobs", type=_positive_int, default=1,
-                             help="has no effect: scans are scored one after another")
-        for _, _, _, dest, parse in config_keys():
-            flag = "--" + dest.replace("_", "-")
-            if parse is _parse_bool:
-                cmd.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
-            else:
-                cmd.add_argument(flag, type=parse, default=None)
+    parser.add_argument(
+        "command", choices=COMMANDS, metavar="command",
+        help="\n".join(f"{name:8} {help_text}" for name, (_, help_text) in COMMANDS.items()),
+    )
+    parser.add_argument("--config", type=str, default=None)
+    parser.add_argument("--jobs", type=_positive_int, default=None,
+                        help="score only; has no effect: scans are scored one after another")
+    for key in CONFIG_KEYS.values():
+        kind = {"type": key.parse}
+        if key.parse is _parse_bool:  # --flag / --no-flag
+            kind = {"action": argparse.BooleanOptionalAction}
+        parser.add_argument("--" + key.dest.replace("_", "-"), default=None, **kind)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.jobs is not None and args.command != "score":
+        parser.error(f"--jobs applies to score only, not to {args.command}")
     try:
         cfg = load_run_config(args.config, args)
         return COMMANDS[args.command][0](cfg)

@@ -172,10 +172,14 @@ def write_feature_map(fmap: FeatureMap, path) -> None:
 def read_feature_map(path) -> FeatureMap:
     """Read an FMAP file into one writable buffer, placed so that its
     values start 64-byte aligned, and parse it: the map's values are a
-    view of that buffer, with no second copy."""
+    view of that buffer, with no second copy.  A ``FormatError`` names
+    the file."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         buffer = np.empty(size + 64, np.uint8)
         start = -(buffer.ctypes.data + HEADER_SIZE) % 64
         data = buffer[start : start + size]
-        return feature_map_from_bytes(data[: fh.readinto(data)])
+        try:
+            return feature_map_from_bytes(data[: fh.readinto(data)])
+        except FormatError as exc:
+            raise FormatError(f"{Path(path).name}: {exc}") from None

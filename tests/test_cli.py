@@ -368,6 +368,17 @@ class TestFitCommand:
         }[first]
         assert capsys.readouterr().err == f"error: {want}\n"
 
+    def test_corrupt_label_grid_names_its_file(self, tmp_path, capsys):
+        """A label grid that is no FMAP stops the fit, naming the file."""
+        scans = [np.resize([10, 11, 15], (4, 32)) for _ in range(3)]
+        features, labels = write_fit_inputs(tmp_path, scans, dim=3, seed=25)
+        path = labels / "001.fmap"
+        path.write_bytes(b"JUNK" + path.read_bytes()[4:])
+        argv = ["fit", "--feature-dir", str(features), "--label-dir", str(labels),
+                "--out", str(tmp_path / "out"), "--classes", "3", "--feature-dim", "3"]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: 001.fmap: bad magic b'JUNK', expected b'FMAP'\n"
+
     def test_train_id_beyond_classes_is_config_error(self, tmp_path, capsys):
         """A usable pixel whose train id is not below ``classes`` stops
         the fit before anything is written; outlier, ignored and unmapped
@@ -859,6 +870,18 @@ class TestEvalCommand:
         )
         assert len(list((root / "eval").iterdir())) == 12
 
+    def test_corrupt_score_file_fails_its_scan_naming_the_file(self, fitted, capsys):
+        cfg, out, root = fitted
+        assert main(["score", "--config", str(cfg)]) == EXIT_OK
+        path = out / "scores" / "001_aleatoric.fmap"
+        path.write_bytes(b"JUNK" + path.read_bytes()[4:])
+        assert main(["eval", "--config", str(cfg), "--label-dir", str(out / "labels"),
+                     "--score-dir", str(out), "--out", str(root / "eval")]) == EXIT_PARTIAL
+        assert capsys.readouterr().err == (
+            "error: 001: 001_aleatoric.fmap: bad magic b'JUNK', expected b'FMAP'\n"
+        )
+        assert len(list((root / "eval").iterdir())) == 12
+
     def test_train_ids_beyond_classes_fail_every_scan(self, fitted, capsys):
         """``--classes 2`` below the labels' train id 2: each scan fails
         naming the id, and with no scan left the run exits 2."""
@@ -1045,6 +1068,90 @@ class TestConfigPrecedence:
         assert cfg.threshold.per_scan is True
 
 
+# every config flag: an argv that sets it, its dest and the value parsed
+FLAG_VALUES = [
+    (["--scan-dir", "data/scans"], "scan_dir", "data/scans"),
+    (["--label-dir", "data/labels"], "label_dir", "data/labels"),
+    (["--feature-dir", "features"], "feature_dir", "features"),
+    (["--score-dir", "scored"], "score_dir", "scored"),
+    (["--out", "run"], "out", "run"),
+    (["--model-path", "m.gmmc"], "model_path", "m.gmmc"),
+    (["--bank-path", "b.nigb"], "bank_path", "b.nigb"),
+    (["--height", "48"], "height", 48),
+    (["--width", "512"], "width", 512),
+    (["--fov-up", "2.5"], "fov_up", 2.5),
+    (["--fov-down", "-24.5"], "fov_down", -24.5),
+    (["--classes", "7"], "classes", 7),
+    (["--components", "3"], "components", 3),
+    (["--feature-dim", "16"], "feature_dim", 16),
+    (["--mu0", "0.5"], "mu0", 0.5),
+    (["--kappa0", "2"], "kappa0", 2.0),
+    (["--alpha0", "3.5"], "alpha0", 3.5),
+    (["--beta0", "0.25"], "beta0", 0.25),
+    (["--em-max-iters", "50"], "em_max_iters", 50),
+    (["--em-tol", "1e-4"], "em_tol", 1e-4),
+    (["--n-samples", "10"], "n_samples", 10),
+    (["--seed", "5"], "seed", 5),
+    (["--top-fraction", "0.1"], "top_fraction", 0.1),
+    (["--per-scan-threshold"], "per_scan_threshold", True),
+    (["--no-per-scan-threshold"], "per_scan_threshold", False),
+    (["--synth-dim", "8"], "synth_dim", 8),
+    (["--synth-classes", "4"], "synth_classes", 4),
+    (["--synth-samples", "100"], "synth_samples", 100),
+    (["--synth-separation", "3"], "synth_separation", 3.0),
+    (["--synth-overlap-pairs", "0-1, 2-3"], "synth_overlap_pairs", ((0, 1), (2, 3))),
+    (["--synth-ood-count", "50"], "synth_ood_count", 50),
+    (["--synth-ood-offset", "9.5"], "synth_ood_offset", 9.5),
+    (["--synth-std", "0.7"], "synth_std", 0.7),
+    (["--synth-seed", "11"], "synth_seed", 11),
+]
+
+
+class TestFrontEnd:
+    def test_flag_table_covers_every_config_key(self):
+        dests = [key.dest for key in cli.CONFIG_KEYS.values()]
+        assert len(dests) == 33
+        assert sorted({dest for _, dest, _ in FLAG_VALUES}) == sorted(dests)
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_every_command_parses_every_config_flag_alike(self, command):
+        parser = cli.build_parser()
+        dests = [key.dest for key in cli.CONFIG_KEYS.values()]
+        for argv, dest, value in FLAG_VALUES:
+            args = parser.parse_args([command, *argv])
+            assert args.command == command and args.config is None
+            parsed = {d: getattr(args, d) for d in dests if getattr(args, d) is not None}
+            assert parsed == {dest: value}
+            assert type(parsed[dest]) is type(value)
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for name, (_, help_text) in cli.COMMANDS.items():
+            assert name in text and help_text in text
+
+    @pytest.mark.parametrize("source", ["default", "ini"])
+    def test_map_array_is_a_per_id_lookup(self, tmp_path, source):
+        """Every raw id, those outside [0, RAW_ID_MAX] too, maps as a
+        dict lookup would: unlisted and out-of-range ids are ignored."""
+        class_map = DEFAULT_CLASS_MAP
+        if source == "ini":
+            path = tmp_path / "map.ini"
+            path.write_text(f"[class_map]\n0 = 1\n5 = outlier\n9 = ignore\n300 = 0\n"
+                            f"{cli.RAW_ID_MAX} = 2\n{cli.RAW_ID_MAX - 1} = outlier\n")
+            class_map = load_run_config(path).class_map
+        raw = np.arange(-3, cli.RAW_ID_MAX + 4)
+        train, outlier, ignore = class_map.map_array(raw)
+        want_train = [class_map.train_ids.get(rid, -1) for rid in raw.tolist()]
+        want_outlier = [rid in class_map.outlier_ids for rid in raw.tolist()]
+        np.testing.assert_array_equal(train, want_train)
+        np.testing.assert_array_equal(outlier, want_outlier)
+        np.testing.assert_array_equal(ignore, (train < 0) & ~outlier)
+        assert (train.dtype, outlier.dtype, ignore.dtype) == (np.int64, bool, bool)
+
+
 class TestConfigHandling:
     def test_top_fraction_outside_unit_interval_is_config_error(self, tmp_path):
         args = cli.build_parser().parse_args(["score", "--top-fraction", "1.5"])
@@ -1127,8 +1234,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize(
         "section, key, flag",
-        [(sec, key, dest.replace("_", "-"))
-         for sec, _, key, dest, parse in cli.config_keys() if parse is float],
+        [(k.section, k.ini_key, k.dest.replace("_", "-"))
+         for k in cli.CONFIG_KEYS.values() if k.parse is float],
     )
     def test_non_finite_floats_are_config_errors(self, tmp_path, capsys, section, key, flag,
                                                  value):
@@ -1279,15 +1386,18 @@ class TestConfigHandling:
              "'4000000000000' in [class_map]: raw id must be in [0, 65535]"),
             ("65536 = outlier\n", "'65536' in [class_map]: raw id must be in [0, 65535]"),
             ("10 = 0\n20 = -1\n", "'20' in [class_map]: train id must be at least 0, got -1"),
+            ("10 = 99999999999999999999\n",
+             "'10' in [class_map]: train id must be below 2**63, got 99999999999999999999"),
             ("1 = outlier\n01 = 0\n", "a raw id may appear in only one of train/outlier/ignore"),
         ],
         ids=["negative-raw-id", "huge-raw-id", "raw-id-past-16-bits", "negative-train-id",
-             "raw-id-in-two-lists"],
+             "huge-train-id", "raw-id-in-two-lists"],
     )
     def test_class_map_ids_out_of_range_are_config_errors(self, tmp_path, capsys, ini, message):
         """A negative raw id used to wrap in the lookup table (raw 7 of
         the first case read as train id 0), a huge one exhausted memory
-        and a negative train id turned its raw id into "ignore"."""
+        and a negative train id turned its raw id into "ignore"; a train
+        id past int64 overflowed the table with a traceback."""
         path = tmp_path / "map.ini"
         path.write_text("[class_map]\n" + ini)
         out = tmp_path / "out"
@@ -1349,16 +1459,18 @@ class TestConfigHandling:
         assert 0 in DEFAULT_CLASS_MAP.ignore_ids
 
     def test_console_script_runs(self, tmp_path):
+        """Through the installed ``gmmood`` script, or else through the
+        ``entry()`` it calls, from the source tree."""
         exe = shutil.which("gmmood")
-        if exe is None:
-            pytest.skip("console script not on PATH")
+        command = [exe] if exe else [sys.executable, "-c", "from gmmood.cli import entry; entry()"]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         cfg = write_config(
             tmp_path / "synth.ini",
             tmp_path / "out",
             extra=TestSynthCommand.SYNTH,
         )
         proc = subprocess.run(
-            [exe, "synth", "--config", str(cfg)], capture_output=True, text=True
+            [*command, "synth", "--config", str(cfg)], env=env, capture_output=True, text=True
         )
         assert proc.returncode == 0
         assert "auroc" in proc.stdout
