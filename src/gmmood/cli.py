@@ -23,7 +23,7 @@ from . import ensemble as ens
 from . import _blas, gmm, metrics, nig, rangeview
 from . import synth as synthmod
 from .errors import Error, ShapeError, UndefinedMetricError
-from .formats import FeatureMap, read_feature_map, write_atomic, write_feature_map
+from .formats import FeatureMap, _shown, read_feature_map, write_atomic, write_feature_map
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -37,8 +37,10 @@ REPORT_CHANNELS = {
 # raw semantic ids are the low 16 bits of a label record (``rangeview``)
 RAW_ID_MAX = 0xFFFF
 _OUTLIER = -2  # code of an outlier raw id in ``ClassMap``'s table; -1 is ignore
-# where ``score`` writes, and ``eval`` reads, a scan's grid of one channel
+# where ``score`` writes a scan's one-channel grids; ``eval`` reads the first two
 SCORE_FILE = "scores/{stem}_{channel}.fmap"
+_PREDICTION_FILE = "predictions/{stem}.fmap"
+_MASK_FILE = "ood_masks/{stem}.fmap"
 
 
 @dataclass(frozen=True)
@@ -305,16 +307,24 @@ def _write_report(out: Path, name: str, report: metrics.EvalReport) -> None:
     write_atomic(out / f"eval_{name}.csv", report.to_csv().encode())
 
 
+def _read_grid(path: Path, shape=None) -> tuple:
+    """(H x W values, validity mask) of the one-channel FMAP file at
+    ``path``, whose H x W must be ``shape`` when one is given."""
+    fmap = read_feature_map(path)
+    if fmap.dim != 1 or shape not in (None, fmap.valid.shape):
+        want = (*shape, 1) if shape else "D = 1"
+        raise ShapeError(f"{_shown(path)}: (H, W, D) = {fmap.values.shape}, expected {want}")
+    return fmap.values[:, :, 0], fmap.valid
+
+
 def _read_labels(path: Path, shape, class_map: ClassMap) -> tuple:
     """(train ids, outlier, ignore) of the label grid at ``path``, whose
     H x W must be ``shape``; pixels the grid marks invalid are ignored
     and never read, and an id beyond the raw range is one absent from
     the table (ignored)."""
-    lmap = read_feature_map(path)
-    if lmap.values.shape[:2] != shape:
-        raise ShapeError(f"{path.name}: label grid {lmap.values.shape[:2]} does not match {shape}")
+    grid, valid = _read_grid(path, shape)
     raw = np.full(shape, -1, dtype=np.int64)
-    raw[lmap.valid] = np.clip(np.round(lmap.grid()[lmap.valid]), -1, RAW_ID_MAX + 1)
+    raw[valid] = np.clip(np.round(grid[valid]), -1, RAW_ID_MAX + 1)
     return class_map.map_array(raw)  # raw id -1, where invalid: ignore
 
 
@@ -406,12 +416,11 @@ def cmd_fit(cfg: RunConfig) -> int:
         fmap = read_feature_map(fpath)
         if fmap.dim != cfg.model.feature_dim:
             raise ShapeError(
-                f"{fpath.name}: feature dimension {fmap.dim} != configured "
+                f"{_shown(fpath)}: feature dimension {fmap.dim} != configured "
                 f"{cfg.model.feature_dim}"
             )
-        train, outlier, ignore = _read_labels(
-            label_dir / fpath.name, fmap.valid.shape, cfg.class_map
-        )
+        lpath = label_dir / fpath.name
+        train, outlier, ignore = _read_labels(lpath, fmap.valid.shape, cfg.class_map)
         pixels = np.flatnonzero(fmap.valid & ~outlier & ~ignore)
         ids = train.ravel()[pixels]
         order = np.argsort(ids, kind="stable")
@@ -419,7 +428,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         bounds = np.searchsorted(ids, np.arange(n_classes + 1))
         if bounds[-1] < ids.size:
             raise Error(
-                f"{fpath.name}: train id {ids[bounds[-1]]} at a usable pixel is not below "
+                f"{_shown(lpath)}: train id {ids[bounds[-1]]} at a usable pixel is not below "
                 f"classes = {n_classes}"
             )
         rows = fmap.values.reshape(-1, fmap.dim)[pixels[order]]
@@ -463,21 +472,17 @@ def cmd_score(cfg: RunConfig) -> int:
     out = Path(cfg.paths.out_dir)
     model = gmm.load_classifier(cfg.model_path())
     bank = nig.load_bank(cfg.bank_path())
-    model_shape = model.means.shape
-    if bank.mu.shape != model_shape:
-        raise ShapeError(
-            f"model (C, K, D) = {model_shape} does not match bank (C, K, D) = {bank.mu.shape}"
-        )
     # build_bank copies the model's weights bit for bit; K = 1 weights are
     # all 1, so such a bank from another fit is not told apart here
-    if not np.array_equal(bank.weights, model.weights):
-        raise Error(
-            f"bank {cfg.bank_path()} was not built from model {cfg.model_path()}: "
-            "their mixture weights differ"
+    same_shape = bank.mu.shape == model.means.shape
+    if not (same_shape and np.array_equal(bank.weights, model.weights)):
+        why = "their mixture weights differ" if same_shape else (
+            f"model (C, K, D) = {model.means.shape} but bank (C, K, D) = {bank.mu.shape}"
         )
+        raise Error(f"bank {cfg.bank_path()} was not built from model {cfg.model_path()}: {why}")
     members = nig.sample_ensemble(bank, cfg.ensemble.n_samples, cfg.ensemble.seed)
-    for sub in ("scores", "predictions", "ood_masks"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
+    for name in (SCORE_FILE, _PREDICTION_FILE, _MASK_FILE):
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
 
     def score_one(path: Path):
         """Score one feature map and write its score grids and predictions
@@ -490,7 +495,7 @@ def cmd_score(cfg: RunConfig) -> int:
             for channel in ens.SCORE_CHANNELS
         }
         written["predictions"] = _write_grid(
-            out, f"predictions/{stem}.fmap", umap.predicted_class, valid
+            out, _PREDICTION_FILE.format(stem=stem), umap.predicted_class, valid
         )
         return valid, umap.epistemic[valid], written
 
@@ -516,7 +521,7 @@ def cmd_score(cfg: RunConfig) -> int:
         mask = np.zeros_like(valid)
         if threshold is not None:
             mask[valid] = values > threshold
-        written["ood_mask"] = _write_grid(out, f"ood_masks/{stem}.fmap", mask, valid)
+        written["ood_mask"] = _write_grid(out, _MASK_FILE.format(stem=stem), mask, valid)
         manifest_files.append({"file": stem, "n_valid": int(valid.sum()),
                                "flagged": int(mask.sum()), "threshold": threshold,
                                "outputs": written})
@@ -537,11 +542,11 @@ def cmd_score(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     score_dir = Path(cfg.paths.score_dir or cfg.paths.out_dir)
     label_dir = _require_dir(cfg.paths.label_dir, "label_dir")
-    pred_dir = score_dir / "predictions"
+    pred_dir = (score_dir / _PREDICTION_FILE).parent
     if not pred_dir.is_dir():
-        raise Error(f"no predictions directory under {score_dir}")
+        raise Error(f"no {pred_dir.name} directory under {score_dir}")
 
-    pred_files = sorted(pred_dir.glob("*.fmap"))
+    pred_files = sorted(score_dir.glob(_PREDICTION_FILE.format(stem="*")))
     if not pred_files:
         raise Error(f"no prediction grids in {pred_dir}")
     out = Path(cfg.paths.out_dir)
@@ -552,32 +557,26 @@ def cmd_eval(cfg: RunConfig) -> int:
         of one scan's ranked pixels; the ids cover its in-distribution ones
         and must lie in [0, classes)."""
         stem = ppath.stem
-        pred_map = read_feature_map(ppath)
-        train, outlier, ignore = _read_labels(
-            label_dir / f"{stem}.fmap", pred_map.valid.shape, cfg.class_map
-        )
-        ranked = pred_map.valid & ~ignore
+        pred_grid, valid = _read_grid(ppath)
+        lpath = label_dir / f"{stem}.fmap"
+        train, outlier, ignore = _read_labels(lpath, valid.shape, cfg.class_map)
+        ranked = valid & ~ignore
         scores = {}
         for channel, (_, sign) in REPORT_CHANNELS.items():
             spath = score_dir / SCORE_FILE.format(stem=stem, channel=channel)
-            smap = read_feature_map(spath)
-            grid = smap.grid()
-            if grid.shape != ranked.shape:
-                raise ShapeError(f"{spath.name}: grid {grid.shape} != {ranked.shape}")
-            if (smap.valid != pred_map.valid).any():
-                raise Error(
-                    f"{spath.name}: validity mask differs from predictions/{ppath.name}'s"
-                )
+            grid, svalid = _read_grid(spath, valid.shape)
+            if (svalid != valid).any():
+                raise Error(f"{_shown(spath)}: validity mask differs from {_shown(ppath)}'s")
             scores[channel] = sign * grid[ranked]
         id_pixels = ranked & ~outlier
-        pred = np.round(pred_map.grid()[id_pixels])
+        pred = np.round(pred_grid[id_pixels])
         true = train[id_pixels]
-        for what, ids in (("train", true), ("predicted", pred)):
+        for path, what, ids in ((lpath, "train", true), (ppath, "predicted", pred)):
             bad = ids[(ids < 0) | (ids >= cfg.model.classes)]
             if bad.size:
                 raise Error(
-                    f"{what} id {bad[0]:g} at an in-distribution pixel is not in "
-                    f"[0, classes = {cfg.model.classes})"
+                    f"{_shown(path)}: {what} id {bad[0]:g} at an in-distribution pixel is "
+                    f"not in [0, classes = {cfg.model.classes})"
                 )
         return outlier[ranked], scores, pred.astype(np.int64), true
 

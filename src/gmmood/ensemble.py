@@ -188,8 +188,7 @@ def vote(z, ensemble: list[GMMParameterSample]) -> VoteRecord:
 
 def vote_entropy(record: VoteRecord) -> float:
     """Entropy (nats) of the empirical vote frequencies."""
-    p = record.counts / record.n
-    return float(_entropy_rows(p))
+    return float(0.0 - _vote_table(record.n)[record.counts].sum())
 
 
 def decompose_uncertainty(

@@ -9,7 +9,8 @@ FMAP payload: H*W*D float32 values, row-major with the feature
 dimension fastest, then H*W validity bytes (0 or 1).  Every value of a
 valid pixel must be finite.
 
-Every file the package writes goes through ``write_atomic``.
+Every file the package writes goes through ``write_atomic``, and every
+container file it reads through ``_read_container``.
 """
 
 import math
@@ -56,8 +57,9 @@ class Container:
             parts.append(np.asarray(a, dtype).tobytes())
         return b"".join(parts)
 
-    def from_bytes(self, data: bytes) -> tuple:
-        """(dims, read-only views of ``data``, one per layout entry)."""
+    def from_bytes(self, data) -> tuple:
+        """(dims, one writable array per layout entry): views of ``data``,
+        which they then own, or of one copy of its payload if read-only."""
         name = self.magic.decode()
         if len(data) < HEADER_SIZE:
             raise FormatError(f"truncated {name} container: {len(data)} bytes")
@@ -70,9 +72,12 @@ class Container:
         *starts, end = accumulate([_nbytes(*entry) for entry in layout], initial=HEADER_SIZE)
         if len(data) != end:
             raise FormatError(f"{name} size mismatch: declared {end} bytes, got {len(data)}")
+        payload = memoryview(data)[HEADER_SIZE:]
+        if payload.readonly:
+            payload = np.frombuffer(payload, np.uint8).copy()
         arrays = []
         for (dtype, shape), start in zip(layout, starts):
-            a = np.ndarray(shape, dtype, buffer=data, offset=start)
+            a = np.ndarray(shape, dtype, buffer=payload, offset=start - HEADER_SIZE)
             arrays.append(tuple(a[f] for f, _, _ in dtype) if isinstance(dtype, list) else a)
         return tuple(dims), arrays
 
@@ -131,11 +136,9 @@ def feature_map_to_bytes(fmap: FeatureMap) -> bytes:
 
 
 def feature_map_from_bytes(data) -> FeatureMap:
-    """Parse an FMAP container; the values are a view of ``data`` when it
-    is a writable buffer (as ``read_feature_map`` reads into), else a
-    copy."""
+    """Parse an FMAP container: its values are a view (``Container.from_bytes``)."""
     _, (values, valid) = FMAP.from_bytes(data)
-    fmap = FeatureMap(values if values.flags.writeable else values.copy(), valid != 0)
+    fmap = FeatureMap(values, valid != 0)
     # the whole grid first, in chunks, which needs no gather of the valid
     # rows and no mask of the grid's size; only a map with a non-finite
     # value anywhere pays for the valid-only check
@@ -169,17 +172,25 @@ def write_feature_map(fmap: FeatureMap, path) -> None:
     write_atomic(path, feature_map_to_bytes(fmap))
 
 
-def read_feature_map(path) -> FeatureMap:
-    """Read an FMAP file into one writable buffer, placed so that its
-    values start 64-byte aligned, and parse it: the map's values are a
-    view of that buffer, with no second copy.  A ``FormatError`` names
-    the file."""
+def _shown(path) -> str:
+    """``path`` as ``<directory>/<name>``, as every error names a file."""
+    return str(Path(*Path(path).parts[-2:]))
+
+
+def _read_container(path, parse):
+    """``parse`` of the file at ``path`` read into one buffer whose payload
+    starts 64-byte aligned; an error raised while parsing names the file."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         buffer = np.empty(size + 64, np.uint8)
         start = -(buffer.ctypes.data + HEADER_SIZE) % 64
         data = buffer[start : start + size]
-        try:
-            return feature_map_from_bytes(data[: fh.readinto(data)])
-        except FormatError as exc:
-            raise FormatError(f"{Path(path).name}: {exc}") from None
+        data = data[: fh.readinto(data)]
+    try:
+        return parse(data)
+    except (FormatError, ShapeError, ValueError) as exc:
+        raise type(exc)(f"{_shown(path)}: {exc}") from None
+
+
+def read_feature_map(path) -> FeatureMap:
+    return _read_container(path, feature_map_from_bytes)

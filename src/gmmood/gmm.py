@@ -109,13 +109,12 @@ the floor would lift to e^-700.
 """
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import _blas
 from .errors import ConvergenceError, Error, InsufficientDataError, ShapeError
-from .formats import Container, write_atomic
+from .formats import Container, _read_container, write_atomic
 
 VARIANCE_FLOOR = 1e-6
 COLLAPSE_THRESHOLD = 1e-6
@@ -563,7 +562,7 @@ def classifier_to_bytes(model: GMMClassifier) -> bytes:
 def classifier_from_bytes(data: bytes) -> GMMClassifier:
     """Parse a GMMC container: class c is its c-th record."""
     _, [fields] = GMMC.from_bytes(data)
-    return GMMClassifier(*(a.copy() for a in fields))
+    return GMMClassifier(*fields)
 
 
 def save_classifier(model: GMMClassifier, path) -> None:
@@ -571,4 +570,4 @@ def save_classifier(model: GMMClassifier, path) -> None:
 
 
 def load_classifier(path) -> GMMClassifier:
-    return classifier_from_bytes(Path(path).read_bytes())
+    return _read_container(path, classifier_from_bytes)

@@ -10,12 +10,11 @@ yields one ensemble member.
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidStatisticsError, ShapeError
-from .formats import Container, write_atomic
+from .formats import Container, _read_container, write_atomic
 from .gmm import GMMClassifier, SufficientStats, _check_parameters
 
 
@@ -183,7 +182,7 @@ def bank_to_bytes(bank: NIGPosteriorBank) -> bytes:
 
 def bank_from_bytes(data: bytes) -> NIGPosteriorBank:
     _, (cells, weights) = NIGB.from_bytes(data)
-    return NIGPosteriorBank(*(a.copy() for a in cells), weights.copy())
+    return NIGPosteriorBank(*cells, weights)
 
 
 def save_bank(bank: NIGPosteriorBank, path) -> None:
@@ -191,4 +190,4 @@ def save_bank(bank: NIGPosteriorBank, path) -> None:
 
 
 def load_bank(path) -> NIGPosteriorBank:
-    return bank_from_bytes(Path(path).read_bytes())
+    return _read_container(path, bank_from_bytes)

@@ -90,10 +90,15 @@ class SynthDataset:
     generating_params: dict = field(repr=False)
 
 
+def _lattice_rows(config: SynthConfig) -> int:
+    """Rows of the class-mean lattice: two given four classes and D >= 2."""
+    return 2 if config.n_classes >= 4 and config.feature_dim >= 2 else 1
+
+
 def class_mean_layout(config: SynthConfig) -> np.ndarray:
     """Deterministic lattice of class means, overlap pairs applied."""
     c, d, sep = config.n_classes, config.feature_dim, config.class_separation
-    rows = 2 if c >= 4 and d >= 2 else 1
+    rows = _lattice_rows(config)
     means = np.zeros((c, d))
     for ci in range(c):
         means[ci, 0] = (ci // rows) * sep
@@ -118,8 +123,8 @@ def ood_center(config: SynthConfig, means: np.ndarray) -> np.ndarray:
     the offset exceeds half the row gap; smaller offsets saturate at the
     edge midpoint.
     """
-    c, d, sep = config.n_classes, config.feature_dim, config.class_separation
-    rows = 2 if c >= 4 and d >= 2 else 1
+    d, sep = config.feature_dim, config.class_separation
+    rows = _lattice_rows(config)
     center = np.zeros(d)
     y_mid = 0.5 * (rows - 1) * sep
     dy = y_mid  # distance from the midline to either row

@@ -363,21 +363,30 @@ class TestFitCommand:
                 "--out", str(tmp_path / "out"), "--classes", "3", "--feature-dim", "3"]
         assert main(argv) == EXIT_CONFIG
         want = {
-            "non-finite": "001.fmap: non-finite feature value at a valid pixel",
-            "dimension": "001.fmap: feature dimension 5 != configured 3",
+            "non-finite": "features/001.fmap: non-finite feature value at a valid pixel",
+            "dimension": "features/001.fmap: feature dimension 5 != configured 3",
         }[first]
         assert capsys.readouterr().err == f"error: {want}\n"
 
     def test_corrupt_label_grid_names_its_file(self, tmp_path, capsys):
-        """A label grid that is no FMAP stops the fit, naming the file."""
+        """A label grid that is no FMAP stops the fit, naming the file by
+        its directory too: a feature map of the same name corrupted alike
+        gives another error."""
         scans = [np.resize([10, 11, 15], (4, 32)) for _ in range(3)]
         features, labels = write_fit_inputs(tmp_path, scans, dim=3, seed=25)
-        path = labels / "001.fmap"
-        path.write_bytes(b"JUNK" + path.read_bytes()[4:])
         argv = ["fit", "--feature-dir", str(features), "--label-dir", str(labels),
                 "--out", str(tmp_path / "out"), "--classes", "3", "--feature-dim", "3"]
-        assert main(argv) == EXIT_CONFIG
-        assert capsys.readouterr().err == "error: 001.fmap: bad magic b'JUNK', expected b'FMAP'\n"
+        errors = []
+        for path in (labels / "001.fmap", features / "001.fmap"):
+            data = path.read_bytes()
+            path.write_bytes(b"JUNK" + data[4:])
+            assert main(argv) == EXIT_CONFIG
+            errors.append(capsys.readouterr().err)
+            path.write_bytes(data)
+        assert errors == [
+            f"error: {sub}/001.fmap: bad magic b'JUNK', expected b'FMAP'\n"
+            for sub in ("labels", "features")
+        ]
 
     def test_train_id_beyond_classes_is_config_error(self, tmp_path, capsys):
         """A usable pixel whose train id is not below ``classes`` stops
@@ -391,7 +400,7 @@ class TestFitCommand:
                 "--out", str(out), "--feature-dim", "3", "--classes"]
         assert main([*argv, "2"]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "error: 001.fmap: train id 2 at a usable pixel is not below classes = 2\n"
+            "error: labels/001.fmap: train id 2 at a usable pixel is not below classes = 2\n"
         )
         assert list(out.iterdir()) == []
         scans[1][3, 6] = 15  # class 2 needs two samples for K = 2
@@ -593,6 +602,7 @@ class TestScoreCommand:
                      "--bank-path", str(root / "mixed.nigb")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert str((model_classes, k, d)) in err and str(shape) in err
+        assert str(root / "mixed.gmmc") in err and str(root / "mixed.nigb") in err
         # refused before any output directory is made
         assert not any((root / "mixed" / sub).exists()
                        for sub in ("scores", "predictions", "ood_masks"))
@@ -631,6 +641,26 @@ class TestScoreCommand:
                      "--bank-path", str(paths["bank"])]) == EXIT_CONFIG
         assert "every axis at least 1" in capsys.readouterr().err
         assert not (root / "empty" / "scores").exists()
+
+    @pytest.mark.parametrize("bad", ["model", "bank"])
+    def test_corrupt_model_or_bank_names_its_file(self, fitted, capsys, bad):
+        """A GMMC whose magic is not its own, or an NIGB cut short, is
+        refused on load (exit 2), naming the file."""
+        cfg, out, root = fitted
+        paths = {"model": out / "model.gmmc", "bank": out / "bank.nigb"}
+        data = paths[bad].read_bytes()
+        paths[bad] = root / "corrupt" / paths[bad].name
+        paths[bad].parent.mkdir()
+        paths[bad].write_bytes(b"JUNK" + data[4:] if bad == "model" else data[:-3])
+        assert main(["score", "--config", str(cfg), "--out", str(root / "scored"),
+                     "--model-path", str(paths["model"]),
+                     "--bank-path", str(paths["bank"])]) == EXIT_CONFIG
+        want = {
+            "model": "bad magic b'JUNK', expected b'GMMC'",
+            "bank": f"NIGB size mismatch: declared {len(data)} bytes, got {len(data) - 3}",
+        }[bad]
+        assert capsys.readouterr().err == f"error: corrupt/{paths[bad].name}: {want}\n"
+        assert not (root / "scored").exists()
 
     def test_jobs_do_not_change_outputs(self, fitted):
         cfg, out, root = fitted
@@ -771,24 +801,31 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("command", ["fit", "eval"])
     def test_label_grid_of_another_size_is_refused(self, fitted, capsys, command):
-        """A label grid whose H x W is not its scan's is named: ``fit``
-        exits 2, ``eval`` fails that scan only."""
+        """A label grid whose H x W is not its scan's, or which has three
+        channels, is named by directory and name: ``fit`` exits 2,
+        ``eval`` fails that scan only."""
         from gmmood.formats import FeatureMap, write_feature_map
 
         cfg, out, root = fitted
         labels = root / "labels"
         shutil.copytree(out / "labels", labels)
         grid = read_feature_map(labels / "001.fmap")
-        write_feature_map(FeatureMap(grid.values[:, :-1], grid.valid[:, :-1]), labels / "001.fmap")
+        bad = {
+            "(16, 127, 1)": FeatureMap(grid.values[:, :-1], grid.valid[:, :-1]),
+            "(16, 128, 3)": FeatureMap(np.repeat(grid.values, 3, axis=2), grid.valid),
+        }
         argv = ["--config", str(cfg), "--label-dir", str(labels), "--out", str(root / "out")]
-        error = "001.fmap: label grid (16, 127) does not match (16, 128)"
-        if command == "fit":
-            assert main(["fit", *argv]) == EXIT_CONFIG
-            assert capsys.readouterr().err == f"error: {error}\n"
-        else:
+        if command == "eval":
             assert main(["score", "--config", str(cfg)]) == EXIT_OK
-            assert main(["eval", *argv, "--score-dir", str(out)]) == EXIT_PARTIAL
-            assert capsys.readouterr().err == f"error: 001: {error}\n"
+        for shape, fmap in bad.items():
+            write_feature_map(fmap, labels / "001.fmap")
+            error = f"labels/001.fmap: (H, W, D) = {shape}, expected (16, 128, 1)"
+            if command == "fit":
+                assert main(["fit", *argv]) == EXIT_CONFIG
+                assert capsys.readouterr().err == f"error: {error}\n"
+            else:
+                assert main(["eval", *argv, "--score-dir", str(out)]) == EXIT_PARTIAL
+                assert capsys.readouterr().err == f"error: 001: {error}\n"
 
     def test_label_grids_are_cast_only_where_read(self, projected):
         """Label grids holding NaN at their invalid pixels and 1e30 at one
@@ -844,8 +881,8 @@ class TestEvalCommand:
             assert main(["eval", "--config", str(cfg), "--label-dir", str(out / "labels"),
                          "--score-dir", str(out), "--out", str(eval_out)]) == EXIT_PARTIAL
             assert capsys.readouterr().err == (
-                f"error: 001: predicted id {named} at an in-distribution pixel is not in "
-                "[0, classes = 3)\n"
+                f"error: 001: predictions/001.fmap: predicted id {named} at an "
+                "in-distribution pixel is not in [0, classes = 3)\n"
             )
             assert len(list(eval_out.iterdir())) == 12
 
@@ -866,7 +903,8 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(cfg), "--label-dir", str(out / "labels"),
                      "--score-dir", str(out), "--out", str(root / "eval")]) == EXIT_PARTIAL
         assert capsys.readouterr().err == (
-            "error: 001: 001_epistemic.fmap: validity mask differs from predictions/001.fmap's\n"
+            "error: 001: scores/001_epistemic.fmap: validity mask differs from "
+            "predictions/001.fmap's\n"
         )
         assert len(list((root / "eval").iterdir())) == 12
 
@@ -878,7 +916,7 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(cfg), "--label-dir", str(out / "labels"),
                      "--score-dir", str(out), "--out", str(root / "eval")]) == EXIT_PARTIAL
         assert capsys.readouterr().err == (
-            "error: 001: 001_aleatoric.fmap: bad magic b'JUNK', expected b'FMAP'\n"
+            "error: 001: scores/001_aleatoric.fmap: bad magic b'JUNK', expected b'FMAP'\n"
         )
         assert len(list((root / "eval").iterdir())) == 12
 
@@ -892,7 +930,8 @@ class TestEvalCommand:
                      "--classes", "2"]) == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert err[:2] == [
-            f"error: {stem}: train id 2 at an in-distribution pixel is not in [0, classes = 2)"
+            f"error: {stem}: labels/{stem}.fmap: train id 2 at an in-distribution pixel is not "
+            "in [0, classes = 2)"
             for stem in ("000", "001")
         ]
         assert err[2:] == [f"error: no scan in {out / 'predictions'} could be evaluated"]
