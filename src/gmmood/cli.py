@@ -36,7 +36,9 @@ REPORT_CHANNELS = {
 }
 # raw semantic ids are the low 16 bits of a label record (``rangeview``)
 RAW_ID_MAX = 0xFFFF
-_OUTLIER = -2  # code of an outlier raw id in ``ClassMap``'s table; -1 is ignore
+# a label grid reads as one code per pixel: its train id (>= 0) or one of these
+IGNORE = -1
+OUTLIER = -2
 # where ``score`` writes a scan's one-channel grids; ``eval`` reads the first two
 SCORE_FILE = "scores/{stem}_{channel}.fmap"
 _PREDICTION_FILE = "predictions/{stem}.fmap"
@@ -50,8 +52,8 @@ class ClassMap:
     train_ids: dict
     outlier_ids: frozenset
     ignore_ids: frozenset
-    # code of each raw id in [0, RAW_ID_MAX] (its train id, _OUTLIER, or
-    # -1: ignore, also when absent), then -1 for every id outside
+    # code of each raw id in [0, RAW_ID_MAX] (its train id, OUTLIER, or
+    # IGNORE, also when absent), then IGNORE for every id outside
     codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -65,20 +67,19 @@ class ClassMap:
                 raise ValueError(f"'{rid}' in [class_map]: train id must be {bound}, got {tid}")
         if len(ids) > len(set(ids)):
             raise ValueError("a raw id may appear in only one of train/outlier/ignore")
-        codes = np.full(RAW_ID_MAX + 2, -1, dtype=np.int64)
-        codes[list(self.outlier_ids)] = _OUTLIER
+        codes = np.full(RAW_ID_MAX + 2, IGNORE, dtype=np.int64)
+        codes[list(self.outlier_ids)] = OUTLIER
         codes[list(self.train_ids)] = list(self.train_ids.values())
         object.__setattr__(self, "codes", codes)
 
-    def map_array(self, raw: np.ndarray):
-        """Vectorized mapping: (train ids with -1 elsewhere, outlier, ignore).
+    def map_array(self, raw: np.ndarray) -> np.ndarray:
+        """The int64 code of each raw id: its train id, OUTLIER or IGNORE.
 
         Raw ids absent from the table or outside [0, RAW_ID_MAX] are
         treated as ignore.
         """
         # -1 and RAW_ID_MAX + 1 both read the table's last entry: ignore
-        code = self.codes[np.clip(np.asarray(raw, dtype=np.int64), -1, RAW_ID_MAX + 1)]
-        return np.maximum(code, -1), code == _OUTLIER, code == -1
+        return self.codes[np.clip(np.asarray(raw, dtype=np.int64), -1, RAW_ID_MAX + 1)]
 
 
 # Default table for SemanticKITTI-style raw labels: 19 train classes,
@@ -317,15 +318,27 @@ def _read_grid(path: Path, shape=None) -> tuple:
     return fmap.values[:, :, 0], fmap.valid
 
 
-def _read_labels(path: Path, shape, class_map: ClassMap) -> tuple:
-    """(train ids, outlier, ignore) of the label grid at ``path``, whose
-    H x W must be ``shape``; pixels the grid marks invalid are ignored
-    and never read, and an id beyond the raw range is one absent from
-    the table (ignored)."""
+def _read_labels(path: Path, shape, cfg: RunConfig) -> np.ndarray:
+    """The code grid (``ClassMap.map_array``) of the label grid at
+    ``path``, whose H x W must be ``shape``; pixels the grid marks invalid
+    are ignored and never read, and an id beyond the raw range is one
+    absent from the table (ignored).  A train id not below ``classes``
+    is refused wherever the grid holds it."""
     grid, valid = _read_grid(path, shape)
     raw = np.full(shape, -1, dtype=np.int64)
     raw[valid] = np.clip(np.round(grid[valid]), -1, RAW_ID_MAX + 1)
-    return class_map.map_array(raw)  # raw id -1, where invalid: ignore
+    code = cfg.class_map.map_array(raw)  # raw id -1, where invalid: ignore
+    if (top := code.max(initial=IGNORE)) >= cfg.model.classes:
+        raise Error(f"{_shown(path)}: train id {top} is not below classes = {cfg.model.classes}")
+    return code
+
+
+def _read_features(path: Path, dim: int) -> FeatureMap:
+    """The FMAP feature map at ``path``, whose D must be ``dim``."""
+    fmap = read_feature_map(path)
+    if fmap.dim != dim:
+        raise ShapeError(f"{_shown(path)}: feature dimension {fmap.dim}, expected {dim}")
+    return fmap
 
 
 def _require_dir(path, what: str) -> Path:
@@ -413,26 +426,13 @@ def cmd_fit(cfg: RunConfig) -> int:
         """The usable float32 rows of one training scan, grouped by train
         id with one stable sort: part c holds class c's rows in pixel
         order."""
-        fmap = read_feature_map(fpath)
-        if fmap.dim != cfg.model.feature_dim:
-            raise ShapeError(
-                f"{_shown(fpath)}: feature dimension {fmap.dim} != configured "
-                f"{cfg.model.feature_dim}"
-            )
-        lpath = label_dir / fpath.name
-        train, outlier, ignore = _read_labels(lpath, fmap.valid.shape, cfg.class_map)
-        pixels = np.flatnonzero(fmap.valid & ~outlier & ~ignore)
-        ids = train.ravel()[pixels]
+        fmap = _read_features(fpath, cfg.model.feature_dim)
+        code = _read_labels(label_dir / fpath.name, fmap.valid.shape, cfg)
+        pixels = np.flatnonzero(fmap.valid & (code >= 0))
+        ids = code.ravel()[pixels]
         order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        bounds = np.searchsorted(ids, np.arange(n_classes + 1))
-        if bounds[-1] < ids.size:
-            raise Error(
-                f"{_shown(lpath)}: train id {ids[bounds[-1]]} at a usable pixel is not below "
-                f"classes = {n_classes}"
-            )
         rows = fmap.values.reshape(-1, fmap.dim)[pixels[order]]
-        return np.split(rows, bounds[1:-1])
+        return np.split(rows, np.searchsorted(ids[order], np.arange(1, n_classes)))
 
     # each scan read, label-mapped and grouped on the pool; a class is its
     # parts in file order, so EM sees the rows a serial read would give,
@@ -487,7 +487,7 @@ def cmd_score(cfg: RunConfig) -> int:
     def score_one(path: Path):
         """Score one feature map and write its score grids and predictions
         at once; return only what its OOD mask needs, and the names."""
-        umap = ens.score_feature_map(read_feature_map(path), model, members)
+        umap = ens.score_feature_map(_read_features(path, model.feature_dim), model, members)
         valid, stem = umap.valid, path.stem
         written = {
             channel: _write_grid(out, SCORE_FILE.format(stem=stem, channel=channel),
@@ -554,13 +554,12 @@ def cmd_eval(cfg: RunConfig) -> int:
 
     def eval_one(ppath: Path):
         """(OOD flags, {channel: float32 scores}, predicted ids, true ids)
-        of one scan's ranked pixels; the ids cover its in-distribution ones
-        and must lie in [0, classes)."""
+        of one scan's ranked pixels; the ids cover its in-distribution ones,
+        and a predicted id must lie in [0, classes)."""
         stem = ppath.stem
         pred_grid, valid = _read_grid(ppath)
-        lpath = label_dir / f"{stem}.fmap"
-        train, outlier, ignore = _read_labels(lpath, valid.shape, cfg.class_map)
-        ranked = valid & ~ignore
+        code = _read_labels(label_dir / f"{stem}.fmap", valid.shape, cfg)
+        ranked = valid & (code != IGNORE)
         scores = {}
         for channel, (_, sign) in REPORT_CHANNELS.items():
             spath = score_dir / SCORE_FILE.format(stem=stem, channel=channel)
@@ -568,17 +567,15 @@ def cmd_eval(cfg: RunConfig) -> int:
             if (svalid != valid).any():
                 raise Error(f"{_shown(spath)}: validity mask differs from {_shown(ppath)}'s")
             scores[channel] = sign * grid[ranked]
-        id_pixels = ranked & ~outlier
+        id_pixels = valid & (code >= 0)
         pred = np.round(pred_grid[id_pixels])
-        true = train[id_pixels]
-        for path, what, ids in ((lpath, "train", true), (ppath, "predicted", pred)):
-            bad = ids[(ids < 0) | (ids >= cfg.model.classes)]
-            if bad.size:
-                raise Error(
-                    f"{_shown(path)}: {what} id {bad[0]:g} at an in-distribution pixel is "
-                    f"not in [0, classes = {cfg.model.classes})"
-                )
-        return outlier[ranked], scores, pred.astype(np.int64), true
+        bad = pred[(pred < 0) | (pred >= cfg.model.classes)]
+        if bad.size:
+            raise Error(
+                f"{_shown(ppath)}: predicted id {bad[0]:g} at an in-distribution pixel is "
+                f"not in [0, classes = {cfg.model.classes})"
+            )
+        return code[ranked] == OUTLIER, scores, pred.astype(np.int64), code[id_pixels]
 
     done = _each_file(pred_files, eval_one)
     for path, _, error in done:

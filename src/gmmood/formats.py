@@ -120,12 +120,6 @@ class FeatureMap:
             raise ShapeError(f"expected a 2-d grid, got shape {grid.shape}")
         return cls(grid[:, :, None], valid)
 
-    def grid(self) -> np.ndarray:
-        """Return the single channel of a D = 1 map as an H x W array."""
-        if self.dim != 1:
-            raise ShapeError(f"grid() requires D = 1, map has D = {self.dim}")
-        return self.values[:, :, 0]
-
 
 FMAP = Container(b"FMAP", 1, lambda h, w, d: [("<f4", (h, w, d)), ("u1", (h, w))])
 _CHUNK = 1 << 16  # values per finiteness check

@@ -116,28 +116,21 @@ def fpr_at_tpr(data: ScoredPixels, target_tpr: float = 0.95) -> float:
     return float(fpr[np.flatnonzero(tpr >= target_tpr)[0]])
 
 
-def miou(pred, gt, num_classes: int, ignore=None) -> tuple[float, np.ndarray]:
-    """Mean intersection-over-union and the per-class IoU vector.
+def miou(pred, gt, num_classes: int) -> tuple[float, np.ndarray]:
+    """Mean intersection-over-union and the per-class IoU vector of
+    ``pred`` against ``gt``, every label in [0, ``num_classes``).
 
-    Pixels where ``ignore`` is true never enter any tally.  Classes absent
-    from both prediction and ground truth get NaN and are excluded from
-    the mean.
+    Classes absent from both prediction and ground truth get NaN and are
+    excluded from the mean.
     """
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise ShapeError(f"prediction {pred.shape} and ground truth {gt.shape} differ")
-    if ignore is None:
-        keep = np.ones(pred.shape, dtype=bool)
-    else:
-        ignore = np.asarray(ignore, dtype=bool)
-        if ignore.shape != pred.shape:
-            raise ShapeError(f"ignore mask {ignore.shape} does not match {pred.shape}")
-        keep = ~ignore
-    p = pred[keep].astype(np.int64).ravel()
-    g = gt[keep].astype(np.int64).ravel()
+    p = pred.astype(np.int64).ravel()
+    g = gt.astype(np.int64).ravel()
     if p.size and (p.min() < 0 or p.max() >= num_classes or g.min() < 0 or g.max() >= num_classes):
-        raise ValueError("labels outside [0, num_classes) must be covered by the ignore mask")
+        raise ValueError(f"labels must lie in [0, num_classes = {num_classes})")
     confusion = np.bincount(g * num_classes + p, minlength=num_classes * num_classes)
     confusion = confusion.reshape(num_classes, num_classes)
     tp = np.diag(confusion).astype(np.float64)

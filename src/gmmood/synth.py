@@ -222,11 +222,8 @@ def run_benchmark(
     scores = score_samples(dataset.eval_features, model, members)
     is_ood = dataset.eval_is_ood
     gt = dataset.eval_labels
-    mean_iou, per_class = miou(
-        scores.predicted_class, np.where(is_ood, 0, gt), n_classes, ignore=is_ood
-    )
-
     id_mask = ~is_ood
+    mean_iou, per_class = miou(scores.predicted_class[id_mask], gt[id_mask], n_classes)
     point_pred = predict(dataset.eval_features[id_mask], model)
     point_accuracy = float(np.mean(point_pred == gt[id_mask]))
 

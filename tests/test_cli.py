@@ -117,7 +117,7 @@ class TestProjectCommand:
         grid = read_feature_map(out / "labels" / "000.fmap")
         np.testing.assert_array_equal(grid.valid, image.valid)
         np.testing.assert_array_equal(
-            grid.grid(), np.where(image.valid, labels[image.point_index], -1)
+            grid.values[:, :, 0], np.where(image.valid, labels[image.point_index], -1)
         )
 
     def test_empty_dir_gives_empty_manifest(self, tmp_path):
@@ -203,7 +203,7 @@ class TestFitCommand:
         n_excluded = 0
         for grid_path in sorted((out / "labels").glob("*.fmap")):
             grid = read_feature_map(grid_path)
-            raw = np.round(grid.grid()[grid.valid]).astype(int)
+            raw = np.round(grid.values[:, :, 0][grid.valid]).astype(int)
             n_labeled += raw.size
             n_excluded += ((raw == 0) | (raw == 1)).sum()
         assert total_train == n_labeled - n_excluded
@@ -320,10 +320,10 @@ class TestFitCommand:
         for fpath in sorted(features.glob("*.fmap")):
             fmap = read_feature_map(fpath)
             grid = read_feature_map(labels / fpath.name)
-            train, outlier, ignore = DEFAULT_CLASS_MAP.map_array(np.round(grid.grid()))
-            usable = fmap.valid & grid.valid & ~outlier & ~ignore
+            code = DEFAULT_CLASS_MAP.map_array(np.round(grid.values[:, :, 0]))
+            usable = fmap.valid & grid.valid
             for c, parts in enumerate(pooled):
-                parts.append(fmap.values[usable & (train == c)])
+                parts.append(fmap.values[usable & (code == c)])
         per_class = [np.concatenate(parts) for parts in pooled]
         model, stats = gmm.fit_classifier(
             per_class, cfg.model.components, max_iters=cfg.em.max_iters, tol=cfg.em.tol,
@@ -364,7 +364,7 @@ class TestFitCommand:
         assert main(argv) == EXIT_CONFIG
         want = {
             "non-finite": "features/001.fmap: non-finite feature value at a valid pixel",
-            "dimension": "features/001.fmap: feature dimension 5 != configured 3",
+            "dimension": "features/001.fmap: feature dimension 5, expected 3",
         }[first]
         assert capsys.readouterr().err == f"error: {want}\n"
 
@@ -389,7 +389,7 @@ class TestFitCommand:
         ]
 
     def test_train_id_beyond_classes_is_config_error(self, tmp_path, capsys):
-        """A usable pixel whose train id is not below ``classes`` stops
+        """A labeled pixel whose train id is not below ``classes`` stops
         the fit before anything is written; outlier, ignored and unmapped
         raw ids do not."""
         scans = [np.resize([10, 11, 1, 0, 7], (4, 40)) for _ in range(3)]
@@ -400,7 +400,7 @@ class TestFitCommand:
                 "--out", str(out), "--feature-dim", "3", "--classes"]
         assert main([*argv, "2"]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "error: labels/001.fmap: train id 2 at a usable pixel is not below classes = 2\n"
+            "error: labels/001.fmap: train id 2 is not below classes = 2\n"
         )
         assert list(out.iterdir()) == []
         scans[1][3, 6] = 15  # class 2 needs two samples for K = 2
@@ -408,6 +408,42 @@ class TestFitCommand:
         shutil.rmtree(labels)
         write_fit_inputs(tmp_path, scans, dim=3, seed=24)
         assert main([*argv, "3"]) == EXIT_OK
+
+    def test_train_id_is_checked_where_the_feature_map_is_invalid(self, tmp_path, capsys):
+        """The label grid's own valid pixels are checked: a train id 2 at
+        a pixel its feature map marks invalid, which no class would read,
+        still stops a fit at ``classes = 2``."""
+        from gmmood.formats import FeatureMap, write_feature_map
+
+        scans = [np.resize([10, 11], (4, 40)) for _ in range(3)]
+        scans[1][2, 5] = 15  # train id 2
+        features, labels = write_fit_inputs(tmp_path, scans, dim=3, seed=26)
+        fmap = read_feature_map(features / "001.fmap")
+        valid = fmap.valid.copy()
+        valid[2, 5] = False
+        write_feature_map(FeatureMap(fmap.values, valid), features / "001.fmap")
+        argv = ["fit", "--feature-dir", str(features), "--label-dir", str(labels),
+                "--out", str(tmp_path / "out"), "--feature-dim", "3", "--classes", "2"]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: labels/001.fmap: train id 2 is not below classes = 2\n"
+        )
+
+    def test_scan_with_no_rows_fits_and_evaluates(self, fitted):
+        """A 0 x W scan among the others, with its label grid, fits,
+        scores and evaluates like a scan with no valid pixel."""
+        from gmmood.formats import FeatureMap, write_feature_map
+
+        cfg, out, root = fitted
+        write_feature_map(FeatureMap(np.zeros((0, 128, 5)), np.zeros((0, 128), bool)),
+                          out / "range" / "zzz.fmap")
+        write_feature_map(FeatureMap(np.zeros((0, 128, 1)), np.zeros((0, 128), bool)),
+                          out / "labels" / "zzz.fmap")
+        assert main(["fit", "--config", str(cfg)]) == EXIT_OK
+        assert main(["score", "--config", str(cfg)]) == EXIT_OK
+        assert (out / "predictions" / "zzz.fmap").exists()
+        assert main(["eval", "--config", str(cfg), "--label-dir", str(out / "labels"),
+                     "--score-dir", str(out), "--out", str(root / "eval")]) == EXIT_OK
 
 
 def write_fit_inputs(root, raw_labels, dim, seed, invalid=0.0):
@@ -481,7 +517,7 @@ class TestScoreCommand:
         manifest = json.loads((out / "score_manifest.json").read_text())
         assert any("zzz_empty" in w for w in manifest["warnings"])
         mask = read_feature_map(out / "ood_masks" / "zzz_empty.fmap")
-        assert not mask.grid().any()
+        assert not mask.values.any()
 
     def test_dimension_mismatch_is_reported(self, fitted):
         cfg, out, root = fitted
@@ -492,7 +528,8 @@ class TestScoreCommand:
         assert main(["score", "--config", str(cfg)]) == EXIT_PARTIAL
         manifest = json.loads((out / "score_manifest.json").read_text())
         errored = [f for f in manifest["files"] if "error" in f]
-        assert len(errored) == 1 and "bad_dim" in errored[0]["file"]
+        assert errored == [{"file": "bad_dim",
+                            "error": "range/bad_dim.fmap: feature dimension 7, expected 5"}]
 
     def test_unreadable_feature_file_is_partial_failure(self, fitted):
         cfg, out, _ = fitted
@@ -545,14 +582,14 @@ class TestScoreCommand:
             umap = cli.ens.score_feature_map(
                 read_feature_map(out / "range" / f"{stem}.fmap"), model, members
             )
-            mask = read_feature_map(out / "ood_masks" / f"{stem}.fmap").grid()
+            mask = read_feature_map(out / "ood_masks" / f"{stem}.fmap").values[:, :, 0]
             values = umap.epistemic[umap.valid]
             if stem == "none":
                 assert entry["threshold"] is None and not mask.any()
                 continue
             want = metrics_mod.percentile_threshold(values, run.threshold.top_fraction)[0]
             assert entry["threshold"] == want and not np.signbit(entry["threshold"])
-            written = read_feature_map(out / "scores" / f"{stem}_epistemic.fmap").grid()
+            written = read_feature_map(out / "scores" / f"{stem}_epistemic.fmap").values[:, :, 0]
             assert (written[umap.valid] == 0.0).any() and not np.signbit(written).any()
             np.testing.assert_array_equal(mask, umap.valid & (umap.epistemic > want))
             assert entry["flagged"] == int(mask.sum())
@@ -871,7 +908,7 @@ class TestEvalCommand:
         assert main(["score", "--config", str(cfg)]) == EXIT_OK
         path = out / "predictions" / "001.fmap"
         pred = read_feature_map(path)
-        raw = read_feature_map(out / "labels" / "001.fmap").grid()
+        raw = read_feature_map(out / "labels" / "001.fmap").values[:, :, 0]
         row, col = np.argwhere(pred.valid & np.isin(raw, [10, 20, 30]))[0]
         values = pred.values.copy()
         for value, named in ((7, "7"), (1e30, "1e+30")):
@@ -930,11 +967,37 @@ class TestEvalCommand:
                      "--classes", "2"]) == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert err[:2] == [
-            f"error: {stem}: labels/{stem}.fmap: train id 2 at an in-distribution pixel is not "
-            "in [0, classes = 2)"
+            f"error: {stem}: labels/{stem}.fmap: train id 2 is not below classes = 2"
             for stem in ("000", "001")
         ]
         assert err[2:] == [f"error: no scan in {out / 'predictions'} could be evaluated"]
+
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    def test_fit_and_eval_refuse_a_train_id_alike(self, fitted, capsys, command):
+        """One label grid holding train id 2 at ``classes = 2`` gets one
+        refusal text: ``fit`` exits 2 on it, ``eval`` fails that scan."""
+        from gmmood.formats import FeatureMap, write_feature_map
+
+        cfg, out, root = fitted
+        for name, keep in (("fit_labels", 0), ("labels", 1)):
+            (root / name).mkdir()
+            for path in sorted((out / "labels").glob("*.fmap")):
+                grid = read_feature_map(path)
+                values = np.where(grid.values == 30, 20, grid.values)
+                if keep and path.stem == "001":  # one train id 2
+                    values[tuple(np.argwhere(grid.valid & (grid.values[..., 0] == 30))[0])] = 30
+                write_feature_map(FeatureMap(values, grid.valid), root / name / path.name)
+        argv = ["--config", str(cfg), "--classes", "2"]
+        assert main(["fit", *argv, "--label-dir", str(root / "fit_labels")]) == EXIT_OK
+        error = "labels/001.fmap: train id 2 is not below classes = 2"
+        if command == "fit":
+            assert main(["fit", *argv, "--label-dir", str(root / "labels")]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: {error}\n"
+        else:
+            assert main(["score", *argv]) == EXIT_OK
+            assert main(["eval", *argv, "--label-dir", str(root / "labels"), "--score-dir",
+                         str(out), "--out", str(root / "eval")]) == EXIT_PARTIAL
+            assert capsys.readouterr().err == f"error: 001: {error}\n"
 
     def test_refused_allocation_is_config_error(self, fitted, capsys):
         """``--classes 1000000000`` asks ``metrics.miou`` for a 10^18-entry
@@ -1182,13 +1245,13 @@ class TestFrontEnd:
                             f"{cli.RAW_ID_MAX} = 2\n{cli.RAW_ID_MAX - 1} = outlier\n")
             class_map = load_run_config(path).class_map
         raw = np.arange(-3, cli.RAW_ID_MAX + 4)
-        train, outlier, ignore = class_map.map_array(raw)
-        want_train = [class_map.train_ids.get(rid, -1) for rid in raw.tolist()]
-        want_outlier = [rid in class_map.outlier_ids for rid in raw.tolist()]
-        np.testing.assert_array_equal(train, want_train)
-        np.testing.assert_array_equal(outlier, want_outlier)
-        np.testing.assert_array_equal(ignore, (train < 0) & ~outlier)
-        assert (train.dtype, outlier.dtype, ignore.dtype) == (np.int64, bool, bool)
+        code = class_map.map_array(raw)
+        want = [
+            class_map.train_ids.get(rid, cli.OUTLIER if rid in class_map.outlier_ids else cli.IGNORE)
+            for rid in raw.tolist()
+        ]
+        np.testing.assert_array_equal(code, want)
+        assert code.dtype == np.int64
 
 
 class TestConfigHandling:
@@ -1537,6 +1600,29 @@ def test_package_has_no_assert_statements():
     which strips ``assert`` statements."""
     found = [f"{name}:{node.lineno}" for name, node in package_nodes()
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_cli_reads_features_and_labels_in_one_place_each():
+    """``cli`` reads an FMAP file only in ``_read_grid`` and
+    ``_read_features``, and maps raw ids only in ``_read_labels``, so the
+    dimension and train-id checks cannot fork between commands."""
+    readers = {"read_feature_map": {"_read_grid", "_read_features"},
+               "map_array": {"_read_labels"}}
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in readers and function not in readers[name]:
+                found.append(f"{name} in {function}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(Path(cli.__file__).read_text()), "<module>")
     assert found == []
 
 

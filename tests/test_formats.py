@@ -128,11 +128,6 @@ class TestFMap:
         with pytest.raises(ShapeError):
             FeatureMap.from_grid(np.zeros((2, 2, 2)), np.ones((2, 2), bool))
 
-    def test_grid_requires_d1(self):
-        fmap = random_feature_map(np.random.default_rng(4), d=2)
-        with pytest.raises(ShapeError):
-            fmap.grid()
-
 
 def random_classifier(rng, c=3, k=2, d=4):
     w = rng.random((c, k))

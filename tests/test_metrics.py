@@ -384,31 +384,17 @@ class TestMiou:
         assert math.isnan(per_class[3])
         assert mean == 1.0
 
-    def test_ignored_pixels_never_count(self):
-        rng = np.random.default_rng(6)
-        gt = rng.integers(0, 3, size=(10, 10))
-        pred = rng.integers(0, 3, size=(10, 10))
-        ignore = rng.random((10, 10)) < 0.3
-        base = miou(pred, gt, 3, ignore=ignore)
-        mutated = pred.copy()
-        mutated[ignore] = (mutated[ignore] + 1) % 3
-        after = miou(mutated, gt, 3, ignore=ignore)
-        assert base[0] == after[0]
-        np.testing.assert_array_equal(
-            np.nan_to_num(base[1], nan=-1), np.nan_to_num(after[1], nan=-1)
-        )
-
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             miou(np.zeros((2, 2)), np.zeros((2, 3)), 2)
-        with pytest.raises(ShapeError, match=r"^ignore mask \(2, 3\) does not match \(2, 2\)$"):
-            miou(np.zeros((2, 2)), np.zeros((2, 2)), 2, ignore=np.zeros((2, 3), bool))
 
-    def test_labels_outside_the_classes_need_the_ignore_mask(self):
+    def test_labels_outside_the_classes_are_refused(self):
         pred, gt = np.array([0, 1, 2]), np.array([0, 1, 1])
-        with pytest.raises(ValueError, match="must be covered by the ignore mask"):
+        with pytest.raises(ValueError, match=r"^labels must lie in \[0, num_classes = 2\)$"):
             miou(pred, gt, 2)
-        assert miou(pred, gt, 2, ignore=pred == 2)[0] == 1.0
+        with pytest.raises(ValueError, match=r"^labels must lie in \[0, num_classes = 2\)$"):
+            miou(gt, np.array([0, -1, 1]), 2)
+        assert miou(pred[:2], gt[:2], 2)[0] == 1.0
 
 
 class TestPercentileThreshold:
