@@ -578,9 +578,9 @@ def cmd_eval(cfg: RunConfig) -> int:
         return code[ranked] == OUTLIER, scores, pred.astype(np.int64), code[id_pixels]
 
     done = _each_file(pred_files, eval_one)
-    for path, _, error in done:
+    for _, _, error in done:
         if error is not None:
-            print(f"error: {path.stem}: {error}", file=sys.stderr)
+            print(f"error: {error}", file=sys.stderr)
     results = [result for _, result, _ in done if result is not None]
     if not results:
         raise Error(f"no scan in {pred_dir} could be evaluated")

@@ -18,11 +18,13 @@ A block is reduced on its (M + 1, C, N) class sums s (``gmm._class_sums``,
 one exp per component density, pixels innermost): p = s / S with S the
 sum over C; each posterior entropy is sum_c p (log S - log s), whose
 terms are each >= 0 because s <= S, so an entropy far below log S is not
-rounded away; each member's vote is the lowest class id holding the
-largest s, tallied by one ``np.bincount``.  The floor of
-``_class_sums`` keeps every s > 0, so no log needs a mask and no class
-log density, second exp or second normaliser is taken.  The point
-model's entropy and maximum posterior come from member 0 of the same
+rounded away.  One max of s over C per set serves two uses: each
+member's vote is the lowest class id holding it, tallied by one
+``np.bincount``, and the point model's maximum posterior is that max
+over S, the max of p bit for bit (division by one S > 0 is correctly
+rounded and monotone).  The floor of ``_class_sums`` keeps every s > 0, so no log
+needs a mask and no class log density, second exp or second normaliser
+is taken.  The point model's entropy comes from member 0 of the same
 arrays.  A pixel's vote entropy sums a table of (k / M) log(k / M),
 k = 0..M, built once per call, at its C vote counts.
 
@@ -149,14 +151,15 @@ def _reduce_members(joint: np.ndarray, front: int = 0):
     """Scores from (K, F + M, C, N) joint log densities (overwritten)
     whose first ``front`` = F sets are not ensemble members: the members'
     (N, C) vote counts and (N,) predictive entropy, aleatoric part and
-    mutual information (see ``decompose_uncertainty``), then every set's
-    (F + M, C, N) class posteriors and (F + M, N) posterior entropies."""
+    mutual information (see ``decompose_uncertainty``), then the F sets'
+    (F, N) maximum posteriors and every set's (F + M, N) posterior
+    entropies."""
     s = _class_sums(joint)
     c, n = s.shape[1:]
+    top = s.max(axis=1, keepdims=True)
     # each member's vote is the lowest class id holding its maximum: the
     # hit with the largest weight c - k, k the class id
-    members = s[front:]
-    hit = members == members.max(axis=1, keepdims=True)
+    hit = s[front:] == top[front:]
     hit = np.multiply(hit, np.arange(c, 0, -1, dtype=np.min_scalar_type(c))[:, None])
     best = c - hit.max(axis=1) + c * np.arange(n)
     counts = np.bincount(best.ravel(), minlength=n * c).reshape(n, c)
@@ -170,7 +173,7 @@ def _reduce_members(joint: np.ndarray, front: int = 0):
     predictive = _entropy_rows(post[front:].mean(axis=0), axis=0)
     aleatoric = entropy[front:].mean(axis=0)
     mi = np.maximum(predictive - aleatoric, 0.0)
-    return counts, predictive, aleatoric, mi, post, entropy
+    return counts, predictive, aleatoric, mi, top[:front, 0] / total[:front, 0], entropy
 
 
 def _reduce_one(z, ensemble: list[GMMParameterSample], what: str):
@@ -225,14 +228,14 @@ def score_samples(
     def block(i):
         rows = slice(i, i + step)
         joint = _joint_log_densities(z[rows], coefficients)
-        counts, predictive, aleatoric, mi, post, entropy = _reduce_members(joint, 1)
+        counts, predictive, aleatoric, mi, top, entropy = _reduce_members(joint, 1)
         out.predicted_class[rows] = np.argmax(counts, axis=1)
         out.epistemic[rows] = 0.0 - vote_table[counts].sum(axis=1)
         out.predictive_entropy[rows] = predictive
         out.aleatoric[rows] = aleatoric
         out.mutual_information[rows] = mi
         out.deterministic_entropy[rows] = entropy[0]
-        out.max_posterior[rows] = post[0].max(axis=0)
+        out.max_posterior[rows] = top[0]
 
     # no rows: one empty block, so that the kernel still checks their dimension
     _blas.map_on_cores(block, range(0, max(n, 1), step))

@@ -94,9 +94,8 @@ p(c | z) = s_c / sum_c' s_c' with no class log density, second max-shift
 or second exp in between.  The floor keeps exp on numpy's fast path and
 every s_c >= e^-700 > 0, so logs of s need no mask; each floored term
 adds at most e^-700 ~ 1e-304 to a total whose largest term is exactly 1.
-It works in place on the (K, ..., C, N) joint array: T is each
-component slab's max over C, folded over the K slabs by a running
-``np.maximum`` (a max is exact in any order), and s is component 0's
+It works in place on the (K, ..., C, N) joint array: T is one max over
+the K and C axes (a max is exact in any order), and s is component 0's
 slab with the others added into it in turn, the order of ``.sum(axis=0)``
 and so its bytes.  So the class sums allocate no (..., C, N) array
 beyond the joint one, and s is a view that holds all of it: a caller
@@ -334,10 +333,7 @@ def _class_sums(joint: np.ndarray) -> np.ndarray:
     of (K, ..., C, N) joint log densities j (overwritten), T their max over
     K and C per parameter set and row: p(c | z) = s_c / sum_c' s_c'.  s is
     ``joint[0]``, a view that holds the whole joint array."""
-    top = joint[0].max(axis=-2, keepdims=True)
-    for slab in joint[1:]:
-        np.maximum(top, slab.max(axis=-2, keepdims=True), out=top)
-    joint -= top
+    joint -= joint.max(axis=(0, -2), keepdims=True)
     np.maximum(joint, _EXP_FLOOR, out=joint)
     np.exp(joint, out=joint)
     s = joint[0]

@@ -3,15 +3,17 @@ percentile decision rule.
 
 Detection treats the problem as binary ranking: higher score means more
 likely out-of-distribution.  ``ScoredPixels.ranking`` sorts the scores
-once, stably and descending, into a table: the OOD flags in that order
-and the OOD and ID count of each block of equal scores.  AUROC is the
-Mann-Whitney U counted from the blocks (ties count one half); FPR95 is
-the smallest false-positive rate among thresholds, which sit between
-blocks, whose true-positive rate reaches the target under the rule
-``flag score >= t``; ``average_precision`` steps once per block, so a
-tied block is one threshold and pixel order cannot move it.  ``auprc``
-alone reads the flags: it steps per pixel and breaks ties by stable
-input order, so on heavily tied scores it depends on the pixel order.
+once, stably and descending, into a table: the OOD flags in that order,
+the OOD and ID count of each block of equal scores and their running
+counts through each block (``n_ood`` is summed once, ``n_id`` is the
+rest).  AUROC is the Mann-Whitney U counted from the blocks (ties count
+one half); FPR95 is the smallest false-positive rate among thresholds,
+which sit between blocks, whose true-positive rate reaches the target
+under the rule ``flag score >= t``; ``average_precision`` steps once per
+block, so a tied block is one threshold and pixel order cannot move it.
+``auprc`` alone reads the flags: it steps per pixel and breaks ties by
+stable input order, so on heavily tied scores it depends on the pixel
+order.
 """
 
 import json
@@ -43,25 +45,26 @@ class ScoredPixels:
         if bad.size:
             raise ValueError(f"scores must be finite, got {self.scores[bad[0]]} at index {bad[0]}")
 
-    @property
+    @cached_property
     def n_ood(self) -> int:
         return int(self.is_ood.sum())
 
     @property
     def n_id(self) -> int:
-        return int((~self.is_ood).sum())
+        return self.is_ood.size - self.n_ood
 
     @cached_property
-    def ranking(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def ranking(self) -> tuple[np.ndarray, ...]:
         """``is_ood`` in the stable descending order of the scores, then
         the int64 OOD and ID count of each block of equal scores in that
-        order."""
+        order, then the running OOD and ID counts through each block."""
         order = np.argsort(-self.scores, kind="stable")
         ranked = self.scores[order]
         flags = self.is_ood[order]
         blocks = np.flatnonzero(np.append(True, ranked[1:] != ranked[:-1]))
         ood = np.add.reduceat(flags, blocks, dtype=np.int64)
-        return flags, ood, np.diff(blocks, append=flags.size) - ood
+        ids = np.diff(blocks, append=flags.size) - ood
+        return flags, ood, ids, np.cumsum(ood), np.cumsum(ids)
 
 
 def _require_both_classes(data: ScoredPixels, metric: str) -> None:
@@ -75,10 +78,10 @@ def _require_both_classes(data: ScoredPixels, metric: str) -> None:
 def auroc(data: ScoredPixels) -> float:
     """P(random OOD score > random ID score), ties counting 1/2."""
     _require_both_classes(data, "auroc")
-    _, ood, ids = data.ranking
+    _, ood, ids, _, fp = data.ranking
     # twice U, exact in int64: each OOD pixel beats the ID pixels of the
     # lower blocks twice over and those of its own block once
-    twice_u = (ood * (2 * (data.n_id - np.cumsum(ids)) + ids)).sum()
+    twice_u = (ood * (2 * (data.n_id - fp) + ids)).sum()
     return float(twice_u / 2 / (data.n_ood * data.n_id))
 
 
@@ -99,9 +102,8 @@ def average_precision(data: ScoredPixels) -> float:
     """Average precision with one step per block of equal scores: the sum
     over blocks of (block OOD / all OOD) x precision with the block flagged."""
     _require_both_classes(data, "average_precision")
-    _, ood, ids = data.ranking
-    tp = np.cumsum(ood)
-    return float((ood / data.n_ood * tp / (tp + np.cumsum(ids))).sum())
+    _, ood, _, tp, fp = data.ranking
+    return float((ood / data.n_ood * tp / (tp + fp)).sum())
 
 
 def fpr_at_tpr(data: ScoredPixels, target_tpr: float = 0.95) -> float:
@@ -109,11 +111,10 @@ def fpr_at_tpr(data: ScoredPixels, target_tpr: float = 0.95) -> float:
     _require_both_classes(data, "fpr_at_tpr")
     if not 0.0 < target_tpr <= 1.0:
         raise ValueError(f"target_tpr must be in (0, 1], got {target_tpr}")
-    _, ood, ids = data.ranking
-    tpr = np.cumsum(ood) / data.n_ood
-    fpr = np.cumsum(ids) / data.n_id
+    *_, tp, fp = data.ranking
     # tpr reaches 1.0 at the last block, so a feasible threshold always exists
-    return float(fpr[np.flatnonzero(tpr >= target_tpr)[0]])
+    first = np.flatnonzero(tp / data.n_ood >= target_tpr)[0]
+    return float(fp[first] / data.n_id)
 
 
 def miou(pred, gt, num_classes: int) -> tuple[float, np.ndarray]:

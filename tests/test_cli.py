@@ -826,7 +826,7 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(cfg), *labels, "--score-dir", str(out),
                      "--out", str(root / "eval_both")]) == EXIT_PARTIAL
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: 001: ")
+        assert len(err) == 1 and err[0].startswith("error: ") and "001_aleatoric.fmap" in err[0]
         assert main(["eval", "--config", str(cfg), *labels, "--score-dir", str(alone),
                      "--out", str(root / "eval_alone")]) == EXIT_OK
         reports = sorted(p.name for p in (root / "eval_alone").iterdir())
@@ -862,7 +862,7 @@ class TestEvalCommand:
                 assert capsys.readouterr().err == f"error: {error}\n"
             else:
                 assert main(["eval", *argv, "--score-dir", str(out)]) == EXIT_PARTIAL
-                assert capsys.readouterr().err == f"error: 001: {error}\n"
+                assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_label_grids_are_cast_only_where_read(self, projected):
         """Label grids holding NaN at their invalid pixels and 1e30 at one
@@ -918,7 +918,7 @@ class TestEvalCommand:
             assert main(["eval", "--config", str(cfg), "--label-dir", str(out / "labels"),
                          "--score-dir", str(out), "--out", str(eval_out)]) == EXIT_PARTIAL
             assert capsys.readouterr().err == (
-                f"error: 001: predictions/001.fmap: predicted id {named} at an "
+                f"error: predictions/001.fmap: predicted id {named} at an "
                 "in-distribution pixel is not in [0, classes = 3)\n"
             )
             assert len(list(eval_out.iterdir())) == 12
@@ -940,7 +940,7 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(cfg), "--label-dir", str(out / "labels"),
                      "--score-dir", str(out), "--out", str(root / "eval")]) == EXIT_PARTIAL
         assert capsys.readouterr().err == (
-            "error: 001: scores/001_epistemic.fmap: validity mask differs from "
+            "error: scores/001_epistemic.fmap: validity mask differs from "
             "predictions/001.fmap's\n"
         )
         assert len(list((root / "eval").iterdir())) == 12
@@ -953,7 +953,7 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(cfg), "--label-dir", str(out / "labels"),
                      "--score-dir", str(out), "--out", str(root / "eval")]) == EXIT_PARTIAL
         assert capsys.readouterr().err == (
-            "error: 001: scores/001_aleatoric.fmap: bad magic b'JUNK', expected b'FMAP'\n"
+            "error: scores/001_aleatoric.fmap: bad magic b'JUNK', expected b'FMAP'\n"
         )
         assert len(list((root / "eval").iterdir())) == 12
 
@@ -967,7 +967,7 @@ class TestEvalCommand:
                      "--classes", "2"]) == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert err[:2] == [
-            f"error: {stem}: labels/{stem}.fmap: train id 2 is not below classes = 2"
+            f"error: labels/{stem}.fmap: train id 2 is not below classes = 2"
             for stem in ("000", "001")
         ]
         assert err[2:] == [f"error: no scan in {out / 'predictions'} could be evaluated"]
@@ -989,15 +989,15 @@ class TestEvalCommand:
                 write_feature_map(FeatureMap(values, grid.valid), root / name / path.name)
         argv = ["--config", str(cfg), "--classes", "2"]
         assert main(["fit", *argv, "--label-dir", str(root / "fit_labels")]) == EXIT_OK
-        error = "labels/001.fmap: train id 2 is not below classes = 2"
         if command == "fit":
             assert main(["fit", *argv, "--label-dir", str(root / "labels")]) == EXIT_CONFIG
-            assert capsys.readouterr().err == f"error: {error}\n"
         else:
             assert main(["score", *argv]) == EXIT_OK
             assert main(["eval", *argv, "--label-dir", str(root / "labels"), "--score-dir",
                          str(out), "--out", str(root / "eval")]) == EXIT_PARTIAL
-            assert capsys.readouterr().err == f"error: 001: {error}\n"
+        assert capsys.readouterr().err == (
+            "error: labels/001.fmap: train id 2 is not below classes = 2\n"
+        )
 
     def test_refused_allocation_is_config_error(self, fitted, capsys):
         """``--classes 1000000000`` asks ``metrics.miou`` for a 10^18-entry

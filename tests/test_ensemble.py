@@ -614,6 +614,21 @@ def test_float32_rows_score_as_their_float64_widening(kernel_case):
         )
 
 
+def test_max_posterior_is_the_point_models_largest_posterior_bytes(kernel_case):
+    """The point model's maximum posterior, its class maximum over its
+    total, equals the largest of its posteriors s / sum_c s byte for byte
+    on every kind of ``kernel_case`` row (far rows, near ties, the case
+    translated by 1e4), with s the class sums of the whole stack taken
+    over the same blocks of rows as scoring takes them."""
+    model, members, step, rows = kernel_case
+    coefficients = ens._stack(members, model)
+    want = []
+    for i in range(0, len(rows), step):
+        s = gmm_mod._class_sums(gmm_mod._joint_log_densities(rows[i : i + step], coefficients))
+        want.append((s[0] / s[0].sum(axis=0)).max(axis=0))
+    assert_same_bytes(score_samples(rows, model, members).max_posterior, np.concatenate(want))
+
+
 @pytest.mark.parametrize("d, shift", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
 def test_rows_drawn_at_the_former_block_step_match_loop_reference(d, shift):
     """``kernel_case`` draws its rows at the block's step, so its far

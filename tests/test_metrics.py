@@ -1,10 +1,13 @@
+import ast
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gmmood
 from gmmood.errors import ShapeError, UndefinedMetricError
 from gmmood.metrics import (
     EvalReport,
@@ -321,14 +324,16 @@ def test_tie_aware_metrics_ignore_pixel_order():
 @pytest.mark.parametrize("decimals", [0, 2, None], ids=["heavy-ties", "ties", "no-ties"])
 def test_ranking_table_matches_unique_counts(decimals):
     """``ranking``'s block counts are the OOD and ID counts of each distinct
-    score, highest first, and its flags are ``is_ood`` in that order."""
+    score, highest first, its flags are ``is_ood`` in that order, and its
+    running counts are the cumulative block counts, ending at ``n_ood``
+    and ``n_id``."""
     rng = np.random.default_rng(13)
     for n in (1, 2, 50, 4000):
         raw = rng.normal(size=n)
         scores = raw if decimals is None else np.round(raw, decimals)
         is_ood = rng.random(n) < 0.3
         data = ScoredPixels(scores, is_ood)
-        flags, ood, ids = data.ranking
+        flags, ood, ids, tp, fp = data.ranking
         values, inverse = np.unique(scores, return_inverse=True)
         want_ood = np.bincount(inverse, weights=is_ood, minlength=values.size)[::-1]
         want_ids = np.bincount(inverse, weights=~is_ood, minlength=values.size)[::-1]
@@ -336,7 +341,66 @@ def test_ranking_table_matches_unique_counts(decimals):
         np.testing.assert_array_equal(ids, want_ids)
         assert ood.dtype == ids.dtype == np.int64
         assert (ood.sum(), ids.sum()) == (data.n_ood, data.n_id)
+        np.testing.assert_array_equal(tp, np.add.accumulate(ood))
+        np.testing.assert_array_equal(fp, np.add.accumulate(ids))
+        assert tp.dtype == fp.dtype == np.int64
+        assert (tp[-1], fp[-1]) == (data.n_ood, data.n_id) == (is_ood.sum(), n - is_ood.sum())
         np.testing.assert_array_equal(flags, is_ood[np.argsort(-scores, kind="stable")])
+
+
+def test_one_report_takes_each_running_count_once(monkeypatch):
+    """One ``EvalReport.of`` runs three cumulative sums: the ranking's
+    running OOD and ID counts, taken once for the three metrics that read
+    them, and ``auprc``'s per-pixel one."""
+    rng = np.random.default_rng(14)
+    data = ScoredPixels(np.round(rng.normal(size=500), 1), rng.random(500) < 0.3)
+    calls = []
+    cumsum = np.cumsum
+    monkeypatch.setattr(np, "cumsum", lambda *a, **k: calls.append(1) or cumsum(*a, **k))
+    EvalReport.of(data, 0.5, [0.5])
+    assert len(calls) == 3
+
+
+# each reduction has one home in the source, so it cannot fork again
+
+SOURCE = Path(gmmood.__file__).parent
+
+
+def calls_by_function(module: str) -> dict:
+    """Every function of ``module`` (``name``, or ``Class.name`` for a
+    method) and the last name of each callee it calls: ``np.cumsum`` and
+    ``x.cumsum`` both read ``cumsum``.  The key ``None`` holds the whole
+    module's calls."""
+    def callees(node):
+        return [
+            c.func.attr if isinstance(c.func, ast.Attribute) else getattr(c.func, "id", "")
+            for c in ast.walk(node)
+            if isinstance(c, ast.Call)
+        ]
+
+    tree = ast.parse((SOURCE / module).read_text())
+    found = {None: callees(tree)}
+    for node in tree.body:
+        for child in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if isinstance(child, ast.FunctionDef):
+                owner = f"{node.name}." if child is not node else ""
+                found[owner + child.name] = callees(child)
+    return found
+
+
+def test_metrics_take_cumulative_sums_in_the_ranking_and_auprc_only():
+    """``metrics.py`` calls ``cumsum`` only inside ``ScoredPixels.ranking``
+    (the running counts) and ``auprc`` (its per-pixel sum)."""
+    calls = calls_by_function("metrics.py")
+    homes = {name: f.count("cumsum") for name, f in calls.items() if name and "cumsum" in f}
+    assert homes == {"ScoredPixels.ranking": 2, "auprc": 1}
+    assert calls[None].count("cumsum") == 3
+
+
+def test_class_sums_take_their_shift_with_one_max():
+    """``gmm._class_sums`` takes T, its max over components and classes,
+    with one ``max`` call, not a max per component slab."""
+    assert calls_by_function("gmm.py")["_class_sums"].count("max") == 1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
