@@ -29,16 +29,17 @@ from .errors import ShapeError, UndefinedMetricError
 DETECTION = ("auroc", "auprc", "average_precision", "fpr95")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScoredPixels:
-    """Uncertainty scores paired with binary OOD ground truth."""
+    """Uncertainty scores paired with binary OOD ground truth; frozen, so
+    the cached ``n_ood`` and ``ranking`` always describe its arrays."""
 
     scores: np.ndarray
     is_ood: np.ndarray
 
     def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        self.is_ood = np.asarray(self.is_ood, dtype=bool)
+        object.__setattr__(self, "scores", np.asarray(self.scores, dtype=np.float64))
+        object.__setattr__(self, "is_ood", np.asarray(self.is_ood, dtype=bool))
         if self.scores.shape != self.is_ood.shape or self.scores.ndim != 1:
             raise ShapeError("scores and is_ood must be parallel 1-d arrays")
         bad = np.flatnonzero(~np.isfinite(self.scores))

@@ -30,6 +30,7 @@ from gmmood.nig import (
 )
 from gmmood.rangeview import CH_RANGE, PointCloud, project_spherical
 from gmmood.synth import SynthConfig, generate, run_benchmark
+from oracles import brute_force_auroc, exhaustive_fpr, rank_by_rank_auprc
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -40,36 +41,6 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 # -- criterion 1: ranking metrics against brute-force oracles ----------------
-
-
-def brute_force_auroc(scores, is_ood):
-    pos = scores[is_ood][:, None]
-    neg = scores[~is_ood][None, :]
-    wins = (pos > neg).sum() + 0.5 * (pos == neg).sum()
-    return wins / (pos.shape[0] * neg.shape[1])
-
-
-def rank_by_rank_auprc(scores, is_ood):
-    order = np.argsort(-scores, kind="stable")
-    flags = is_ood[order]
-    hits, total = 0, 0.0
-    for rank, flag in enumerate(flags, start=1):
-        if flag:
-            hits += 1
-            total += hits / rank
-    return total / flags.sum()
-
-
-def exhaustive_fpr(scores, is_ood, target):
-    best = None
-    n_ood = is_ood.sum()
-    n_id = (~is_ood).sum()
-    for t in np.unique(scores):
-        flagged = scores >= t
-        if (flagged & is_ood).sum() / n_ood >= target:
-            fpr = (flagged & ~is_ood).sum() / n_id
-            best = fpr if best is None else min(best, fpr)
-    return best
 
 
 def test_c1_metric_oracle_equivalence():

@@ -1603,6 +1603,22 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_benchmark_reference_imports_nothing_from_the_package():
+    """``tests/test_ensemble.py`` scores against ``perfbench/reference.py``,
+    so it, and the ``workloads.py`` it imports, import only the standard
+    library, numpy and each other: never ``gmmood``."""
+    perfbench = Path(__file__).parents[1] / "perfbench"
+    allowed = {"numpy", "workloads", *sys.stdlib_module_names}
+    found = []
+    for name in ("reference.py", "workloads.py"):
+        for node in ast.walk(ast.parse((perfbench / name).read_text())):
+            if isinstance(node, ast.Import):
+                found += [a.name for a in node.names if a.name.split(".")[0] not in allowed]
+            elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] not in allowed:
+                found.append(node.module)
+    assert found == []
+
+
 def test_cli_reads_features_and_labels_in_one_place_each():
     """``cli`` reads an FMAP file only in ``_read_grid`` and
     ``_read_features``, and maps raw ids only in ``_read_labels``, so the

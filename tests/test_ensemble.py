@@ -7,10 +7,11 @@ import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp, xlogy
+from scipy.special import logsumexp
 
 from gmmood import _blas
 from gmmood import ensemble as ens
@@ -23,7 +24,7 @@ from gmmood.ensemble import (
     vote,
     vote_entropy,
 )
-from gmmood.errors import InsufficientDataError, ShapeError
+from gmmood.errors import ConvergenceError, ShapeError
 from gmmood.formats import FeatureMap
 from gmmood.gmm import (
     GMMClassifier,
@@ -31,6 +32,7 @@ from gmmood.gmm import (
     class_posterior,
     em_fit,
     fit_classifier,
+    save_classifier,
 )
 from gmmood.nig import (
     DEFAULT_PRIOR,
@@ -38,7 +40,13 @@ from gmmood.nig import (
     NIGParams,
     build_bank,
     sample_ensemble,
+    save_bank,
 )
+from oracles import assert_same_bytes
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from reference import PixelReference  # noqa: E402
 
 
 def member(means, variances=None, weights=None):
@@ -356,7 +364,7 @@ class TestScoreFeatureMap:
 
 
 # ---------------------------------------------------------------------------
-# the stacked kernel against the per-member / per-class / per-component loops
+# the stacked kernel against perfbench's PixelReference and the density loop
 
 
 def loop_log_weights(weights):
@@ -383,52 +391,7 @@ def loop_class_log_densities(z, params):
     return out
 
 
-def loop_posterior(ld):
-    """Max-shifted and normalised: exp(ld - logsumexp(ld)) would lose about
-    |ld| * eps to cancellation in the subtraction."""
-    p = np.exp(ld - ld.max(axis=1, keepdims=True))
-    return p / p.sum(axis=1, keepdims=True)
-
-
-def loop_entropy(p):
-    return -xlogy(p, p).sum(axis=-1)
-
-
-def loop_score_samples(z, model, ensemble):
-    """Scores with one class_log_densities pass per member, then the point model."""
-    n, c = z.shape[0], model.num_classes
-    counts = np.zeros((n, c), dtype=np.int64)
-    mean_post = np.zeros((n, c))
-    mean_ent = np.zeros(n)
-    for sample in ensemble:
-        ld = loop_class_log_densities(z, sample)
-        post = loop_posterior(ld)
-        counts[np.arange(n), np.argmax(ld, axis=1)] += 1
-        mean_post += post
-        mean_ent += loop_entropy(post)
-    mean_post /= len(ensemble)
-    mean_ent /= len(ensemble)
-    predictive = loop_entropy(mean_post)
-    post0 = loop_posterior(loop_class_log_densities(z, model))
-    return {
-        "predicted_class": np.argmax(counts, axis=1),
-        "vote_counts": counts,
-        "epistemic": loop_entropy(counts / len(ensemble)),
-        "predictive_entropy": predictive,
-        "aleatoric": mean_ent,
-        "mutual_information": np.maximum(predictive - mean_ent, 0.0),
-        "deterministic_entropy": loop_entropy(post0),
-        "max_posterior": post0.max(axis=1),
-    }
-
-
-def assert_same_bytes(got, want):
-    """Equal dtype, shape and bytes: unlike array_equal, -0.0 differs from 0.0."""
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-
-
-# The GEMM kernel rounds differently from the loops; its error is a few
+# The GEMM kernel rounds differently from the references; its error is a few
 # hundred eps at worst on these cases (the centred expansion keeps it there
 # even far from the origin), so the bound is fixed at 2**10 eps.
 REL_TOL = 2.0**10 * np.finfo(np.float64).eps
@@ -456,8 +419,8 @@ def top_two(ld):
 def far_near_tie_rows(model, rng, rays=64, reach=2000):
     """Rows where the point model's best class log density is below -1e4
     and its top two classes are 5 to 30 nats apart: on random rays from
-    the class 0/1 midpoint, the loop reference bisects the top-two gap to
-    15 between unit steps that cross it."""
+    the class 0/1 midpoint, the per-component loop bisects the top-two
+    gap to 15 between unit steps that cross it."""
     d = model.means.shape[2]
     start = 0.5 * np.einsum("ck,ckd->cd", model.weights[:2], model.means[:2]).sum(axis=0)
     v = rng.normal(size=(rays, d))
@@ -486,16 +449,18 @@ KERNEL_CASES = {"D1": (1, 0.0), "D5": (5, 0.0), "D32": (32, 0.0), "D32+1e4": (32
 
 def make_kernel_case(d, shift, block_values):
     """Three classes, an ensemble, the step of ``block_values``-value
-    blocks, and 2 * step + 1 rows cycling through far-OOD (every member
+    blocks, 2 * step + 1 rows cycling through far-OOD (every member
     certain), near-center, between-center (members split), random, and
-    far near-tie rows (see ``far_near_tie_rows``); with ``shift`` the
-    case is translated, data, prior and rows alike."""
+    far near-tie rows (see ``far_near_tie_rows``), then the bank and seed
+    the ensemble was drawn from; with ``shift`` the case is translated,
+    data, prior and rows alike."""
     rng = np.random.default_rng(d)
     per_class = [rng.normal(10.0 * c, 1.0, size=(80, d)) + shift for c in range(3)]
     model, stats = fit_classifier(per_class, 2, seed=d)
     # a vague prior on the mean keeps member sigmas near the data's 1.0
     prior = NIGParams(mu=shift, kappa=1e-6, alpha=2.0, beta=1.0)
-    members = sample_ensemble(build_bank(model, stats, prior), N_MEMBERS, rng_seed=d)
+    bank = build_bank(model, stats, prior)
+    members = sample_ensemble(bank, N_MEMBERS, rng_seed=d)
     step = max(1, block_values // ((N_MEMBERS + 1) * model.weights.size))
     n = 2 * step + 1
     cls = rng.integers(3, size=(n, 1))
@@ -509,7 +474,7 @@ def make_kernel_case(d, shift, block_values):
     candidates.append(np.resize(far_near_tie_rows(model, rng) - shift, (n, d)))
     kind = np.arange(n) % len(candidates)
     rows = np.choose(kind[:, None], candidates) + shift
-    return model, members, step, rows
+    return model, members, step, rows, bank, d
 
 
 @pytest.fixture(scope="module", params=KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
@@ -518,18 +483,36 @@ def kernel_case(request):
     return make_kernel_case(*request.param, ens._BLOCK_VALUES)
 
 
+def pixel_reference(case, folder):
+    """Each row of a ``make_kernel_case`` case scored alone by
+    ``PixelReference`` from the model and bank written to ``folder``: the
+    ``SampleScores`` fields, the members' vote counts and the point
+    model's class log densities.  The members it redraws from the bank
+    file are the case's byte for byte, and no row is a near-tie, so votes
+    and predicted classes compare exactly."""
+    model, members, _, rows, bank, seed = case
+    save_classifier(model, folder / "model.gmmc")
+    save_bank(bank, folder / "bank.nigb")
+    ref = PixelReference(folder / "model.gmmc", folder / "bank.nigb", len(members), seed)
+    assert_same_bytes(ref.means, np.stack([model.means] + [m.means for m in members]))
+    assert_same_bytes(ref.variances, np.stack([model.variances] + [m.variances for m in members]))
+    scores = [ref.score(row) for row in rows]
+    assert not any(s["tie"] for s in scores)
+    want = {name: np.array([s[name] for s in scores]) for name in ens.SCORE_CHANNELS}
+    want["predicted_class"] = np.array([s["predicted_class"] for s in scores], np.intp)
+    log_densities = np.stack([ref.class_log_densities(row) for row in rows])
+    want["vote_counts"] = np.stack(
+        [np.bincount(ld[1:].argmax(axis=1), minlength=model.num_classes) for ld in log_densities]
+    )
+    want["point_log_densities"] = log_densities[:, 0]
+    return want
+
+
 @pytest.fixture(scope="module")
-def loop_reference(kernel_case):
-    """``loop_score_samples`` of the case's first n rows, computed once per n."""
-    model, members, _, rows = kernel_case
-    memo = {}
-
-    def reference(n):
-        if n not in memo:
-            memo[n] = loop_score_samples(rows[:n], model, members)
-        return memo[n]
-
-    return reference
+def reference_scores(kernel_case, tmp_path_factory):
+    """``pixel_reference`` of the case; each row is scored alone, so the
+    first n rows' scores are the first n of each array."""
+    return pixel_reference(kernel_case, tmp_path_factory.mktemp("kernel_case"))
 
 
 N_ROWS = pytest.mark.parametrize(
@@ -551,44 +534,43 @@ INT_FIELDS = tuple(name for name in SCORE_FIELDS if name not in ens.SCORE_CHANNE
 
 
 @N_ROWS
-def test_score_samples_match_loop_reference(kernel_case, loop_reference, n_rows):
+def test_score_samples_match_loop_reference(kernel_case, reference_scores, n_rows):
     """Every float field within the tolerance fixed above."""
-    model, members, step, rows = kernel_case
+    model, members, step, rows, *_ = kernel_case
     n = n_rows(step)
     got = score_samples(rows[:n], model, members)
     for name in ens.SCORE_CHANNELS:
-        assert_close(getattr(got, name), loop_reference(n)[name])
+        assert_close(getattr(got, name), reference_scores[name][:n])
 
 
 @N_ROWS
-def test_score_samples_bytes_match_loop_reference(kernel_case, loop_reference, n_rows):
+def test_score_samples_bytes_match_loop_reference(kernel_case, reference_scores, n_rows):
     """Predicted classes, and each row's votes by ``vote``, survive the
     kernel's rounding bit for bit."""
-    model, members, step, rows = kernel_case
+    model, members, step, rows, *_ = kernel_case
     n = n_rows(step)
     got = score_samples(rows[:n], model, members)
-    want = loop_reference(n)
     for name in INT_FIELDS:
-        assert_same_bytes(getattr(got, name), want[name])
+        assert_same_bytes(getattr(got, name), reference_scores[name][:n])
+    want = reference_scores["vote_counts"][:n]
     counts = np.array([vote(row, members).counts for row in rows[:n]], dtype=np.int64)
-    assert_same_bytes(counts.reshape(want["vote_counts"].shape), want["vote_counts"])
+    assert_same_bytes(counts.reshape(want.shape), want)
 
 
-def test_reference_rows_reach_certain_split_and_far_ood_cases(kernel_case, loop_reference):
+def test_reference_rows_reach_certain_split_and_far_ood_cases(kernel_case, reference_scores):
     """The pool holds pixels where every member is certain (aleatoric
     exactly +0.0), pixels where the members split, pixels over 1e3
     member standard deviations from every class, and pixels where the
     point model's best class log density is below -1e4 with its top two
     classes 5 to 30 nats apart."""
-    model, members, step, rows = kernel_case
-    want = loop_reference(len(rows))
-    certain = want["aleatoric"] == 0.0
-    assert certain[0] and not np.signbit(want["aleatoric"][certain]).any()
-    assert (want["epistemic"] > 0).any()
+    model, members, step, rows, *_ = kernel_case
+    certain = reference_scores["aleatoric"] == 0.0
+    assert certain[0] and not np.signbit(reference_scores["aleatoric"][certain]).any()
+    assert (reference_scores["epistemic"] > 0).any()
     sigma = max(np.sqrt(m.variances).max() for m in members)
     dist = np.abs(rows[:, None, :] - model.means.reshape(-1, rows.shape[1])).min(axis=(1, 2))
     assert (dist >= 1e3 * sigma).any()
-    top, gap = top_two(loop_class_log_densities(rows, model))
+    top, gap = top_two(reference_scores["point_log_densities"])
     assert ((top <= -1e4) & (gap >= 5.0) & (gap <= 30.0)).any()
 
 
@@ -598,7 +580,7 @@ def test_float32_rows_score_as_their_float64_widening(kernel_case):
     widened to float64 first, on every kind of ``kernel_case`` row (far
     OOD and the case translated by 1e4 included) and over several
     blocks."""
-    model, members, step, rows = kernel_case
+    model, members, step, rows, *_ = kernel_case
     narrow = rows.astype(np.float32)
     wide = narrow.astype(np.float64)
     got, want = score_samples(narrow, model, members), score_samples(wide, model, members)
@@ -620,7 +602,7 @@ def test_max_posterior_is_the_point_models_largest_posterior_bytes(kernel_case):
     on every kind of ``kernel_case`` row (far rows, near ties, the case
     translated by 1e4), with s the class sums of the whole stack taken
     over the same blocks of rows as scoring takes them."""
-    model, members, step, rows = kernel_case
+    model, members, step, rows, *_ = kernel_case
     coefficients = ens._stack(members, model)
     want = []
     for i in range(0, len(rows), step):
@@ -630,15 +612,17 @@ def test_max_posterior_is_the_point_models_largest_posterior_bytes(kernel_case):
 
 
 @pytest.mark.parametrize("d, shift", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
-def test_rows_drawn_at_the_former_block_step_match_loop_reference(d, shift):
+def test_rows_drawn_at_the_former_block_step_match_loop_reference(d, shift, tmp_path):
     """``kernel_case`` draws its rows at the block's step, so its far
     near-tie rows change with ``_BLOCK_VALUES``.  The 3361 rows it drew
-    at 2**17-value blocks stay checked, scored at ``_BLOCK_VALUES``: every
-    float field within the same tolerance, the integer ones bit for bit."""
-    model, members, _, rows = make_kernel_case(d, shift, 1 << 17)
+    at 2**17-value blocks stay checked against ``pixel_reference``,
+    scored at ``_BLOCK_VALUES``: every float field within the same
+    tolerance, the integer ones bit for bit."""
+    case = make_kernel_case(d, shift, 1 << 17)
+    model, members, _, rows, *_ = case
     assert len(rows) == 3361
     got = score_samples(rows, model, members)
-    want = loop_score_samples(rows, model, members)
+    want = pixel_reference(case, tmp_path)
     for name in ens.SCORE_CHANNELS:
         assert_close(getattr(got, name), want[name])
     for name in INT_FIELDS:
@@ -878,7 +862,7 @@ def block_log(monkeypatch):
 def test_pooled_scores_equal_serial_bit_for_bit(kernel_case, monkeypatch, n_rows):
     """The rows cycle through every kind of ``kernel_case``, far-OOD
     included; the serial path is the one taken when no OpenBLAS is found."""
-    model, members, step, rows = kernel_case
+    model, members, step, rows, *_ = kernel_case
     z = np.resize(rows, (n_rows(step), rows.shape[1]))
     pooled = score_samples(z, model, members)
     monkeypatch.setattr(_blas, "_found", [])
@@ -1019,9 +1003,9 @@ def test_hold_counts_overlapping_holders(blas_at_two):
 # classes fitted on the same pool
 
 
-def fit_rows(sizes=(120, 80, 150, 60)):
+def fit_rows():
     rng = np.random.default_rng(30)
-    return [rng.normal(3.0 * c, 1.0, (n, 2)) for c, n in enumerate(sizes)]
+    return [rng.normal(3.0 * c, 1.0, (n, 2)) for c, n in enumerate((120, 80, 150, 60))]
 
 
 @pytest.fixture
@@ -1069,9 +1053,21 @@ def test_serial_fits_run_on_the_calling_thread(monkeypatch, fit_log):
     assert [name for name, _ in fit_log] == [threading.current_thread().name] * 4
 
 
-def test_blas_threads_restored_after_a_fit_raises(blas_at_two):
-    with pytest.raises(InsufficientDataError, match="class 2 has 1 samples"):
-        fit_classifier(fit_rows((120, 80, 1, 60, 90, 0)), 2)
+def test_blas_threads_restored_after_a_fit_raises(blas_at_two, monkeypatch):
+    """Class 2's fit raises on the pool, with OpenBLAS held at one thread."""
+    real_em_fit = gmm_mod.em_fit
+    held = []
+
+    def failing(*args, class_id, **kwargs):
+        if class_id == 2:
+            held.append(blas_threads())
+            raise ConvergenceError("class 2 did not converge")
+        return real_em_fit(*args, class_id=class_id, **kwargs)
+
+    monkeypatch.setattr(gmm_mod, "em_fit", failing)
+    with pytest.raises(ConvergenceError, match="^class 2 did not converge$"):
+        fit_classifier(fit_rows(), 2)
+    assert held == [(1,) * len(blas_at_two)]
     assert blas_threads() == blas_at_two
     assert _blas._holders == 0
     assert [t.name for t in threading.enumerate() if t.name.startswith("gmmood-score")] == []

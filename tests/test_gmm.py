@@ -27,6 +27,7 @@ from gmmood.gmm import (
 )
 from gmmood.nig import DEFAULT_PRIOR, bank_to_bytes, build_bank
 from gmmood.synth import SynthConfig, generate, run_benchmark
+from oracles import assert_same_bytes
 
 
 def naive_log_density(z, gmm):
@@ -316,12 +317,6 @@ class TestEMFit:
 # six points on which a K = 5 mixture loses a component on every seed: one
 # collapse re-seed, also with constant columns appended
 RESEEDING_ROWS = np.array([4.8301, 4.8298, 13.3717, 13.9552, -2.6438, -2.6708])[:, None]
-
-
-def assert_same_bytes(got, want):
-    """Equal dtype, shape and bytes: unlike array_equal, -0.0 differs from 0.0."""
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
 
 
 def pooled_fit_case(d):

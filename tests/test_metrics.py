@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import json
 import math
@@ -19,41 +20,7 @@ from gmmood.metrics import (
     miou,
     percentile_threshold,
 )
-
-
-def brute_force_auroc(scores, is_ood):
-    """Pairwise counting with half credit for ties."""
-    scores = np.asarray(scores, float)
-    is_ood = np.asarray(is_ood, bool)
-    pos = scores[is_ood][:, None]
-    neg = scores[~is_ood][None, :]
-    wins = (pos > neg).sum() + 0.5 * (pos == neg).sum()
-    return wins / (is_ood.sum() * (~is_ood).sum())
-
-
-def rank_by_rank_auprc(scores, is_ood):
-    order = np.argsort(-np.asarray(scores, float), kind="stable")
-    flags = np.asarray(is_ood, bool)[order]
-    hits = 0
-    total = 0.0
-    for rank, flag in enumerate(flags, start=1):
-        if flag:
-            hits += 1
-            total += hits / rank
-    return total / flags.sum()
-
-
-def exhaustive_fpr(scores, is_ood, target):
-    scores = np.asarray(scores, float)
-    is_ood = np.asarray(is_ood, bool)
-    best = None
-    for t in np.unique(scores):
-        flagged = scores >= t
-        tpr = (flagged & is_ood).sum() / is_ood.sum()
-        fpr = (flagged & ~is_ood).sum() / (~is_ood).sum()
-        if tpr >= target and (best is None or fpr < best):
-            best = fpr
-    return best
+from oracles import brute_force_auroc, exhaustive_fpr, rank_by_rank_auprc
 
 
 class TestAuroc:
@@ -418,6 +385,14 @@ def test_scored_pixels_refuse_non_finite_scores(bad):
 def test_scored_pixels_refuse_misshapen_arrays(scores, is_ood):
     with pytest.raises(ShapeError, match="^scores and is_ood must be parallel 1-d arrays$"):
         ScoredPixels(scores, is_ood)
+
+
+@pytest.mark.parametrize("field", ["scores", "is_ood"])
+def test_scored_pixels_refuse_reassignment(field):
+    """``n_ood`` and ``ranking`` are cached, so their arrays stay put."""
+    data = ScoredPixels([3.0, 2.0, 1.0, 0.0], [True, False, True, False])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(data, field, getattr(data, field)[::-1])
 
 
 class TestMiou:
