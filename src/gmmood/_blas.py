@@ -15,8 +15,9 @@ The libraries are the OpenBLAS builds the process has mapped
 module costs nothing.
 
 ``map_on_cores(work, items)`` is the one thread pool of the package:
-scoring maps it over a scan's blocks of pixels, and fitting over its
-training scans and then over the classes.  The items of a call run on a
+scoring maps it over a scan's blocks of pixels, fitting over its
+training scans and then over the classes, and ``project`` and ``eval``
+over their files.  The items of a call run on a
 pool of its own, one thread per usable CPU, opened and closed inside
 ``single_thread()``, since OpenBLAS's own threads would fight the
 pool's; so no item outlives the hold.  Where no OpenBLAS is found the

@@ -350,9 +350,12 @@ def _require_dir(path, what: str) -> Path:
     return p
 
 
-def _each_file(paths, work) -> list:
-    """Run ``work(path)`` for each path in turn, on the calling thread;
-    scoring spreads each scan over every core itself (``ensemble``).
+def _each_file(paths, work, mapper=map) -> list:
+    """Run ``work(path)`` for each path through ``mapper``: in turn on the
+    calling thread by default, or on every core with
+    ``_blas.map_on_cores``, as ``project`` and ``eval`` do; ``score``
+    keeps its scans in turn, since each spreads its blocks over every
+    core itself (``ensemble``).
 
     Returns, in path order, ``(path, result, None)``, or ``(path, None,
     message)`` for a file whose work raised a library, value or OS error;
@@ -365,7 +368,7 @@ def _each_file(paths, work) -> list:
         except (Error, ValueError, OSError) as exc:
             return path, None, str(exc)
 
-    return [attempt(path) for path in paths]
+    return list(mapper(attempt, paths))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +404,7 @@ def cmd_project(cfg: RunConfig) -> int:
             )
         return entry
 
-    done = _each_file(sorted(scan_dir.glob("*.bin")), project_one)
+    done = _each_file(sorted(scan_dir.glob("*.bin")), project_one, _blas.map_on_cores)
     entries = [entry or {"scan": path.name, "error": error} for path, entry, error in done]
     failed = sum(error is not None for _, _, error in done)
     _write_json(out / "project_manifest.json", {"files": entries, "failed": failed})
@@ -416,6 +419,10 @@ def cmd_fit(cfg: RunConfig) -> int:
     feature_dir = _require_dir(cfg.paths.feature_dir, "feature_dir")
     label_dir = _require_dir(cfg.paths.label_dir, "label_dir")
     n_classes = cfg.model.classes
+    top = max(cfg.class_map.train_ids.values(), default=-1)
+    if n_classes > top + 1:  # refused before any scan is read
+        raise Error(f"classes = {n_classes} but the class map's largest train id is {top}: "
+                    f"class {top + 1} can have no samples")
     feature_files = sorted(feature_dir.glob("*.fmap"))
     if not feature_files:
         raise Error(f"no feature files in {feature_dir}")
@@ -425,11 +432,12 @@ def cmd_fit(cfg: RunConfig) -> int:
     def read_scan(fpath: Path) -> list:
         """The usable float32 rows of one training scan, grouped by train
         id with one stable sort: part c holds class c's rows in pixel
-        order."""
+        order.  The ids are narrowed to the smallest type that holds
+        ``classes``, so that at up to 16 bits numpy radix-sorts them."""
         fmap = _read_features(fpath, cfg.model.feature_dim)
         code = _read_labels(label_dir / fpath.name, fmap.valid.shape, cfg)
         pixels = np.flatnonzero(fmap.valid & (code >= 0))
-        ids = code.ravel()[pixels]
+        ids = code.ravel()[pixels].astype(np.min_scalar_type(n_classes))
         order = np.argsort(ids, kind="stable")
         rows = fmap.values.reshape(-1, fmap.dim)[pixels[order]]
         return np.split(rows, np.searchsorted(ids[order], np.arange(1, n_classes)))
@@ -577,7 +585,7 @@ def cmd_eval(cfg: RunConfig) -> int:
             )
         return code[ranked] == OUTLIER, scores, pred.astype(np.int64), code[id_pixels]
 
-    done = _each_file(pred_files, eval_one)
+    done = _each_file(pred_files, eval_one, _blas.map_on_cores)
     for _, _, error in done:
         if error is not None:
             print(f"error: {error}", file=sys.stderr)

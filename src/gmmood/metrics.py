@@ -3,8 +3,9 @@ percentile decision rule.
 
 Detection treats the problem as binary ranking: higher score means more
 likely out-of-distribution.  ``ScoredPixels.ranking`` sorts the scores
-once, stably and descending, into a table: the OOD flags in that order,
-the OOD and ID count of each block of equal scores and their running
+once, descending with ties in input order (``descending_order``, the
+package's one descending sort), into a table: the OOD flags in that
+order, the OOD and ID count of each block of equal scores and their running
 counts through each block (``n_ood`` is summed once, ``n_id`` is the
 rest).  AUROC is the Mann-Whitney U counted from the blocks (ties count
 one half); FPR95 is the smallest false-positive rate among thresholds,
@@ -27,6 +28,37 @@ from .errors import ShapeError, UndefinedMetricError
 
 # the detection fields of ``EvalReport``, in report order
 DETECTION = ("auroc", "auprc", "average_precision", "fpr95")
+
+
+def descending_order(values) -> np.ndarray:
+    """Exactly ``np.argsort(-values, kind="stable")``, in two fast sorts.
+
+    An unstable argsort (numpy's SIMD sort) orders the values; a sort of
+    uint64 keys ``(run << 32) | index``, the run numbering the blocks of
+    equal values in that order, then puts each block back in input
+    order.  ``-0.0`` and ``0.0`` are equal, so they share a block, as in
+    the stable sort.  About 17 B per value are alive at once.  Values
+    with a NaN, or more than 2^32 of them, take the stable sort itself.
+    """
+    values = np.asarray(values)
+    if values.size > 2**32:
+        return np.argsort(-values, kind="stable")
+    order = np.argsort(-values)
+    ranked = values[order]
+    if values.size and np.isnan(ranked[-1]):  # NaNs sort last
+        return np.argsort(-values, kind="stable")
+    new_run = ranked[1:] != ranked[:-1]
+    del ranked
+    if new_run.all():  # no ties: the order is already the stable one
+        return order
+    key = np.zeros(values.size, np.uint64)
+    key[1:] = new_run
+    np.cumsum(key, out=key)  # in place: a cast inside cumsum would copy
+    key <<= np.uint64(32)
+    key |= order.view(np.uint64)
+    key.sort()
+    key &= np.uint64(0xFFFFFFFF)
+    return key.view(np.intp)
 
 
 @dataclass(frozen=True)
@@ -56,10 +88,11 @@ class ScoredPixels:
 
     @cached_property
     def ranking(self) -> tuple[np.ndarray, ...]:
-        """``is_ood`` in the stable descending order of the scores, then
-        the int64 OOD and ID count of each block of equal scores in that
-        order, then the running OOD and ID counts through each block."""
-        order = np.argsort(-self.scores, kind="stable")
+        """``is_ood`` in the descending order of the scores, ties in input
+        order, then the int64 OOD and ID count of each block of equal
+        scores in that order, then the running OOD and ID counts through
+        each block."""
+        order = descending_order(self.scores)
         ranked = self.scores[order]
         flags = self.is_ood[order]
         blocks = np.flatnonzero(np.append(True, ranked[1:] != ranked[:-1]))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CorruptPointError, LabelCountError, MalformedScanError, ShapeError
+from .metrics import descending_order
 
 POINT_RECORD_BYTES = 16
 LABEL_RECORD_BYTES = 4
@@ -174,7 +175,7 @@ def project_spherical(
     point_cols[kept_idx] = cols
 
     # scatter in decreasing-range order so the nearest point lands last
-    order = np.argsort(-rng[kept_idx], kind="stable")
+    order = descending_order(rng[kept_idx])
     seq = kept_idx[order]
     r_seq, c_seq = point_rows[seq], point_cols[seq]
 

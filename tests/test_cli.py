@@ -141,9 +141,62 @@ class TestProjectCommand:
         assert manifest["failed"] == 1
         assert (out / "range" / "000.fmap").exists()
 
+    def test_scans_projected_on_the_pool_match_a_serial_run(self, tmp_path, monkeypatch, capsys):
+        """Three scans, the middle one corrupt: on the pool and one after
+        another, ``project`` writes the same files and manifest, prints
+        the same and exits 1."""
+        from gmmood import rangeview
+
+        scan_dir, label_dir = make_dataset(tmp_path)
+        shutil.copy(scan_dir / "001.bin", scan_dir / "002.bin")
+        shutil.copy(label_dir / "001.label", label_dir / "002.label")
+        (scan_dir / "001.bin").write_bytes(b"\x00" * 17)
+        cfg = write_config(tmp_path / "run.ini", tmp_path / "unused", scan_dir, label_dir)
+        runs = run_on_pool_and_serially(monkeypatch, capsys, ["project", "--config", str(cfg)],
+                                        tmp_path, rangeview, "project_spherical")
+        assert runs["pooled"] == runs["serial"]
+        code, _, _, files = runs["pooled"]
+        assert code == EXIT_PARTIAL
+        manifest = json.loads(files[Path("project_manifest.json")])
+        assert [f["scan"] for f in manifest["files"]] == ["000.bin", "001.bin", "002.bin"]
+        assert "error" in manifest["files"][1] and manifest["failed"] == 1
+        assert Path("range/002.fmap") in files and Path("labels/002.fmap") in files
+
     def test_missing_scan_dir_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "run.ini", tmp_path / "out", tmp_path / "nope")
         assert main(["project", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+def run_on_pool_and_serially(monkeypatch, capsys, argv, root, owner, attr):
+    """Run ``main([*argv, "--out", root / name])`` for name "pooled", on
+    the pool, then for "serial", with no OpenBLAS found (files in turn on
+    the calling thread); returns ``{name: (exit code, stdout, stderr,
+    {path under the out dir: bytes})}``.  ``owner.attr``, which each
+    file's work calls, must run off the calling thread on the pool,
+    wherever an OpenBLAS is found, and on it serially."""
+    threads = []
+    inner = getattr(owner, attr)
+
+    def recording(*args):
+        threads.append(threading.current_thread())
+        return inner(*args)
+
+    monkeypatch.setattr(owner, attr, recording)
+    runs = {}
+    for name in ("pooled", "serial"):
+        if name == "serial":
+            monkeypatch.setattr(_blas, "_found", [])
+        threads.clear()
+        out = root / name
+        code = main([*argv, "--out", str(out)])
+        stdout, stderr = capsys.readouterr()
+        if name == "serial" or not _blas._libraries():
+            assert set(threads) == {threading.current_thread()}
+        else:
+            assert threads and threading.current_thread() not in threads
+        files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        runs[name] = (code, stdout, stderr, files)
+    return runs
 
 
 @pytest.fixture
@@ -215,13 +268,43 @@ class TestFitCommand:
             out,
             label_dir=out / "labels",
             feature_dir=out / "range",
-            extra="\n[DEFAULT]\n",
+            extra="40 = 3\n[DEFAULT]\n",  # a class map entry, then a section
         )
-        # ask for a fourth class that no pixel carries
+        # ask for a fourth class that the map labels but no pixel carries
         assert (
             main(["fit", "--config", str(fit_cfg), "--classes", "4"]) == EXIT_CONFIG
         )
         assert "class 3 has 0 samples; needs at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("classes", [4, 10**9])
+    def test_classes_beyond_the_class_map_are_refused_before_any_read(
+        self, projected, capsys, monkeypatch, classes
+    ):
+        """A ``classes`` above the class map's largest train id + 1 (2
+        here) leaves a class no pixel can carry: ``fit`` exits 2 naming
+        both before it reads a scan, so a huge value costs nothing."""
+        _, out, _ = projected
+        fit_cfg = write_config(
+            out.parent / "fit.ini", out, label_dir=out / "labels", feature_dir=out / "range"
+        )
+
+        def no_read(*args):
+            raise AssertionError("a scan was read")
+
+        monkeypatch.setattr(cli, "_read_features", no_read)
+        tracemalloc.start()
+        try:
+            code = main(["fit", "--config", str(fit_cfg), "--classes", str(classes)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: classes = {classes} but the class map's largest train id is 2: "
+            "class 3 can have no samples\n"
+        )
+        assert peak < 1 << 20, f"{peak} B traced"
+        assert not (out / "model.gmmc").exists()
 
     def test_non_finite_feature_is_config_error(self, projected, capsys):
         cfg, out, _ = projected
@@ -835,6 +918,25 @@ class TestEvalCommand:
             assert (root / "eval_both" / name).read_bytes() == (
                 root / "eval_alone" / name
             ).read_bytes()
+
+    def test_scans_evaluated_on_the_pool_match_a_serial_run(self, fitted, monkeypatch, capsys):
+        """Three scans, the middle one with a corrupt score map: on the
+        pool and one after another, ``eval`` writes the same reports,
+        prints the same lines and error, and exits 1."""
+        cfg, out, root = fitted
+        for sub in ("range", "labels"):
+            shutil.copy(out / sub / "000.fmap", out / sub / "002.fmap")
+        assert main(["score", "--config", str(cfg)]) == EXIT_OK
+        (out / "scores" / "001_aleatoric.fmap").write_bytes(b"JUNK" * 8)
+        capsys.readouterr()
+        argv = ["eval", "--config", str(cfg), "--label-dir", str(out / "labels"),
+                "--score-dir", str(out)]
+        runs = run_on_pool_and_serially(monkeypatch, capsys, argv, root, cli, "_read_labels")
+        assert runs["pooled"] == runs["serial"]
+        code, stdout, stderr, files = runs["pooled"]
+        assert code == EXIT_PARTIAL and len(files) == 12
+        assert stderr.startswith("error: scores/001_aleatoric.fmap: ") and stderr.count("\n") == 1
+        assert stdout.count("\n") == 6
 
     @pytest.mark.parametrize("command", ["fit", "eval"])
     def test_label_grid_of_another_size_is_refused(self, fitted, capsys, command):

@@ -5,10 +5,15 @@ import json
 import math
 from pathlib import Path
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gmmood
+from gmmood import metrics as metrics_mod
 from gmmood.errors import ShapeError, UndefinedMetricError
 from gmmood.metrics import (
     EvalReport,
@@ -16,6 +21,7 @@ from gmmood.metrics import (
     auprc,
     auroc,
     average_precision,
+    descending_order,
     fpr_at_tpr,
     miou,
     percentile_threshold,
@@ -318,9 +324,12 @@ def test_ranking_table_matches_unique_counts(decimals):
 def test_one_report_takes_each_running_count_once(monkeypatch):
     """One ``EvalReport.of`` runs three cumulative sums: the ranking's
     running OOD and ID counts, taken once for the three metrics that read
-    them, and ``auprc``'s per-pixel one."""
+    them, and ``auprc``'s per-pixel one.  The sort's own run numbering
+    (``descending_order``) is no running count, so the stable argsort
+    stands in for it here."""
     rng = np.random.default_rng(14)
     data = ScoredPixels(np.round(rng.normal(size=500), 1), rng.random(500) < 0.3)
+    monkeypatch.setattr(metrics_mod, "descending_order", lambda v: np.argsort(-v, kind="stable"))
     calls = []
     cumsum = np.cumsum
     monkeypatch.setattr(np, "cumsum", lambda *a, **k: calls.append(1) or cumsum(*a, **k))
@@ -357,11 +366,35 @@ def calls_by_function(module: str) -> dict:
 
 def test_metrics_take_cumulative_sums_in_the_ranking_and_auprc_only():
     """``metrics.py`` calls ``cumsum`` only inside ``ScoredPixels.ranking``
-    (the running counts) and ``auprc`` (its per-pixel sum)."""
+    (the running counts) and ``auprc`` (its per-pixel sum), besides the
+    run numbering of the sort (``descending_order``)."""
     calls = calls_by_function("metrics.py")
     homes = {name: f.count("cumsum") for name, f in calls.items() if name and "cumsum" in f}
-    assert homes == {"ScoredPixels.ranking": 2, "auprc": 1}
-    assert calls[None].count("cumsum") == 3
+    assert homes == {"ScoredPixels.ranking": 2, "auprc": 1, "descending_order": 1}
+    assert calls[None].count("cumsum") == 4
+
+
+def test_the_package_sorts_descending_in_one_place():
+    """Every numpy sort of negated values in the package is inside
+    ``metrics.descending_order``, and the ranking and the projection's
+    nearest-point scatter take their order from it."""
+    homes = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for call in ast.walk(node):
+                if (
+                    isinstance(call, ast.Call)
+                    and getattr(call.func, "attr", getattr(call.func, "id", "")) in ("argsort", "sort")
+                    and call.args
+                    and isinstance(call.args[0], ast.UnaryOp)
+                    and isinstance(call.args[0].op, ast.USub)
+                ):
+                    homes.add(f"{path.stem}.{node.name}")
+    assert homes == {"metrics.descending_order"}
+    assert calls_by_function("metrics.py")["ScoredPixels.ranking"].count("descending_order") == 1
+    assert calls_by_function("rangeview.py")["project_spherical"].count("descending_order") == 1
 
 
 def test_class_sums_take_their_shift_with_one_max():
@@ -521,3 +554,85 @@ class TestEvalReport:
         assert header.split(",")[0] == "auroc"
         assert row.split(",")[0] == "0.333333"
         assert row.split(",")[-2:] == ["10", "2"]
+
+
+# descending_order against the stable argsort it replaces
+
+
+def assert_stable_descending(values):
+    want = np.argsort(-values, kind="stable")
+    got = descending_order(values)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("values", [
+    [], [2.5], [1.0, 1.0], [1.0, 2.0], [2.0, 1.0], [0.0, -0.0], [-0.0, 0.0],
+    [-0.0, 1.0, 0.0, -0.0, 1.0], [np.inf, -np.inf, np.inf, 0.0],
+    [1.0, np.nan, 1.0, np.nan, 0.0],  # NaNs take the stable sort itself
+], ids=lambda v: repr(v))
+def test_descending_order_small_cases(values):
+    assert_stable_descending(np.array(values, dtype=np.float64))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64, np.int16])
+def test_descending_order_other_dtypes(dtype):
+    rng = np.random.default_rng(3)
+    assert_stable_descending(rng.integers(-40, 40, 5000).astype(dtype))
+
+
+_POOL = [0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 5e-324, 3.4e38, np.inf, -np.inf]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(
+    st.one_of(st.sampled_from(_POOL), st.floats(allow_nan=False, width=32)), max_size=300
+))
+def test_descending_order_on_drawn_floats(values):
+    """float32-representable values, widened, with repeats of signed
+    zeros, subnormals and infinities."""
+    assert_stable_descending(np.array(values, dtype=np.float64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 20000),
+    levels=st.sampled_from([None, 2, 627]),
+    zeros=st.sampled_from([0.0, 0.5, 0.9, 0.99]),
+    negative_zeros=st.booleans(),
+    widen=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=0, levels=None, zeros=0.0, negative_zeros=False, widen=False, seed=0)
+@example(n=1, levels=627, zeros=0.0, negative_zeros=False, widen=False, seed=0)
+@example(n=2, levels=2, zeros=0.5, negative_zeros=True, widen=False, seed=0)
+@example(n=20000, levels=627, zeros=0.99, negative_zeros=True, widen=False, seed=1)
+def test_descending_order_on_tied_scores(n, levels, zeros, negative_zeros, widen, seed):
+    """Continuous or vote-like (``levels`` values in [0, 1]) scores, a
+    share of them zero, some of those ``-0.0``, optionally widened from
+    float32 as read from a score grid."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n) if levels is None else rng.integers(0, levels, n) / (levels - 1)
+    values[rng.random(n) < zeros] = 0.0
+    if negative_zeros:
+        values[(values == 0.0) & (rng.random(n) < 0.5)] = -0.0
+    if widen:
+        values = values.astype(np.float32).astype(np.float64)
+    assert_stable_descending(values)
+
+
+def test_descending_order_memory_per_value_is_bounded():
+    """On tied scores (the path that sorts the run keys) the order, the
+    run flags and the keys are alive at once, 17 B per value; a cumsum
+    that cast the flags to uint64 on the way read 25 B, and the budget
+    is four 8-byte words."""
+    rng = np.random.default_rng(4)
+    values = rng.integers(0, 627, 200_000) / 626.0
+    descending_order(values)  # warm-up
+    tracemalloc.start()
+    try:
+        descending_order(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / values.size < 20, f"{peak / values.size:.1f} B per value"

@@ -95,6 +95,34 @@ class TestProjection:
         assert image.channels[r, c, CH_RANGE] == pytest.approx(5.0)
         assert image.point_index[r, c] == 1
 
+    @pytest.mark.parametrize("shape", [(1, 1), (64, 1024)])
+    def test_equal_ranges_in_one_pixel_match_the_stable_scatter(self, shape, monkeypatch):
+        """Points of exactly equal range on one pixel, with different
+        intensities: the last of them in input order wins it, as when the
+        scatter order is the stable descending argsort, and the image is
+        the one that order gives.  Each direction below has range 5.0
+        exactly; it repeats 25 times at range 5 and 10, and on the 1 x 1
+        grid all 600 points share the pixel."""
+        from gmmood import rangeview
+
+        dirs = np.array([[3, 4, 0], [4, 3, 0], [0, 0, 5], [-3, 4, 0], [0, -3, 4], [4, 0, -3],
+                         [-4, -3, 0], [0, 4, 3], [3, 0, 4], [0, 0, -5], [-3, -4, 0], [5, 0, 0]])
+        rng = np.random.default_rng(31)
+        xyz = np.concatenate([np.tile(dirs, (25, 1)), 2 * np.tile(dirs, (25, 1))])
+        xyz = xyz[rng.permutation(len(xyz))]
+        points = np.column_stack([xyz, np.arange(len(xyz)) / len(xyz)])
+        config = ProjectionConfig(*shape)
+        image = project_spherical(PointCloud(points), config)
+        monkeypatch.setattr(rangeview, "descending_order", lambda v: np.argsort(-v, kind="stable"))
+        want = project_spherical(PointCloud(points), config)
+        np.testing.assert_array_equal(image.point_index, want.point_index)
+        np.testing.assert_array_equal(image.channels, want.channels)
+        np.testing.assert_array_equal(image.valid, want.valid)
+        if shape == (1, 1):
+            last = np.flatnonzero(np.linalg.norm(xyz, axis=1) == 5.0)[-1]
+            assert image.point_index[0, 0] == last
+            assert image.channels[0, 0, 3] == np.float32(points[last, 3])
+
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError):
             project_spherical(PointCloud(np.empty((0, 4))))
