@@ -76,10 +76,10 @@ class ClassMap:
         """The int64 code of each raw id: its train id, OUTLIER or IGNORE.
 
         Raw ids absent from the table or outside [0, RAW_ID_MAX] are
-        treated as ignore.
+        treated as ignore; float ids are cut to integers.
         """
-        # -1 and RAW_ID_MAX + 1 both read the table's last entry: ignore
-        return self.codes[np.clip(np.asarray(raw, dtype=np.int64), -1, RAW_ID_MAX + 1)]
+        # clipped before the cast; -1 and RAW_ID_MAX + 1 read the last entry
+        return self.codes[np.clip(np.asarray(raw), -1, RAW_ID_MAX + 1).astype(np.int64)]
 
 
 # Default table for SemanticKITTI-style raw labels: 19 train classes,
@@ -325,12 +325,19 @@ def _read_labels(path: Path, shape, cfg: RunConfig) -> np.ndarray:
     absent from the table (ignored).  A train id not below ``classes``
     is refused wherever the grid holds it."""
     grid, valid = _read_grid(path, shape)
-    raw = np.full(shape, -1, dtype=np.int64)
-    raw[valid] = np.clip(np.round(grid[valid]), -1, RAW_ID_MAX + 1)
-    code = cfg.class_map.map_array(raw)  # raw id -1, where invalid: ignore
+    code = np.full(shape, IGNORE, dtype=np.int64)
+    code[valid] = cfg.class_map.map_array(np.round(grid[valid]))
     if (top := code.max(initial=IGNORE)) >= cfg.model.classes:
         raise Error(f"{_shown(path)}: train id {top} is not below classes = {cfg.model.classes}")
     return code
+
+
+def _require_classes_in_map(cfg: RunConfig) -> None:
+    """Refuse, before any scan is read, classes no label pixel can carry."""
+    top = max(cfg.class_map.train_ids.values(), default=-1)
+    if cfg.model.classes > top + 1:
+        raise Error(f"classes = {cfg.model.classes} but the class map's largest train id is "
+                    f"{top}: class {top + 1} can have no samples")
 
 
 def _read_features(path: Path, dim: int) -> FeatureMap:
@@ -418,11 +425,8 @@ def cmd_project(cfg: RunConfig) -> int:
 def cmd_fit(cfg: RunConfig) -> int:
     feature_dir = _require_dir(cfg.paths.feature_dir, "feature_dir")
     label_dir = _require_dir(cfg.paths.label_dir, "label_dir")
+    _require_classes_in_map(cfg)
     n_classes = cfg.model.classes
-    top = max(cfg.class_map.train_ids.values(), default=-1)
-    if n_classes > top + 1:  # refused before any scan is read
-        raise Error(f"classes = {n_classes} but the class map's largest train id is {top}: "
-                    f"class {top + 1} can have no samples")
     feature_files = sorted(feature_dir.glob("*.fmap"))
     if not feature_files:
         raise Error(f"no feature files in {feature_dir}")
@@ -550,6 +554,7 @@ def cmd_score(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     score_dir = Path(cfg.paths.score_dir or cfg.paths.out_dir)
     label_dir = _require_dir(cfg.paths.label_dir, "label_dir")
+    _require_classes_in_map(cfg)
     pred_dir = (score_dir / _PREDICTION_FILE).parent
     if not pred_dir.is_dir():
         raise Error(f"no {pred_dir.name} directory under {score_dir}")

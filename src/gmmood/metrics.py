@@ -3,18 +3,18 @@ percentile decision rule.
 
 Detection treats the problem as binary ranking: higher score means more
 likely out-of-distribution.  ``ScoredPixels.ranking`` sorts the scores
-once, descending with ties in input order (``descending_order``, the
-package's one descending sort), into a table: the OOD flags in that
-order, the OOD and ID count of each block of equal scores and their running
-counts through each block (``n_ood`` is summed once, ``n_id`` is the
-rest).  AUROC is the Mann-Whitney U counted from the blocks (ties count
-one half); FPR95 is the smallest false-positive rate among thresholds,
-which sit between blocks, whose true-positive rate reaches the target
-under the rule ``flag score >= t``; ``average_precision`` steps once per
-block, so a tied block is one threshold and pixel order cannot move it.
-``auprc`` alone reads the flags: it steps per pixel and breaks ties by
-stable input order, so on heavily tied scores it depends on the pixel
-order.
+once, descending with ties in input order, into the blocks of equal
+scores (``descending_order``, the package's one descending sort), and
+tabulates the OOD flags in that order, their running count and, read off
+it at each block's end, each block's OOD and ID count and their running
+counts (``n_ood`` is summed once, ``n_id`` is the rest).  AUROC is the
+Mann-Whitney U counted from the blocks (ties count one half); FPR95 is
+the smallest false-positive rate among thresholds, which sit between
+blocks, whose true-positive rate reaches the target under the rule
+``flag score >= t``; ``average_precision`` steps once per block, so a
+tied block is one threshold and pixel order cannot move it.  ``auprc``
+alone reads the running count per pixel: it breaks ties by stable input
+order, so on heavily tied scores it depends on the pixel order.
 """
 
 import json
@@ -30,35 +30,35 @@ from .errors import ShapeError, UndefinedMetricError
 DETECTION = ("auroc", "auprc", "average_precision", "fpr95")
 
 
-def descending_order(values) -> np.ndarray:
-    """Exactly ``np.argsort(-values, kind="stable")``, in two fast sorts.
+def descending_order(values) -> tuple[np.ndarray, np.ndarray]:
+    """Exactly ``np.argsort(-values, kind="stable")``, in two fast sorts,
+    and the last position in that order of each block of equal values.
 
-    An unstable argsort (numpy's SIMD sort) orders the values; a sort of
-    uint64 keys ``(run << 32) | index``, the run numbering the blocks of
-    equal values in that order, then puts each block back in input
-    order.  ``-0.0`` and ``0.0`` are equal, so they share a block, as in
-    the stable sort.  About 17 B per value are alive at once.  Values
-    with a NaN, or more than 2^32 of them, take the stable sort itself.
+    An unstable argsort (numpy's SIMD sort) orders the values, and one
+    comparison of neighbours finds the blocks (``-0.0`` and ``0.0`` share
+    one, each NaN is its own); a sort of uint64 keys
+    ``(run << 32) | index``, numbering the blocks, puts each back in input
+    order.  About 17 B per value and 8 per block are alive at once.
+    Values with a NaN, or more than 2^32 of them, take the stable sort.
     """
     values = np.asarray(values)
-    if values.size > 2**32:
-        return np.argsort(-values, kind="stable")
     order = np.argsort(-values)
     ranked = values[order]
-    if values.size and np.isnan(ranked[-1]):  # NaNs sort last
-        return np.argsort(-values, kind="stable")
-    new_run = ranked[1:] != ranked[:-1]
+    last = np.append(ranked[1:] != ranked[:-1], True)[: values.size]  # of its block
+    ends = np.flatnonzero(last)  # a block's bounds do not depend on its order
+    if values.size > 2**32 or np.isnan(ranked[-1:]).any():  # NaNs sort last
+        return np.argsort(-values, kind="stable"), ends
     del ranked
-    if new_run.all():  # no ties: the order is already the stable one
-        return order
+    if ends.size == values.size:  # no ties: the order is already the stable one
+        return order, ends
     key = np.zeros(values.size, np.uint64)
-    key[1:] = new_run
+    key[1:] = last[:-1]
     np.cumsum(key, out=key)  # in place: a cast inside cumsum would copy
     key <<= np.uint64(32)
     key |= order.view(np.uint64)
     key.sort()
     key &= np.uint64(0xFFFFFFFF)
-    return key.view(np.intp)
+    return key.view(np.intp), ends
 
 
 @dataclass(frozen=True)
@@ -89,16 +89,16 @@ class ScoredPixels:
     @cached_property
     def ranking(self) -> tuple[np.ndarray, ...]:
         """``is_ood`` in the descending order of the scores, ties in input
-        order, then the int64 OOD and ID count of each block of equal
-        scores in that order, then the running OOD and ID counts through
-        each block."""
-        order = descending_order(self.scores)
-        ranked = self.scores[order]
+        order, and its int64 running count; then, read off that count at
+        the end of each block of equal scores in that order, the block's
+        OOD and ID counts and the running OOD and ID counts through it."""
+        order, ends = descending_order(self.scores)
         flags = self.is_ood[order]
-        blocks = np.flatnonzero(np.append(True, ranked[1:] != ranked[:-1]))
-        ood = np.add.reduceat(flags, blocks, dtype=np.int64)
-        ids = np.diff(blocks, append=flags.size) - ood
-        return flags, ood, ids, np.cumsum(ood), np.cumsum(ids)
+        del order
+        hits = np.cumsum(flags)
+        tp = hits[ends]
+        fp = np.subtract(ends + 1, tp, out=ends)  # in ends' buffer
+        return flags, hits, np.diff(tp, prepend=0), np.diff(fp, prepend=0), tp, fp
 
 
 def _require_both_classes(data: ScoredPixels, metric: str) -> None:
@@ -112,7 +112,7 @@ def _require_both_classes(data: ScoredPixels, metric: str) -> None:
 def auroc(data: ScoredPixels) -> float:
     """P(random OOD score > random ID score), ties counting 1/2."""
     _require_both_classes(data, "auroc")
-    _, ood, ids, _, fp = data.ranking
+    _, _, ood, ids, _, fp = data.ranking
     # twice U, exact in int64: each OOD pixel beats the ID pixels of the
     # lower blocks twice over and those of its own block once
     twice_u = (ood * (2 * (data.n_id - fp) + ids)).sum()
@@ -125,10 +125,9 @@ def auprc(data: ScoredPixels) -> float:
     Ties are broken by stable input order.
     """
     _require_both_classes(data, "auprc")
-    flags = data.ranking[0]
-    tp = np.cumsum(flags)
-    ranks = np.arange(1, flags.size + 1)
-    precision_at_pos = tp[flags] / ranks[flags]
+    flags, hits = data.ranking[:2]
+    at = np.flatnonzero(flags)
+    precision_at_pos = hits[at] / (at + 1)
     return float(precision_at_pos.sum() / data.n_ood)
 
 
@@ -136,7 +135,7 @@ def average_precision(data: ScoredPixels) -> float:
     """Average precision with one step per block of equal scores: the sum
     over blocks of (block OOD / all OOD) x precision with the block flagged."""
     _require_both_classes(data, "average_precision")
-    _, ood, _, tp, fp = data.ranking
+    _, _, ood, _, tp, fp = data.ranking
     return float((ood / data.n_ood * tp / (tp + fp)).sum())
 
 

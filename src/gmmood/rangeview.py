@@ -3,8 +3,8 @@
 Scans are flat binary files of 16-byte point records (x, y, z, intensity as
 little-endian float32); labels are parallel files of little-endian uint32
 records whose low 16 bits carry the semantic id.  Projection maps points to
-a fixed H x W grid; when several points fall on one pixel the nearest wins,
-and pixels that receive no point are marked invalid.
+a fixed H x W grid; of the points on one pixel the nearest wins, giving it
+every channel, and pixels that receive no point are marked invalid.
 """
 
 import math
@@ -144,7 +144,7 @@ def project_spherical(
     pixel.  Zero-range points are skipped and counted in
     ``dropped_points``.
 
-    Per-point values ``a`` map onto the grid as
+    Per-point values ``a``, each channel's too, map onto the grid as
     ``np.where(image.valid, a[image.point_index], fill)``.
     """
     n = len(cloud)
@@ -175,20 +175,16 @@ def project_spherical(
     point_cols[kept_idx] = cols
 
     # scatter in decreasing-range order so the nearest point lands last
-    order = descending_order(rng[kept_idx])
-    seq = kept_idx[order]
-    r_seq, c_seq = point_rows[seq], point_cols[seq]
-
-    channels = np.full((h, w, 5), FILL_VALUE, dtype=np.float32)
+    seq = kept_idx[descending_order(rng[kept_idx])[0]]
     point_index = np.full((h, w), -1, dtype=np.int32)
-    channels[r_seq, c_seq, CH_X] = xyz[seq, 0]
-    channels[r_seq, c_seq, CH_Y] = xyz[seq, 1]
-    channels[r_seq, c_seq, CH_Z] = xyz[seq, 2]
-    channels[r_seq, c_seq, CH_INTENSITY] = cloud.intensity[seq]
-    channels[r_seq, c_seq, CH_RANGE] = rng[seq]
-    point_index[r_seq, c_seq] = seq
+    point_index[point_rows[seq], point_cols[seq]] = seq
+    del seq
 
     valid = point_index >= 0
+    winners = point_index[valid]
+    channels = np.full((h, w, 5), FILL_VALUE, dtype=np.float32)
+    for ch, values in enumerate((*xyz.T, cloud.intensity, rng)):  # CH_X .. CH_RANGE
+        channels[valid, ch] = values[winners]
     return RangeImage(channels, valid, point_index, point_rows, point_cols, dropped)
 
 

@@ -281,29 +281,32 @@ class TestFitCommand:
         self, projected, capsys, monkeypatch, classes
     ):
         """A ``classes`` above the class map's largest train id + 1 (2
-        here) leaves a class no pixel can carry: ``fit`` exits 2 naming
-        both before it reads a scan, so a huge value costs nothing."""
+        here) leaves a class no pixel can carry: ``fit`` and ``eval``
+        each exit 2 naming both before they read a grid, so a huge value
+        costs nothing."""
         _, out, _ = projected
         fit_cfg = write_config(
             out.parent / "fit.ini", out, label_dir=out / "labels", feature_dir=out / "range"
         )
 
         def no_read(*args):
-            raise AssertionError("a scan was read")
+            raise AssertionError("a grid was read")
 
         monkeypatch.setattr(cli, "_read_features", no_read)
-        tracemalloc.start()
-        try:
-            code = main(["fit", "--config", str(fit_cfg), "--classes", str(classes)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            f"error: classes = {classes} but the class map's largest train id is 2: "
-            "class 3 can have no samples\n"
-        )
-        assert peak < 1 << 20, f"{peak} B traced"
+        monkeypatch.setattr(cli, "_read_grid", no_read)
+        for command in ("fit", "eval"):
+            tracemalloc.start()
+            try:
+                code = main([command, "--config", str(fit_cfg), "--classes", str(classes)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_CONFIG, command
+            assert capsys.readouterr().err == (
+                f"error: classes = {classes} but the class map's largest train id is 2: "
+                "class 3 can have no samples\n"
+            )
+            assert peak < 1 << 20, f"{command}: {peak} B traced"
         assert not (out / "model.gmmc").exists()
 
     def test_non_finite_feature_is_config_error(self, projected, capsys):
@@ -1101,15 +1104,18 @@ class TestEvalCommand:
             "error: labels/001.fmap: train id 2 is not below classes = 2\n"
         )
 
-    def test_refused_allocation_is_config_error(self, fitted, capsys):
-        """``--classes 1000000000`` asks ``metrics.miou`` for a 10^18-entry
-        confusion count, 8 EB: the allocation is refused at once, and the
-        run exits 2 with an error line, not a traceback."""
+    def test_refused_allocation_is_config_error(self, fitted, capsys, monkeypatch):
+        """An allocation the machine refuses (here ``metrics.miou``'s
+        confusion count) exits 2 with an error line, not a traceback."""
         cfg, out, root = fitted
         assert main(["score", "--config", str(cfg)]) == EXIT_OK
+
+        def refused(*args):
+            raise MemoryError("Unable to allocate 7.28 EiB for an array")
+
+        monkeypatch.setattr(cli.metrics, "miou", refused)
         assert main(["eval", "--config", str(cfg), "--label-dir", str(out / "labels"),
-                     "--score-dir", str(out), "--out", str(root / "eval"),
-                     "--classes", "1000000000"]) == EXIT_CONFIG
+                     "--score-dir", str(out), "--out", str(root / "eval")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "allocate" in err and "Traceback" not in err
 
@@ -1339,21 +1345,26 @@ class TestFrontEnd:
     @pytest.mark.parametrize("source", ["default", "ini"])
     def test_map_array_is_a_per_id_lookup(self, tmp_path, source):
         """Every raw id, those outside [0, RAW_ID_MAX] too, maps as a
-        dict lookup would: unlisted and out-of-range ids are ignored."""
+        dict lookup would: unlisted and out-of-range ids are ignored.
+        Integral float ids, as a rounded label grid holds them, map
+        alike however far out of range, with no clip before the call."""
         class_map = DEFAULT_CLASS_MAP
         if source == "ini":
             path = tmp_path / "map.ini"
             path.write_text(f"[class_map]\n0 = 1\n5 = outlier\n9 = ignore\n300 = 0\n"
                             f"{cli.RAW_ID_MAX} = 2\n{cli.RAW_ID_MAX - 1} = outlier\n")
             class_map = load_run_config(path).class_map
-        raw = np.arange(-3, cli.RAW_ID_MAX + 4)
-        code = class_map.map_array(raw)
-        want = [
-            class_map.train_ids.get(rid, cli.OUTLIER if rid in class_map.outlier_ids else cli.IGNORE)
-            for rid in raw.tolist()
-        ]
-        np.testing.assert_array_equal(code, want)
-        assert code.dtype == np.int64
+        ints = np.arange(-3, cli.RAW_ID_MAX + 4)
+        floats = np.concatenate([ints, [-1e30, 1e30, 2.0**40, -(2.0**40)]])
+        for raw in (ints, floats, floats.astype(np.float32)):
+            code = class_map.map_array(raw)
+            want = [
+                class_map.train_ids.get(rid, cli.OUTLIER if rid in class_map.outlier_ids
+                                        else cli.IGNORE)
+                for rid in raw.tolist()
+            ]
+            np.testing.assert_array_equal(code, want)
+            assert code.dtype == np.int64
 
 
 class TestConfigHandling:

@@ -297,16 +297,16 @@ def test_tie_aware_metrics_ignore_pixel_order():
 @pytest.mark.parametrize("decimals", [0, 2, None], ids=["heavy-ties", "ties", "no-ties"])
 def test_ranking_table_matches_unique_counts(decimals):
     """``ranking``'s block counts are the OOD and ID counts of each distinct
-    score, highest first, its flags are ``is_ood`` in that order, and its
-    running counts are the cumulative block counts, ending at ``n_ood``
-    and ``n_id``."""
+    score, highest first, its flags are ``is_ood`` in that order, its
+    per-pixel count is their cumulative sum, and its running counts are
+    the cumulative block counts, ending at ``n_ood`` and ``n_id``."""
     rng = np.random.default_rng(13)
     for n in (1, 2, 50, 4000):
         raw = rng.normal(size=n)
         scores = raw if decimals is None else np.round(raw, decimals)
         is_ood = rng.random(n) < 0.3
         data = ScoredPixels(scores, is_ood)
-        flags, ood, ids, tp, fp = data.ranking
+        flags, hits, ood, ids, tp, fp = data.ranking
         values, inverse = np.unique(scores, return_inverse=True)
         want_ood = np.bincount(inverse, weights=is_ood, minlength=values.size)[::-1]
         want_ids = np.bincount(inverse, weights=~is_ood, minlength=values.size)[::-1]
@@ -319,22 +319,24 @@ def test_ranking_table_matches_unique_counts(decimals):
         assert tp.dtype == fp.dtype == np.int64
         assert (tp[-1], fp[-1]) == (data.n_ood, data.n_id) == (is_ood.sum(), n - is_ood.sum())
         np.testing.assert_array_equal(flags, is_ood[np.argsort(-scores, kind="stable")])
+        np.testing.assert_array_equal(hits, np.cumsum(flags))
+        assert hits.dtype == np.int64
 
 
 def test_one_report_takes_each_running_count_once(monkeypatch):
-    """One ``EvalReport.of`` runs three cumulative sums: the ranking's
-    running OOD and ID counts, taken once for the three metrics that read
-    them, and ``auprc``'s per-pixel one.  The sort's own run numbering
-    (``descending_order``) is no running count, so the stable argsort
-    stands in for it here."""
+    """One ``EvalReport.of`` runs one cumulative sum: the ranking's
+    per-pixel count of the flags, which ``auprc`` reads and the block
+    counts are read off.  The sort's own run numbering
+    (``descending_order``) is no running count, so its contract stands
+    in for it here."""
     rng = np.random.default_rng(14)
     data = ScoredPixels(np.round(rng.normal(size=500), 1), rng.random(500) < 0.3)
-    monkeypatch.setattr(metrics_mod, "descending_order", lambda v: np.argsort(-v, kind="stable"))
+    monkeypatch.setattr(metrics_mod, "descending_order", stable_order_and_ends)
     calls = []
     cumsum = np.cumsum
     monkeypatch.setattr(np, "cumsum", lambda *a, **k: calls.append(1) or cumsum(*a, **k))
     EvalReport.of(data, 0.5, [0.5])
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
 # each reduction has one home in the source, so it cannot fork again
@@ -364,14 +366,43 @@ def calls_by_function(module: str) -> dict:
     return found
 
 
-def test_metrics_take_cumulative_sums_in_the_ranking_and_auprc_only():
-    """``metrics.py`` calls ``cumsum`` only inside ``ScoredPixels.ranking``
-    (the running counts) and ``auprc`` (its per-pixel sum), besides the
-    run numbering of the sort (``descending_order``)."""
+def test_metrics_take_one_running_count_in_the_ranking():
+    """``metrics.py`` calls ``cumsum`` once inside ``ScoredPixels.ranking``
+    (the per-pixel count every metric reads), besides the run numbering
+    of the sort (``descending_order``), and counts no block with
+    ``reduceat``."""
     calls = calls_by_function("metrics.py")
     homes = {name: f.count("cumsum") for name, f in calls.items() if name and "cumsum" in f}
-    assert homes == {"ScoredPixels.ranking": 2, "auprc": 1, "descending_order": 1}
-    assert calls[None].count("cumsum") == 4
+    assert homes == {"ScoredPixels.ranking": 1, "descending_order": 1}
+    assert calls[None].count("cumsum") == 2
+    assert "reduceat" not in calls[None]
+
+
+def test_the_package_compares_sorted_neighbours_in_one_place():
+    """The only comparison of neighbours (``a[1:]`` against ``a[:-1]``) in
+    the package is ``descending_order``'s, which hands its blocks to the
+    ranking."""
+    def shifted(node):
+        return (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Slice)
+            and ast.unparse(node.slice) in ("1:", ":-1")
+        )
+
+    homes = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for call in ast.walk(node):
+                operands = (
+                    call.args if isinstance(call, ast.Call)
+                    else [call.left, *call.comparators] if isinstance(call, ast.Compare)
+                    else []
+                )
+                if sum(map(shifted, operands)) == 2:
+                    homes.append(f"{path.stem}.{node.name}")
+    assert homes == ["metrics.descending_order"]
 
 
 def test_the_package_sorts_descending_in_one_place():
@@ -394,6 +425,7 @@ def test_the_package_sorts_descending_in_one_place():
                     homes.add(f"{path.stem}.{node.name}")
     assert homes == {"metrics.descending_order"}
     assert calls_by_function("metrics.py")["ScoredPixels.ranking"].count("descending_order") == 1
+    assert calls_by_function("metrics.py")["ScoredPixels.ranking"].count("argsort") == 0
     assert calls_by_function("rangeview.py")["project_spherical"].count("descending_order") == 1
 
 
@@ -559,11 +591,21 @@ class TestEvalReport:
 # descending_order against the stable argsort it replaces
 
 
+def stable_order_and_ends(values):
+    """``descending_order``'s contract: the stable argsort, and the last
+    position of each block, where the values in that order differ from
+    their next neighbour or end."""
+    order = np.argsort(-values, kind="stable")
+    ranked = values[order]
+    return order, np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True)[: values.size])
+
+
 def assert_stable_descending(values):
-    want = np.argsort(-values, kind="stable")
-    got = descending_order(values)
-    assert got.dtype == want.dtype
+    want, want_ends = stable_order_and_ends(values)
+    got, ends = descending_order(values)
+    assert got.dtype == want.dtype == ends.dtype
     np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(ends, want_ends)
 
 
 @pytest.mark.parametrize("values", [

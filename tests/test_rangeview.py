@@ -1,9 +1,12 @@
+import ast
+import inspect
 import math
 import struct
 
 import numpy as np
 import pytest
 
+from gmmood import rangeview
 from gmmood.errors import (
     CorruptPointError,
     LabelCountError,
@@ -12,6 +15,7 @@ from gmmood.errors import (
 )
 from gmmood.rangeview import (
     CH_RANGE,
+    FILL_VALUE,
     PointCloud,
     ProjectionConfig,
     back_project,
@@ -29,6 +33,15 @@ def random_cloud(rng, n=500):
     xyz = rng.normal(scale=20.0, size=(n, 3))
     intensity = rng.random(n)
     return PointCloud(np.column_stack([xyz, intensity]))
+
+
+def assert_channels_are_the_winners(cloud, image):
+    """Each channel is its per-point array read at each pixel's winner,
+    ``np.where(valid, a[point_index], FILL_VALUE)``, as float32."""
+    per_point = (*cloud.xyz.T, cloud.intensity, np.linalg.norm(cloud.xyz, axis=1))
+    for ch, values in enumerate(per_point):
+        want = np.where(image.valid, values[image.point_index], FILL_VALUE)
+        np.testing.assert_array_equal(image.channels[..., ch], want.astype(np.float32))
 
 
 class TestParsePointCloud:
@@ -103,8 +116,6 @@ class TestProjection:
         the one that order gives.  Each direction below has range 5.0
         exactly; it repeats 25 times at range 5 and 10, and on the 1 x 1
         grid all 600 points share the pixel."""
-        from gmmood import rangeview
-
         dirs = np.array([[3, 4, 0], [4, 3, 0], [0, 0, 5], [-3, 4, 0], [0, -3, 4], [4, 0, -3],
                          [-4, -3, 0], [0, 4, 3], [3, 0, 4], [0, 0, -5], [-3, -4, 0], [5, 0, 0]])
         rng = np.random.default_rng(31)
@@ -113,15 +124,32 @@ class TestProjection:
         points = np.column_stack([xyz, np.arange(len(xyz)) / len(xyz)])
         config = ProjectionConfig(*shape)
         image = project_spherical(PointCloud(points), config)
-        monkeypatch.setattr(rangeview, "descending_order", lambda v: np.argsort(-v, kind="stable"))
+        monkeypatch.setattr(
+            rangeview, "descending_order", lambda v: (np.argsort(-v, kind="stable"), None)
+        )
         want = project_spherical(PointCloud(points), config)
         np.testing.assert_array_equal(image.point_index, want.point_index)
         np.testing.assert_array_equal(image.channels, want.channels)
         np.testing.assert_array_equal(image.valid, want.valid)
+        assert_channels_are_the_winners(PointCloud(points), image)
         if shape == (1, 1):
             last = np.flatnonzero(np.linalg.norm(xyz, axis=1) == 5.0)[-1]
             assert image.point_index[0, 0] == last
             assert image.channels[0, 0, 3] == np.float32(points[last, 3])
+
+    def test_channels_are_read_from_each_pixels_winner(self):
+        """Points occluded along shared rays and zero-range points: every
+        channel holds its winner's value, and the fill elsewhere."""
+        rng = np.random.default_rng(32)
+        base = random_cloud(rng, n=300).points
+        occluded = base[:100] * np.array([[1.5, 1.5, 1.5, 0.0]]) + [[0, 0, 0, 0.5]]
+        zeros = np.column_stack([np.zeros((20, 3)), rng.random(20)])
+        points = np.concatenate([occluded, base, zeros, base[:50] * [[3, 3, 3, 1]]])
+        cloud = PointCloud(points[rng.permutation(len(points))])
+        image = project_spherical(cloud)
+        assert image.dropped_points == 20
+        assert image.valid.sum() < 300  # some pixels are contested
+        assert_channels_are_the_winners(cloud, image)
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError):
@@ -229,3 +257,19 @@ class TestBackProject:
         values = back_project(image, np.ones((image.height, image.width)))
         assert math.isnan(values[0])
         assert values[1] == 1.0
+
+
+def test_projection_scatters_only_the_point_index():
+    """``project_spherical`` scatters once onto the grid, the point
+    indices, and writes ``channels`` only at the ``valid`` pixels."""
+    tree = ast.parse(inspect.getsource(rangeview.project_spherical))
+    stores = [
+        (ast.unparse(target.value), target.slice)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Subscript)
+    ]
+    assert [name for name, _ in stores].count("point_index") == 1
+    channels = [where for name, where in stores if name == "channels"]
+    assert channels and all(ast.unparse(where.elts[0]) == "valid" for where in channels)
