@@ -17,27 +17,31 @@ module costs nothing.
 ``map_on_cores(work, items)`` is the one thread pool of the package:
 scoring maps it over a scan's blocks of pixels, fitting over its
 training scans and then over the classes, and ``project`` and ``eval``
-over their files.  The items of a call run on a
-pool of its own, one thread per usable CPU, opened and closed inside
-``single_thread()``, since OpenBLAS's own threads would fight the
-pool's; so no item outlives the hold.  Where no OpenBLAS is found the
-items run one after another on the calling thread.  Each item runs in a
-copy of the caller's context, so a caller's ``np.errstate`` holds in it,
-and returns its own result, so what the caller assembles is
-bit-identical to the serial path.  The results come back in item order; an
-error is raised from the first item that failed, once no item is
-running.  Overlapping calls each get their own pool; the hold is
-reference-counted, so OpenBLAS stays at one thread until the last of
-them returns.
+over their files.  The calling thread works the items itself beside one
+helper thread per other usable CPU (named ``gmmood-score``), all started
+and joined inside ``single_thread()``, since OpenBLAS's own threads
+would fight them; so no item outlives the hold.  Each thread takes the
+next item index from one shared counter and stores the item's result at
+that index, so the caller waits on no per-item handle and the results
+come back in item order.  Where no OpenBLAS is found the items run one
+after another on the calling thread.  Each item runs in a fresh copy of
+the caller's context, so a caller's ``np.errstate`` holds in it and a
+context variable one item sets is not seen by the next, and returns its
+own result, so what the caller assembles is bit-identical to the serial
+path.  Once an item raises, no further item starts; the lowest failing
+index's exception is raised once no item is running, which is the one a
+serial run raises, since every lower index was taken first.  Overlapping
+calls each start their own helpers; the hold is reference-counted, so
+OpenBLAS stays at one thread until the last of them returns.
 """
 
 import contextlib
 import contextvars
 import ctypes
+import itertools
 import os
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 # (prefix, suffix) of the thread-count symbols in the builds numpy and
 # scipy ship: 64-bit-integer scipy-openblas, 32-bit, and plain OpenBLAS
@@ -103,20 +107,41 @@ def single_thread():
                     put(count)
 
 
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def map_on_cores(work, items) -> list:
-    """``[work(i) for i in items]``, on a pool that lives only for the
-    call while OpenBLAS is held at one thread, or serially where no
-    OpenBLAS is found.  Returns only once no item is running, also when
-    one raised."""
+    """``[work(i) for i in items]``, worked by the calling thread and one
+    helper per other CPU while OpenBLAS is held at one thread, or by the
+    calling thread alone where no OpenBLAS is found.  Returns only once
+    no item is running, also when one raised."""
+    items = list(items)
+    results = [None] * len(items)
+    failed = {}  # index -> the exception its item raised
+    taken = itertools.count()
+    context = contextvars.copy_context()
+
+    def run():
+        while not failed and (i := next(taken)) < len(items):
+            try:
+                results[i] = context.copy().run(work, items[i])
+            except BaseException as exc:
+                failed[i] = exc
+
     with single_thread() as held:
-        if not held:
-            return list(map(work, items))
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        pool = ThreadPoolExecutor(cpus or 1, thread_name_prefix="gmmood-score")
+        n_helpers = min(_cpus(), len(items)) - 1 if held else 0
+        helpers = []
         try:
-            # each item runs in a copy of the caller's context, so that its
-            # numpy errstate (a context variable) holds on the pool threads
-            futures = [pool.submit(contextvars.copy_context().run, work, i) for i in items]
-            return [f.result() for f in futures]
+            for k in range(n_helpers):
+                helper = threading.Thread(target=run, name=f"gmmood-score_{k}")
+                helper.start()
+                helpers.append(helper)
+            run()
         finally:
-            pool.shutdown(cancel_futures=True)
+            for helper in helpers:
+                helper.join()
+    if failed:
+        raise failed[min(failed)]
+    return results

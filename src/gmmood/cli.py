@@ -360,9 +360,10 @@ def _require_dir(path, what: str) -> Path:
 def _each_file(paths, work, mapper=map) -> list:
     """Run ``work(path)`` for each path through ``mapper``: in turn on the
     calling thread by default, or on every core with
-    ``_blas.map_on_cores``, as ``project`` and ``eval`` do; ``score``
-    keeps its scans in turn, since each spreads its blocks over every
-    core itself (``ensemble``).
+    ``_blas.map_on_cores``, as ``project`` and ``eval`` do, where the
+    calling thread and one helper per other core each take the next file
+    in turn; ``score`` keeps its scans in turn, since each spreads its
+    blocks over every core itself (``ensemble``).
 
     Returns, in path order, ``(path, result, None)``, or ``(path, None,
     message)`` for a file whose work raised a library, value or OS error;
@@ -707,7 +708,8 @@ def main(argv=None) -> int:
         cfg = load_run_config(args.config, args)
         return COMMANDS[args.command][0](cfg)
     except (Error, ValueError, configparser.Error, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a bare MemoryError() has no text; its type name still says what failed
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_CONFIG
 
 

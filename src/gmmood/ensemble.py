@@ -37,9 +37,11 @@ Rows reach the kernel as given, float32 from a feature map, and it
 widens them.
 
 The blocks of a call run on the package's thread pool,
-``_blas.map_on_cores``, with OpenBLAS held at one thread (serially where
-none is found).  Each block reduces its own contiguous kernel output, so
-the scores are bit-identical to the serial path.
+``_blas.map_on_cores``: the calling thread and one helper per other core
+each take the next block in turn, with OpenBLAS held at one thread (the
+calling thread takes them all where none is found).  Each block reduces
+its own contiguous kernel output, so the scores are bit-identical to the
+serial path.
 """
 
 from dataclasses import dataclass, fields

@@ -510,10 +510,12 @@ def fit_classifier(
     fits concatenated once, and each class's one-row stats.
 
     A class with a block that is not (N, D), or short of samples, is
-    reported before any fit starts, the lowest one first.  The classes are then fitted on the package's
-    thread pool (``_blas.map_on_cores``), largest first, so that the
-    last to finish is a small one.  Each runs on its own seed and rows,
-    so the results are those of fitting them one after another, and
+    reported before any fit starts, the lowest one first.  The classes are
+    then fitted on the package's thread pool (``_blas.map_on_cores``: the
+    calling thread and one helper per other core each take the next class
+    in turn), largest first, so that the last to finish is a small one.
+    Each runs on its own seed and rows, so the results are those of
+    fitting them one after another, and
     results and errors come back in class order: an error of the
     package's own (``errors.Error``) is the lowest failing class's, any
     other the first met in the order of fitting.  The thread that fits

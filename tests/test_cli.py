@@ -23,6 +23,7 @@ from gmmood.cli import (
     main,
 )
 from gmmood.formats import read_feature_map
+from pooled import assert_pooled, record_items
 
 
 def write_scan(path, points):
@@ -172,28 +173,23 @@ def run_on_pool_and_serially(monkeypatch, capsys, argv, root, owner, attr):
     the pool, then for "serial", with no OpenBLAS found (files in turn on
     the calling thread); returns ``{name: (exit code, stdout, stderr,
     {path under the out dir: bytes})}``.  ``owner.attr``, which each
-    file's work calls, must run off the calling thread on the pool,
-    wherever an OpenBLAS is found, and on it serially."""
-    threads = []
-    inner = getattr(owner, attr)
-
-    def recording(*args):
-        threads.append(threading.current_thread())
-        return inner(*args)
-
-    monkeypatch.setattr(owner, attr, recording)
+    file's work calls, must run on the pool wherever an OpenBLAS is
+    found (on the calling thread and its helpers, some call on a helper,
+    every call with OpenBLAS at one thread), and on the calling thread
+    serially."""
+    log = record_items(monkeypatch, owner, attr)
     runs = {}
     for name in ("pooled", "serial"):
         if name == "serial":
             monkeypatch.setattr(_blas, "_found", [])
-        threads.clear()
+        log.clear()
         out = root / name
         code = main([*argv, "--out", str(out)])
         stdout, stderr = capsys.readouterr()
         if name == "serial" or not _blas._libraries():
-            assert set(threads) == {threading.current_thread()}
+            assert {thread for thread, _ in log} == {threading.current_thread().name}
         else:
-            assert threads and threading.current_thread() not in threads
+            assert_pooled(log)
         files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
         runs[name] = (code, stdout, stderr, files)
     return runs
@@ -1118,6 +1114,16 @@ class TestEvalCommand:
                      "--score-dir", str(out), "--out", str(root / "eval")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "allocate" in err and "Traceback" not in err
+
+    def test_error_without_a_message_names_its_type(self, capsys, monkeypatch):
+        """A Python-level ``MemoryError()`` carries no text."""
+
+        def refused(cfg):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli.COMMANDS, "synth", (refused, cli.COMMANDS["synth"][1]))
+        assert main(["synth"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: MemoryError\n"
 
     def test_zero_ood_is_undefined_metric(self, tmp_path):
         rng = np.random.default_rng(1)

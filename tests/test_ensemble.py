@@ -43,6 +43,7 @@ from gmmood.nig import (
     save_bank,
 )
 from oracles import assert_same_bytes
+from pooled import assert_pooled, blas_threads, record_items
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -819,12 +820,7 @@ def test_class_sums_fold_components_as_one_sum(k, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# blocks on a pool of their own under the OpenBLAS hold
-
-def blas_threads() -> tuple:
-    """The thread count of each OpenBLAS found."""
-    return tuple(get() for get, _ in _blas._libraries())
-
+# blocks shared by the calling thread and its helpers under the OpenBLAS hold
 
 @pytest.fixture
 def blas_at_two():
@@ -844,15 +840,7 @@ def blas_at_two():
 @pytest.fixture
 def block_log(monkeypatch):
     """(thread name, OpenBLAS thread counts) recorded by every block."""
-    log = []
-    reduce_members = ens._reduce_members
-
-    def recording(*args):
-        log.append((threading.current_thread().name, blas_threads()))
-        return reduce_members(*args)
-
-    monkeypatch.setattr(ens, "_reduce_members", recording)
-    return log
+    return record_items(monkeypatch, ens, "_reduce_members")
 
 
 @pytest.mark.parametrize(
@@ -872,12 +860,12 @@ def test_pooled_scores_equal_serial_bit_for_bit(kernel_case, monkeypatch, n_rows
 
 
 def test_blocks_run_on_the_pool_with_one_blas_thread(blas_at_two, block_log):
+    """The calling thread and the helpers share the blocks."""
     model, members = fitted_setup()
     step = ens._BLOCK_VALUES // ((len(members) + 1) * model.weights.size)
     score_samples(np.random.default_rng(0).normal(size=(5 * step, 2)), model, members)
     assert len(block_log) == 5
-    assert all(name.startswith("gmmood-score") for name, _ in block_log)
-    assert {counts for _, counts in block_log} == {(1,) * len(blas_at_two)}
+    assert_pooled(block_log)
     assert blas_threads() == blas_at_two
 
 
@@ -1000,7 +988,7 @@ def test_hold_counts_overlapping_holders(blas_at_two):
 
 
 # ---------------------------------------------------------------------------
-# classes fitted on the same pool
+# classes fitted by the same pool
 
 
 def fit_rows():
@@ -1011,22 +999,14 @@ def fit_rows():
 @pytest.fixture
 def fit_log(monkeypatch):
     """(thread name, OpenBLAS thread counts) recorded by every class fit."""
-    log = []
-    real_em_fit = gmm_mod.em_fit
-
-    def recording(*args, **kwargs):
-        log.append((threading.current_thread().name, blas_threads()))
-        return real_em_fit(*args, **kwargs)
-
-    monkeypatch.setattr(gmm_mod, "em_fit", recording)
-    return log
+    return record_items(monkeypatch, gmm_mod, "em_fit")
 
 
 def test_classes_fit_on_the_pool_with_one_blas_thread(blas_at_two, fit_log):
+    """The calling thread and the helpers share the classes."""
     fit_classifier(fit_rows(), 2)
     assert len(fit_log) == 4
-    assert all(name.startswith("gmmood-score") for name, _ in fit_log)
-    assert {counts for _, counts in fit_log} == {(1,) * len(blas_at_two)}
+    assert_pooled(fit_log)
     assert blas_threads() == blas_at_two
 
 
