@@ -212,8 +212,8 @@ class SufficientStats:
 
 def _log_weights(weights: np.ndarray) -> np.ndarray:
     """log of mixture weights, with exactly -inf for zero weights."""
-    with np.errstate(divide="ignore"):
-        return np.where(weights > 0, np.log(np.maximum(weights, 1e-300)), -np.inf)
+    out = np.full(weights.shape, -np.inf)
+    return np.log(np.maximum(weights, 1e-300), out=out, where=weights > 0)
 
 
 def logsumexp(a, axis=-1):
@@ -222,14 +222,17 @@ def logsumexp(a, axis=-1):
     a = np.asarray(a, dtype=np.float64)
     top = a.max(axis=axis, keepdims=True)
     empty = top == -np.inf
-    top[empty] = 0.0
+    patch = empty.any()
+    if patch:
+        top[empty] = 0.0
     # the max term is 1, so flooring the others cannot move the sum
     shifted = a - top
     np.maximum(shifted, _EXP_FLOOR, out=shifted)
     out = np.exp(shifted, out=shifted).sum(axis=axis, keepdims=True)
     np.log(out, out=out)
     out += top
-    out[empty] = -np.inf
+    if patch:
+        out[empty] = -np.inf
     return np.squeeze(out, axis=axis)
 
 
@@ -240,16 +243,18 @@ def _coefficients(log_w, means, variances, center=None):
     (J, 2D + 1) rows ``[-P/2, (mu - c) P, -const/2]``, the (J,) log
     weights and the (K, ...) shape the J rows reshape to."""
     d = means.shape[-1]
-    mu = np.moveaxis(means, -2, 0)
+    lead = means.ndim - 2
+    k_first = (lead, *range(lead), lead + 1)  # the axes of np.moveaxis(means, -2, 0)
+    mu = means.transpose(k_first)
     if center is None:
         center = mu.reshape(-1, d).mean(axis=0)
     mu = mu - center
-    var = np.moveaxis(variances, -2, 0)
+    var = variances.transpose(k_first)
     prec = 1.0 / var
     const = np.sum(mu * mu * prec + np.log(var), axis=-1)
     const += d * _LOG_2PI
     coef = np.concatenate([-0.5 * prec, mu * prec, -0.5 * const[..., None]], axis=-1)
-    return center, coef.reshape(-1, 2 * d + 1), np.moveaxis(log_w, -1, 0).ravel(), const.shape
+    return center, coef.reshape(-1, 2 * d + 1), log_w.transpose(k_first[:-1]).ravel(), const.shape
 
 
 def _fill_operand(operand: np.ndarray) -> None:
@@ -482,14 +487,16 @@ def em_fit(
         nk, means, sq_devs = _moments(rows, resp.T, scratch)
         means += center
         collapsed = nk < COLLAPSE_THRESHOLD
-        weights = np.where(collapsed, 1.0 / n, nk / n)
-        weights = weights / weights.sum()
+        weights = nk / n
         safe_nk = np.maximum(nk, COLLAPSE_THRESHOLD)[:, None]
         variances = np.maximum(sq_devs / safe_nk, VARIANCE_FLOOR)
-        means[collapsed] = rows[:, rng.integers(n, size=collapsed.sum())].T + center
-        variances[collapsed] = global_var
-        reseeds += int(collapsed.sum())
         check_monotone = not collapsed.any()
+        if not check_monotone:
+            weights[collapsed] = 1.0 / n
+            means[collapsed] = rows[:, rng.integers(n, size=collapsed.sum())].T + center
+            variances[collapsed] = global_var
+            reseeds += int(collapsed.sum())
+        weights /= weights.sum()
     else:  # ended on an M-step: a stop on tol has this E-step already
         resp, _ = _e_step(operand, center, _log_weights(weights), means, variances)
 

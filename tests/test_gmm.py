@@ -70,6 +70,18 @@ class TestLogSumExp:
             assert logsumexp(a, axis=1).tolist() == [-np.inf, 0.0]
 
 
+@pytest.mark.parametrize("shape", [(6,), (2, 3)])
+def test_log_weights_match_the_masked_reference_bit_for_bit(shape):
+    """``_log_weights`` is ``np.where(w > 0, np.log(np.maximum(w, 1e-300)),
+    -np.inf)`` bit for bit, subnormal weights and exact zeros included;
+    warnings are errors here, so it raises no divide warning either."""
+    w = np.array([0.0, 5e-324, 1e-310, 1e-300, 0.25, 1.0]).reshape(shape)
+    want = np.where(w > 0, np.log(np.maximum(w, 1e-300)), -np.inf)
+    got = gmm_mod._log_weights(w)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestLogDensity:
     def test_standard_normal_at_zero(self):
         (got,) = class_log_densities(np.array([0.0]), std_normal_1d())

@@ -2,6 +2,7 @@ import ast
 import inspect
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,24 @@ def random_cloud(rng, n=500):
     return PointCloud(np.column_stack([xyz, intensity]))
 
 
+def reference_pixels(cloud, config):
+    """Each point's row and column by the ``project_spherical`` formulas
+    on float64 values, -1 for both at zero range."""
+    xyz = cloud.points[:, :3].astype(np.float64)
+    r = np.linalg.norm(xyz, axis=1)
+    keep = r > 0
+    fov_down, fov_up = math.radians(config.fov_down), math.radians(config.fov_up)
+    yaw = np.arctan2(xyz[keep, 1], xyz[keep, 0])
+    pitch = np.arcsin(np.clip(xyz[keep, 2] / r[keep], -1.0, 1.0))
+    rows, cols = np.full((2, len(r)), -1)
+    cols[keep] = np.clip(np.floor(0.5 * (1.0 - yaw / np.pi) * config.width), 0, config.width - 1)
+    rows[keep] = np.clip(
+        np.floor((1.0 - (pitch - fov_down) / (fov_up - fov_down)) * config.height),
+        0, config.height - 1,
+    )
+    return rows, cols
+
+
 def assert_channels_are_the_winners(cloud, image):
     """Each channel is its per-point array read at each pixel's winner,
     ``np.where(valid, a[point_index], FILL_VALUE)``, as float32."""
@@ -44,10 +63,35 @@ def assert_channels_are_the_winners(cloud, image):
         np.testing.assert_array_equal(image.channels[..., ch], want.astype(np.float32))
 
 
+def scan_like_records(seed, n=70_000, zero_share=0.01):
+    """(n, 4) float32 records the way a spinning sensor returns them:
+    azimuth all round, pitch a little beyond the default field of view so
+    some rows clamp, range 2-80 m, and a share of zero-range returns."""
+    rng = np.random.default_rng(seed)
+    yaw = rng.uniform(-np.pi, np.pi, n)
+    pitch = np.radians(rng.uniform(-27.0, 5.0, n))
+    r = rng.uniform(2.0, 80.0, n) * (rng.random(n) >= zero_share)
+    xyz = r[:, None] * np.column_stack(
+        [np.cos(pitch) * np.cos(yaw), np.cos(pitch) * np.sin(yaw), np.sin(pitch)]
+    )
+    return np.column_stack([xyz, rng.random(n)]).astype("<f4")
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestParsePointCloud:
     def test_single_record(self):
         cloud = parse_point_cloud(pack_points([(1.0, 2.0, 3.0, 0.5)]))
         assert len(cloud) == 1
+        assert cloud.points.dtype == np.float32
         np.testing.assert_allclose(cloud.points[0], [1.0, 2.0, 3.0, 0.5])
 
     def test_empty_payload(self):
@@ -61,6 +105,17 @@ class TestParsePointCloud:
         data = pack_points([(1.0, 2.0, 3.0, 0.5), (math.nan, 0.0, 0.0, 0.0)])
         with pytest.raises(CorruptPointError, match="point 1"):
             parse_point_cloud(data)
+
+
+def test_point_cloud_keeps_float32_and_widens_other_dtypes():
+    """float32 points are kept as given; other dtypes are stored as float64."""
+    points = np.arange(8, dtype=np.float32).reshape(2, 4)
+    assert PointCloud(points).points is points
+    for other in (points.astype(np.float64), points.astype(np.float16), points.astype(">f4"),
+                  points.astype(np.int32), points.tolist()):
+        got = PointCloud(other).points
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, points)
 
 
 def test_point_cloud_needs_four_columns():
@@ -273,3 +328,88 @@ def test_projection_scatters_only_the_point_index():
     assert [name for name, _ in stores].count("point_index") == 1
     channels = [where for name, where in stores if name == "channels"]
     assert channels and all(ast.unparse(where.elts[0]) == "valid" for where in channels)
+
+
+def test_parse_and_projection_memory_per_point_is_bounded():
+    """On a ~70k-point scan with zero-range returns, ``parse_point_cloud``
+    traces at most 24 B per point (its one float32 copy of the records and
+    the finiteness check) and ``project_spherical`` at most 64 B per point
+    above its cloud, the 64 x 1024 grid included.  Records widened to
+    float64 whole read about 37 and 100."""
+    data = scan_like_records(40).tobytes()
+    n = len(data) // rangeview.POINT_RECORD_BYTES
+    project_spherical(parse_point_cloud(data[: 64 * rangeview.POINT_RECORD_BYTES]))  # warm-up
+    cloud, parse_peak = traced_peak(parse_point_cloud, data)
+    image, project_peak = traced_peak(project_spherical, cloud)
+    assert image.dropped_points > 0
+    assert parse_peak <= 24 * n, f"parse: {parse_peak / n:.1f} B/pt"
+    assert project_peak <= 64 * n, f"project: {project_peak / n:.1f} B/pt"
+
+
+def equal_ranges_on_one_pixel():
+    """Directions of range exactly 5, each repeated at range 5 and 10, with
+    distinct intensities: points of equal range share each pixel."""
+    dirs = np.array([[3, 4, 0], [4, 3, 0], [0, 0, 5], [-3, 4, 0], [0, -3, 4], [4, 0, -3]])
+    xyz = np.concatenate([np.tile(dirs, (20, 1)), 2 * np.tile(dirs, (20, 1))])
+    return np.column_stack([xyz, np.arange(len(xyz)) / len(xyz)])
+
+
+def on_pixel_edges():
+    """Points whose yaw and pitch fall on the column and row edges of the
+    default grid, where a coarser computation would round to a neighbour."""
+    config = ProjectionConfig()
+    yaw = np.pi * (1.0 - 2.0 * np.arange(config.width) / config.width)
+    span = math.radians(config.fov_up) - math.radians(config.fov_down)
+    rows = np.arange(0, config.height, 8)
+    pitch = math.radians(config.fov_down) + (1.0 - rows / config.height) * span
+    yaw, pitch = (a.ravel() for a in np.meshgrid(yaw, pitch))
+    r = np.linspace(5.0, 50.0, yaw.size)
+    xyz = r[:, None] * np.column_stack(
+        [np.cos(pitch) * np.cos(yaw), np.cos(pitch) * np.sin(yaw), np.sin(pitch)]
+    )
+    return np.column_stack([xyz, np.ones(yaw.size)])
+
+
+CLOUDS = {
+    "scan": lambda: scan_like_records(41, n=20_000, zero_share=0.02),
+    "beyond-fov": lambda: np.column_stack([  # far above and below the field of view
+        np.random.default_rng(42).normal(scale=30.0, size=(3000, 3)) * [1, 1, 8],
+        np.random.default_rng(43).random(3000),
+    ]),
+    "equal-ranges": equal_ranges_on_one_pixel,
+    "pixel-edges": on_pixel_edges,
+    "all-zero-range": lambda: np.column_stack([np.zeros((50, 3)), np.linspace(0, 1, 50)]),
+}
+
+
+@pytest.mark.parametrize(
+    "config", [ProjectionConfig(), ProjectionConfig(4, 8, 10.0, -10.0)], ids=["64x1024", "4x8"]
+)
+@pytest.mark.parametrize("cloud", sorted(CLOUDS))
+def test_float32_points_project_as_their_float64_widening(cloud, config):
+    """A parsed (float32) cloud and the float64 cloud of the same records
+    give equal images, every field; each pixel reads its winner, and the
+    float64 ranges and every point's pixel are those of the plain float64
+    formulas, bit for bit."""
+    data = CLOUDS[cloud]().astype("<f4").tobytes()
+    narrow = parse_point_cloud(data)
+    wide = PointCloud(narrow.points.astype(np.float64))
+    got, want = project_spherical(narrow, config), project_spherical(wide, config)
+    for name in ("channels", "valid", "point_index", "point_rows", "point_cols"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.dropped_points == want.dropped_points
+    assert_channels_are_the_winners(wide, got)
+    ranges = np.linalg.norm(wide.xyz, axis=1)
+    np.testing.assert_array_equal(rangeview._ranges(narrow.points), ranges)
+    rows, cols = reference_pixels(wide, config)
+    np.testing.assert_array_equal(got.point_rows, rows)
+    np.testing.assert_array_equal(got.point_cols, cols)
+    if cloud == "all-zero-range":
+        assert got.dropped_points == len(narrow) and not got.valid.any()
+    if cloud == "beyond-fov":
+        assert {0, config.height - 1} <= set(got.point_rows.tolist())
+    if cloud == "equal-ranges":
+        ranges = got.channels[..., CH_RANGE][got.valid]
+        assert set(ranges.tolist()) == {5.0}
+        assert len(wide) > got.valid.sum()
