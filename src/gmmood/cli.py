@@ -22,8 +22,10 @@ import numpy as np
 from . import ensemble as ens
 from . import _blas, gmm, metrics, nig, rangeview
 from . import synth as synthmod
-from .errors import Error, ShapeError, UndefinedMetricError
-from .formats import FeatureMap, _shown, read_feature_map, write_atomic, write_feature_map
+from .errors import Error, ShapeError
+from .formats import (
+    FeatureMap, _read_container, _shown, read_feature_map, write_atomic, write_feature_map,
+)
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -249,9 +251,11 @@ def _parse_class_map(items) -> ClassMap:
 
 def _replace_sections(cfg: RunConfig, values: dict) -> None:
     """Apply {section: {ConfigKey: value}}; each section re-runs its
-    validation, after a float that is not finite is refused by its INI key."""
+    validation, after a non-finite float or an empty flag is refused by its INI key."""
     for sec, fields in values.items():
         for key, value in fields.items():
+            if isinstance(value, list):  # ``--flag=--``: argparse drops the "--"
+                raise ValueError(f"'{key.ini_key}' in [{sec}] has no value")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"'{key.ini_key}' in [{sec}] must be finite, got {value}")
         fields = {key.field: value for key, value in fields.items()}
@@ -297,9 +301,7 @@ def _write_json(path: Path, doc) -> None:
 def _write_grid(out: Path, name: str, values, valid) -> str:
     """Write an (H, W) or (H, W, D) array as the FMAP file ``out / name``
     and return ``name``."""
-    values = np.asarray(values, dtype=np.float32)
-    fmap = FeatureMap(values, valid) if values.ndim == 3 else FeatureMap.from_grid(values, valid)
-    write_feature_map(fmap, out / name)
+    write_feature_map(FeatureMap(np.atleast_3d(values), valid), out / name)
     return name
 
 
@@ -366,17 +368,22 @@ def _each_file(paths, work, mapper=map) -> list:
     blocks over every core itself (``ensemble``).
 
     Returns, in path order, ``(path, result, None)``, or ``(path, None,
-    message)`` for a file whose work raised a library, value or OS error;
-    a bad file never stops the others.
+    message)`` for a file whose work raised a library, value or OS error,
+    and prints each message on stderr, in the same order; a bad file
+    never stops the others.
     """
 
     def attempt(path):
         try:
             return path, work(path), None
         except (Error, ValueError, OSError) as exc:
-            return path, None, str(exc)
+            return path, None, str(exc) or type(exc).__name__
 
-    return list(mapper(attempt, paths))
+    done = list(mapper(attempt, paths))
+    for _, _, error in done:
+        if error is not None:
+            print(f"error: {error}", file=sys.stderr)
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -391,25 +398,24 @@ def cmd_project(cfg: RunConfig) -> int:
     (out / "labels").mkdir(parents=True, exist_ok=True)
 
     def project_one(scan_path: Path) -> dict:
-        cloud = rangeview.parse_point_cloud(scan_path.read_bytes())
-        label_path = label_dir / (scan_path.stem + ".label") if label_dir else None
+        # parsed, not projected, in the reader: the file's buffer is freed first
+        cloud = _read_container(scan_path, rangeview.parse_point_cloud)
+        if not len(cloud):
+            raise Error(f"{_shown(scan_path)}: cannot project an empty point cloud")
         labels = None
-        if label_path is not None and label_path.exists():
-            labels = rangeview.parse_labels(label_path.read_bytes(), len(cloud))
+        if label_dir and (label_path := label_dir / f"{scan_path.stem}.label").exists():
+            labels = _read_container(label_path, lambda b: rangeview.parse_labels(b, len(cloud)))
         image = rangeview.project_spherical(cloud, cfg.projection)
+        name = f"{scan_path.stem}.fmap"
         entry = {
             "scan": scan_path.name,
             "points": len(cloud),
             "dropped_points": image.dropped_points,
-            "range_image": _write_grid(
-                out, f"range/{scan_path.stem}.fmap", image.channels, image.valid
-            ),
+            "range_image": _write_grid(out, f"range/{name}", image.channels, image.valid),
         }
         if labels is not None:
             grid = np.where(image.valid, labels[image.point_index], -1)
-            entry["label_grid"] = _write_grid(
-                out, f"labels/{scan_path.stem}.fmap", grid, image.valid
-            )
+            entry["label_grid"] = _write_grid(out, f"labels/{name}", grid, image.valid)
         return entry
 
     done = _each_file(sorted(scan_dir.glob("*.bin")), project_one, _blas.map_on_cores)
@@ -526,8 +532,7 @@ def cmd_score(cfg: RunConfig) -> int:
         pooled = [values for _, _, values, _ in scored]
         thresholds = [threshold_of(np.concatenate(pooled or [np.empty(0)]))] * len(scored)
 
-    manifest_files = []
-    warnings = []
+    manifest_files, warnings = [], []
     for (stem, valid, values, written), threshold in zip(scored, thresholds):
         if not valid.any():
             warnings.append(f"{stem}: no valid pixels")
@@ -538,9 +543,7 @@ def cmd_score(cfg: RunConfig) -> int:
         manifest_files.append({"file": stem, "n_valid": int(valid.sum()),
                                "flagged": int(mask.sum()), "threshold": threshold,
                                "outputs": written})
-    manifest_files += [
-        {"file": p.stem, "error": error} for p, _, error in done if error is not None
-    ]
+    manifest_files += [{"file": p.stem, "error": error} for p, _, error in done if error]
     _write_json(out / "score_manifest.json", {
         "files": manifest_files, "warnings": warnings, "n_samples": cfg.ensemble.n_samples,
         "top_fraction": cfg.threshold.top_fraction, "per_scan": cfg.threshold.per_scan,
@@ -592,18 +595,11 @@ def cmd_eval(cfg: RunConfig) -> int:
         return code[ranked] == OUTLIER, scores, pred.astype(np.int64), code[id_pixels]
 
     done = _each_file(pred_files, eval_one, _blas.map_on_cores)
-    for _, _, error in done:
-        if error is not None:
-            print(f"error: {error}", file=sys.stderr)
     results = [result for _, result, _ in done if result is not None]
     if not results:
         raise Error(f"no scan in {pred_dir} could be evaluated")
     ood_flags, channel_scores, pred_ids, true_ids = zip(*results)
     is_ood = np.concatenate(ood_flags)
-    if not is_ood.any():
-        raise UndefinedMetricError(
-            f"{', '.join(metrics.DETECTION)} undefined: ground truth contains no OOD pixels"
-        )
     mean_iou, per_class = metrics.miou(
         np.concatenate(pred_ids), np.concatenate(true_ids), cfg.model.classes
     )

@@ -10,7 +10,7 @@ dimension fastest, then H*W validity bytes (0 or 1).  Every value of a
 valid pixel must be finite.
 
 Every file the package writes goes through ``write_atomic``, and every
-container file it reads through ``_read_container``.
+data file it reads (containers, scans, labels) through ``_read_container``.
 """
 
 import math
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import Error, FormatError, ShapeError
 
 _HEADER = struct.Struct("<4sHIII")
 HEADER_SIZE = _HEADER.size
@@ -112,14 +112,6 @@ class FeatureMap:
     def dim(self) -> int:
         return self.values.shape[2]
 
-    @classmethod
-    def from_grid(cls, grid, valid) -> "FeatureMap":
-        """Wrap a single-channel H x W grid as a D = 1 feature map."""
-        grid = np.asarray(grid, dtype=np.float32)
-        if grid.ndim != 2:
-            raise ShapeError(f"expected a 2-d grid, got shape {grid.shape}")
-        return cls(grid[:, :, None], valid)
-
 
 FMAP = Container(b"FMAP", 1, lambda h, w, d: [("<f4", (h, w, d)), ("u1", (h, w))])
 _CHUNK = 1 << 16  # values per finiteness check
@@ -182,7 +174,7 @@ def _read_container(path, parse):
         data = data[: fh.readinto(data)]
     try:
         return parse(data)
-    except (FormatError, ShapeError, ValueError) as exc:
+    except (Error, ValueError) as exc:
         raise type(exc)(f"{_shown(path)}: {exc}") from None
 
 

@@ -86,6 +86,8 @@ class GMMParameterSample:
             raise ValueError("sampled variances must be strictly positive")
 
 
+# an overflow gives a non-finite cell, which NIGParams and the bank refuse by name
+@np.errstate(over="ignore", invalid="ignore")
 def _conjugate_update(prior: NIGParams, n, xbar, S) -> tuple:
     """Elementwise conjugate NIG update; returns (mu, kappa, alpha, beta).
 

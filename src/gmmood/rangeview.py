@@ -221,11 +221,13 @@ def project_spherical(
     valid = point_index >= 0
     winners = point_index[valid]
     ranges = _ranges(pts[winners])
-    channels = np.full((h, w, 5), FILL_VALUE, dtype=np.float32)
-    channels[valid, CH_RANGE] = ranges
+    at = np.flatnonzero(valid)  # one flat index per valid pixel, for all five writes
+    channels = np.full((h * w, 5), FILL_VALUE, dtype=np.float32)
+    channels[at, CH_RANGE] = ranges
     del ranges
     for ch in range(CH_RANGE):  # CH_X .. CH_INTENSITY
-        channels[valid, ch] = pts[winners, ch]
+        channels[at, ch] = pts[winners, ch]
+    channels = channels.reshape(h, w, 5)
     return RangeImage(channels, valid, point_index, point_rows, point_cols, dropped)
 
 

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from gmmood import _blas, cli, gmm, nig
 from gmmood import metrics as metrics_mod
@@ -141,6 +144,30 @@ class TestProjectCommand:
         assert len(errored) == 1
         assert manifest["failed"] == 1
         assert (out / "range" / "000.fmap").exists()
+
+    @pytest.mark.parametrize("bad, message", [
+        ("empty", "scans/001.bin: cannot project an empty point cloud"),
+        ("nan", "scans/001.bin: non-finite value in point 3"),
+        ("labels", "labels_raw/001.label: label payload has 2396 bytes, expected 2400 for 600 points"),
+    ])
+    def test_a_bad_scan_or_label_file_is_named(self, tmp_path, capsys, bad, message):
+        """Read through the package's one file reader, a scan or label
+        file that cannot be used is named as ``<dir>/<name>``, on stderr
+        and in the manifest alike."""
+        scan_dir, label_dir = make_dataset(tmp_path)
+        if bad == "empty":
+            (scan_dir / "001.bin").write_bytes(b"")
+        elif bad == "nan":
+            points = np.fromfile(scan_dir / "001.bin", "<f4").reshape(-1, 4)
+            points[3, 1] = np.nan
+            write_scan(scan_dir / "001.bin", points)
+        else:
+            cut_short(label_dir / "001.label")
+        cfg = write_config(tmp_path / "run.ini", tmp_path / "out", scan_dir, label_dir)
+        assert main(["project", "--config", str(cfg)]) == EXIT_PARTIAL
+        assert capsys.readouterr().err == f"error: {message}\n"
+        manifest = json.loads((tmp_path / "out" / "project_manifest.json").read_text())
+        assert manifest["files"][1] == {"scan": "001.bin", "error": message}
 
     def test_scans_projected_on_the_pool_match_a_serial_run(self, tmp_path, monkeypatch, capsys):
         """Three scans, the middle one corrupt: on the pool and one after
@@ -1125,7 +1152,8 @@ class TestEvalCommand:
         assert main(["synth"]) == EXIT_CONFIG
         assert capsys.readouterr().err == "error: MemoryError\n"
 
-    def test_zero_ood_is_undefined_metric(self, tmp_path):
+    def test_zero_ood_is_undefined_metric(self, tmp_path, capsys):
+        """Refused by the metrics themselves, before any report is written."""
         rng = np.random.default_rng(1)
         scan_dir = tmp_path / "scans"
         label_dir = tmp_path / "labels_raw"
@@ -1151,7 +1179,88 @@ class TestEvalCommand:
             tmp_path / "eval.ini", out / "eval", label_dir=out / "labels",
             score_dir=out,
         )
+        capsys.readouterr()
         assert main(["eval", "--config", str(eval_cfg)]) == EXIT_CONFIG
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and list((out / "eval").iterdir()) == []
+        assert re.fullmatch(r"error: \w+ undefined: needs at least one OOD and one ID sample "
+                            r"\(got 0 OOD, \d+ ID\)\n", stderr)
+
+
+def cut_short(path):
+    path.write_bytes(path.read_bytes()[:-4])
+
+
+def three_files_the_middle_one_cut(fitted, command):
+    """Inputs to ``command`` over three files whose middle one is cut
+    short, and over the other two alone: (argv with ``{}`` for the input
+    directory, that directory, the other two's directory, the cut file as
+    ``<dir>/<name>``, the command's manifest or None)."""
+    cfg, out, root = fitted
+    alone = root / "alone"
+    alone.mkdir()
+    if command == "project":
+        scans, labels = root / "scans", root / "labels_raw"
+        shutil.copy(scans / "000.bin", scans / "002.bin")
+        shutil.copy(labels / "000.label", labels / "002.label")
+        for name in ("000.bin", "002.bin"):
+            shutil.copy(scans / name, alone / name)
+        cut_short(scans / "001.bin")
+        argv = ["project", "--label-dir", str(labels), "--scan-dir", "{}"]
+        return argv, scans, alone, "scans/001.bin", "project_manifest.json"
+    for sub in ("range", "labels"):
+        shutil.copy(out / sub / "000.fmap", out / sub / "002.fmap")
+    if command == "score":
+        for name in ("000.fmap", "002.fmap"):
+            shutil.copy(out / "range" / name, alone / name)
+        cut_short(out / "range" / "001.fmap")
+        argv = ["score", "--model-path", str(out / "model.gmmc"),
+                "--bank-path", str(out / "bank.nigb"), "--feature-dir", "{}"]
+        return argv, out / "range", alone, "range/001.fmap", "score_manifest.json"
+    assert main(["score", "--config", str(cfg)]) == EXIT_OK
+    for sub in ("predictions", "scores"):
+        (alone / sub).mkdir()
+        for path in (out / sub).glob("00[02]*.fmap"):
+            shutil.copy(path, alone / sub / path.name)
+    cut_short(out / "scores" / "001_aleatoric.fmap")
+    argv = ["eval", "--label-dir", str(out / "labels"), "--score-dir", "{}"]
+    return argv, out, alone, "scores/001_aleatoric.fmap", None
+
+
+class TestFailedFiles:
+    @pytest.mark.parametrize("pooled", [True, False], ids=["pooled", "serial"])
+    @pytest.mark.parametrize("command", ["project", "score", "eval"])
+    def test_a_bad_file_is_named_once_and_stops_no_other(
+        self, fitted, monkeypatch, capsys, command, pooled
+    ):
+        """Three files, the middle one cut short: the run exits 1, prints
+        one stderr line that names the cut file as ``<dir>/<name>``, and
+        writes the other two's outputs and manifest entries byte for byte
+        as a run over those two alone does."""
+        argv, inputs, alone, cut, manifest = three_files_the_middle_one_cut(fitted, command)
+        cfg, _, root = fitted
+        capsys.readouterr()
+        if not pooled:
+            monkeypatch.setattr(_blas, "_found", [])
+        runs = []
+        for name, where in (("both", inputs), ("alone", alone)):
+            out = root / f"out_{name}"
+            args = [arg.format(where) for arg in argv]
+            code = main([*args, "--config", str(cfg), "--out", str(out)])
+            files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            runs.append((code, *capsys.readouterr(), files))
+        (code, stdout, stderr, files), (alone_code, alone_stdout, alone_stderr, alone_files) = runs
+        assert (code, alone_code, alone_stderr) == (EXIT_PARTIAL, EXIT_OK, "")
+        assert stderr.startswith(f"error: {cut}: ") and stderr.count("\n") == 1
+        assert stdout == alone_stdout
+        if manifest is not None:
+            doc, alone_doc = (json.loads(f.pop(Path(manifest))) for f in (files, alone_files))
+            entries = doc.pop("files")
+            assert [e["error"] for e in entries if "error" in e] == [stderr[7:-1]]
+            assert [e for e in entries if "error" not in e] == alone_doc.pop("files")
+            assert (doc.pop("failed", 1), alone_doc.pop("failed", 0)) == (1, 0)
+            assert doc == alone_doc
+        assert files == alone_files
 
 
 class TestSynthCommand:
@@ -1470,6 +1579,40 @@ class TestConfigHandling:
         assert f"'{key}' in [{section}] must be finite, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=st.text(st.sampled_from("0123456789.e+-x, "), max_size=2))
+    @example("0")
+    @example("-1")
+    @example("1e-300")
+    @example("1e300")
+    @example("inf")
+    @example("-inf")
+    @example("nan")
+    @example("4x")
+    @example("")
+    @example("--")  # argparse reads ``--flag=--`` as an empty list
+    def test_no_value_of_any_key_escapes_main(self, tmp_path, monkeypatch, capsys, value):
+        """Each config key's flag given ``value`` (the edge values above,
+        then short malformed or numeric text, at most 99 as an int) on a
+        tiny ``synth`` run ends in exit 0, 1 or 2 (argparse's own refusal
+        too), never in an exception or a traceback.  The run writes under
+        a working directory of its own: ``--out`` takes the value as a
+        path."""
+        tiny = ["--synth-dim", "2", "--synth-classes", "2", "--synth-samples", "12",
+                "--synth-overlap-pairs", "", "--synth-ood-count", "4", "--n-samples", "2",
+                "--components", "1", "--em-max-iters", "3"]
+        (tmp_path / "run").mkdir(exist_ok=True)
+        monkeypatch.chdir(tmp_path / "run")  # ``--out ..`` stays under tmp_path
+        assert main(["synth", *tiny]) == EXIT_OK
+        for key in cli.CONFIG_KEYS.values():
+            try:
+                code = main(["synth", *tiny, f"--{key.dest.replace('_', '-')}={value}"])
+            except SystemExit as exc:
+                code = exc.code
+            assert code in (EXIT_OK, EXIT_PARTIAL, EXIT_CONFIG), key
+            assert "Traceback" not in capsys.readouterr().err, key
+
     def test_non_finite_float_in_config_file_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
         path.write_text("[synth]\nwithin_class_std = nan\n")
@@ -1738,6 +1881,20 @@ def test_benchmark_reference_imports_nothing_from_the_package():
     assert found == []
 
 
+def cli_nodes():
+    """(innermost enclosing function's name, node) for every AST node of
+    ``cli``."""
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        yield function, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    yield from visit(ast.parse(Path(cli.__file__).read_text()), "<module>")
+
+
 def test_cli_reads_features_and_labels_in_one_place_each():
     """``cli`` reads an FMAP file only in ``_read_grid`` and
     ``_read_features``, and maps raw ids only in ``_read_labels``, so the
@@ -1745,19 +1902,27 @@ def test_cli_reads_features_and_labels_in_one_place_each():
     readers = {"read_feature_map": {"_read_grid", "_read_features"},
                "map_array": {"_read_labels"}}
     found = []
-
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            function = getattr(node, "name", "<lambda>")
+    for function, node in cli_nodes():
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name in readers and function not in readers[name]:
                 found.append(f"{name} in {function}:{node.lineno}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
+    assert found == []
 
-    visit(ast.parse(Path(cli.__file__).read_text()), "<module>")
+
+def test_cli_writes_to_stderr_in_one_place_per_failure():
+    """Only ``_each_file`` (a bad input file) and ``main`` (a refused run)
+    name ``stderr`` in ``cli``, so no command grows its own failure path."""
+    found = [
+        f"{function}:{node.lineno}"
+        for function, node in cli_nodes()
+        if function not in {"_each_file", "main"} and (
+            isinstance(node, ast.Name) and "stderr" in node.id
+            or isinstance(node, ast.Attribute) and "stderr" in node.attr
+            or isinstance(node, ast.alias) and "stderr" in node.name
+        )
+    ]
     assert found == []
 
 

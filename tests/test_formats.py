@@ -124,10 +124,6 @@ class TestFMap:
         with pytest.raises(ShapeError, match=r"^validity mask \(2, 3\) does not match grid"):
             FeatureMap(np.zeros((2, 2, 1)), np.ones((2, 3), bool))
 
-    def test_from_grid_requires_2d(self):
-        with pytest.raises(ShapeError):
-            FeatureMap.from_grid(np.zeros((2, 2, 2)), np.ones((2, 2), bool))
-
 
 def random_classifier(rng, c=3, k=2, d=4):
     w = rng.random((c, k))

@@ -316,7 +316,8 @@ class TestBackProject:
 
 def test_projection_scatters_only_the_point_index():
     """``project_spherical`` scatters once onto the grid, the point
-    indices, and writes ``channels`` only at the ``valid`` pixels."""
+    indices, and writes ``channels`` only at ``at``, the flat indices of
+    the ``valid`` pixels taken once."""
     tree = ast.parse(inspect.getsource(rangeview.project_spherical))
     stores = [
         (ast.unparse(target.value), target.slice)
@@ -327,7 +328,8 @@ def test_projection_scatters_only_the_point_index():
     ]
     assert [name for name, _ in stores].count("point_index") == 1
     channels = [where for name, where in stores if name == "channels"]
-    assert channels and all(ast.unparse(where.elts[0]) == "valid" for where in channels)
+    assert channels and all(ast.unparse(where.elts[0]) == "at" for where in channels)
+    assert "at = np.flatnonzero(valid)" in [ast.unparse(node) for node in tree.body[0].body]
 
 
 def test_parse_and_projection_memory_per_point_is_bounded():
