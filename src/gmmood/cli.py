@@ -263,8 +263,8 @@ def _replace_sections(cfg: RunConfig, values: dict) -> None:
 
 
 def load_run_config(path=None, args=None) -> RunConfig:
-    """Build a RunConfig from an INI file (all sections optional), then from
-    the flags set in ``args`` (flags win)."""
+    """Build a RunConfig from an INI file (all sections optional), parsed as
+    read, and the flags set in ``args`` (flags win); then check once."""
     cfg = RunConfig()
     ini = configparser.ConfigParser()
     if path is not None and not ini.read(path):
@@ -281,15 +281,13 @@ def load_run_config(path=None, args=None) -> RunConfig:
                 values.setdefault(sec, {})[key] = _parse_key(sec, ini_key, key.parse, text)
             elif ini_key not in ini.defaults():  # [DEFAULT] may hold interpolation-only keys
                 raise Error(f"{path}: unknown key '{ini_key}' in [{sec}]")
-    _replace_sections(cfg, values)
     if args is not None:
-        values = {}
         for key in CONFIG_KEYS.values():
             if (value := getattr(args, key.dest)) is not None:
                 values.setdefault(key.section, {})[key] = value
-        if args.seed is not None:  # the run seed: dataset and pipeline alike
-            values.setdefault("synth", {}).setdefault(CONFIG_KEYS["synth", "seed"], args.seed)
-        _replace_sections(cfg, values)
+        if args.seed is not None and args.synth_seed is None:  # the run seed seeds the data too
+            values.setdefault("synth", {})[CONFIG_KEYS["synth", "seed"]] = args.seed
+    _replace_sections(cfg, values)
     return cfg
 
 
@@ -500,6 +498,7 @@ def cmd_score(cfg: RunConfig) -> int:
         )
         raise Error(f"bank {cfg.bank_path()} was not built from model {cfg.model_path()}: {why}")
     members = nig.sample_ensemble(bank, cfg.ensemble.n_samples, cfg.ensemble.seed)
+    ens._stack(members, model)  # coefficients that overflow stop the run before its first scan
     for name in (SCORE_FILE, _PREDICTION_FILE, _MASK_FILE):
         (out / name).parent.mkdir(parents=True, exist_ok=True)
 
@@ -560,9 +559,6 @@ def cmd_eval(cfg: RunConfig) -> int:
     label_dir = _require_dir(cfg.paths.label_dir, "label_dir")
     _require_classes_in_map(cfg)
     pred_dir = (score_dir / _PREDICTION_FILE).parent
-    if not pred_dir.is_dir():
-        raise Error(f"no {pred_dir.name} directory under {score_dir}")
-
     pred_files = sorted(score_dir.glob(_PREDICTION_FILE.format(stem="*")))
     if not pred_files:
         raise Error(f"no prediction grids in {pred_dir}")

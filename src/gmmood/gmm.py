@@ -241,7 +241,9 @@ def _coefficients(log_w, means, variances, center=None):
     Gaussians about ``center`` (see the module docstring), by default the
     mean of the component means: the centre c (D,), the K-first
     (J, 2D + 1) rows ``[-P/2, (mu - c) P, -const/2]``, the (J,) log
-    weights and the (K, ...) shape the J rows reshape to."""
+    weights and the (K, ...) shape the J rows reshape to.  Raises
+    ``ValueError`` when a coefficient is not finite: a variance too small
+    for float64 next to its mean's distance from the centre."""
     d = means.shape[-1]
     lead = means.ndim - 2
     k_first = (lead, *range(lead), lead + 1)  # the axes of np.moveaxis(means, -2, 0)
@@ -250,10 +252,14 @@ def _coefficients(log_w, means, variances, center=None):
         center = mu.reshape(-1, d).mean(axis=0)
     mu = mu - center
     var = variances.transpose(k_first)
-    prec = 1.0 / var
-    const = np.sum(mu * mu * prec + np.log(var), axis=-1)
-    const += d * _LOG_2PI
-    coef = np.concatenate([-0.5 * prec, mu * prec, -0.5 * const[..., None]], axis=-1)
+    with np.errstate(all="ignore"):  # refused below by name
+        prec = 1.0 / var
+        const = np.sum(mu * mu * prec + np.log(var), axis=-1)
+        const += d * _LOG_2PI
+        coef = np.concatenate([-0.5 * prec, mu * prec, -0.5 * const[..., None]], axis=-1)
+    if not np.isfinite(coef).all():
+        raise ValueError(f"Gaussian log-density coefficients overflow float64: variances down to "
+                         f"{var.min():.3g}, means up to {np.abs(mu).max():.3g} from their centre")
     return center, coef.reshape(-1, 2 * d + 1), log_w.transpose(k_first[:-1]).ravel(), const.shape
 
 

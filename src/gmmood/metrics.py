@@ -228,24 +228,18 @@ class EvalReport:
             n_ood=data.n_ood,
         )
 
-    def to_json_dict(self) -> dict:
-        """Every field by name; NaN per-class IoUs become ``None``."""
+    def to_json(self) -> str:
+        """Every field by name, keys sorted; NaN per-class IoUs are ``null``."""
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["per_class_iou"] = [None if math.isnan(v) else v for v in self.per_class_iou.tolist()]
-        return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "EvalReport":
-        kwargs = {f.name: f.type(doc[f.name]) for f in fields(cls) if f.name != "per_class_iou"}
-        per_class = [math.nan if v is None else float(v) for v in doc["per_class_iou"]]
-        return cls(per_class_iou=np.array(per_class), **kwargs)
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
-        return cls.from_json_dict(json.loads(text))
+        doc = json.loads(text)
+        kwargs = {f.name: f.type(doc[f.name]) for f in fields(cls) if f.name != "per_class_iou"}
+        per_class = [math.nan if v is None else float(v) for v in doc["per_class_iou"]]
+        return cls(per_class_iou=np.array(per_class), **kwargs)
 
     def to_csv(self) -> str:
         """One-row CSV, a column per field and per class; fractional values

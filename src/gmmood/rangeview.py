@@ -70,8 +70,9 @@ class ProjectionConfig:
     fov_down: float = -25.0
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ValueError(f"image size must be positive, got {self.height}x{self.width}")
+        for key in ("height", "width"):
+            if (value := getattr(self, key)) < 1:
+                raise ValueError(f"'{key}' in [projection] must be at least 1, got {value}")
         if not self.fov_up > self.fov_down:
             raise ValueError(f"fov_up ({self.fov_up}) must exceed fov_down ({self.fov_down})")
 

@@ -49,14 +49,13 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.feature_dim < 1 or self.n_classes < 1:
-            raise ValueError("feature_dim and n_classes must be >= 1")
-        if self.samples_per_class < 1 or self.ood_count < 1:
-            raise ValueError("sample counts must be >= 1")
-        if self.class_separation <= 0 or self.ood_offset <= 0 or self.within_class_std <= 0:
-            raise ValueError("distances and scales must be positive")
-        if self.seed < 0:
-            raise ValueError(f"'seed' in [synth] must be at least 0, got {self.seed}")
+        for key, low in (("feature_dim", 1), ("n_classes", 1), ("samples_per_class", 1),
+                         ("ood_count", 1), ("seed", 0)):
+            if (value := getattr(self, key)) < low:
+                raise ValueError(f"'{key}' in [synth] must be at least {low}, got {value}")
+        for key in ("class_separation", "ood_offset", "within_class_std"):
+            if (value := getattr(self, key)) <= 0:
+                raise ValueError(f"'{key}' in [synth] must be positive, got {value}")
         extent = (self.n_classes - 1) * self.class_separation
         for key, reach in (
             ("class_separation", extent),
@@ -75,10 +74,10 @@ class SynthConfig:
                 f"{extent:g} are {step:.3g} wide; EM needs the class spread {spread:g} to span "
                 f"{_STEPS_PER_SPREAD} of them"
             )
-        for pair in self.overlap_pairs:
-            a, b = pair
+        for a, b in self.overlap_pairs:
             if not (0 <= a < self.n_classes and 0 <= b < self.n_classes) or a == b:
-                raise ValueError(f"overlap pair {pair} references invalid classes")
+                raise ValueError(f"'overlap_pairs' in [synth] must join two of classes 0 to "
+                                 f"{self.n_classes - 1}, got {a}-{b}")
 
 
 @dataclass

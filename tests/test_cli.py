@@ -722,6 +722,22 @@ class TestScoreCommand:
         assert "(1, 0, 2)" in err
         assert not any((root / "extreme").rglob("*.fmap"))
 
+    def test_bank_drawing_coefficients_that_overflow_is_config_error(self, fitted, capsys):
+        """A bank cell at alpha = 1e308, beta = 1e-10 draws a finite
+        variance near 1e-318, whose precision overflows float64: ``score``
+        exits 2 naming the cause before it writes any score map."""
+        cfg, out, root = fitted
+        bank = nig.load_bank(out / "bank.nigb")
+        bank.alpha[1, 0, 2], bank.beta[1, 0, 2] = 1e308, 1e-10
+        nig.save_bank(bank, root / "extreme.nigb")
+        assert main(["score", "--config", str(cfg), "--out", str(root / "extreme"),
+                     "--model-path", str(out / "model.gmmc"),
+                     "--bank-path", str(root / "extreme.nigb")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: Gaussian log-density coefficients overflow float64: ")
+        assert err.count("\n") == 1
+        assert not any((root / "extreme").rglob("*.fmap"))
+
     @pytest.mark.parametrize("model_classes, bank_classes", [(3, 5), (5, 3)])
     def test_model_bank_mismatch_is_config_error(
         self, fitted, capsys, model_classes, bank_classes
@@ -1378,6 +1394,44 @@ class TestConfigPrecedence:
         cfg = resolved_config(monkeypatch, tmp_path, ini, ["--seed", "7"])
         assert (cfg.ensemble.seed, cfg.synth.seed) == (7, 7)
 
+    @pytest.mark.parametrize(
+        "ini, flags, want",
+        [("[projection]\nfov_up = -30\n", ["--fov-down", "-40"],
+          {("projection", "fov_up"): -30.0, ("projection", "fov_down"): -40.0}),
+         ("[model]\nclasses = 0\n", ["--classes", "3"], {("model", "classes"): 3})],
+        ids=["fov-pair", "classes"],
+    )
+    def test_checks_see_only_the_values_the_run_uses(self, monkeypatch, tmp_path, ini, flags,
+                                                     want):
+        """File and flags make one value table before any check: a file
+        value that a flag replaces is never checked, and a cross-key check
+        reads the file's value next to the flag's."""
+        cfg = resolved_config(monkeypatch, tmp_path, ini, flags)
+        for (section, field), value in want.items():
+            assert getattr(getattr(cfg, section), field) == value
+
+    @pytest.mark.parametrize("ini, flags", [("[model]\nclasses = 0\n", []),
+                                            (None, ["--classes", "0"])], ids=["file", "flag"])
+    def test_a_bad_value_the_run_uses_is_refused(self, tmp_path, capsys, ini, flags):
+        """The one check still refuses a bad value from either source."""
+        argv = ["synth", *flags, "--out", str(tmp_path / "out")]
+        if ini is not None:
+            (tmp_path / "run.ini").write_text(ini)
+            argv += ["--config", str(tmp_path / "run.ini")]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: classes must be at least 1, got 0\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_file_text_that_does_not_parse_is_refused_under_a_flag(self, tmp_path, capsys):
+        """Each file value is parsed as the file is read, so a flag over
+        it does not hide text that is not a value."""
+        (tmp_path / "run.ini").write_text("[model]\nclasses = 3x\n")
+        argv = ["synth", "--config", str(tmp_path / "run.ini"), "--classes", "3",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: 'classes' in [model]: invalid literal")
+        assert not (tmp_path / "out").exists()
+
     def test_synth_seed_flag_beats_seed_flag(self, monkeypatch, tmp_path):
         ini = "[synth]\nseed = 2\n"
         flags = ["--synth-seed", "9", "--seed", "7"]
@@ -1512,7 +1566,8 @@ class TestConfigHandling:
             (["fit", "--classes", "0"], "classes must be at least 1, got 0"),
             (["fit", "--feature-dim", "-1"], "feature_dim must be at least 1, got -1"),
             (["score", "--n-samples", "0"], "n_samples must be at least 1, got 0"),
-            (["synth", "--synth-dim", "0"], "feature_dim and n_classes must be >= 1"),
+            (["synth", "--synth-dim", "0"],
+             "'feature_dim' in [synth] must be at least 1, got 0"),
         ],
         ids=["fit-components", "synth-components", "fit-em-max-iters", "fit-classes",
              "fit-feature-dim", "score-n-samples", "synth-dim"],
@@ -1525,6 +1580,34 @@ class TestConfigHandling:
         dirs = ["--feature-dir", str(data), "--label-dir", str(data)]
         assert main([*argv, *dirs, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--synth-classes", "0"], "'n_classes' in [synth] must be at least 1, got 0"),
+            (["--synth-samples", "0"],
+             "'samples_per_class' in [synth] must be at least 1, got 0"),
+            (["--synth-ood-count", "0"], "'ood_count' in [synth] must be at least 1, got 0"),
+            (["--synth-separation", "0"],
+             "'class_separation' in [synth] must be positive, got 0.0"),
+            (["--synth-ood-offset=-1"], "'ood_offset' in [synth] must be positive, got -1.0"),
+            (["--synth-std", "0"], "'within_class_std' in [synth] must be positive, got 0.0"),
+            (["--synth-overlap-pairs", "0-9"],
+             "'overlap_pairs' in [synth] must join two of classes 0 to 5, got 0-9"),
+            (["--synth-overlap-pairs", "2-2"],
+             "'overlap_pairs' in [synth] must join two of classes 0 to 5, got 2-2"),
+            (["--height", "0"], "'height' in [projection] must be at least 1, got 0"),
+            (["--width=-3"], "'width' in [projection] must be at least 1, got -3"),
+        ],
+        ids=["classes", "samples", "ood-count", "separation", "ood-offset", "std", "pair-range",
+             "pair-self", "height", "width"],
+    )
+    def test_a_refused_value_names_its_key(self, tmp_path, capsys, flags, message):
+        """Each bound of ``[synth]`` and of the grid size names one key and
+        the value it refused, at config load."""
+        assert main(["synth", *flags, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -1586,6 +1669,9 @@ class TestConfigHandling:
     @example("-1")
     @example("1e-300")
     @example("1e300")
+    @example("1e-308")
+    @example("1e308")
+    @example("-1e308")
     @example("inf")
     @example("-inf")
     @example("nan")
@@ -1671,7 +1757,7 @@ class TestConfigHandling:
             (["fit", "--feature-dir", "{data}", "--label-dir", "{data}"],
              "no feature files in {data}"),
             (["eval", "--label-dir", "{data}", "--score-dir", "{data}"],
-             "no predictions directory under {data}"),
+             "no prediction grids in {data}/predictions"),
             (["eval", "--label-dir", "{data}", "--score-dir", "{scored}"],
              "no prediction grids in {scored}/predictions"),
         ],
