@@ -22,7 +22,7 @@ import numpy as np
 from . import ensemble as ens
 from . import _blas, gmm, metrics, nig, rangeview
 from . import synth as synthmod
-from .errors import Error, ShapeError
+from .errors import Error, LabelCountError, ShapeError
 from .formats import (
     FeatureMap, _read_container, _shown, read_feature_map, write_atomic, write_feature_map,
 )
@@ -111,20 +111,11 @@ class PathsConfig:
     bank_path: str | None = None
 
 
-def _require_at_least(section, low, *names) -> None:
-    for name in names:
-        if getattr(section, name) < low:
-            raise ValueError(f"{name} must be at least {low}, got {getattr(section, name)}")
-
-
 @dataclass
 class ModelConfig:
     classes: int = 19
     components: int = 2
     feature_dim: int = 32
-
-    def __post_init__(self):
-        _require_at_least(self, 1, "classes", "components", "feature_dim")
 
 
 @dataclass
@@ -132,19 +123,11 @@ class EMConfig:
     max_iters: int = 100
     tol: float = 1e-5
 
-    def __post_init__(self):
-        _require_at_least(self, 1, "max_iters")
-        _require_at_least(self, 0, "tol")
-
 
 @dataclass
 class EnsembleConfig:
     n_samples: int = 20
     seed: int = 0
-
-    def __post_init__(self):
-        _require_at_least(self, 1, "n_samples")
-        _require_at_least(self, 0, "seed")
 
 
 @dataclass
@@ -153,8 +136,8 @@ class ThresholdConfig:
     per_scan: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.top_fraction < 1.0:
-            raise ValueError(f"top_fraction must be in (0, 1), got {self.top_fraction}")
+        if not 0.0 < (value := self.top_fraction) < 1.0:
+            raise ValueError(f"'top_fraction' in [threshold] must be in (0, 1), got {value}")
 
 
 @dataclass
@@ -227,6 +210,10 @@ def _config_keys() -> dict:
 # (section, INI key) -> ConfigKey for each field of each RunConfig section;
 # [class_map] is a raw-id table with its own parser
 CONFIG_KEYS = _config_keys()
+# (section, INI key) -> least value of each bounded key of cli's own sections
+_LEAST = {("model", "classes"): 1, ("model", "components"): 1, ("model", "feature_dim"): 1,
+          ("em", "max_iters"): 1, ("em", "tol"): 0, ("ensemble", "n_samples"): 1,
+          ("ensemble", "seed"): 0}
 
 
 def _parse_key(sec: str, key: str, parse, text: str):
@@ -238,10 +225,12 @@ def _parse_key(sec: str, key: str, parse, text: str):
 
 
 def _parse_class_map(items) -> ClassMap:
-    train_ids, special = {}, {"outlier": set(), "ignore": set()}
+    train_ids, special, keys = {}, {"outlier": set(), "ignore": set()}, {}
     for key, value in items:
         value = value.strip().lower()
         raw = _parse_key("class_map", key, int, key)
+        if (first := keys.setdefault(raw, key)) != key:
+            raise ValueError(f"'{key}' in [class_map] is raw id {raw}, as '{first}' is")
         if value in special:
             special[value].add(raw)
         else:
@@ -250,14 +239,16 @@ def _parse_class_map(items) -> ClassMap:
 
 
 def _replace_sections(cfg: RunConfig, values: dict) -> None:
-    """Apply {section: {ConfigKey: value}}; each section re-runs its
-    validation, after a non-finite float or an empty flag is refused by its INI key."""
+    """Apply {section: {ConfigKey: value}}; each section re-runs its validation, after
+    an empty flag, a non-finite float or a value below ``_LEAST`` is refused by its INI key."""
     for sec, fields in values.items():
         for key, value in fields.items():
             if isinstance(value, list):  # ``--flag=--``: argparse drops the "--"
                 raise ValueError(f"'{key.ini_key}' in [{sec}] has no value")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"'{key.ini_key}' in [{sec}] must be finite, got {value}")
+            if (low := _LEAST.get((sec, key.ini_key))) is not None and value < low:
+                raise ValueError(f"'{key.ini_key}' in [{sec}] must be at least {low}, got {value}")
         fields = {key.field: value for key, value in fields.items()}
         setattr(cfg, sec, dataclasses.replace(getattr(cfg, sec), **fields))
 
@@ -267,8 +258,11 @@ def load_run_config(path=None, args=None) -> RunConfig:
     read, and the flags set in ``args`` (flags win); then check once."""
     cfg = RunConfig()
     ini = configparser.ConfigParser()
-    if path is not None and not ini.read(path):
-        raise Error(f"cannot read config file {path}")
+    try:
+        if path is not None and not ini.read(path, encoding="utf-8"):
+            raise Error(f"cannot read config file {path}")
+    except UnicodeDecodeError as exc:
+        raise Error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     values = {}
     for sec in ini.sections():
         if sec == "class_map":
@@ -336,8 +330,8 @@ def _require_classes_in_map(cfg: RunConfig) -> None:
     """Refuse, before any scan is read, classes no label pixel can carry."""
     top = max(cfg.class_map.train_ids.values(), default=-1)
     if cfg.model.classes > top + 1:
-        raise Error(f"classes = {cfg.model.classes} but the class map's largest train id is "
-                    f"{top}: class {top + 1} can have no samples")
+        raise Error(f"'classes' in [model] must be at most {top + 1} (the class map's largest "
+                    f"train id + 1), got {cfg.model.classes}")
 
 
 def _read_features(path: Path, dim: int) -> FeatureMap:
@@ -402,7 +396,11 @@ def cmd_project(cfg: RunConfig) -> int:
             raise Error(f"{_shown(scan_path)}: cannot project an empty point cloud")
         labels = None
         if label_dir and (label_path := label_dir / f"{scan_path.stem}.label").exists():
-            labels = _read_container(label_path, lambda b: rangeview.parse_labels(b, len(cloud)))
+            try:
+                labels = _read_container(label_path,
+                                         lambda b: rangeview.parse_labels(b, len(cloud)))
+            except LabelCountError as exc:  # the scan may be the file cut or grown
+                raise LabelCountError(f"{exc} of {_shown(scan_path)}") from None
         image = rangeview.project_spherical(cloud, cfg.projection)
         name = f"{scan_path.stem}.fmap"
         entry = {

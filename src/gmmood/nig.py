@@ -36,11 +36,9 @@ class NIGParams:
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"NIGParams.{name} must be finite, got {value}")
-        if not (self.kappa > 0 and self.alpha > 0 and self.beta > 0):
-            raise ValueError(
-                f"kappa, alpha, beta must be positive, got "
-                f"({self.kappa}, {self.alpha}, {self.beta})"
-            )
+        for name in ("kappa", "alpha", "beta"):
+            if not (value := getattr(self, name)) > 0:
+                raise ValueError(f"'{name}0' in [prior] must be positive, got {value}")
 
 
 DEFAULT_PRIOR = NIGParams(mu=0.0, kappa=1.0, alpha=2.0, beta=1.0)

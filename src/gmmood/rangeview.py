@@ -74,7 +74,8 @@ class ProjectionConfig:
             if (value := getattr(self, key)) < 1:
                 raise ValueError(f"'{key}' in [projection] must be at least 1, got {value}")
         if not self.fov_up > self.fov_down:
-            raise ValueError(f"fov_up ({self.fov_up}) must exceed fov_down ({self.fov_down})")
+            raise ValueError(f"'fov_up' in [projection] must exceed 'fov_down' "
+                             f"({self.fov_down}), got {self.fov_up}")
 
 
 @dataclass

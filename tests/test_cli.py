@@ -37,14 +37,14 @@ def write_labels(path, labels):
     path.write_bytes(np.asarray(labels, dtype="<u4").tobytes())
 
 
-def make_dataset(root, n_points=600, seed=0):
-    """Two scans whose labels follow spatial octants, so classes are learnable."""
+def make_dataset(root, n_points=600, seed=0, n_scans=2):
+    """Scans whose labels follow spatial octants, so classes are learnable."""
     rng = np.random.default_rng(seed)
     scan_dir = root / "scans"
     label_dir = root / "labels_raw"
     scan_dir.mkdir(parents=True)
     label_dir.mkdir(parents=True)
-    for idx in range(2):
+    for idx in range(n_scans):
         xyz = rng.normal(scale=12.0, size=(n_points, 3))
         xyz[:, 2] = rng.uniform(-2.0, 1.0, n_points)  # keep pitch in view
         intensity = rng.random(n_points)
@@ -148,12 +148,16 @@ class TestProjectCommand:
     @pytest.mark.parametrize("bad, message", [
         ("empty", "scans/001.bin: cannot project an empty point cloud"),
         ("nan", "scans/001.bin: non-finite value in point 3"),
-        ("labels", "labels_raw/001.label: label payload has 2396 bytes, expected 2400 for 600 points"),
+        ("labels", "labels_raw/001.label: label payload has 2396 bytes, expected 2400 for 600 "
+                   "points of scans/001.bin"),
+        ("records", "labels_raw/001.label: label payload has 2400 bytes, expected 160 for 40 "
+                    "points of scans/001.bin"),
     ])
     def test_a_bad_scan_or_label_file_is_named(self, tmp_path, capsys, bad, message):
         """Read through the package's one file reader, a scan or label
         file that cannot be used is named as ``<dir>/<name>``, on stderr
-        and in the manifest alike."""
+        and in the manifest alike.  A scan cut at a record boundary parses,
+        so its label count is refused naming both files."""
         scan_dir, label_dir = make_dataset(tmp_path)
         if bad == "empty":
             (scan_dir / "001.bin").write_bytes(b"")
@@ -161,6 +165,8 @@ class TestProjectCommand:
             points = np.fromfile(scan_dir / "001.bin", "<f4").reshape(-1, 4)
             points[3, 1] = np.nan
             write_scan(scan_dir / "001.bin", points)
+        elif bad == "records":
+            (scan_dir / "001.bin").write_bytes((scan_dir / "001.bin").read_bytes()[:40 * 16])
         else:
             cut_short(label_dir / "001.label")
         cfg = write_config(tmp_path / "run.ini", tmp_path / "out", scan_dir, label_dir)
@@ -326,8 +332,8 @@ class TestFitCommand:
                 tracemalloc.stop()
             assert code == EXIT_CONFIG, command
             assert capsys.readouterr().err == (
-                f"error: classes = {classes} but the class map's largest train id is 2: "
-                "class 3 can have no samples\n"
+                "error: 'classes' in [model] must be at most 3 (the class map's largest train "
+                f"id + 1), got {classes}\n"
             )
             assert peak < 1 << 20, f"{command}: {peak} B traced"
         assert not (out / "model.gmmc").exists()
@@ -1279,6 +1285,129 @@ class TestFailedFiles:
         assert files == alone_files
 
 
+@pytest.fixture(scope="module")
+def three_scans(tmp_path_factory):
+    """Three 500-point scans projected, fitted on and scored with per-scan
+    thresholds, so no scan's outputs depend on another's: (root, the
+    clean run's out dir, argv every run shares)."""
+    root = tmp_path_factory.mktemp("three_scans")
+    scan_dir, label_dir = make_dataset(root, n_points=500, n_scans=3)
+    out = root / "out"
+    cfg = write_config(root / "run.ini", out, scan_dir, label_dir, feature_dir=out / "range")
+    shared = ["--config", str(cfg), "--model-path", str(out / "model.gmmc"),
+              "--bank-path", str(out / "bank.nigb"), "--per-scan-threshold"]
+    assert main(["project", *shared]) == EXIT_OK
+    assert main(["fit", *shared, "--label-dir", str(out / "labels")]) == EXIT_OK
+    assert main(["score", *shared]) == EXIT_OK
+    return root, out, shared
+
+
+def corrupt(data, path) -> bytes:
+    """Corrupt the file at ``path`` one drawn way and return its clean
+    bytes: cut at a drawn offset, 1-3 drawn bytes among the first 18 (an
+    FMAP header), 1-8 drawn bytes after them, or 1-64 drawn bytes appended."""
+    clean = path.read_bytes()
+    body = bytearray(clean)
+    kind = data.draw(st.sampled_from(["cut", "header", "payload", "append"]), label="kind")
+    if kind == "cut":
+        del body[data.draw(st.integers(0, len(body) - 1), label="cut at"):]
+    elif kind == "append":
+        body += data.draw(st.binary(min_size=1, max_size=64), label="appended")
+    else:
+        low, high = (0, 18) if kind == "header" else (18, len(body))
+        at = st.tuples(st.integers(low, high - 1), st.integers(0, 255))
+        for offset, byte in data.draw(st.lists(at, min_size=1, max_size=3 if low == 0 else 8),
+                                      label="bytes"):
+            body[offset] = byte
+    path.write_bytes(bytes(body))
+    return clean
+
+
+def run_corrupted(data, capsys, path, argv, out):
+    """``main([*argv, "--out", out])`` with the file at ``path`` corrupted
+    (``corrupt``) and then restored: its exit code is 0 or 1, with one
+    ``error:`` line naming the file as ``<dir>/<name>`` on 1 and nothing
+    on stderr on 0.  Returns (exit code, {path under out: bytes})."""
+    shutil.rmtree(out, ignore_errors=True)
+    clean = corrupt(data, path)
+    try:
+        code = main([*argv, "--out", str(out)])
+    finally:
+        path.write_bytes(clean)
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_PARTIAL) and "Traceback" not in err, err
+    if code == EXIT_PARTIAL:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{path.parent.name}/{path.name}" in err, err
+    else:
+        assert err == ""
+    files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    return code, files
+
+
+def assert_others_unchanged(files, out, stem, subdirs, manifest, key):
+    """Every grid under ``subdirs`` but ``stem``'s, and every entry of
+    ``manifest`` but the one whose ``key`` is ``stem``'s, is the clean
+    run's under ``out``, byte for byte."""
+    def others(grids):
+        return {name: data for name, data in grids.items()
+                if name.parts[0] in subdirs and not name.name.startswith(stem)}
+
+    clean = {p.relative_to(out): p.read_bytes() for sub in subdirs for p in (out / sub).iterdir()}
+    assert others(files) == others(clean)
+    kept = [[e for e in json.loads(doc)["files"] if not e[key].startswith(stem)]
+            for doc in (files[Path(manifest)], (out / manifest).read_bytes())]
+    assert kept[0] == kept[1]
+
+
+DRAWN = settings(max_examples=40, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestDrawnCorruption:
+    """One input file corrupted a drawn way (``corrupt``): the run exits 0
+    or 1, names the file once on 1, and never ends in a traceback."""
+
+    @DRAWN
+    @given(data=st.data())
+    def test_project(self, three_scans, tmp_path, capsys, data):
+        """Every other scan's range image, label grid and manifest entry
+        are the clean run's."""
+        root, out, shared = three_scans
+        stem = data.draw(st.sampled_from(["000", "001", "002"]), label="scan")
+        path = data.draw(st.sampled_from([root / "scans" / f"{stem}.bin",
+                                          root / "labels_raw" / f"{stem}.label"]), label="file")
+        _, files = run_corrupted(data, capsys, path, ["project", *shared], tmp_path / "out")
+        assert_others_unchanged(files, out, stem, ("range", "labels"), "project_manifest.json",
+                                "scan")
+
+    @DRAWN
+    @given(data=st.data())
+    def test_score(self, three_scans, tmp_path, capsys, data):
+        """Every other scan's score grids, predictions, OOD mask and
+        manifest entry are the clean run's."""
+        _, out, shared = three_scans
+        stem = data.draw(st.sampled_from(["000", "001", "002"]), label="scan")
+        path = out / "range" / f"{stem}.fmap"
+        _, files = run_corrupted(data, capsys, path, ["score", *shared], tmp_path / "out")
+        assert_others_unchanged(files, out, stem, ("scores", "predictions", "ood_masks"),
+                                "score_manifest.json", "file")
+
+    @DRAWN
+    @given(data=st.data())
+    def test_eval(self, three_scans, tmp_path, capsys, data):
+        _, out, shared = three_scans
+        stem = data.draw(st.sampled_from(["000", "001", "002"]), label="scan")
+        channel = data.draw(st.sampled_from(cli.ens.SCORE_CHANNELS), label="channel")
+        path = data.draw(st.sampled_from([
+            out / cli._PREDICTION_FILE.format(stem=stem),
+            out / cli.SCORE_FILE.format(stem=stem, channel=channel),
+            out / "labels" / f"{stem}.fmap",
+        ]), label="file")
+        argv = ["eval", *shared, "--label-dir", str(out / "labels"), "--score-dir", str(out)]
+        run_corrupted(data, capsys, path, argv, tmp_path / "out")
+
+
 class TestSynthCommand:
     SYNTH = (
         "\n[synth]\nfeature_dim = 4\nn_classes = 3\nsamples_per_class = 200\n"
@@ -1419,7 +1548,7 @@ class TestConfigPrecedence:
             (tmp_path / "run.ini").write_text(ini)
             argv += ["--config", str(tmp_path / "run.ini")]
         assert main(argv) == EXIT_CONFIG
-        assert capsys.readouterr().err == "error: classes must be at least 1, got 0\n"
+        assert capsys.readouterr().err == "error: 'classes' in [model] must be at least 1, got 0\n"
         assert not (tmp_path / "out").exists()
 
     def test_file_text_that_does_not_parse_is_refused_under_a_flag(self, tmp_path, capsys):
@@ -1536,10 +1665,23 @@ class TestFrontEnd:
             assert code.dtype == np.int64
 
 
+def each_drawn_key_value(test):
+    """Run ``test(..., value)`` on edge values, then on 10 drawn texts of
+    up to two characters, short malformed or numeric text."""
+    edges = ["0", "-1", "1e-300", "1e300", "1e-308", "1e308", "-1e308", "inf", "-inf", "nan",
+             "4x", "", "--"]  # argparse reads ``--flag=--`` as an empty list
+    for value in reversed(edges):
+        test = example(value)(test)
+    test = given(value=st.text(st.sampled_from("0123456789.e+-x, "), max_size=2))(test)
+    return settings(max_examples=10, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])(test)
+
+
 class TestConfigHandling:
     def test_top_fraction_outside_unit_interval_is_config_error(self, tmp_path):
         args = cli.build_parser().parse_args(["score", "--top-fraction", "1.5"])
-        with pytest.raises(ValueError, match="top_fraction must be in"):
+        message = r"^'top_fraction' in \[threshold\] must be in \(0, 1\), got 1\.5$"
+        with pytest.raises(ValueError, match=message):
             load_run_config(None, args)
         path = tmp_path / "run.ini"
         path.write_text("[threshold]\ntop_fraction = 0\n")
@@ -1560,12 +1702,14 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["fit", "--components", "0"], "components must be at least 1, got 0"),
-            (["synth", "--components", "0"], "components must be at least 1, got 0"),
-            (["fit", "--em-max-iters", "0"], "max_iters must be at least 1, got 0"),
-            (["fit", "--classes", "0"], "classes must be at least 1, got 0"),
-            (["fit", "--feature-dim", "-1"], "feature_dim must be at least 1, got -1"),
-            (["score", "--n-samples", "0"], "n_samples must be at least 1, got 0"),
+            (["fit", "--components", "0"], "'components' in [model] must be at least 1, got 0"),
+            (["synth", "--components", "0"], "'components' in [model] must be at least 1, got 0"),
+            (["fit", "--em-max-iters", "0"], "'max_iters' in [em] must be at least 1, got 0"),
+            (["fit", "--classes", "0"], "'classes' in [model] must be at least 1, got 0"),
+            (["fit", "--feature-dim", "-1"],
+             "'feature_dim' in [model] must be at least 1, got -1"),
+            (["score", "--n-samples", "0"],
+             "'n_samples' in [ensemble] must be at least 1, got 0"),
             (["synth", "--synth-dim", "0"],
              "'feature_dim' in [synth] must be at least 1, got 0"),
         ],
@@ -1599,13 +1743,17 @@ class TestConfigHandling:
              "'overlap_pairs' in [synth] must join two of classes 0 to 5, got 2-2"),
             (["--height", "0"], "'height' in [projection] must be at least 1, got 0"),
             (["--width=-3"], "'width' in [projection] must be at least 1, got -3"),
+            (["--fov-up=-30"],
+             "'fov_up' in [projection] must exceed 'fov_down' (-25.0), got -30.0"),
+            (["--alpha0=0"], "'alpha0' in [prior] must be positive, got 0.0"),
         ],
         ids=["classes", "samples", "ood-count", "separation", "ood-offset", "std", "pair-range",
-             "pair-self", "height", "width"],
+             "pair-self", "height", "width", "fov", "alpha0"],
     )
     def test_a_refused_value_names_its_key(self, tmp_path, capsys, flags, message):
-        """Each bound of ``[synth]`` and of the grid size names one key and
-        the value it refused, at config load."""
+        """Each bound of a library section (``[synth]``, ``[projection]``,
+        ``[prior]``) names one key, its section and the value it refused,
+        at config load."""
         assert main(["synth", *flags, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
@@ -1613,9 +1761,9 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["fit", "--seed", "-1"], "seed must be at least 0, got -1"),
-            (["score", "--seed", "-1"], "seed must be at least 0, got -1"),
-            (["synth", "--seed", "-1"], "seed must be at least 0, got -1"),
+            (["fit", "--seed", "-1"], "'seed' in [ensemble] must be at least 0, got -1"),
+            (["score", "--seed", "-1"], "'seed' in [ensemble] must be at least 0, got -1"),
+            (["synth", "--seed", "-1"], "'seed' in [ensemble] must be at least 0, got -1"),
             (["synth", "--synth-seed", "-2"], "'seed' in [synth] must be at least 0, got -2"),
         ],
         ids=["fit", "score", "synth", "synth-seed"],
@@ -1640,7 +1788,7 @@ class TestConfigHandling:
         dirs = ["--feature-dir", str(data), "--label-dir", str(data)]
         argv = [command, "--em-tol", "-1", *dirs, "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_CONFIG
-        assert "tol must be at least 0, got -1.0" in capsys.readouterr().err
+        assert "'tol' in [em] must be at least 0, got -1.0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         assert cli.EMConfig(tol=0.0).tol == 0.0
 
@@ -1662,25 +1810,10 @@ class TestConfigHandling:
         assert f"'{key}' in [{section}] must be finite, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @settings(max_examples=10, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(value=st.text(st.sampled_from("0123456789.e+-x, "), max_size=2))
-    @example("0")
-    @example("-1")
-    @example("1e-300")
-    @example("1e300")
-    @example("1e-308")
-    @example("1e308")
-    @example("-1e308")
-    @example("inf")
-    @example("-inf")
-    @example("nan")
-    @example("4x")
-    @example("")
-    @example("--")  # argparse reads ``--flag=--`` as an empty list
+    @each_drawn_key_value
     def test_no_value_of_any_key_escapes_main(self, tmp_path, monkeypatch, capsys, value):
-        """Each config key's flag given ``value`` (the edge values above,
-        then short malformed or numeric text, at most 99 as an int) on a
+        """Each config key's flag given ``value`` (``each_drawn_key_value``'s
+        edge values, then short malformed or numeric text) on a
         tiny ``synth`` run ends in exit 0, 1 or 2 (argparse's own refusal
         too), never in an exception or a traceback.  The run writes under
         a working directory of its own: ``--out`` takes the value as a
@@ -1698,6 +1831,33 @@ class TestConfigHandling:
                 code = exc.code
             assert code in (EXIT_OK, EXIT_PARTIAL, EXIT_CONFIG), key
             assert "Traceback" not in capsys.readouterr().err, key
+
+    @each_drawn_key_value
+    def test_every_refused_value_names_its_key_and_section(self, tmp_path, value):
+        """Each config key given ``value`` (the draws above) as a flag, and
+        in a file: ``load_run_config`` returns, or refuses it with a message
+        that names the key as ``'<key>' in [<section>]``; argparse's own
+        refusals are left out.  No command runs."""
+        parser = cli.build_parser()
+        path = tmp_path / "run.ini"
+        for key in cli.CONFIG_KEYS.values():
+            path.write_text(f"[{key.section}]\n{key.ini_key} = {value}\n")
+            sources = [(path, None)]
+            try:
+                sources.append(
+                    (None, parser.parse_args(["synth", f"--{key.dest.replace('_', '-')}={value}"]))
+                )
+            except SystemExit:
+                pass
+            for source in sources:
+                try:
+                    load_run_config(*source)
+                except ValueError as exc:
+                    assert re.search(r"'[^']+' in \[[a-z_]+\]", str(exc)), (key, str(exc))
+
+    def test_every_least_value_is_of_a_config_key(self):
+        """A bound left on a renamed or removed key would go unchecked."""
+        assert set(cli._LEAST) <= set(cli.CONFIG_KEYS)
 
     def test_non_finite_float_in_config_file_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
@@ -1838,22 +1998,40 @@ class TestConfigHandling:
             ("10 = 0\n20 = -1\n", "'20' in [class_map]: train id must be at least 0, got -1"),
             ("10 = 99999999999999999999\n",
              "'10' in [class_map]: train id must be below 2**63, got 99999999999999999999"),
-            ("1 = outlier\n01 = 0\n", "a raw id may appear in only one of train/outlier/ignore"),
+            ("1 = outlier\n01 = 0\n", "'01' in [class_map] is raw id 1, as '1' is"),
+            ("10 = 0\n010 = 1\n", "'010' in [class_map] is raw id 10, as '10' is"),
         ],
         ids=["negative-raw-id", "huge-raw-id", "raw-id-past-16-bits", "negative-train-id",
-             "huge-train-id", "raw-id-in-two-lists"],
+             "huge-train-id", "raw-id-in-two-lists", "raw-id-twice"],
     )
     def test_class_map_ids_out_of_range_are_config_errors(self, tmp_path, capsys, ini, message):
         """A negative raw id used to wrap in the lookup table (raw 7 of
         the first case read as train id 0), a huge one exhausted memory
         and a negative train id turned its raw id into "ignore"; a train
-        id past int64 overflowed the table with a traceback."""
+        id past int64 overflowed the table with a traceback.  A raw id
+        given twice (``10`` and ``010``) used to keep the later key's
+        entry, or to meet an overlap check that named no key."""
         path = tmp_path / "map.ini"
         path.write_text("[class_map]\n" + ini)
         out = tmp_path / "out"
         assert main(["fit", "--config", str(path), "--feature-dir", str(tmp_path),
                      "--label-dir", str(tmp_path), "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_class_map_refuses_a_raw_id_in_two_lists(self):
+        """A Python caller builds a ``ClassMap`` directly; it keeps its own check."""
+        with pytest.raises(ValueError, match="only one of train/outlier/ignore"):
+            cli.ClassMap({1: 0}, frozenset({1}), frozenset())
+
+    def test_config_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"\xff\xfe[model]\nclasses = 3\n")
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text (invalid start byte at byte 0)\n"
+        )
         assert not out.exists()
 
     def test_default_section_keys_serve_interpolation(self, tmp_path):

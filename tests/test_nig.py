@@ -222,10 +222,12 @@ class TestPosteriorPredictive:
 
 class TestValidation:
     def test_prior_positivity(self):
-        with pytest.raises(ValueError):
-            NIGParams(mu=0.0, kappa=0.0, alpha=1.0, beta=1.0)
-        with pytest.raises(ValueError):
-            NIGParams(mu=0.0, kappa=1.0, alpha=-1.0, beta=1.0)
+        """Each refusal names one key as the config file spells it."""
+        for key, value in [("kappa", 0.0), ("alpha", -1.0), ("beta", 0.0)]:
+            cell = {"mu": 0.0, "kappa": 1.0, "alpha": 1.0, "beta": 1.0, key: value}
+            message = rf"^'{key}0' in \[prior\] must be positive, got {value}$"
+            with pytest.raises(ValueError, match=message):
+                NIGParams(**cell)
 
     def test_bank_positivity(self):
         with pytest.raises(ValueError):

@@ -273,7 +273,8 @@ class TestProjectionProperties:
 
 class TestConfigValidation:
     def test_bad_fov(self):
-        with pytest.raises(ValueError):
+        message = r"^'fov_up' in \[projection\] must exceed 'fov_down' \(3\.0\), got -30\.0$"
+        with pytest.raises(ValueError, match=message):
             ProjectionConfig(fov_up=-30.0, fov_down=3.0)
 
     def test_bad_size(self):
