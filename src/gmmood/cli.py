@@ -265,8 +265,12 @@ def load_run_config(path=None, args=None) -> RunConfig:
         raise Error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     values = {}
     for sec in ini.sections():
+        # [class_map] reads the keys written in it only: every public view of
+        # a section (items(), keys(), options()) merges in [DEFAULT]'s keys, so
+        # the names come from configparser's own per-section dict; the values
+        # still interpolate
         if sec == "class_map":
-            cfg.class_map = _parse_class_map(ini[sec].items())
+            cfg.class_map = _parse_class_map((key, ini[sec][key]) for key in ini._sections[sec])
             continue
         if sec not in {known for known, _ in CONFIG_KEYS}:
             raise Error(f"{path}: unknown section [{sec}]")
@@ -384,7 +388,7 @@ def _each_file(paths, work, mapper=map) -> list:
 
 def cmd_project(cfg: RunConfig) -> int:
     scan_dir = _require_dir(cfg.paths.scan_dir, "scan_dir")
-    label_dir = Path(cfg.paths.label_dir) if cfg.paths.label_dir else None
+    label_dir = _require_dir(cfg.paths.label_dir, "label_dir") if cfg.paths.label_dir else None
     out = Path(cfg.paths.out_dir)
     (out / "range").mkdir(parents=True, exist_ok=True)
     (out / "labels").mkdir(parents=True, exist_ok=True)

@@ -26,13 +26,13 @@ rounded and monotone).  The floor of ``_class_sums`` keeps every s > 0, so no lo
 needs a mask and no class log density, second exp or second normaliser
 is taken.  The point model's entropy comes from member 0 of the same
 arrays.  A pixel's vote entropy sums a table of (k / M) log(k / M),
-k = 0..M, built once per call, at its C vote counts.
+k = 0..M, built once per block, at its C vote counts.
 
 ``SampleScores`` declares what scoring gives per pixel; ``SCORE_CHANNELS``
 and ``UncertaintyMap`` (the record on a scan's grid) follow from it.
-Each block writes its rows of one ``SampleScores`` that ``score_samples``
-allocates for all rows, so no block result is kept or concatenated, and
-its (N, C) vote counts end there; ``vote`` gives one pixel's histogram.
+Each block's reduction hands back every field by name, written into its
+rows of one ``SampleScores`` that ``score_samples`` allocates for all rows,
+so no block result is kept; ``vote`` reads one pixel's (N, C) vote counts.
 Rows reach the kernel as given, float32 from a feature map, and it
 widens them.
 
@@ -136,32 +136,31 @@ def _vote_table(m: int) -> np.ndarray:
     return _p_log_p(np.arange(m + 1) / m)
 
 
-def _stack(ensemble: list[GMMParameterSample], *front):
-    """GEMM coefficients (``gmm._coefficients``) of the ``front``
-    parameter sets followed by the ensemble members, stacked along a
-    leading set axis."""
+def _stack(ensemble: list[GMMParameterSample], *point_model):
+    """GEMM coefficients (``gmm._coefficients``) of the point model, when
+    given, followed by the ensemble members, stacked along a leading set
+    axis."""
     if not ensemble:
         raise ValueError("ensemble must be non-empty")
-    models = [*front, *ensemble]
+    models = [*point_model, *ensemble]
     weights, means, variances = (
         np.stack([getattr(m, k) for m in models]) for k in ("weights", "means", "variances")
     )
     return _coefficients(_log_weights(weights), means, variances)
 
 
-def _reduce_members(joint: np.ndarray, front: int = 0):
-    """Scores from (K, F + M, C, N) joint log densities (overwritten)
-    whose first ``front`` = F sets are not ensemble members: the members'
-    (N, C) vote counts and (N,) predictive entropy, aleatoric part and
-    mutual information (see ``decompose_uncertainty``), then the F sets'
-    (F, N) maximum posteriors and every set's (F + M, N) posterior
-    entropies."""
+def _reduce_members(joint: np.ndarray, point_model: bool) -> dict:
+    """Scores from (K, S, C, N) joint log densities (overwritten) of the
+    point model, set 0 when ``point_model``, and the M members: each
+    ``SampleScores`` field of the N rows by name, its last two only with
+    the point model, and the members' (N, C) vote ``counts``."""
     s = _class_sums(joint)
     c, n = s.shape[1:]
     top = s.max(axis=1, keepdims=True)
+    members = slice(int(point_model), None)
     # each member's vote is the lowest class id holding its maximum: the
     # hit with the largest weight c - k, k the class id
-    hit = s[front:] == top[front:]
+    hit = s[members] == top[members]
     hit = np.multiply(hit, np.arange(c, 0, -1, dtype=np.min_scalar_type(c))[:, None])
     best = c - hit.max(axis=1) + c * np.arange(n)
     counts = np.bincount(best.ravel(), minlength=n * c).reshape(n, c)
@@ -172,23 +171,28 @@ def _reduce_members(joint: np.ndarray, front: int = 0):
     neg_log_post = np.subtract(np.log(total), np.log(s, out=s), out=s)
     neg_log_post *= post
     entropy = neg_log_post.sum(axis=1)
-    predictive = _entropy_rows(post[front:].mean(axis=0), axis=0)
-    aleatoric = entropy[front:].mean(axis=0)
-    mi = np.maximum(predictive - aleatoric, 0.0)
-    return counts, predictive, aleatoric, mi, top[:front, 0] / total[:front, 0], entropy
+    predictive = _entropy_rows(post[members].mean(axis=0), axis=0)
+    aleatoric = entropy[members].mean(axis=0)
+    vote_table = _vote_table(s.shape[0] - int(point_model))
+    scores = dict(counts=counts, predicted_class=np.argmax(counts, axis=1),
+                  epistemic=0.0 - vote_table[counts].sum(axis=1), predictive_entropy=predictive,
+                  aleatoric=aleatoric, mutual_information=np.maximum(predictive - aleatoric, 0.0))
+    if point_model:
+        scores.update(deterministic_entropy=entropy[0], max_posterior=top[0, 0] / total[0, 0])
+    return scores
 
 
-def _reduce_one(z, ensemble: list[GMMParameterSample], what: str):
+def _reduce_one(z, ensemble: list[GMMParameterSample], what: str) -> dict:
     """``_reduce_members`` for a single feature vector, as N = 1 rows."""
     z = np.asarray(z)
     if z.ndim != 1:
         raise ShapeError(f"{what}() takes a single feature vector")
-    return _reduce_members(_joint_log_densities(z[None, :], _stack(ensemble)))
+    return _reduce_members(_joint_log_densities(z[None, :], _stack(ensemble)), point_model=False)
 
 
 def vote(z, ensemble: list[GMMParameterSample]) -> VoteRecord:
     """Classify z under every member and tally the votes."""
-    return VoteRecord(_reduce_one(z, ensemble, "vote")[0][0])
+    return VoteRecord(_reduce_one(z, ensemble, "vote")["counts"][0])
 
 
 def vote_entropy(record: VoteRecord) -> float:
@@ -207,8 +211,9 @@ def decompose_uncertainty(
     and the mutual information is their difference, clamped to zero
     against negative floating-point residue.
     """
-    parts = _reduce_one(z, ensemble, "decompose_uncertainty")[1:4]
-    return UncertaintyDecomposition(*(float(p[0]) for p in parts))
+    scores = _reduce_one(z, ensemble, "decompose_uncertainty")
+    return UncertaintyDecomposition(
+        **{f.name: float(scores[f.name][0]) for f in fields(UncertaintyDecomposition)})
 
 
 def score_samples(
@@ -218,26 +223,20 @@ def score_samples(
 
     The point model is stacked as member 0 in front of the ensemble, and
     each block of about ``_BLOCK_VALUES`` log densities, (M + 1) * C * K
-    per row, is one kernel call and one reduction that writes finished
-    fields into its rows of the preallocated result; the kernel widens z."""
+    per row, is one kernel call and one reduction whose fields are written
+    into its rows of the preallocated result; the kernel widens z."""
     z = np.atleast_2d(np.asarray(z))
     coefficients = _stack(ensemble, model)
     step = max(1, _BLOCK_VALUES // len(coefficients[1]))
     n = len(z)
     out = SampleScores(np.empty(n, np.intp), *(np.empty(n) for _ in SCORE_CHANNELS))
-    vote_table = _vote_table(len(ensemble))
 
     def block(i):
         rows = slice(i, i + step)
         joint = _joint_log_densities(z[rows], coefficients)
-        counts, predictive, aleatoric, mi, top, entropy = _reduce_members(joint, 1)
-        out.predicted_class[rows] = np.argmax(counts, axis=1)
-        out.epistemic[rows] = 0.0 - vote_table[counts].sum(axis=1)
-        out.predictive_entropy[rows] = predictive
-        out.aleatoric[rows] = aleatoric
-        out.mutual_information[rows] = mi
-        out.deterministic_entropy[rows] = entropy[0]
-        out.max_posterior[rows] = top[0]
+        scores = _reduce_members(joint, point_model=True)
+        for field in fields(SampleScores):
+            getattr(out, field.name)[rows] = scores[field.name]
 
     # no rows: one empty block, so that the kernel still checks their dimension
     _blas.map_on_cores(block, range(0, max(n, 1), step))

@@ -124,6 +124,17 @@ class TestProjectCommand:
             grid.values[:, :, 0], np.where(image.valid, labels[image.point_index], -1)
         )
 
+    def test_missing_label_dir_is_refused(self, tmp_path, capsys):
+        """A configured label_dir must exist, as for fit and eval; nothing
+        is written."""
+        scan_dir, _ = make_dataset(tmp_path)
+        out, missing = tmp_path / "out", tmp_path / "nowhere"
+        cfg = write_config(tmp_path / "run.ini", out, scan_dir)
+        argv = ["project", "--config", str(cfg), "--label-dir", str(missing)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: label_dir {missing} does not exist\n"
+        assert not out.exists()
+
     def test_empty_dir_gives_empty_manifest(self, tmp_path):
         scan_dir = tmp_path / "scans"
         scan_dir.mkdir()
@@ -2038,6 +2049,16 @@ class TestConfigHandling:
         path = tmp_path / "run.ini"
         path.write_text("[DEFAULT]\nroot = data\n[paths]\nscan_dir = %(root)s/scans\n")
         assert load_run_config(path).paths.scan_dir == "data/scans"
+
+    def test_class_map_reads_only_its_own_keys(self, tmp_path):
+        """[DEFAULT]'s keys, interpolation-only, do not enter the class map,
+        and a raw id written in [class_map] is read whatever [DEFAULT] holds."""
+        path = tmp_path / "run.ini"
+        path.write_text("[DEFAULT]\nroot = data\n10 = 5\n20 = 1\n"
+                        "[class_map]\n10 = 0\n1 = outlier\n30 = %(10)s\n")
+        class_map = load_run_config(path).class_map
+        assert class_map.train_ids == {10: 0, 30: 0}
+        assert class_map.outlier_ids == {1} and not class_map.ignore_ids
 
     def test_missing_section_header_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bare.ini"

@@ -612,6 +612,25 @@ def test_max_posterior_is_the_point_models_largest_posterior_bytes(kernel_case):
     assert_same_bytes(score_samples(rows, model, members).max_posterior, np.concatenate(want))
 
 
+@pytest.mark.parametrize("point_model", [True, False], ids=["point model", "members only"])
+def test_reduction_hands_back_each_field_by_name(point_model):
+    """``_reduce_members`` gives every ``SampleScores`` field of its rows
+    and the members' (N, C) vote counts by name; without the point model,
+    all but its entropy and maximum posterior."""
+    model, members = fitted_setup()
+    z = np.random.default_rng(1).normal(size=(7, 2))
+    coefficients = ens._stack(members, model) if point_model else ens._stack(members)
+    joint = gmm_mod._joint_log_densities(z, coefficients)
+    scores = ens._reduce_members(joint, point_model)
+    want = {*SCORE_FIELDS, "counts"}
+    if not point_model:
+        want -= {"deterministic_entropy", "max_posterior"}
+    assert set(scores) == want
+    assert scores["counts"].shape == (7, model.num_classes)
+    assert (scores["counts"].sum(axis=1) == len(members)).all()
+    assert all(scores[name].shape == (7,) for name in want - {"counts"})
+
+
 @pytest.mark.parametrize("d, shift", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
 def test_rows_drawn_at_the_former_block_step_match_loop_reference(d, shift, tmp_path):
     """``kernel_case`` draws its rows at the block's step, so its far
@@ -880,7 +899,7 @@ def test_callers_errstate_holds_in_pooled_blocks(monkeypatch):
     """numpy's errstate is per thread and context; a block on the pool
     runs in the caller's, so a check made under ``np.errstate`` covers it."""
 
-    def divide_by_zero(*args):
+    def divide_by_zero(*args, **kwargs):
         return np.log(np.zeros(1))
 
     monkeypatch.setattr(ens, "_reduce_members", divide_by_zero)
