@@ -50,7 +50,6 @@ from .metrics import (
 )
 from .nig import (
     DEFAULT_PRIOR,
-    GMMParameterSample,
     NIGParams,
     NIGPosteriorBank,
     build_bank,

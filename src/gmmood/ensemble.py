@@ -53,7 +53,6 @@ from .errors import ShapeError
 from .formats import FeatureMap
 from .gmm import GMMClassifier, _class_sums, _coefficients, _joint_log_densities, _log_weights
 from .gmm import logsumexp  # noqa: F401  unused here; perfbench traces ensemble.logsumexp
-from .nig import GMMParameterSample
 
 # float64 log densities (GEMM outputs) per scoring block, 2 MB: 328 rows
 # at the paper's shape (M = 20, C = 19, K = 2).  Pooled on 2 vCPUs, one
@@ -136,7 +135,7 @@ def _vote_table(m: int) -> np.ndarray:
     return _p_log_p(np.arange(m + 1) / m)
 
 
-def _stack(ensemble: list[GMMParameterSample], *point_model):
+def _stack(ensemble: list[GMMClassifier], *point_model):
     """GEMM coefficients (``gmm._coefficients``) of the point model, when
     given, followed by the ensemble members, stacked along a leading set
     axis."""
@@ -182,7 +181,7 @@ def _reduce_members(joint: np.ndarray, point_model: bool) -> dict:
     return scores
 
 
-def _reduce_one(z, ensemble: list[GMMParameterSample], what: str) -> dict:
+def _reduce_one(z, ensemble: list[GMMClassifier], what: str) -> dict:
     """``_reduce_members`` for a single feature vector, as N = 1 rows."""
     z = np.asarray(z)
     if z.ndim != 1:
@@ -190,7 +189,7 @@ def _reduce_one(z, ensemble: list[GMMParameterSample], what: str) -> dict:
     return _reduce_members(_joint_log_densities(z[None, :], _stack(ensemble)), point_model=False)
 
 
-def vote(z, ensemble: list[GMMParameterSample]) -> VoteRecord:
+def vote(z, ensemble: list[GMMClassifier]) -> VoteRecord:
     """Classify z under every member and tally the votes."""
     return VoteRecord(_reduce_one(z, ensemble, "vote")["counts"][0])
 
@@ -201,7 +200,7 @@ def vote_entropy(record: VoteRecord) -> float:
 
 
 def decompose_uncertainty(
-    z, ensemble: list[GMMParameterSample]
+    z, ensemble: list[GMMClassifier]
 ) -> UncertaintyDecomposition:
     """Predictive entropy, aleatoric part, and their difference (MI).
 
@@ -217,7 +216,7 @@ def decompose_uncertainty(
 
 
 def score_samples(
-    z, model: GMMClassifier, ensemble: list[GMMParameterSample]
+    z, model: GMMClassifier, ensemble: list[GMMClassifier]
 ) -> SampleScores:
     """Vectorized scoring of an (N, D) batch under model + ensemble.
 
@@ -244,7 +243,7 @@ def score_samples(
 
 
 def score_feature_map(
-    features: FeatureMap, model: GMMClassifier, ensemble: list[GMMParameterSample]
+    features: FeatureMap, model: GMMClassifier, ensemble: list[GMMClassifier]
 ) -> UncertaintyMap:
     """Score every valid pixel of a feature map; invalid pixels are skipped
     and hold NaN (class -1).  A map of another dimension than the model's

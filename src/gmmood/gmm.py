@@ -7,19 +7,22 @@ class prior, maximum-density prediction, and EM fitting that also emits
 the responsibility-weighted sufficient statistics consumed by the
 Bayesian layer.
 
-Every parameter set (a ``GMMClassifier``, EM's ``SufficientStats``, a
-``nig.NIGPosteriorBank`` and its sampled ``nig.GMMParameterSample``s)
-holds (C, K, D) arrays beside a (C, K) one, class c in row c;
-``_check_parameters`` alone stores them as float64 and checks their
-shapes and finiteness.  ``em_fit`` fits one class and returns one-row
-sets, which ``GMMClassifier.of`` and ``nig.build_bank`` concatenate.
+Every parameter set (a ``GMMClassifier``, EM's ``SufficientStats`` and
+a ``nig.NIGPosteriorBank``) holds (C, K, D) arrays beside a (C, K) one,
+class c in row c; ``_check_parameters`` alone stores them as float64 and
+checks their shapes and finiteness.  ``em_fit`` fits one class and
+returns one-row sets, which ``GMMClassifier.of`` and ``nig.build_bank``
+concatenate.  A member drawn from the bank is a ``GMMClassifier`` too,
+so every mixture the package scores is one type.  Its variances need
+only be positive: the floor ``VARIANCE_FLOOR`` is EM's, which ``em_fit``
+keeps by construction and ``classifier_from_bytes`` asks of a model file.
 
 One GEMM, ``_joint``, computes every Gaussian log density from a
 (2D + 1, N) operand ``[(z - c)^2, z - c, 1]`` of the rows about a centre
 c.  Scoring's ``_joint_log_densities`` builds a fresh operand per block
-about the mean of the stacked component means, for the point-estimate
-``GMMClassifier``, a sampled member (``nig.GMMParameterSample``) or a
-whole ensemble stacked along leading member axes.  It is the one place
+about the mean of the stacked component means, for one
+``GMMClassifier`` (the point estimate or a sampled member) or a whole
+ensemble stacked along leading member axes.  It is the one place
 that checks the rows' feature dimension, before its product, and it
 widens them to float64 as it writes ``z - c``.
 
@@ -150,21 +153,23 @@ def _check_parameters(obj, per_component: str, *per_dim: str) -> None:
 
 @dataclass
 class GMMClassifier:
-    """Point-estimate mixtures of C classes sharing one K and D: class c
-    is row c of ``weights`` (C, K) and ``means``/``variances`` (C, K, D).
-    Each class's weights are nonnegative and sum to 1, and every variance
-    is at ``VARIANCE_FLOOR`` or above."""
+    """Mixtures of C classes sharing one K and D, the point estimate or
+    a member drawn from ``nig.sample_parameters``: class c is row c of
+    ``weights`` (C, K) and ``means``/``variances`` (C, K, D).  Each
+    class's weights are nonnegative and sum to 1, and every variance is
+    positive; the variances are checked before the means, since a mean
+    drawn with an infinite variance is infinite too."""
 
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
 
     def __post_init__(self):
-        _check_parameters(self, "weights", "means", "variances")
+        _check_parameters(self, "weights", "variances", "means")
         if np.any(self.weights < 0) or np.any(np.abs(self.weights.sum(axis=-1) - 1.0) > 1e-9):
             raise ValueError("mixture weights must be nonnegative and sum to 1")
-        if np.any(self.variances < VARIANCE_FLOOR * (1 - 1e-12)):
-            raise ValueError(f"variances must be floored at {VARIANCE_FLOOR}")
+        if np.any(self.variances <= 0):
+            raise ValueError("variances must be strictly positive")
 
     @classmethod
     def of(cls, classifiers: list["GMMClassifier"]) -> "GMMClassifier":
@@ -366,9 +371,9 @@ def _per_class(z, params, reduce):
 def class_log_densities(z, params):
     """log p(z | c), shape (N, ..., C) (or (..., C) for one vector), for
     (..., C, K) ``weights`` and (..., C, K, D) ``means``/``variances``:
-    a ``GMMClassifier``, a ``GMMParameterSample`` or a stack of them.
-    The result is a view of a rows-innermost (..., C, N) array; it is
-    finite for finite z, since the variances are floored."""
+    a ``GMMClassifier`` or a stack of them.  The result is a view of a
+    rows-innermost (..., C, N) array; it is finite for finite z, or
+    ``_coefficients`` raises ``ValueError`` naming the variances."""
     return _per_class(z, params, lambda joint: logsumexp(joint, axis=0))
 
 
@@ -571,9 +576,14 @@ def classifier_to_bytes(model: GMMClassifier) -> bytes:
 
 
 def classifier_from_bytes(data: bytes) -> GMMClassifier:
-    """Parse a GMMC container: class c is its c-th record."""
+    """Parse a GMMC container: class c is its c-th record.  A fitted
+    model's variances are floored, so one below ``VARIANCE_FLOOR`` is
+    refused."""
     _, [fields] = GMMC.from_bytes(data)
-    return GMMClassifier(*fields)
+    model = GMMClassifier(*fields)
+    if np.any(model.variances < VARIANCE_FLOOR * (1 - 1e-12)):
+        raise ValueError(f"variances must be floored at {VARIANCE_FLOOR}")
+    return model
 
 
 def save_classifier(model: GMMClassifier, path) -> None:

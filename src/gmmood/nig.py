@@ -5,7 +5,8 @@ conjugate NIG posterior for the unknown Gaussian mean and variance of
 that dimension, updated from the responsibility-weighted statistics of
 the EM fit.  Mixture weights are not given a prior; they stay frozen at
 their EM point estimates.  Sampling a full parameter set from the bank
-yields one ensemble member.
+yields one ensemble member, a ``GMMClassifier`` like the point estimate,
+whose variances need not keep EM's floor.
 """
 
 import math
@@ -69,21 +70,6 @@ NIGB = Container(b"NIGB", 1, lambda c, k, d: [
 ])
 
 
-@dataclass
-class GMMParameterSample:
-    """One drawn GMM parameter set: sampled means/variances, frozen weights."""
-
-    means: np.ndarray
-    variances: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        # variances first: a mean drawn with an infinite variance is infinite too
-        _check_parameters(self, "weights", "variances", "means")
-        if np.any(self.variances <= 0):
-            raise ValueError("sampled variances must be strictly positive")
-
-
 # an overflow gives a non-finite cell, which NIGParams and the bank refuse by name
 @np.errstate(over="ignore", invalid="ignore")
 def _conjugate_update(prior: NIGParams, n, xbar, S) -> tuple:
@@ -130,7 +116,7 @@ def build_bank(
     return NIGPosteriorBank(*_conjugate_update(prior, n, xbar, sq), model.weights.copy())
 
 
-def sample_parameters(bank: NIGPosteriorBank, rng_seed) -> GMMParameterSample:
+def sample_parameters(bank: NIGPosteriorBank, rng_seed) -> GMMClassifier:
     """Draw one full GMM parameter set from the bank.
 
     Per cell, sigma^2 is the reciprocal of a Gamma(alpha, scale=1/beta)
@@ -140,22 +126,21 @@ def sample_parameters(bank: NIGPosteriorBank, rng_seed) -> GMMParameterSample:
     """
     rng = np.random.default_rng(rng_seed)
     gamma = np.maximum(rng.standard_gamma(bank.alpha), np.finfo(np.float64).tiny)
-    with np.errstate(over="ignore"):  # GMMParameterSample names an infinite variance
+    with np.errstate(over="ignore"):  # GMMClassifier names an infinite variance
         variances = bank.beta / gamma
     means = rng.normal(bank.mu, np.sqrt(variances / bank.kappa))
-    return GMMParameterSample(means, variances, bank.weights.copy())
+    return GMMClassifier(bank.weights.copy(), means, variances)
 
 
 def sample_ensemble(
-    bank: NIGPosteriorBank, n_samples: int = 20, rng_seed: int = 0
-) -> list[GMMParameterSample]:
-    """Draw ``n_samples`` independent parameter sets with derived sub-seeds."""
+    bank: NIGPosteriorBank, n_samples: int = 20, rng_seed=0
+) -> list[GMMClassifier]:
+    """Draw ``n_samples`` independent parameter sets, one per child of
+    ``rng_seed``, an int or a ``SeedSequence``."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if isinstance(rng_seed, np.random.SeedSequence):
-        root = rng_seed
-    else:
-        root = np.random.SeedSequence(rng_seed)
+    root = (rng_seed if isinstance(rng_seed, np.random.SeedSequence)
+            else np.random.SeedSequence(rng_seed))
     return [sample_parameters(bank, child) for child in root.spawn(n_samples)]
 
 

@@ -214,16 +214,15 @@ def test_c5_entropy_examples_and_mi_bounds():
         and abs(vote_entropy(VoteRecord([15, 5])) - 0.562335) < 1e-6
     )
     rng = np.random.default_rng(105)
-    from gmmood.nig import GMMParameterSample
 
     ok_mi = True
     for _ in range(100):
         c = int(rng.integers(2, 6))
         members = [
-            GMMParameterSample(
+            GMMClassifier(
+                np.ones((c, 1)),
                 rng.normal(scale=3.0, size=(c, 1, 2)),
                 rng.random((c, 1, 2)) + 0.2,
-                np.ones((c, 1)),
             )
             for _ in range(int(rng.integers(1, 10)))
         ]

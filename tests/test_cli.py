@@ -735,7 +735,7 @@ class TestScoreCommand:
                      "--model-path", str(out / "model.gmmc"),
                      "--bank-path", str(root / "extreme.nigb")]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("error: GMMParameterSample.variances must be finite, got inf at ")
+        assert err.startswith("error: GMMClassifier.variances must be finite, got inf at ")
         assert "(1, 0, 2)" in err
         assert not any((root / "extreme").rglob("*.fmap"))
 
@@ -820,6 +820,22 @@ class TestScoreCommand:
                      "--bank-path", str(paths["bank"])]) == EXIT_CONFIG
         assert "every axis at least 1" in capsys.readouterr().err
         assert not (root / "empty" / "scores").exists()
+
+    def test_model_below_the_variance_floor_is_config_error(self, fitted, capsys):
+        """A model file whose variance is below EM's floor is refused on
+        load (exit 2), naming the file, before any output is written; a
+        drawn member may go below the floor, a fitted model may not."""
+        cfg, out, root = fitted
+        model = gmm.load_classifier(out / "model.gmmc")
+        model.variances[1, 0, 2] = gmm.VARIANCE_FLOOR / 2
+        (root / "below").mkdir()
+        gmm.save_classifier(model, root / "below" / "model.gmmc")
+        assert main(["score", "--config", str(cfg), "--out", str(root / "scored"),
+                     "--model-path", str(root / "below" / "model.gmmc"),
+                     "--bank-path", str(out / "bank.nigb")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: below/model.gmmc: variances must be floored at 1e-06\n")
+        assert not (root / "scored").exists()
 
     @pytest.mark.parametrize("bad", ["model", "bank"])
     def test_corrupt_model_or_bank_names_its_file(self, fitted, capsys, bad):

@@ -36,7 +36,6 @@ from gmmood.gmm import (
 )
 from gmmood.nig import (
     DEFAULT_PRIOR,
-    GMMParameterSample,
     NIGParams,
     build_bank,
     sample_ensemble,
@@ -51,7 +50,7 @@ from reference import PixelReference  # noqa: E402
 
 
 def member(means, variances=None, weights=None):
-    """Two-class, D=1, K=1 parameter sample from per-class scalar means."""
+    """Two-class, D=1, K=1 drawn member from per-class scalar means."""
     c = len(means)
     means = np.asarray(means, float).reshape(c, 1, 1)
     if variances is None:
@@ -60,7 +59,7 @@ def member(means, variances=None, weights=None):
         variances = np.asarray(variances, float).reshape(c, 1, 1)
     if weights is None:
         weights = np.ones((c, 1))
-    return GMMParameterSample(means, variances, weights)
+    return GMMClassifier(weights, means, variances)
 
 
 def fitted_setup(seed=0, n_classes=3, d=2, n=200, k=2):
@@ -267,10 +266,10 @@ class TestInvariances:
         extended = []
         for m in base:
             extended.append(
-                GMMParameterSample(
+                GMMClassifier(
+                    m.weights,
                     np.concatenate([m.means, np.full((2, 1, 1), 0.7)], axis=2),
                     np.concatenate([m.variances, np.full((2, 1, 1), 2.0)], axis=2),
-                    m.weights,
                 )
             )
         for zv in rng.normal(scale=2.0, size=5):
@@ -558,6 +557,27 @@ def test_score_samples_bytes_match_loop_reference(kernel_case, reference_scores,
     assert_same_bytes(counts.reshape(want.shape), want)
 
 
+def test_per_pixel_apis_agree_with_the_batched_rows(kernel_case):
+    """``vote``, ``vote_entropy`` and ``decompose_uncertainty`` on one
+    row against that row of ``score_samples``, on every 8th row of the
+    case (every kind of row): the vote entropy and the vote's argmax are
+    its ``epistemic`` and ``predicted_class`` exactly, the decomposition
+    within ``REL_TOL``.  Bitwise equality is not asked of the
+    decomposition: the one-row stack has no point model, so its centre
+    differs, and a GEMM column's bits depend on the block it falls in
+    (931 eps at worst over all 6721 rows of the four cases, D32's mutual
+    information; over half of the rows differ in some bit)."""
+    model, members, step, rows, *_ = kernel_case
+    rows = rows[::8]
+    got = score_samples(rows, model, members)
+    records = [vote(row, members) for row in rows]
+    assert_same_bytes(np.array([vote_entropy(r) for r in records]), got.epistemic)
+    assert_same_bytes(np.array([np.argmax(r.counts) for r in records]), got.predicted_class)
+    one = [decompose_uncertainty(row, members) for row in rows]
+    for field in dataclasses.fields(ens.UncertaintyDecomposition):
+        assert_close(np.array([getattr(u, field.name) for u in one]), getattr(got, field.name))
+
+
 def test_reference_rows_reach_certain_split_and_far_ood_cases(kernel_case, reference_scores):
     """The pool holds pixels where every member is certain (aleatoric
     exactly +0.0), pixels where the members split, pixels over 1e3
@@ -666,7 +686,7 @@ def test_scoring_memory_per_pixel_is_bounded(monkeypatch):
     weights = np.full((c, k), 1.0 / k)
     model = GMMClassifier(weights, means, variances)
     members = [
-        GMMParameterSample(means + rng.normal(0.0, 0.1, means.shape), variances, weights)
+        GMMClassifier(weights, means + rng.normal(0.0, 0.1, means.shape), variances)
         for _ in range(m)
     ]
 
@@ -743,7 +763,7 @@ def test_zero_weight_component_raises_no_floating_point_error(d):
     model, members = fitted_setup(seed=19, d=d)
     one_hot = np.tile([1.0, 0.0], (model.num_classes, 1))
     model = GMMClassifier(one_hot, model.means, model.variances)
-    members = [GMMParameterSample(m.means, m.variances, one_hot) for m in members]
+    members = [GMMClassifier(one_hot, m.means, m.variances) for m in members]
     rng = np.random.default_rng(20)
     # row counts off the multiples of 8 that BLAS kernels tile without padding
     z = np.concatenate([rng.normal(3.0, 3.0, (30, d)), rng.normal(0.0, 1e5, (9, d))])
@@ -768,11 +788,10 @@ def test_rows_far_from_all_classes_but_one_stay_finite_and_certain():
 
     def mixture_params(shift):
         means = np.stack([centers + shift, centers + shift + 5.0], axis=1)[..., None]
-        return means, np.ones_like(means), np.tile([1.0, 0.0], (3, 1))
+        return np.tile([1.0, 0.0], (3, 1)), means, np.ones_like(means)
 
-    means, variances, weights = mixture_params(0.0)
-    model = GMMClassifier(weights, means, variances)
-    members = [GMMParameterSample(*mixture_params(s)) for s in rng.normal(0.0, 0.5, 8)]
+    model = GMMClassifier(*mixture_params(0.0))
+    members = [GMMClassifier(*mixture_params(s)) for s in rng.normal(0.0, 0.5, 8)]
     near = centers[rng.integers(3, size=30)] + rng.uniform(-2.0, 2.0, 30)
     far = np.array([-1e4, -3e5, 1e4, 3e5])
     z = np.concatenate([near, far])[:, None]
@@ -816,7 +835,7 @@ def test_class_sums_fold_components_as_one_sum(k, monkeypatch):
     variances = rng.uniform(0.5, 2.0, (c, k, d))
     model = GMMClassifier(weights, means, variances)
     members = [
-        GMMParameterSample(means + rng.normal(0.0, 0.3, means.shape), variances, weights)
+        GMMClassifier(weights, means + rng.normal(0.0, 0.3, means.shape), variances)
         for _ in range(6)
     ]
     far = rng.choice([-1.0, 1.0], (13, d)) * rng.uniform(1e4, 1e5, (13, d))

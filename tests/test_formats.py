@@ -21,9 +21,11 @@ from gmmood.formats import (
     write_feature_map,
 )
 from gmmood.gmm import (
+    VARIANCE_FLOOR,
     GMMClassifier,
     classifier_from_bytes,
     classifier_to_bytes,
+    load_classifier,
     save_classifier,
 )
 from gmmood.nig import NIGPosteriorBank, bank_from_bytes, bank_to_bytes, save_bank
@@ -148,6 +150,22 @@ class TestGMMC:
             classifier_from_bytes(b"ZZZZ" + data[4:])
         with pytest.raises(FormatError):
             classifier_from_bytes(data[: len(data) // 2])
+
+    def test_variance_below_the_floor_constructs_but_is_refused_at_load(self, tmp_path):
+        """A classifier's variances need only be positive, as a drawn
+        member's are; a model file holds a fit, floored at
+        ``VARIANCE_FLOOR``, so one below it is refused by name on load."""
+        model = random_classifier(np.random.default_rng(13))
+        model.variances[1, 0, 2] = VARIANCE_FLOOR / 2
+        below = GMMClassifier(model.weights, model.means, model.variances)
+        assert below.variances.min() == VARIANCE_FLOOR / 2
+        save_classifier(below, tmp_path / "below.gmmc")
+        with pytest.raises(ValueError) as info:
+            load_classifier(tmp_path / "below.gmmc")
+        assert str(info.value) == f"{tmp_path.name}/below.gmmc: variances must be floored at 1e-06"
+        model.variances[1, 0, 2] = VARIANCE_FLOOR  # at the floor: loads
+        save_classifier(model, tmp_path / "floor.gmmc")
+        assert load_classifier(tmp_path / "floor.gmmc").variances.min() == VARIANCE_FLOOR
 
 
 class TestNIGB:

@@ -6,7 +6,6 @@ from gmmood.errors import InvalidStatisticsError, ShapeError
 from gmmood.gmm import VARIANCE_FLOOR, GMMClassifier, SufficientStats, em_fit
 from gmmood.nig import (
     DEFAULT_PRIOR,
-    GMMParameterSample,
     NIGParams,
     NIGPosteriorBank,
     build_bank,
@@ -140,6 +139,19 @@ def toy_bank(rng=None, c=2, k=2, d=3):
 
 
 class TestSampling:
+    def test_a_draw_is_a_classifier_that_keeps_no_floor(self):
+        """A member is a ``GMMClassifier`` with the bank's weights; a
+        bank whose cells put the variances near 1e-8 draws them below EM's
+        floor, which a member need not keep."""
+        bank = toy_bank()
+        bank.beta[:] = 1e-8
+        sample = sample_parameters(bank, 4)
+        assert type(sample) is GMMClassifier
+        np.testing.assert_array_equal(sample.weights, bank.weights)
+        assert sample.weights is not bank.weights
+        assert (sample.variances > 0).all() and (sample.variances < VARIANCE_FLOOR).all()
+        assert all(type(m) is GMMClassifier for m in sample_ensemble(bank, 3, rng_seed=4))
+
     def test_seeded_determinism(self):
         bank = toy_bank()
         a = sample_parameters(bank, 123)
@@ -259,11 +271,6 @@ PARAMETER_SETS = {
         SufficientStats,
         dict(counts=np.full((2, 2), 4.0), means=np.zeros((2, 2, 3)), sq_devs=np.ones((2, 2, 3))),
     ),
-    "GMMParameterSample": (
-        GMMParameterSample,
-        dict(means=np.zeros((2, 2, 3)), variances=np.ones((2, 2, 3)),
-             weights=np.full((2, 2), 0.5)),
-    ),
     "NIGPosteriorBank": (
         NIGPosteriorBank,
         dict(mu=np.zeros((2, 2, 3)), kappa=np.ones((2, 2, 3)), alpha=np.full((2, 2, 3), 2.0),
@@ -315,16 +322,15 @@ def test_parameter_sets_reject_an_empty_axis(kind):
 @pytest.mark.parametrize("kind, name, value, message", [
     ("GMMClassifier", "weights", [1.5, -0.5], "nonnegative and sum to 1"),
     ("GMMClassifier", "weights", [0.5, 0.4], "nonnegative and sum to 1"),
-    ("GMMClassifier", "variances", VARIANCE_FLOOR / 2, "floored at"),
+    ("GMMClassifier", "variances", 0.0, "must be strictly positive"),
     ("SufficientStats", "counts", -1.0, "must be nonnegative"),
     ("SufficientStats", "sq_devs", -1.0, "must be nonnegative"),
-    ("GMMParameterSample", "variances", 0.0, "must be strictly positive"),
 ])
 def test_parameter_sets_keep_their_value_rules(kind, name, value, message):
     """One finite value outside a set's range, in its last class, is
-    refused: a point-estimate mixture's weights (a class's row here) are
-    nonnegative and sum to 1 and its variances are at the floor, EM's
-    statistics are nonnegative and drawn variances positive."""
+    refused: a mixture's weights (a class's row here) are nonnegative and
+    sum to 1 and its variances positive, and EM's statistics are
+    nonnegative."""
     cls, args = PARAMETER_SETS[kind]
     bad = args[name].copy()
     bad[(-1,) * (bad.ndim - np.ndim(value))] = value
