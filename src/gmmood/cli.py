@@ -30,6 +30,8 @@ from .formats import (
 EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
+# what a run, or one file's work in it, reports as an ``error:`` line
+_FAILURES = (Error, ValueError, OSError, MemoryError)
 
 # eval report name and sign of each score channel: max_posterior is
 # negated so that higher = more OOD
@@ -364,16 +366,20 @@ def _each_file(paths, work, mapper=map) -> list:
     blocks over every core itself (``ensemble``).
 
     Returns, in path order, ``(path, result, None)``, or ``(path, None,
-    message)`` for a file whose work raised a library, value or OS error,
-    and prints each message on stderr, in the same order; a bad file
-    never stops the others.
+    message)`` for a file whose work raised a library, value, OS or
+    allocation error, and prints each message on stderr, in the same
+    order; a bad file never stops the others.  A refused allocation names
+    no file, so its message is prefixed with the file's ``<dir>/<name>``.
     """
 
     def attempt(path):
         try:
             return path, work(path), None
-        except (Error, ValueError, OSError) as exc:
-            return path, None, str(exc) or type(exc).__name__
+        except _FAILURES as exc:
+            message = str(exc) or type(exc).__name__
+            if isinstance(exc, MemoryError):
+                message = f"{_shown(path)}: {message}"
+            return path, None, message
 
     done = list(mapper(attempt, paths))
     for _, _, error in done:
@@ -701,7 +707,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_run_config(args.config, args)
         return COMMANDS[args.command][0](cfg)
-    except (Error, ValueError, configparser.Error, OSError, MemoryError) as exc:
+    except (*_FAILURES, configparser.Error) as exc:
         # a bare MemoryError() has no text; its type name still says what failed
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_CONFIG

@@ -115,7 +115,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _blas
-from .errors import ConvergenceError, Error, InsufficientDataError, ShapeError
+from .errors import ConvergenceError, InsufficientDataError, ShapeError
 from .formats import Container, _read_container, write_atomic
 
 VARIANCE_FLOOR = 1e-6
@@ -531,15 +531,14 @@ def fit_classifier(
     reported before any fit starts, the lowest one first.  The classes are
     then fitted on the package's thread pool (``_blas.map_on_cores``: the
     calling thread and one helper per other core each take the next class
-    in turn), largest first, so that the last to finish is a small one.
-    Each runs on its own seed and rows, so the results are those of
-    fitting them one after another, and
-    results and errors come back in class order: an error of the
-    package's own (``errors.Error``) is the lowest failing class's, any
-    other the first met in the order of fitting.  The thread that fits
-    a class widens its blocks (an array is one block) straight into the
-    middle rows of its operand, so the class's rows are never
-    concatenated in their own dtype first."""
+    in turn), largest first, ties by class id, so that the last to finish
+    is a small one.  Each runs on its own seed and rows, so the results
+    are those of fitting them one after another, in class order.  A fit
+    that raises, whatever the error, stops the rest: no class starts
+    after it, and the error raised is the first in fitting order, as in
+    a serial run.  The thread that fits a class widens its blocks (an
+    array is one block) straight into the middle rows of its operand, so
+    the class's rows are never concatenated in their own dtype first."""
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seeds = root.spawn(len(per_class))
     blocks = [x if isinstance(x, list) else [x] for x in per_class]
@@ -553,20 +552,14 @@ def fit_classifier(
         d = blocks[c][0].shape[1]
         operand = np.empty((2 * d + 1, sizes[c]))
         x = np.concatenate([block.T for block in blocks[c]], axis=1, out=operand[d : 2 * d]).T
-        try:
-            return em_fit(
-                x, n_components, max_iters=max_iters, tol=tol, seed=seeds[c], class_id=c,
-                operand=operand,
-            )
-        except Error as exc:  # raised below, in class order
-            return exc
+        return em_fit(
+            x, n_components, max_iters=max_iters, tol=tol, seed=seeds[c], class_id=c,
+            operand=operand,
+        )
 
     order = sorted(range(len(per_class)), key=lambda c: -sizes[c])
     done = dict(zip(order, _blas.map_on_cores(fit, order)))
     fits = [done[c] for c in range(len(per_class))]
-    for result in fits:
-        if isinstance(result, Error):
-            raise result
     return GMMClassifier.of([gmm for gmm, _ in fits]), [st for _, st in fits]
 
 

@@ -10,6 +10,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gmmood import _blas
@@ -83,6 +84,7 @@ def test_no_more_than_cpus_items_run_at_once(blas):
     caller = threading.current_thread().name
     assert caller in names and len(names) <= _blas._cpus()
     assert all(name == caller or name.startswith(HELPER) for name in names)
+    assert [t.name for t in threading.enumerate() if t.name.startswith(HELPER)] == []
 
 
 @pytest.mark.parametrize("item0", ["returns", "raises"])
@@ -139,10 +141,40 @@ def test_each_item_runs_in_a_fresh_copy_of_the_callers_context(mode):
             lambda i: (threading.current_thread().name, var.get(), var.set(i)), range(12)
         )
         assert [value for _, value, _ in seen] == ["caller"] * 12
-        assert len({name for name, _, _ in seen}) <= _blas._cpus()
+        names = {name for name, _, _ in seen}
+        assert len(names) <= _blas._cpus()
+        if mode == "serial":
+            assert names == {threading.current_thread().name}
         assert var.get() == "caller"
     finally:
         var.reset(token)
+
+
+def test_callers_errstate_holds_in_every_item(mode, request):
+    """numpy's errstate is per thread and context; each item runs in a
+    copy of the caller's, so a check made under ``np.errstate`` covers
+    the items a helper runs too.  Pooled, the caller holds its first item
+    until the helper has run one."""
+    if mode == "pooled":
+        request.getfixturevalue("two_cpus")
+    helper_ran = threading.Event()
+
+    def work(i):
+        name = threading.current_thread().name
+        if name.startswith(HELPER):
+            helper_ran.set()
+        elif mode == "pooled":
+            assert helper_ran.wait(30)
+        with pytest.raises(FloatingPointError):
+            np.log(np.zeros(1))
+        return name
+
+    with np.errstate(divide="raise"):
+        names = _blas.map_on_cores(work, range(6))
+    if mode == "pooled":
+        assert any(name.startswith(HELPER) for name in names)
+    else:
+        assert set(names) == {threading.current_thread().name}
 
 
 # ---------------------------------------------------------------------------

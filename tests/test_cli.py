@@ -25,6 +25,7 @@ from gmmood.cli import (
     load_run_config,
     main,
 )
+from gmmood.errors import ConvergenceError
 from gmmood.formats import read_feature_map
 from pooled import assert_pooled, record_items
 
@@ -315,6 +316,25 @@ class TestFitCommand:
             main(["fit", "--config", str(fit_cfg), "--classes", "4"]) == EXIT_CONFIG
         )
         assert "class 3 has 0 samples; needs at least 2" in capsys.readouterr().err
+
+    def test_a_class_whose_fit_fails_stops_the_run(self, projected, capsys, monkeypatch):
+        """Class 2's EM raises: the run exits 2 with one error line that
+        names the class, and writes no model, bank or fit report."""
+        cfg, out, _ = projected
+        fit_cfg = write_config(
+            out.parent / "fit.ini", out, label_dir=out / "labels", feature_dir=out / "range"
+        )
+        real_em_fit = gmm.em_fit
+
+        def failing(*args, class_id, **kwargs):
+            if class_id == 2:
+                raise ConvergenceError("EM log-likelihood decreased (class 2)")
+            return real_em_fit(*args, class_id=class_id, **kwargs)
+
+        monkeypatch.setattr(gmm, "em_fit", failing)
+        assert main(["fit", "--config", str(fit_cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: EM log-likelihood decreased (class 2)\n"
+        assert not {p.name for p in out.iterdir()} & {"model.gmmc", "bank.nigb", "fit_report.json"}
 
     @pytest.mark.parametrize("classes", [4, 10**9])
     def test_classes_beyond_the_class_map_are_refused_before_any_read(
@@ -1240,21 +1260,35 @@ def cut_short(path):
     path.write_bytes(path.read_bytes()[:-4])
 
 
-def three_files_the_middle_one_cut(fitted, command):
+def refuse_allocations(monkeypatch, stem):
+    """Reading any file whose name starts with ``stem`` raises the
+    ``MemoryError`` numpy raises for an allocation the machine refuses."""
+    for name in ("_read_container", "read_feature_map"):
+        def refusing(path, *args, read=getattr(cli, name)):
+            if Path(path).name.startswith(stem):
+                raise MemoryError("Unable to allocate 7.28 EiB for an array")
+            return read(path, *args)
+
+        monkeypatch.setattr(cli, name, refusing)
+
+
+def three_files_the_middle_one_bad(fitted, command, cut):
     """Inputs to ``command`` over three files whose middle one is cut
-    short, and over the other two alone: (argv with ``{}`` for the input
-    directory, that directory, the other two's directory, the cut file as
-    ``<dir>/<name>``, the command's manifest or None)."""
+    short (``cut``) or left whole, and over the other two alone: (argv
+    with ``{}`` for the input directory, that directory, the other two's
+    directory, the file that fails, as ``<dir>/<name>``: the cut one, or
+    else the one ``command`` works, the command's manifest or None)."""
     cfg, out, root = fitted
     alone = root / "alone"
     alone.mkdir()
+    spoil = cut_short if cut else lambda path: None
     if command == "project":
         scans, labels = root / "scans", root / "labels_raw"
         shutil.copy(scans / "000.bin", scans / "002.bin")
         shutil.copy(labels / "000.label", labels / "002.label")
         for name in ("000.bin", "002.bin"):
             shutil.copy(scans / name, alone / name)
-        cut_short(scans / "001.bin")
+        spoil(scans / "001.bin")
         argv = ["project", "--label-dir", str(labels), "--scan-dir", "{}"]
         return argv, scans, alone, "scans/001.bin", "project_manifest.json"
     for sub in ("range", "labels"):
@@ -1262,7 +1296,7 @@ def three_files_the_middle_one_cut(fitted, command):
     if command == "score":
         for name in ("000.fmap", "002.fmap"):
             shutil.copy(out / "range" / name, alone / name)
-        cut_short(out / "range" / "001.fmap")
+        spoil(out / "range" / "001.fmap")
         argv = ["score", "--model-path", str(out / "model.gmmc"),
                 "--bank-path", str(out / "bank.nigb"), "--feature-dir", "{}"]
         return argv, out / "range", alone, "range/001.fmap", "score_manifest.json"
@@ -1271,24 +1305,31 @@ def three_files_the_middle_one_cut(fitted, command):
         (alone / sub).mkdir()
         for path in (out / sub).glob("00[02]*.fmap"):
             shutil.copy(path, alone / sub / path.name)
-    cut_short(out / "scores" / "001_aleatoric.fmap")
+    spoil(out / "scores" / "001_aleatoric.fmap")
     argv = ["eval", "--label-dir", str(out / "labels"), "--score-dir", "{}"]
-    return argv, out, alone, "scores/001_aleatoric.fmap", None
+    bad = "scores/001_aleatoric.fmap" if cut else "predictions/001.fmap"
+    return argv, out, alone, bad, None
 
 
 class TestFailedFiles:
-    @pytest.mark.parametrize("pooled", [True, False], ids=["pooled", "serial"])
-    @pytest.mark.parametrize("command", ["project", "score", "eval"])
+    @pytest.mark.parametrize("command, pooled, cut", [
+        pytest.param(command, pooled, cut, id=f"{command}-{mode}" + ("" if cut else "-refused"))
+        for cut in (True, False) for command in ("project", "score", "eval")
+        for pooled, mode in ((True, "pooled"), (False, "serial"))
+    ])
     def test_a_bad_file_is_named_once_and_stops_no_other(
-        self, fitted, monkeypatch, capsys, command, pooled
+        self, fitted, monkeypatch, capsys, command, pooled, cut
     ):
-        """Three files, the middle one cut short: the run exits 1, prints
-        one stderr line that names the cut file as ``<dir>/<name>``, and
-        writes the other two's outputs and manifest entries byte for byte
-        as a run over those two alone does."""
-        argv, inputs, alone, cut, manifest = three_files_the_middle_one_cut(fitted, command)
+        """Three files, the middle one cut short (``cut``) or refused an
+        allocation while read, whose message names no file: the run exits
+        1, prints one stderr line that names the file as ``<dir>/<name>``,
+        and writes the other two's outputs and manifest entries byte for
+        byte as a run over those two alone does."""
+        argv, inputs, alone, bad, manifest = three_files_the_middle_one_bad(fitted, command, cut)
         cfg, _, root = fitted
         capsys.readouterr()
+        if not cut:
+            refuse_allocations(monkeypatch, "001")
         if not pooled:
             monkeypatch.setattr(_blas, "_found", [])
         runs = []
@@ -1300,7 +1341,7 @@ class TestFailedFiles:
             runs.append((code, *capsys.readouterr(), files))
         (code, stdout, stderr, files), (alone_code, alone_stdout, alone_stderr, alone_files) = runs
         assert (code, alone_code, alone_stderr) == (EXIT_PARTIAL, EXIT_OK, "")
-        assert stderr.startswith(f"error: {cut}: ") and stderr.count("\n") == 1
+        assert stderr.startswith(f"error: {bad}: ") and stderr.count("\n") == 1
         assert stdout == alone_stdout
         if manifest is not None:
             doc, alone_doc = (json.loads(f.pop(Path(manifest))) for f in (files, alone_files))

@@ -24,7 +24,7 @@ from gmmood.ensemble import (
     vote,
     vote_entropy,
 )
-from gmmood.errors import ConvergenceError, ShapeError
+from gmmood.errors import ShapeError
 from gmmood.formats import FeatureMap
 from gmmood.gmm import (
     GMMClassifier,
@@ -875,12 +875,6 @@ def blas_at_two():
         put(count)
 
 
-@pytest.fixture
-def block_log(monkeypatch):
-    """(thread name, OpenBLAS thread counts) recorded by every block."""
-    return record_items(monkeypatch, ens, "_reduce_members")
-
-
 @pytest.mark.parametrize(
     "n_rows", [lambda step: 1, lambda step: 2 * step + 1, lambda step: 8 * step + 3],
     ids=["1", "2step+1", "8step+3"],
@@ -897,50 +891,15 @@ def test_pooled_scores_equal_serial_bit_for_bit(kernel_case, monkeypatch, n_rows
         assert_same_bytes(getattr(pooled, name), getattr(serial, name))
 
 
-def test_blocks_run_on_the_pool_with_one_blas_thread(blas_at_two, block_log):
+def test_blocks_run_on_the_pool_with_one_blas_thread(blas_at_two, monkeypatch):
     """The calling thread and the helpers share the blocks."""
+    block_log = record_items(monkeypatch, ens, "_reduce_members")
     model, members = fitted_setup()
     step = ens._BLOCK_VALUES // ((len(members) + 1) * model.weights.size)
     score_samples(np.random.default_rng(0).normal(size=(5 * step, 2)), model, members)
     assert len(block_log) == 5
     assert_pooled(block_log)
     assert blas_threads() == blas_at_two
-
-
-def test_no_pool_thread_outlives_the_call(blas_at_two):
-    model, members = fitted_setup()
-    step = ens._BLOCK_VALUES // ((len(members) + 1) * model.weights.size)
-    score_samples(np.zeros((3 * step, 2)), model, members)
-    assert [t.name for t in threading.enumerate() if t.name.startswith("gmmood-score")] == []
-
-
-def test_callers_errstate_holds_in_pooled_blocks(monkeypatch):
-    """numpy's errstate is per thread and context; a block on the pool
-    runs in the caller's, so a check made under ``np.errstate`` covers it."""
-
-    def divide_by_zero(*args, **kwargs):
-        return np.log(np.zeros(1))
-
-    monkeypatch.setattr(ens, "_reduce_members", divide_by_zero)
-    model, members = fitted_setup()
-    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-        score_samples(np.zeros((4, 2)), model, members)
-
-
-def test_serial_blocks_run_on_the_calling_thread(monkeypatch, block_log):
-    monkeypatch.setattr(_blas, "_found", [])
-    model, members = fitted_setup()
-    step = ens._BLOCK_VALUES // ((len(members) + 1) * model.weights.size)
-    score_samples(np.zeros((3 * step, 2)), model, members)
-    assert [name for name, _ in block_log] == [threading.current_thread().name] * 3
-
-
-def test_blas_threads_restored_after_a_block_raises(blas_at_two, block_log):
-    model, members = fitted_setup()
-    with pytest.raises(ShapeError):
-        score_samples(np.zeros((4, 3)), model, members)  # the kernel checks D
-    assert blas_threads() == blas_at_two
-    assert _blas._holders == 0
 
 
 def test_overlapping_scans_share_the_pool_and_restore_blas_threads(blas_at_two):
@@ -1029,63 +988,11 @@ def test_hold_counts_overlapping_holders(blas_at_two):
 # classes fitted by the same pool
 
 
-def fit_rows():
-    rng = np.random.default_rng(30)
-    return [rng.normal(3.0 * c, 1.0, (n, 2)) for c, n in enumerate((120, 80, 150, 60))]
-
-
-@pytest.fixture
-def fit_log(monkeypatch):
-    """(thread name, OpenBLAS thread counts) recorded by every class fit."""
-    return record_items(monkeypatch, gmm_mod, "em_fit")
-
-
-def test_classes_fit_on_the_pool_with_one_blas_thread(blas_at_two, fit_log):
+def test_classes_fit_on_the_pool_with_one_blas_thread(blas_at_two, monkeypatch):
     """The calling thread and the helpers share the classes."""
-    fit_classifier(fit_rows(), 2)
+    fit_log = record_items(monkeypatch, gmm_mod, "em_fit")
+    rng = np.random.default_rng(30)
+    fit_classifier([rng.normal(3.0 * c, 1.0, (n, 2)) for c, n in enumerate((120, 80, 150, 60))], 2)
     assert len(fit_log) == 4
     assert_pooled(fit_log)
     assert blas_threads() == blas_at_two
-
-
-def test_no_pool_thread_outlives_the_fit(blas_at_two):
-    fit_classifier(fit_rows(), 2)
-    assert [t.name for t in threading.enumerate() if t.name.startswith("gmmood-score")] == []
-
-
-def test_callers_errstate_holds_in_pooled_fits(monkeypatch):
-    real_em_fit = gmm_mod.em_fit
-
-    def divide_by_zero(*args, **kwargs):
-        np.log(np.zeros(1))
-        return real_em_fit(*args, **kwargs)
-
-    monkeypatch.setattr(gmm_mod, "em_fit", divide_by_zero)
-    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-        fit_classifier(fit_rows(), 2)
-
-
-def test_serial_fits_run_on_the_calling_thread(monkeypatch, fit_log):
-    monkeypatch.setattr(_blas, "_found", [])
-    fit_classifier(fit_rows(), 2)
-    assert [name for name, _ in fit_log] == [threading.current_thread().name] * 4
-
-
-def test_blas_threads_restored_after_a_fit_raises(blas_at_two, monkeypatch):
-    """Class 2's fit raises on the pool, with OpenBLAS held at one thread."""
-    real_em_fit = gmm_mod.em_fit
-    held = []
-
-    def failing(*args, class_id, **kwargs):
-        if class_id == 2:
-            held.append(blas_threads())
-            raise ConvergenceError("class 2 did not converge")
-        return real_em_fit(*args, class_id=class_id, **kwargs)
-
-    monkeypatch.setattr(gmm_mod, "em_fit", failing)
-    with pytest.raises(ConvergenceError, match="^class 2 did not converge$"):
-        fit_classifier(fit_rows(), 2)
-    assert held == [(1,) * len(blas_at_two)]
-    assert blas_threads() == blas_at_two
-    assert _blas._holders == 0
-    assert [t.name for t in threading.enumerate() if t.name.startswith("gmmood-score")] == []

@@ -821,17 +821,28 @@ def test_skewed_classes_fit_alike_largest_first_in_id_order_and_serially(monkeyp
 
 
 def test_errors_come_back_in_class_order(monkeypatch):
-    """Of two failing classes, the lower one's error is raised, though the
-    larger, higher one was fitted first."""
+    """The first failure in fitting order is raised, whatever its type,
+    pooled and serial: class 0, the largest, is fitted first, so its
+    error beats the foreign one of class 3, and serially no class starts
+    after it."""
     real_em_fit = gmm_mod.em_fit
+    started = []
 
     def failing(x, *args, class_id, **kwargs):
-        if class_id in (1, 3):
-            raise ConvergenceError(f"class {class_id} failed")
+        started.append(class_id)
+        if class_id == 0:
+            raise ConvergenceError("class 0 failed")
+        if class_id == 3:
+            raise ValueError("class 3 failed")
         return real_em_fit(x, *args, class_id=class_id, **kwargs)
 
     monkeypatch.setattr(gmm_mod, "em_fit", failing)
     rng = np.random.default_rng(16)
-    per_class = [rng.normal(size=(n, 3)) for n in (50, 60, 70, 900)]
-    with pytest.raises(ConvergenceError, match="^class 1 failed$"):
+    per_class = [rng.normal(size=(n, 3)) for n in (900, 60, 70, 50)]
+    with pytest.raises(ConvergenceError, match="^class 0 failed$"):
         fit_classifier(per_class, 2)
+    monkeypatch.setattr(_blas, "_found", [])
+    started.clear()
+    with pytest.raises(ConvergenceError, match="^class 0 failed$"):
+        fit_classifier(per_class, 2)
+    assert started == [0]
